@@ -7,10 +7,13 @@ vector in the block; at a limit order the n-th average is the first
 average of an approximating order taken along the tail of ``M`` left over
 by its predecessors.  All coefficients are exact rationals.
 
-Support sizes grow tower-exponentially with the order, so every
-materialization is preceded by an integer-only size computation
-(:func:`support_size`) that can refuse with the exact requirement, or a
-lower bound for it, without allocating anything.
+One :class:`RepeatedAverages` per (order, stream, rule) walks this
+recursion.  It first grows integer block boundaries, then builds each
+vector from them.  Support sizes grow tower-exponentially with the order,
+so the boundaries are checked against the budget as they grow: a request
+that cannot fit refuses with the exact entry requirement, or a lower bound
+for it, before any vector is allocated, and :func:`support_size` answers
+from the boundaries alone.
 """
 
 from __future__ import annotations
@@ -40,126 +43,6 @@ __all__ = [
     "check_nibcc",
     "cesaro_reweight",
 ]
-
-
-# -- integer support extents -------------------------------------------------
-
-
-class _Extent:
-    """Support sizes and consumed counts of an average sequence, as integers.
-
-    ``consumed(n, cap)`` is the number of stream elements covered by the
-    first n vectors; sizes follow by differencing.  Every query names its
-    own hard cap: extension stops, and refuses with that cap, as soon as
-    a total would pass it, so astronomically large objects are detected
-    in a handful of integer operations instead of by exhausting memory.
-    Counts found under a wider cap stay cached and are reused as they are.
-    """
-
-    def __init__(self, xi: Ordinal, M: IndexStream, fs: FundamentalRule):
-        self.xi = xi
-        self.M = M
-        self.fs = fs
-        self.kind, self.pred = classify(xi)
-        self._consumed = [0]
-        self._sub_counts = [0]
-        self._child: _Extent | None = None
-        self._sub_used = 0      # successor case: lower-order vectors consumed
-        if self.kind == "successor":
-            self._child = _extent(self.pred, M, fs)
-
-    def consumed(self, n: int, cap: int) -> int:
-        while len(self._consumed) <= n:
-            self._grow(cap)
-        return self._consumed[n]
-
-    def size(self, n: int, cap: int) -> int:
-        return self.consumed(n, cap) - self.consumed(n - 1, cap)
-
-    def sub_consumed(self, n: int, cap: int) -> int:
-        """Lower-order vectors consumed by the first n vectors (successor only)."""
-        if self.kind != "successor":
-            raise ValueError("sub-vector counts only exist at successor orders")
-        self.consumed(n, cap)
-        return self._sub_counts[n]
-
-    @staticmethod
-    def _check(total: int, cap: int) -> None:
-        if total > cap:
-            raise BudgetExceededError("repeated-average support entries",
-                                      cap, needed=total,
-                                      needed_is_lower_bound=True)
-
-    def _grow(self, cap: int) -> None:
-        done = self._consumed[-1]
-        if self.kind == "zero":
-            self._consumed.append(done + 1)
-            return
-        if self.kind == "successor":
-            child = self._child
-            k = self._sub_used
-            start_value = self.M.element(child.consumed(k, cap) + 1)
-            # The block has start_value sub-vectors, hence at least that
-            # many entries; refuse before iterating a huge block.
-            self._check(done + start_value, cap)
-            end = child.consumed(k + start_value, cap)
-            self._check(end, cap)
-            self._consumed.append(end)
-            self._sub_counts.append(k + start_value)
-            self._sub_used = k + start_value
-            return
-        # Limit order.
-        tail = self.M.drop(done)
-        n_j = tail.element(1)
-        # A chain of n_j successor levels over a stream starting at n_j
-        # covers at least n_j elements with its first vector.
-        self._check(done + n_j, cap)
-        approx = self.fs(self.xi, n_j)
-        child = _extent(approx, tail, self.fs)
-        total = done + child.size(1, cap)
-        self._check(total, cap)
-        self._consumed.append(total)
-
-
-_EXTENT_CACHE: dict = {}
-
-
-def _extent(xi: Ordinal, M: IndexStream, fs: FundamentalRule) -> _Extent:
-    key = (xi, M, fs)
-    found = _EXTENT_CACHE.get(key)
-    if found is None:
-        found = _Extent(xi, M, fs)
-        _EXTENT_CACHE[key] = found
-    return found
-
-
-def _checked_extent(xi: Ordinal, M: IndexStream, fs: FundamentalRule, n: int,
-                    cap: int) -> _Extent:
-    """The extent, once its first n vectors are known to cover <= ``cap`` entries.
-
-    Cached counts may have been found under a wider cap than the caller's,
-    so the exact total is compared against ``cap`` here as well.
-    """
-    extent = _extent(xi, M, fs)
-    total = extent.consumed(n, cap)
-    if total > cap:
-        raise BudgetExceededError("repeated-average support entries", cap,
-                                  needed=total)
-    return extent
-
-
-def support_size(xi: Ordinal, M: IndexStream, n: int, *,
-                 fs: FundamentalRule = default_fundamental_seq,
-                 cap: int | None = None) -> int:
-    """Exact support size of the n-th average, computed without materializing.
-
-    Raises :class:`BudgetExceededError` carrying a lower bound when the size
-    (or the work to determine it) exceeds ``cap``.
-    """
-    if n < 1:
-        raise ValueError("averages are 1-indexed")
-    cap = cap if cap is not None else get_budget().work
-    return _checked_extent(xi, M, fs, n, cap).size(n, cap)
 
 
 # -- summability methods -------------------------------------------------------
@@ -212,9 +95,15 @@ class ExplicitMethod(SummabilityMethod):
 class RepeatedAverages(SummabilityMethod):
     """The repeated-average sequence of a given order along a stream.
 
-    Vectors materialize lazily and are cached; an integer extent check runs
-    first so infeasible requests fail with the exact (or lower-bounded)
-    entry requirement.
+    ``_consumed[n]`` is the number of stream entries covered by vectors
+    1..n and, at a successor order, ``_sub_counts[n]`` the number of
+    lower-order vectors they average.  At order 0 the count covered is
+    just n, and nothing is stored.  Every query names its own cap: the
+    boundaries stop growing, and refuse with that cap, as soon as a total
+    would pass it, so astronomically large vectors are detected in a
+    handful of integer operations.  Boundaries found under a wider cap
+    stay and are reused.  Vectors are built from the boundaries on demand
+    and cached.
     """
 
     def __init__(self, xi: Ordinal, M: IndexStream,
@@ -223,9 +112,9 @@ class RepeatedAverages(SummabilityMethod):
         self._M = M
         self.fs = fs
         self.kind, self.pred = classify(xi)
+        self._consumed = [0]
+        self._sub_counts = [0]
         self._vectors: list[ProbVector] = []
-        self._sub_used = 0
-        self._dropped = 0
 
     @property
     def stream(self) -> IndexStream:
@@ -235,33 +124,77 @@ class RepeatedAverages(SummabilityMethod):
         if n < 1:
             raise ValueError("averages are 1-indexed")
         budget = get_budget(budget)
-        # Entries covered by vectors 1..n equal the consumed extent; this
-        # also bounds the work at every lower order, by support tiling.
-        _checked_extent(self.xi, self._M, self.fs, n, budget.work)
+        # Entries covered by vectors 1..n also bound the work at every
+        # lower order, by support tiling.
+        self._checked_covered(n, budget.work)
         while len(self._vectors) < n:
-            self._materialize_next(budget)
+            self._vectors.append(self._build(len(self._vectors) + 1, budget))
         return self._vectors[n - 1]
 
-    def _materialize_next(self, budget: Budget) -> None:
+    def _build(self, j: int, budget: Budget) -> ProbVector:
         if self.kind == "zero":
-            value = self._M.element(len(self._vectors) + 1)
-            self._vectors.append(ProbVector.unit(value))
-            return
+            return ProbVector.unit(self._M.element(j))
         if self.kind == "successor":
             child = _averages(self.pred, self._M, self.fs)
-            head = child.vector(self._sub_used + 1, budget=budget)
-            block_len = head.min_support()
-            block = [child.vector(self._sub_used + i, budget=budget)
-                     for i in range(1, block_len + 1)]
-            self._vectors.append(ProbVector.average(block))
-            self._sub_used += block_len
+            first, last = self._sub_counts[j - 1] + 1, self._sub_counts[j]
+            return ProbVector.average(child.vector(k, budget=budget)
+                                      for k in range(first, last + 1))
+        tail = self._M.drop(self._consumed[j - 1])
+        approx = _averages(self.fs(self.xi, tail.element(1)), tail, self.fs)
+        return approx.vector(1, budget=budget)
+
+    # -- integer block boundaries ------------------------------------------
+
+    def _covered(self, n: int, cap: int) -> int:
+        """Stream entries covered by vectors 1..n, growing under ``cap``."""
+        if self.kind == "zero":
+            return n
+        while len(self._consumed) <= n:
+            self._grow(cap)
+        return self._consumed[n]
+
+    def _checked_covered(self, n: int, cap: int) -> int:
+        """``_covered(n)``, refused with its exact value when above ``cap``.
+
+        Boundaries may have been found under a wider cap than the
+        caller's, so the exact total is compared against ``cap`` here too.
+        """
+        total = self._covered(n, cap)
+        if total > cap:
+            raise BudgetExceededError("repeated-average support entries", cap,
+                                      needed=total)
+        return total
+
+    def _grow(self, cap: int) -> None:
+        done = self._consumed[-1]
+        if self.kind == "successor":
+            child = _averages(self.pred, self._M, self.fs)
+            k = self._sub_counts[-1]
+            start_value = self._M.element(child._covered(k, cap) + 1)
+            # The block has start_value sub-vectors, hence at least that
+            # many entries; refuse before iterating a huge block.
+            _refuse_past(done + start_value, cap)
+            end = child._covered(k + start_value, cap)
+            _refuse_past(end, cap)
+            self._consumed.append(end)
+            self._sub_counts.append(k + start_value)
             return
-        tail = self._M.drop(self._dropped)
+        # Limit order.
+        tail = self._M.drop(done)
         n_j = tail.element(1)
+        # A chain of n_j successor levels over a stream starting at n_j
+        # covers at least n_j elements with its first vector.
+        _refuse_past(done + n_j, cap)
         approx = _averages(self.fs(self.xi, n_j), tail, self.fs)
-        vec = approx.vector(1, budget=budget)
-        self._vectors.append(vec)
-        self._dropped += len(vec)
+        total = done + approx._covered(1, cap)
+        _refuse_past(total, cap)
+        self._consumed.append(total)
+
+
+def _refuse_past(total: int, cap: int) -> None:
+    if total > cap:
+        raise BudgetExceededError("repeated-average support entries", cap,
+                                  needed=total, needed_is_lower_bound=True)
 
 
 _AVERAGES_CACHE: dict = {}
@@ -274,6 +207,21 @@ def _averages(xi: Ordinal, M: IndexStream, fs: FundamentalRule) -> RepeatedAvera
         found = RepeatedAverages(xi, M, fs)
         _AVERAGES_CACHE[key] = found
     return found
+
+
+def support_size(xi: Ordinal, M: IndexStream, n: int, *,
+                 fs: FundamentalRule = default_fundamental_seq,
+                 cap: int | None = None) -> int:
+    """Exact support size of the n-th average, computed without materializing.
+
+    Raises :class:`BudgetExceededError` carrying a lower bound when the size
+    (or the work to determine it) exceeds ``cap``.
+    """
+    if n < 1:
+        raise ValueError("averages are 1-indexed")
+    cap = cap if cap is not None else get_budget().work
+    averages = _averages(xi, M, fs)
+    return averages._checked_covered(n, cap) - averages._covered(n - 1, cap)
 
 
 def repeated_avg(xi: Ordinal, M: IndexStream, n: int, *,
@@ -311,10 +259,8 @@ def apply(method: SummabilityMethod, xs, n: int, *,
     sequence; the result is ``sum_k a_k x_k`` over the averaging support.
     """
     weights = method.vector(n, budget=budget)
-    out = RatVec()
-    for index, weight in weights.items():
-        out = out + _sequence_element(xs, index).scale(weight)
-    return out
+    return RatVec.combination((weight, _sequence_element(xs, index))
+                              for index, weight in weights.items())
 
 
 def pair_sum(a: RatVec, F: FinSet) -> Fraction:
@@ -336,7 +282,7 @@ def successor_pair_prefix(xi: Ordinal, M: IndexStream, count: int, *,
     succ = xi.successor()
     z = [repeated_avg(succ, M, n, fs=fs, budget=budget)
          for n in range(1, count + 1)]
-    used = _extent(succ, M, fs).sub_consumed(count, budget.work)
+    used = _averages(succ, M, fs)._sub_counts[count]
     y = [repeated_avg(xi, M, j, fs=fs, budget=budget)
          for j in range(1, used + 1)]
     return z, y
@@ -346,10 +292,7 @@ def cesaro_mean(vectors: Sequence[RatVec], n: int) -> RatVec:
     """The mean of the first n vectors, exactly."""
     if not 1 <= n <= len(vectors):
         raise ValueError(f"need {n} vectors, have {len(vectors)}")
-    total = RatVec()
-    for vec in vectors[:n]:
-        total = total + vec
-    return total.scale(Fraction(1, n))
+    return RatVec.combination((Fraction(1, n), vec) for vec in vectors[:n])
 
 
 # -- non-increasing block convex combinations -------------------------------------

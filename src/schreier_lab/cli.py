@@ -36,8 +36,8 @@ from .schreier import (FinSet, enumerate_family, is_member, is_member_image,
 from .spaces import NormSpec, coordinate_sum_functional, norm, norm_oracle
 from .streams import IndexStream, parse_stream
 from .vectors import ProbVector, RatVec, format_fraction, parse_fraction
-from .verify import (verify_example_schreier, verify_example_star,
-                     verify_prop_formula)
+from .verify import (_sum_functionals, verify_example_schreier,
+                     verify_example_star, verify_prop_formula)
 
 _SPACE_KINDS = ("l1", "l2", "sup", "schreier", "star", "baernstein")
 
@@ -59,7 +59,7 @@ def _load_vector_list(text: str) -> list[RatVec]:
     data = json.loads(_read_arg(text))
     if not isinstance(data, list):
         raise ValueError("expected a JSON list of vectors")
-    return [RatVec.from_map(item["entries"]) for item in data]
+    return [RatVec.from_obj(item) for item in data]
 
 
 def _space_spec(space: str, xi_text: str | None) -> NormSpec:
@@ -148,6 +148,8 @@ def _cmd_ord_classify(args) -> int:
 
 def _cmd_ord_fseq(args) -> int:
     x = parse_ordinal(args.xi)
+    if args.n < 1:
+        raise ValueError("--n must be at least 1")
     values = [str(default_fundamental_seq(x, n)) for n in range(1, args.n + 1)]
     _emit(args, {"ordinal": str(x), "n": args.n, "sequence": values})
     return 0
@@ -208,16 +210,9 @@ def _cmd_schreier_threshold(args) -> int:
 # -- avg -------------------------------------------------------------------------
 
 
-class _UnitBasis:
-    """The canonical basis as a bare sequence, for averaging against."""
-
-    def element(self, n: int) -> RatVec:
-        return RatVec.unit(n)
-
-
 def _avg_sequence(text: str):
     if text == "basis":
-        return _UnitBasis()
+        return CanonicalBasis(NormSpec.l1())
     if text.startswith("@"):
         return _load_vector_list(text)
     raise ValueError(f"unknown sequence {text!r}; use basis or @file")
@@ -230,6 +225,8 @@ def _nibcc_inputs(args) -> tuple[list[ProbVector], list[ProbVector]]:
         z = [ProbVector(v.entries) for v in _load_vector_list(args.z)]
         y = [ProbVector(v.entries) for v in _load_vector_list(args.y)]
         return z, y
+    if args.xi is None:
+        raise ValueError("give --xi, or --z and --y")
     return successor_pair_prefix(parse_ordinal(args.xi),
                                  parse_stream(args.stream), args.count)
 
@@ -407,11 +404,6 @@ def _cmd_q_sm(args) -> int:
     return 0
 
 
-def _gamma_functionals(order: Ordinal, spec: NormSpec, N: int) -> list:
-    return [coordinate_sum_functional(F, spec)
-            for F in enumerate_family(order, N) if F]
-
-
 def _gamma_order(args, ambient: NormSpec) -> Ordinal:
     if args.gamma_xi is not None:
         return parse_ordinal(args.gamma_xi)
@@ -423,7 +415,7 @@ def _gamma_order(args, ambient: NormSpec) -> Ordinal:
 def _cmd_q_fdelta(args) -> int:
     ambient = _ambient_spec(args)
     xs = _sequence(args, ambient)
-    functionals = _gamma_functionals(_gamma_order(args, ambient), ambient, args.N)
+    functionals = _sum_functionals(_gamma_order(args, ambient), ambient, args.N)
     family = f_delta(functionals, xs, parse_fraction(args.delta), args.N)
     payload = family.to_json()
     payload.update({"kind": "fdelta", "space": str(ambient),
@@ -435,7 +427,7 @@ def _cmd_q_fdelta(args) -> int:
 def _cmd_q_large(args) -> int:
     ambient = _ambient_spec(args)
     xs = _sequence(args, ambient)
-    functionals = _gamma_functionals(_gamma_order(args, ambient), ambient, args.N)
+    functionals = _sum_functionals(_gamma_order(args, ambient), ambient, args.N)
     weak_limit = None if args.weak_limit is None else _load_vector(args.weak_limit)
     result = large_check(parse_ordinal(args.xi), parse_fraction(args.c), xs,
                          parse_stream(args.stream), functionals, args.N,

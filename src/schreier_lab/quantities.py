@@ -200,13 +200,14 @@ def ca_window(xs: SeqSpec, n0: int, N: int, *,
     return _max_pairwise(vectors, n0, N, xs.ambient, budget)
 
 
-def _cesaro_prefix(xs, N: int) -> dict:
-    """Running means 1..N of anything with a 1-indexed element method."""
+def _cesaro_prefix(element: Callable[[int], RatVec], N: int) -> dict:
+    """Running means 1..N of the 1-indexed sequence ``element``."""
     means = {}
-    running = RatVec()
+    mean = RatVec()
     for n in range(1, N + 1):
-        running = running + xs.element(n)
-        means[n] = running.scale(Fraction(1, n))
+        mean = RatVec.combination(((Fraction(n - 1, n), mean),
+                                   (Fraction(1, n), element(n))))
+        means[n] = mean
     return means
 
 
@@ -215,28 +216,8 @@ def cca_window(xs: SeqSpec, n0: int, N: int, *,
     """Largest pairwise distance of the running means over the window."""
     _check_window(n0, N)
     budget = get_budget(budget)
-    means = _cesaro_prefix(xs, N)
+    means = _cesaro_prefix(xs.element, N)
     return _max_pairwise(means, n0, N, xs.ambient, budget)
-
-
-class _Transformed:
-    """The sequence pushed through repeated averages of a fixed order."""
-
-    def __init__(self, xi: Ordinal, M: IndexStream, xs: SeqSpec,
-                 fs: FundamentalRule, budget: Budget):
-        self.xi = xi
-        self.M = M
-        self.xs = xs
-        self.fs = fs
-        self.budget = budget
-
-    def element(self, n: int) -> RatVec:
-        weights = repeated_avg(self.xi, self.M, n, fs=self.fs,
-                               budget=self.budget)
-        out = RatVec()
-        for index, weight in weights.items():
-            out = out + self.xs.element(index).scale(weight)
-        return out
 
 
 def cca_xi_window(xi: Ordinal, M: IndexStream, xs: SeqSpec, n0: int, N: int, *,
@@ -250,8 +231,13 @@ def cca_xi_window(xi: Ordinal, M: IndexStream, xs: SeqSpec, n0: int, N: int, *,
     """
     _check_window(n0, N)
     budget = get_budget(budget)
-    transformed = _Transformed(xi, M, xs, fs, budget)
-    means = _cesaro_prefix(transformed, N)
+
+    def averaged(n: int) -> RatVec:
+        weights = repeated_avg(xi, M, n, fs=fs, budget=budget)
+        return RatVec.combination((weight, xs.element(index))
+                                  for index, weight in weights.items())
+
+    means = _cesaro_prefix(averaged, N)
     return _max_pairwise(means, n0, N, xs.ambient, budget)
 
 
@@ -346,9 +332,7 @@ def sm_constant(xi: Ordinal, xs: SeqSpec, N: int, coeff_budget: int = 4, *,
         else:
             patterns = [tuple(Fraction(1) for _ in F)]
         for signs in patterns:
-            combined = RatVec()
-            for vec, sign in zip(elements, signs):
-                combined = combined + vec.scale(sign)
+            combined = RatVec.combination(zip(signs, elements))
             ratio = _norm_value(xs.ambient, combined, budget) / len(F)
             if best is None or ratio < best:
                 best = ratio

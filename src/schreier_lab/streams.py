@@ -8,7 +8,6 @@ descriptions hash equally so they can key memoization caches.
 
 from __future__ import annotations
 
-import threading
 from typing import Callable
 
 __all__ = ["IndexStream", "parse_stream", "STREAM_CATALOG"]
@@ -21,7 +20,7 @@ class IndexStream:
     :meth:`cubes`, :meth:`evens`, :meth:`explicit`, :meth:`custom`.
     """
 
-    __slots__ = ("_kind", "_params", "_drop", "_inner", "_fn", "_cache", "_lock", "_name")
+    __slots__ = ("_kind", "_params", "_drop", "_inner", "_fn", "_cache", "_name")
 
     def __init__(self, kind, params, fn, name, drop=0, inner=None):
         self._kind = kind
@@ -31,7 +30,6 @@ class IndexStream:
         self._drop = drop
         self._inner = inner
         self._cache: list[int] = []
-        self._lock = threading.Lock()
 
     # -- constructors ------------------------------------------------------
 
@@ -119,17 +117,16 @@ class IndexStream:
         if self._kind in ("all", "shift", "cubes", "evens", "explicit"):
             return self._fn(n)
         # Custom and composed streams are memoized and monotonicity-checked.
-        with self._lock:
-            while len(self._cache) < n:
-                value = self._fn(len(self._cache) + 1)
-                if self._cache and value <= self._cache[-1]:
-                    raise ValueError(
-                        f"stream {self._name} is not strictly increasing at "
-                        f"position {len(self._cache) + 1}")
-                if not self._cache and value < 1:
-                    raise ValueError("stream values must be positive")
-                self._cache.append(value)
-            return self._cache[n - 1]
+        while len(self._cache) < n:
+            value = self._fn(len(self._cache) + 1)
+            if self._cache and value <= self._cache[-1]:
+                raise ValueError(
+                    f"stream {self._name} is not strictly increasing at "
+                    f"position {len(self._cache) + 1}")
+            if not self._cache and value < 1:
+                raise ValueError("stream values must be positive")
+            self._cache.append(value)
+        return self._cache[n - 1]
 
     def index_of(self, value: int) -> int | None:
         """The 1-based position of ``value``, or None if absent.

@@ -60,6 +60,16 @@ class RatVec:
     def zero(cls) -> "RatVec":
         return cls()
 
+    @classmethod
+    def combination(cls, terms: Iterable[tuple]) -> "RatVec":
+        """``sum c_k v_k`` over ``(c_k, v_k)`` pairs, accumulated in one dict."""
+        merged: dict[int, Fraction] = {}
+        for c, vec in terms:
+            c = Fraction(c)
+            for i, v in vec.items():
+                merged[i] = merged.get(i, 0) + c * v
+        return cls(merged)
+
     # -- access ----------------------------------------------------------
 
     @property
@@ -160,14 +170,21 @@ class RatVec:
 
     @classmethod
     def from_map(cls, data: Mapping[str, str]) -> "RatVec":
+        if not isinstance(data, Mapping):
+            raise ValueError("vector entries must be a JSON object of "
+                             "index to rational")
         return cls({int(k): parse_fraction(str(v)) for k, v in data.items()})
 
     @classmethod
-    def from_json(cls, text: str) -> "RatVec":
-        data = json.loads(text)
+    def from_obj(cls, data) -> "RatVec":
+        """The vector in decoded JSON of the form ``{"entries": {...}}``."""
         if not isinstance(data, dict) or "entries" not in data:
             raise ValueError('vector JSON must look like {"entries": {...}}')
         return cls.from_map(data["entries"])
+
+    @classmethod
+    def from_json(cls, text: str) -> "RatVec":
+        return cls.from_obj(json.loads(text))
 
 
 class ProbVector(RatVec):
@@ -191,11 +208,7 @@ class ProbVector(RatVec):
         if not vectors:
             raise ValueError("cannot average zero vectors")
         weight = Fraction(1, len(vectors))
-        merged: dict[int, Fraction] = {}
-        for vec in vectors:
-            for i, v in vec.items():
-                merged[i] = merged.get(i, Fraction(0)) + v * weight
-        return cls(merged)
+        return cls.combination((weight, vec) for vec in vectors)
 
     def as_ratvec(self) -> RatVec:
         return RatVec(self._entries)

@@ -16,6 +16,7 @@ import time
 from fractions import Fraction
 from itertools import product
 
+from .averages import cesaro_mean
 from .budget import Budget, BudgetExceededError, get_budget
 from .ordinal import FundamentalRule, Ordinal, default_fundamental_seq
 from .quantities import CanonicalBasis, large_check, prop_formula, sm_constant
@@ -33,7 +34,9 @@ __all__ = [
 
 
 def _sum_functionals(order: Ordinal, spec: NormSpec, N: int, *,
-                     fs: FundamentalRule, budget: Budget):
+                     fs: FundamentalRule = default_fundamental_seq,
+                     budget: Budget | None = None):
+    """Certified coordinate sums over the nonempty members inside ``1..N``."""
     return [coordinate_sum_functional(F, spec)
             for F in enumerate_family(order, N, fs=fs, budget=budget) if F]
 
@@ -146,9 +149,7 @@ def verify_example_star(xi: Ordinal, N: int, coeff_budget: int = 3, *,
         if not F or len(F) > coeff_budget:
             continue
         for signs in product((Fraction(1), Fraction(-1)), repeat=len(F)):
-            combined = RatVec()
-            for n, sign in zip(F, signs):
-                combined = combined + RatVec.unit(n).scale(sign)
+            combined = RatVec(dict(zip(F, signs)))
             tested += 1
             if norm(spec, combined, budget=budget).value < half * len(F):
                 violations += 1
@@ -172,11 +173,8 @@ def verify_example_star(xi: Ordinal, N: int, coeff_budget: int = 3, *,
 
     # Distances of running means: exact norms when the search is affordable,
     # otherwise the l1 mass of each sign part, which already caps the max.
-    running = RatVec()
-    means = {}
-    for n in range(1, N + 1):
-        running = running + RatVec.unit(n)
-        means[n] = running.scale(Fraction(1, n))
+    units = [RatVec.unit(n) for n in range(1, N + 1)]
+    means = {n: cesaro_mean(units, n) for n in range(1, N + 1)}
     cap_violations = 0
     largest = Fraction(0)
     routes = {"exact": 0, "l1-certificate": 0}

@@ -7,10 +7,12 @@ follows the approximating order picked by the first value of the remaining
 stream.
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from schreier_lab import averages
 from schreier_lab.averages import (
     AmbiguousReconstructionError, ExplicitMethod, NibccWitness,
     RepeatedAverages, apply, cesaro_mean, cesaro_reweight, check_nibcc,
@@ -160,6 +162,22 @@ def test_refusal_keeps_to_the_callers_limit_after_a_wider_one():
         # first total past 5,000 is 8 * (2^10 - 1).
         assert info.value.needed == 8_184
         assert info.value.needed_is_lower_bound
+
+
+def test_refusal_keeps_no_per_entry_state(monkeypatch):
+    # Order-0 boundaries are just n, so sizing a refusal that spans 2^18
+    # stream entries must not allocate anything per entry.
+    monkeypatch.delenv("SCHREIER_LAB_BUDGET", raising=False)
+    monkeypatch.setattr(averages, "_AVERAGES_CACHE", {})
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError) as info:
+            repeated_avg(parse("2"), ALL, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(info.value).endswith("limit 200000 (needs >= 262143)")
+    assert peak < 1_000_000
 
 
 # -- summability methods --------------------------------------------------------------

@@ -49,6 +49,13 @@ def test_ord_classify_and_fseq(capsys):
     assert payload["sequence"] == ["1", "2", "3"]
 
 
+def test_ord_fseq_needs_a_positive_length(capsys):
+    for n in ("0", "-2"):
+        code, out, err = run(capsys, "ord", "fseq", "--xi", "w", "--n", n)
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+
+
 def test_ord_parse_error_exits_two(capsys):
     code, out, err = run(capsys, "ord", "parse", "--text", "w+w")
     assert code == 2 and out == ""
@@ -169,6 +176,20 @@ def test_avg_nibcc_from_files(capsys, tmp_path):
     assert code == 2 and "--z and --y go together" in err
 
 
+def test_avg_validate_rejects_a_malformed_list_entry(capsys):
+    code, out, err = run(capsys, "avg", "validate",
+                         "--seq", '[{"entries":{"1":"1"}},[]]')
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
+def test_avg_nibcc_and_reweight_need_an_order_or_vectors(capsys):
+    for argv in (("nibcc",), ("reweight", "--n", "1")):
+        code, out, err = run(capsys, "avg", *argv)
+        assert code == 2 and out == ""
+        assert err == "error: give --xi, or --z and --y\n"
+
+
 def test_avg_reweight(capsys):
     code, payload = run_json(capsys, "avg", "reweight", "--xi", "0",
                              "--count", "3", "--n", "2")
@@ -216,6 +237,13 @@ def test_norm_functional(capsys):
     code, out, err = run(capsys, "norm", "functional", "--space", "schreier",
                          "--xi", "1", "--set", "1,2")
     assert code == 2 and "not admissible" in err
+
+
+def test_norm_rejects_entries_that_are_not_an_object(capsys):
+    code, out, err = run(capsys, "norm", "--space", "schreier", "--xi", "1",
+                         "--vec", '{"entries":[1,2]}')
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
 
 
 def test_norm_missing_file_exits_two(capsys, tmp_path):

@@ -71,6 +71,17 @@ def test_json_round_trip():
     assert RatVec.from_map(x.to_map()) == x
 
 
+def test_vector_json_rejects_other_shapes():
+    assert RatVec.from_obj({"entries": {"3": "1/2"}}) == RatVec({3: Fraction(1, 2)})
+    for bad in ([], {"values": {}}, {"entries": [1, 2]}, {"entries": "1"}):
+        with pytest.raises(ValueError):
+            RatVec.from_obj(bad)
+    with pytest.raises(ValueError):
+        RatVec.from_map([1, 2])
+    with pytest.raises(ValueError):
+        RatVec.from_json('{"entries": [1, 2]}')
+
+
 def test_equality_and_hash():
     assert RatVec({1: Fraction(2, 4)}) == RatVec({1: "1/2"})
     assert RatVec({1: 1}) != RatVec({2: 1})
@@ -98,6 +109,20 @@ def test_prob_vector_unit_and_average():
     ])
     assert overlapping.entries == {1: Fraction(1, 4), 2: Fraction(3, 4)}
     assert isinstance(mean.as_ratvec(), RatVec)
+
+
+def test_combination_keeps_the_class_checks():
+    x = RatVec({1: 1, 2: -2})
+    y = RatVec({2: 2, 5: Fraction(1, 3)})
+    assert RatVec.combination([(1, x), (1, y)]) == x + y
+    assert RatVec.combination([(Fraction(1, 2), x), (-3, y)]) == \
+        x.scale(Fraction(1, 2)) - y.scale(3)
+    assert RatVec.combination([]) == RatVec()
+    halves = ProbVector.combination([(Fraction(1, 2), ProbVector.unit(1)),
+                                     (Fraction(1, 2), ProbVector.unit(4))])
+    assert isinstance(halves, ProbVector)
+    with pytest.raises(ValueError):
+        ProbVector.combination([(Fraction(1, 2), ProbVector.unit(1))])
 
 
 _entries = st.dictionaries(st.integers(min_value=1, max_value=30),
