@@ -70,6 +70,18 @@ class RatVec:
                 merged[i] = merged.get(i, 0) + c * v
         return cls(merged)
 
+    @classmethod
+    def _canonical(cls, entries: dict[int, Fraction]) -> "RatVec":
+        """Wrap ``entries`` as they are, without the constructor's checks.
+
+        For callers that already hold canonical data: ascending keys from 1
+        up, non-zero ``Fraction`` values, and whatever ``cls`` requires of
+        them (a ``ProbVector`` caller has checked positivity and the sum).
+        """
+        vec = object.__new__(cls)
+        object.__setattr__(vec, "_entries", entries)
+        return vec
+
     # -- access ----------------------------------------------------------
 
     @property

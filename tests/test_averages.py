@@ -7,6 +7,7 @@ follows the approximating order picked by the first value of the remaining
 stream.
 """
 
+import itertools
 import tracemalloc
 from fractions import Fraction
 
@@ -18,8 +19,10 @@ from schreier_lab.averages import (
     RepeatedAverages, apply, cesaro_mean, cesaro_reweight, check_nibcc,
     pair_sum, repeated_avg, successor_pair_prefix, support_size)
 from schreier_lab.budget import Budget, BudgetExceededError
-from schreier_lab.ordinal import parse
+from schreier_lab.ordinal import classify, default_fundamental_seq, parse
+from schreier_lab.quantities import CanonicalBasis
 from schreier_lab.schreier import FinSet, trace_member
+from schreier_lab.spaces import NormSpec
 from schreier_lab.streams import IndexStream
 from schreier_lab.vectors import ProbVector, RatVec
 
@@ -180,6 +183,101 @@ def test_refusal_keeps_no_per_entry_state(monkeypatch):
     assert peak < 1_000_000
 
 
+def test_a_long_vector_keeps_no_per_entry_intermediates(monkeypatch):
+    # Only the requested vector is expanded: order-1 vector 17 has 65,536
+    # entries and its predecessors are never built.
+    monkeypatch.delenv("SCHREIER_LAB_BUDGET", raising=False)
+    monkeypatch.setattr(averages, "_AVERAGES_CACHE", {})
+    tracemalloc.start()
+    try:
+        vec = repeated_avg(parse("1"), ALL, 17)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert vec.support() == tuple(range(2 ** 16, 2 ** 17))
+    assert set(vec.entries.values()) == {Fraction(1, 2 ** 16)}
+    assert peak < 40_000_000
+
+
+# -- oracle: the definition through ProbVector.average ------------------------------
+
+
+class _OverBudget(Exception):
+    """The reference drew more stream entries than the budget allows."""
+
+
+def reference_averages(xi, M, drawn, cap):
+    """The averages of order ``xi`` along ``M``, one at a time, from the
+    definition, every one built by ``ProbVector`` with all its checks.
+
+    ``drawn[0]`` counts the unit vectors drawn at every level; generators
+    never draw ahead, so it reaches the entries covered by the averages
+    yielded so far, and passing ``cap`` raises :class:`_OverBudget`.
+    """
+    kind, pred = classify(xi)
+    if kind == "zero":
+        for j in itertools.count(1):
+            drawn[0] += 1
+            if drawn[0] > cap:
+                raise _OverBudget
+            yield ProbVector.unit(M.element(j))
+    elif kind == "successor":
+        lower = reference_averages(pred, M, drawn, cap)
+        for first in lower:
+            block = [first] + [next(lower) for _ in range(first.min_support() - 1)]
+            yield ProbVector.average(block)
+    else:
+        used = 0
+        while True:
+            tail = M.drop(used)
+            approx = default_fundamental_seq(xi, tail.element(1))
+            vec = next(reference_averages(approx, tail, drawn, cap))
+            used += len(vec)
+            yield vec
+
+
+def _pronic(n):
+    return n * (n + 1)
+
+
+ORACLE_STREAMS = (ALL, IndexStream.shift(1), IndexStream.shift(3),
+                  IndexStream.evens(), IndexStream.cubes(),
+                  IndexStream.explicit((2, 3, 5, 7, 11), 7),
+                  IndexStream.custom(_pronic, "pronic"))
+
+
+@pytest.mark.parametrize("xi_text", ["0", "1", "2", "3", "w", "w+1", "w*2", "w^2"])
+def test_repeated_avg_matches_the_definition(xi_text):
+    xi = parse(xi_text)
+    budget = Budget(work=3_000)
+    exact = 0
+    for M in ORACLE_STREAMS:
+        reference = reference_averages(xi, M, [0], budget.work)
+        for n in range(1, 5):
+            # A reference that refused is finished: later averages cover
+            # more, so they are refused too.
+            try:
+                want = next(reference)
+            except (_OverBudget, StopIteration):
+                want = None
+            if want is None:
+                with pytest.raises(BudgetExceededError) as info:
+                    repeated_avg(xi, M, n, budget=budget)
+                assert info.value.limit == budget.work
+                assert info.value.needed > budget.work
+                continue
+            vec = repeated_avg(xi, M, n, budget=budget)
+            assert type(vec) is ProbVector
+            assert vec == want, (xi_text, M, n)
+            assert vec.support() == want.support()
+            assert len(vec) == support_size(xi, M, n, cap=budget.work)
+            method = RepeatedAverages(xi, M)
+            assert apply(method, CanonicalBasis(NormSpec.l1()), n,
+                         budget=budget) == vec
+            exact += 1
+    assert exact > 0
+
+
 # -- summability methods --------------------------------------------------------------
 
 
@@ -239,6 +337,14 @@ def test_successor_pair_prefix_shapes():
     assert [v.entries for v in y] == [{i: Fraction(1)} for i in range(1, 8)]
 
 
+def test_successor_pair_prefix_needs_a_positive_count():
+    # With boundaries cached, a negative count used to index them from the end.
+    successor_pair_prefix(parse("0"), ALL, 3)
+    for count in (0, -1):
+        with pytest.raises(ValueError):
+            successor_pair_prefix(parse("0"), ALL, count)
+
+
 def test_check_nibcc_on_generated_pairs():
     z, y = successor_pair_prefix(parse("0"), ALL, 3)
     witness = check_nibcc(z, y)
@@ -286,6 +392,31 @@ def test_check_nibcc_overlapping_supports():
     # Same supports, but the unique solution has increasing weights.
     bad = RatVec({1: Fraction(1, 8), 2: HALF, 3: Fraction(3, 8)})
     assert check_nibcc([bad], y) is None
+
+
+def test_check_nibcc_overlap_between_non_adjacent_vectors():
+    # Only y_1 and y_3 share a coordinate, so the supports are not pairwise
+    # disjoint and the weights must come from the exact solver.
+    y = [RatVec({1: HALF, 2: HALF}), RatVec.unit(3), RatVec({2: HALF, 4: HALF})]
+    third = Fraction(1, 3)
+    witness = check_nibcc([RatVec({1: third / 2, 2: third, 3: third,
+                                   4: third / 2})], y)
+    assert witness.breakpoints == (0, 3)
+    assert witness.weights == (third, third, third)
+    assert check_nibcc([y[0]], y).breakpoints == (0, 1)
+
+
+def test_check_nibcc_on_a_long_disjoint_prefix():
+    z, y = successor_pair_prefix(parse("0"), IndexStream.shift(2), 10)
+    assert len(y) == 3_069
+    witness = check_nibcc(z, y)
+    sizes = [len(vec) for vec in z]
+    assert witness.breakpoints == tuple(itertools.accumulate(sizes, initial=0))
+    assert witness.weights == tuple(Fraction(1, size) for size in sizes
+                                    for _ in range(size))
+    for n, vec in enumerate(z, start=1):
+        assert RatVec.combination((witness.weights[j - 1], y[j - 1])
+                                  for j in witness.block_range(n)) == vec
 
 
 def test_check_nibcc_rejects_non_combinations():

@@ -190,6 +190,15 @@ def test_avg_nibcc_and_reweight_need_an_order_or_vectors(capsys):
         assert err == "error: give --xi, or --z and --y\n"
 
 
+def test_avg_nibcc_and_reweight_need_a_positive_count(capsys):
+    for count in ("0", "-1"):
+        for argv in (("nibcc",), ("reweight", "--n", "1")):
+            code, out, err = run(capsys, "avg", *argv, "--xi", "0",
+                                 "--stream", "all", "--count", count)
+            assert code == 2 and out == ""
+            assert err == "error: count must be at least 1\n"
+
+
 def test_avg_reweight(capsys):
     code, payload = run_json(capsys, "avg", "reweight", "--xi", "0",
                              "--count", "3", "--n", "2")
