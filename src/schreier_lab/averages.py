@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Generator, Sequence
 
 from .budget import Budget, BudgetExceededError, get_budget
 from .ordinal import FundamentalRule, Ordinal, classify, default_fundamental_seq
@@ -141,7 +141,7 @@ class RepeatedAverages(SummabilityMethod):
         # Entries covered by vectors 1..n also bound the work at every
         # lower order, by support tiling.
         self._checked_covered(n, budget.work)
-        runs = self._runs(n)
+        runs = _unwound(self._runs(n))
         if any(weight <= 0 for _, _, weight in runs):
             raise ValueError("probability vectors need strictly positive entries")
         if sum((last - first + 1) * weight for first, last, weight in runs) != 1:
@@ -153,7 +153,12 @@ class RepeatedAverages(SummabilityMethod):
                                       for first, last, weight in runs
                                       for p in range(first, last + 1)})
 
-    def _runs(self, j: int) -> tuple:
+    # The recursions below descend one level per successor step, and at a
+    # limit order the number of steps is a stream value, so they are
+    # generators run by :func:`_unwound`: each yields the lower-order call
+    # it needs and is sent that call's result.
+
+    def _runs(self, j: int) -> Generator:
         """Vector j as runs; its boundaries must already be grown."""
         if self.kind == "zero":
             return ((j, j, _ONE),)
@@ -163,28 +168,57 @@ class RepeatedAverages(SummabilityMethod):
         if self.kind == "successor":
             child = _averages(self.pred, self._M, self.fs)
             first, last = self._sub_counts[j - 1] + 1, self._sub_counts[j]
+            if child.kind == "zero":
+                parts = [(first, last, _ONE)]   # unit vectors, merged
+            else:
+                parts = []
+                for k in range(first, last + 1):
+                    parts.extend((yield child._runs(k)))
             # Merging before scaling is the same as after: one share for all.
             share = Fraction(1, last - first + 1)
-            runs = tuple((a, b, weight * share) for a, b, weight in
-                         _merged(run for k in range(first, last + 1)
-                                 for run in child._runs(k)))
+            runs = tuple((a, b, weight * share)
+                         for a, b, weight in _merged(parts))
         else:
             done = self._consumed[j - 1]
             tail = self._M.drop(done)
             approx = _averages(self.fs(self.xi, tail.element(1)), tail, self.fs)
             runs = tuple((a + done, b + done, weight)
-                         for a, b, weight in approx._runs(1))
+                         for a, b, weight in (yield approx._runs(1)))
         self._run_cache[j] = runs
         return runs
 
     # -- integer block boundaries ------------------------------------------
 
-    def _covered(self, n: int, cap: int) -> int:
+    def _covered(self, n: int, cap: int) -> Generator:
         """Stream entries covered by vectors 1..n, growing under ``cap``."""
         if self.kind == "zero":
             return n
         while len(self._consumed) <= n:
-            self._grow(cap)
+            done = self._consumed[-1]
+            if self.kind == "successor":
+                child = _averages(self.pred, self._M, self.fs)
+                k = self._sub_counts[-1]
+                # Child vectors 1..k cover what vectors 1..j-1 cover: `done`.
+                start_value = self._M.element(done + 1)
+                # The block has start_value sub-vectors, hence at least that
+                # many entries; refuse before iterating a huge block.
+                _refuse_past(done + start_value, cap)
+                k += start_value
+                end = k if child.kind == "zero" else (yield child._covered(k, cap))
+                _refuse_past(end, cap)
+                self._consumed.append(end)
+                self._sub_counts.append(k)
+                continue
+            # Limit order.
+            tail = self._M.drop(done)
+            n_j = tail.element(1)
+            # A chain of n_j successor levels over a stream starting at n_j
+            # covers at least n_j elements with its first vector.
+            _refuse_past(done + n_j, cap)
+            approx = _averages(self.fs(self.xi, n_j), tail, self.fs)
+            total = done + (yield approx._covered(1, cap))
+            _refuse_past(total, cap)
+            self._consumed.append(total)
         return self._consumed[n]
 
     def _checked_covered(self, n: int, cap: int) -> int:
@@ -193,36 +227,31 @@ class RepeatedAverages(SummabilityMethod):
         Boundaries may have been found under a wider cap than the
         caller's, so the exact total is compared against ``cap`` here too.
         """
-        total = self._covered(n, cap)
+        total = _unwound(self._covered(n, cap))
         if total > cap:
             raise BudgetExceededError("repeated-average support entries", cap,
                                       needed=total)
         return total
 
-    def _grow(self, cap: int) -> None:
-        done = self._consumed[-1]
-        if self.kind == "successor":
-            child = _averages(self.pred, self._M, self.fs)
-            k = self._sub_counts[-1]
-            start_value = self._M.element(child._covered(k, cap) + 1)
-            # The block has start_value sub-vectors, hence at least that
-            # many entries; refuse before iterating a huge block.
-            _refuse_past(done + start_value, cap)
-            end = child._covered(k + start_value, cap)
-            _refuse_past(end, cap)
-            self._consumed.append(end)
-            self._sub_counts.append(k + start_value)
-            return
-        # Limit order.
-        tail = self._M.drop(done)
-        n_j = tail.element(1)
-        # A chain of n_j successor levels over a stream starting at n_j
-        # covers at least n_j elements with its first vector.
-        _refuse_past(done + n_j, cap)
-        approx = _averages(self.fs(self.xi, n_j), tail, self.fs)
-        total = done + approx._covered(1, cap)
-        _refuse_past(total, cap)
-        self._consumed.append(total)
+
+def _unwound(call: Generator):
+    """The result of a generator call from :class:`RepeatedAverages`.
+
+    Nested calls go on an explicit stack instead of the interpreter's, so
+    the depth of the recursion is bounded by memory, not by the recursion
+    limit.
+    """
+    stack, value = [call], None
+    while stack:
+        try:
+            nested = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+        else:
+            stack.append(nested)
+            value = None
+    return value
 
 
 _ONE = Fraction(1)
@@ -269,7 +298,8 @@ def support_size(xi: Ordinal, M: IndexStream, n: int, *,
         raise ValueError("averages are 1-indexed")
     cap = cap if cap is not None else get_budget().work
     averages = _averages(xi, M, fs)
-    return averages._checked_covered(n, cap) - averages._covered(n - 1, cap)
+    return (averages._checked_covered(n, cap)
+            - _unwound(averages._covered(n - 1, cap)))
 
 
 def repeated_avg(xi: Ordinal, M: IndexStream, n: int, *,

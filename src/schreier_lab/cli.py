@@ -733,7 +733,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except AmbiguousReconstructionError as exc:
         print(f"ambiguous: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError, OverflowError) as exc:
+        # OverflowError: an exact result too large for its float approximation.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

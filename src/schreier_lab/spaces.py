@@ -10,8 +10,11 @@ Exact values are rationals; the Baernstein norm is reported through its
 exact square together with a floating approximation of the root.  Small
 orders (0 and 1) have closed-form or polynomial evaluations with no search;
 everything else runs a branch-and-bound over admissible prefixes, metered
-by the active budget.  ``norm_oracle`` is the same quantity computed by
-exhaustive enumeration, kept deliberately free of pruning.
+by the active budget.  The order-one scan and the searches run on Python
+integers: the magnitudes scaled by the lcm of their denominators, converted
+back to one ``Fraction`` on return.  ``norm_oracle`` is the same quantity
+computed by exhaustive enumeration over ``Fraction``, kept deliberately free
+of pruning.
 """
 
 from __future__ import annotations
@@ -157,6 +160,19 @@ def _norm_order_zero(mags: RatVec) -> tuple[Fraction, FinSet]:
     return best, FinSet(where)
 
 
+def _scaled(mags: RatVec) -> tuple[tuple[int, ...], list[int], int]:
+    """The support, the magnitudes as integers, and their common denominator.
+
+    Entry ``v`` becomes ``v * D`` for ``D`` the lcm of the denominators;
+    scaling by a positive ``D`` keeps every sum and comparison in the same
+    order, so a search on the integers visits the same nodes and finds the
+    same witness.
+    """
+    D = math.lcm(*(v.denominator for _, v in mags.items()))
+    return (mags.support(),
+            [v.numerator * (D // v.denominator) for _, v in mags.items()], D)
+
+
 def _norm_order_one(mags: RatVec) -> tuple[Fraction, FinSet]:
     """Exact maximum of coordinate sums over sets with size at most their minimum.
 
@@ -165,12 +181,11 @@ def _norm_order_one(mags: RatVec) -> tuple[Fraction, FinSet]:
     index as the cutoff is exhaustive.  Runs of equal values keep each scan
     linear in the number of distinct values.
     """
-    support = mags.support()
+    support, values, D = _scaled(mags)
     if not support:
         return Fraction(0), FinSet(())
-    values = [mags[i] for i in support]
     # Runs of equal value over consecutive support positions.
-    runs: list[tuple[int, int, Fraction]] = []   # (start_pos, end_pos, value)
+    runs: list[tuple[int, int, int]] = []   # (start_pos, end_pos, value)
     start = 0
     for pos in range(1, len(support) + 1):
         if pos == len(support) or values[pos] != values[start]:
@@ -178,11 +193,11 @@ def _norm_order_one(mags: RatVec) -> tuple[Fraction, FinSet]:
             start = pos
     by_value = sorted(range(len(runs)), key=lambda r: runs[r][2], reverse=True)
 
-    best = Fraction(0)
+    best = 0
     best_cut = None
     for cut_pos, m in enumerate(support):
         allowance = m
-        total = Fraction(0)
+        total = 0
         taken: list[tuple[int, int]] = []   # (run index, count) for the witness
         for r in by_value:
             lo, hi, value = runs[r]
@@ -206,7 +221,7 @@ def _norm_order_one(mags: RatVec) -> tuple[Fraction, FinSet]:
         lo, hi, _ = runs[r]
         lo = max(lo, cut_pos)
         chosen.extend(support[lo:lo + take])
-    return best, FinSet.of(*chosen)
+    return Fraction(best, D), FinSet.of(*chosen)
 
 
 def _norm_search(mags: RatVec, xi: Ordinal, fs: FundamentalRule,
@@ -217,19 +232,19 @@ def _norm_search(mags: RatVec, xi: Ordinal, fs: FundamentalRule,
     lexicographically least one; a branch is cut when even taking all of the
     remaining suffix cannot beat the incumbent.
     """
-    support = mags.support()
+    support, values, D = _scaled(mags)
     if len(support) > budget.norm_support:
         raise BudgetExceededError("norm search support", budget.norm_support,
                                   needed=len(support))
     meter = WorkMeter("norm search nodes", budget.work)
-    suffix = [Fraction(0)] * (len(support) + 1)
+    suffix = [0] * (len(support) + 1)
     for pos in range(len(support) - 1, -1, -1):
-        suffix[pos] = suffix[pos + 1] + mags[support[pos]]
+        suffix[pos] = suffix[pos + 1] + values[pos]
 
-    best = Fraction(0)
+    best = 0
     best_set: tuple[int, ...] = ()
 
-    def dfs(prefix: tuple[int, ...], total: Fraction, pos: int) -> None:
+    def dfs(prefix: tuple[int, ...], total: int, pos: int) -> None:
         nonlocal best, best_set
         for nxt in range(pos, len(support)):
             if total + suffix[nxt] <= best:
@@ -238,13 +253,13 @@ def _norm_search(mags: RatVec, xi: Ordinal, fs: FundamentalRule,
             extended = prefix + (support[nxt],)
             if not _member(xi, extended, fs):
                 continue
-            value = total + mags[support[nxt]]
+            value = total + values[nxt]
             if value > best:
                 best, best_set = value, extended
             dfs(extended, value, nxt + 1)
 
-    dfs((), Fraction(0), 0)
-    return best, FinSet(best_set)
+    dfs((), 0, 0)
+    return Fraction(best, D), FinSet(best_set)
 
 
 def _base_norm(mags: RatVec, xi: Ordinal, fs: FundamentalRule,
@@ -261,20 +276,20 @@ def _base_norm(mags: RatVec, xi: Ordinal, fs: FundamentalRule,
 
 def _chain_squared_search(mags: RatVec, xi: Ordinal, fs: FundamentalRule,
                           budget: Budget) -> tuple[Fraction, tuple[FinSet, ...]]:
-    support = mags.support()
+    support, values, D = _scaled(mags)
     if xi.is_zero:
         # Singleton blocks at every support point; any subfamily only loses mass.
-        squared = sum((v * v for _, v in mags.items()), Fraction(0))
-        return squared, tuple(FinSet.of(i) for i in support)
+        return (Fraction(sum(v * v for v in values), D * D),
+                tuple(FinSet.of(i) for i in support))
     if len(support) > budget.baernstein_support:
         raise BudgetExceededError("chain norm support", budget.baernstein_support,
                                   needed=len(support))
     meter = WorkMeter("chain norm nodes", budget.work)
-    suffix = [Fraction(0)] * (len(support) + 1)
+    suffix = [0] * (len(support) + 1)
     for pos in range(len(support) - 1, -1, -1):
-        suffix[pos] = suffix[pos + 1] + mags[support[pos]]
+        suffix[pos] = suffix[pos + 1] + values[pos]
 
-    best = Fraction(0)
+    best = 0   # in units of 1 / D**2
     best_chain: tuple[tuple[int, ...], ...] = ()
 
     # Two alternating states: between blocks, and growing an open block.
@@ -282,7 +297,7 @@ def _chain_squared_search(mags: RatVec, xi: Ordinal, fs: FundamentalRule,
     # only overstate the reachable value; suffix masses shrink with the
     # position, so a failed bound ends the whole loop.
 
-    def between(chain: tuple[tuple[int, ...], ...], closed_sq: Fraction,
+    def between(chain: tuple[tuple[int, ...], ...], closed_sq: int,
                 pos: int) -> None:
         nonlocal best, best_chain
         if closed_sq > best:
@@ -291,10 +306,10 @@ def _chain_squared_search(mags: RatVec, xi: Ordinal, fs: FundamentalRule,
             if closed_sq + suffix[nxt] ** 2 <= best:
                 return
             meter.spend(1)
-            grow(chain, closed_sq, (support[nxt],), mags[support[nxt]], nxt + 1)
+            grow(chain, closed_sq, (support[nxt],), values[nxt], nxt + 1)
 
-    def grow(chain: tuple[tuple[int, ...], ...], closed_sq: Fraction,
-             block: tuple[int, ...], block_sum: Fraction, pos: int) -> None:
+    def grow(chain: tuple[tuple[int, ...], ...], closed_sq: int,
+             block: tuple[int, ...], block_sum: int, pos: int) -> None:
         between(chain + (block,), closed_sq + block_sum * block_sum, pos)
         for nxt in range(pos, len(support)):
             if closed_sq + (block_sum + suffix[nxt]) ** 2 <= best:
@@ -302,11 +317,11 @@ def _chain_squared_search(mags: RatVec, xi: Ordinal, fs: FundamentalRule,
             meter.spend(1)
             extended = block + (support[nxt],)
             if _member(xi, extended, fs):
-                grow(chain, closed_sq, extended, block_sum + mags[support[nxt]],
+                grow(chain, closed_sq, extended, block_sum + values[nxt],
                      nxt + 1)
 
-    between((), Fraction(0), 0)
-    return best, tuple(FinSet(b) for b in best_chain)
+    between((), 0, 0)
+    return Fraction(best, D * D), tuple(FinSet(b) for b in best_chain)
 
 
 # -- dispatch -------------------------------------------------------------------
@@ -445,7 +460,11 @@ class Functional:
 
     def evaluate(self, x: RatVec, *, check: bool = True,
                  budget: Budget | None = None) -> Fraction:
-        value = sum((weight * x[i] for i, weight in self.coefficients.items()),
+        # Only the common support contributes: walk the smaller dict.
+        small, large = self.coefficients._entries, x._entries
+        if len(large) < len(small):
+            small, large = large, small
+        value = sum((v * large[i] for i, v in small.items() if i in large),
                     Fraction(0))
         if check and self.certified_for is not None:
             try:

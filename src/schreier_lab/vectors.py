@@ -43,10 +43,11 @@ class RatVec:
             index = int(index)
             if index < 1:
                 raise ValueError("coordinates are indexed from 1")
-            value = Fraction(value)
-            if value != 0:
-                clean[index] = clean.get(index, Fraction(0)) + value
-        clean = {i: v for i, v in sorted(clean.items()) if v != 0}
+            if type(value) is not Fraction:
+                value = Fraction(value)
+            if value:
+                clean[index] = clean[index] + value if index in clean else value
+        clean = {i: v for i, v in sorted(clean.items()) if v}
         object.__setattr__(self, "_entries", clean)
 
     def __setattr__(self, name, value):
@@ -133,15 +134,18 @@ class RatVec:
         keep = set(indices)
         return RatVec({i: v for i, v in self._entries.items() if i in keep})
 
+    # The entries are canonical already, and these keep them so.
+
     def abs(self) -> "RatVec":
-        return RatVec({i: abs(v) for i, v in self._entries.items()})
+        return RatVec._canonical({i: abs(v) for i, v in self._entries.items()})
 
     def positive_part(self) -> "RatVec":
-        return RatVec({i: v for i, v in self._entries.items() if v > 0})
+        return RatVec._canonical({i: v for i, v in self._entries.items() if v > 0})
 
     def negative_part(self) -> "RatVec":
         """The positive vector of magnitudes of the negative entries."""
-        return RatVec({i: -v for i, v in self._entries.items() if v < 0})
+        return RatVec._canonical({i: -v for i, v in self._entries.items()
+                                  if v < 0})
 
     # -- exact summaries -----------------------------------------------------
 

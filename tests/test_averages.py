@@ -183,6 +183,26 @@ def test_refusal_keeps_no_per_entry_state(monkeypatch):
     assert peak < 1_000_000
 
 
+def test_deep_orders_need_no_interpreter_recursion(monkeypatch):
+    # Each successor level is one step of the sizing and building
+    # recursions, so these orders descend thousands of levels.
+    monkeypatch.delenv("SCHREIER_LAB_BUDGET", raising=False)
+    monkeypatch.setattr(averages, "_AVERAGES_CACHE", {})
+    for text in ("3000", "w*3000", "w^2*3000"):
+        assert repeated_avg(parse(text), ALL, 1) == ProbVector.unit(1), text
+    with pytest.raises(BudgetExceededError) as info:
+        repeated_avg(parse("3000"), ALL, 2)
+    # Vector 2 starts at 2, so its 3000 successor levels cover at least
+    # 2^3000 entries; the refusal reports the first total past the budget.
+    assert info.value.needed_is_lower_bound
+    assert info.value.limit < info.value.needed <= 2 ** 3000
+    for n in (2, 3):
+        with pytest.raises(BudgetExceededError) as info:
+            repeated_avg(parse("w^3"), IndexStream.cubes(), n)
+        assert info.value.needed_is_lower_bound
+        assert info.value.needed > info.value.limit
+
+
 def test_a_long_vector_keeps_no_per_entry_intermediates(monkeypatch):
     # Only the requested vector is expanded: order-1 vector 17 has 65,536
     # entries and its predecessors are never built.

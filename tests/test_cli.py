@@ -1,9 +1,16 @@
 """Command line behavior: argument shapes, formats, exit codes."""
 
 import json
+import re
+import tempfile
+import time
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from schreier_lab import averages
 from schreier_lab.cli import main
 
 
@@ -124,6 +131,23 @@ def test_avg_budget_refusal(capsys):
     assert code == 2 and out == ""
     assert err.startswith("budget exceeded:")
     assert "needs >=" in err
+
+
+def test_avg_deep_limit_order_refuses_in_time(capsys, monkeypatch):
+    # Vector 2 of w^3 along the cubes descends through hundreds of
+    # successor levels before any count passes the budget.
+    monkeypatch.delenv("SCHREIER_LAB_BUDGET", raising=False)
+    monkeypatch.setattr(averages, "_AVERAGES_CACHE", {})
+    started = time.perf_counter()
+    code, out, err = run(capsys, "avg", "--xi", "w^3", "--stream", "cubes",
+                         "--n", "3")
+    elapsed = time.perf_counter() - started
+    assert code == 2 and out == ""
+    found = re.fullmatch(r"budget exceeded: budget exceeded for "
+                         r"repeated-average support entries: limit 200000 "
+                         r"\(needs >= (\d+)\)\n", err)
+    assert found and int(found.group(1)) > 200_000
+    assert elapsed < 1
 
 
 def test_avg_size_without_materializing(capsys):
@@ -253,6 +277,16 @@ def test_norm_rejects_entries_that_are_not_an_object(capsys):
                          "--vec", '{"entries":[1,2]}')
     assert code == 2 and out == ""
     assert err.startswith("error:")
+
+
+def test_norm_too_large_for_its_approximation_exits_two(capsys):
+    vec = '{"entries": {"2": 1.7e308, "3": 1.7e308}}'
+    for argv in (["norm", "--space", "schreier", "--xi", "1", "--vec", vec],
+                 ["norm", "functional", "--space", "schreier", "--xi", "1",
+                  "--set", "2,3", "--vec", vec]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: integer division result too large for a float\n"
 
 
 def test_norm_missing_file_exits_two(capsys, tmp_path):
@@ -404,3 +438,50 @@ def test_text_output_sorts_keys(capsys):
     keys = [line.split(" = ")[0] for line in out.splitlines()]
     assert keys == sorted(keys)
     assert "size = 8" in out
+
+
+# -- arbitrary JSON at the vector flags ------------------------------------------------
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12)
+_index = st.one_of(st.integers(-3, 40).map(str), st.text(max_size=4))
+_value = st.one_of(st.fractions(max_denominator=50).map(str),
+                   st.integers(-5, 5), st.text(max_size=6), _json)
+_vector_json = st.one_of(
+    _json,
+    st.builds(lambda e: {"entries": e},
+              st.one_of(st.dictionaries(_index, _value, max_size=5), _json)))
+_vector_list_json = st.one_of(_json, st.lists(_vector_json, max_size=4))
+
+
+def _fuzz_commands(vec, seq, z, y, path):
+    return [
+        ["norm", "--space", "schreier", "--xi", "1", f"--vec={vec}"],
+        ["norm", "--space", "star", "--xi", "2", f"--vec={vec}"],
+        ["norm", "functional", "--space", "schreier", "--xi", "1",
+         "--set", "2,3", f"--vec={vec}"],
+        ["avg", "pair-sum", "--set", "1,2", f"--vec={vec}"],
+        ["avg", "validate", f"--seq={seq}"],
+        ["avg", "apply", "--xi", "1", "--n", "2", f"--seq=@{path}"],
+        ["avg", "nibcc", f"--z={z}", f"--y={y}"],
+        ["avg", "reweight", "--n", "1", f"--z={z}", f"--y={y}"],
+    ]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(vec=_vector_json, seq=_vector_list_json, z=_vector_list_json,
+       y=_vector_list_json)
+def test_vector_flags_survive_arbitrary_json(capsys, vec, seq, z, y):
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "seq.json"
+        path.write_text(json.dumps(seq))
+        for argv in _fuzz_commands(json.dumps(vec), json.dumps(seq),
+                                   json.dumps(z), json.dumps(y), path):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code in (0, 1, 2), argv
+            assert "Traceback" not in captured.err

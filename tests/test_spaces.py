@@ -1,5 +1,6 @@
 """Norms built from admissible families, their oracles, and certified functionals."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from schreier_lab.budget import Budget, BudgetExceededError
 from schreier_lab.ordinal import Ordinal, parse
-from schreier_lab.schreier import FinSet
+from schreier_lab.schreier import FinSet, is_member, is_member_oracle
 from schreier_lab.spaces import (
     CertificationRefusedError, CertificationViolationError, Functional,
     NormSpec, coordinate_sum_functional, l1_certificate, norm, norm_oracle)
@@ -160,6 +161,109 @@ def test_chain_norm_matches_oracle(xi_text):
             norm_oracle(spec, x).value_squared, x
 
 
+# -- integer kernels against the oracle and a brute-force tie-break ------------------
+#
+# The searches run on integers over the lcm of the denominators, so the
+# vectors here mix large coprime denominators and repeat magnitudes on
+# purpose: ties decide the witness.
+
+LARGE_PRIMES = (999_983, 999_979, 999_961, 999_959, 999_953, 999_931)
+magnitudes = st.builds(
+    Fraction, st.integers(1, 10 ** 6),
+    st.one_of(st.sampled_from(LARGE_PRIMES), st.integers(1, 10 ** 6)))
+
+
+@st.composite
+def tied_vectors(draw, max_size=8):
+    """A vector on up to ``max_size`` of the coordinates 1..10 whose
+    magnitudes come from a pool of at most three values."""
+    support = draw(st.lists(st.integers(1, 10), max_size=max_size,
+                            unique=True))
+    pool = draw(st.lists(magnitudes, min_size=1, max_size=3))
+    return RatVec({i: draw(st.sampled_from(pool)) * draw(st.sampled_from((1, -1)))
+                   for i in support})
+
+
+def lex_least_maximizer(mags: RatVec, xi) -> tuple[Fraction, FinSet]:
+    """The largest coordinate sum over admissible sets, and the least such
+    set in lexicographic order, by trying every subset."""
+    best, best_set = Fraction(0), ()
+    for size in range(1, len(mags) + 1):
+        for combo in itertools.combinations(mags.support(), size):
+            if is_member(xi, FinSet(combo)):
+                total = sum(mags[i] for i in combo)
+                if total > best or (total == best and combo < best_set):
+                    best, best_set = total, combo
+    return best, FinSet(best_set)
+
+
+def lex_least_chain(mags: RatVec, xi) -> tuple[Fraction, tuple]:
+    """The largest sum of squared block masses over chains of admissible
+    blocks, and the least such chain as a tuple of tuples."""
+    support = mags.support()
+    best, best_chain = Fraction(0), ()
+
+    def extend(pos, chain, closed):
+        nonlocal best, best_chain
+        if closed > best or (closed == best and chain < best_chain):
+            best, best_chain = closed, chain
+        for start in range(pos, len(support)):
+            for size in range(len(support) - start):
+                for rest in itertools.combinations(support[start + 1:], size):
+                    block = (support[start],) + rest
+                    if is_member(xi, FinSet(block)):
+                        mass = sum(mags[i] for i in block)
+                        extend(support.index(block[-1]) + 1, chain + (block,),
+                               closed + mass * mass)
+
+    extend(0, (), Fraction(0))
+    return best, tuple(FinSet(block) for block in best_chain)
+
+
+@pytest.mark.parametrize("spec_text", [
+    f"{kind}:{xi}" for kind in ("schreier", "star") for xi in ("1", "2", "w", "w+1")])
+@settings(max_examples=40, deadline=None)
+@given(x=tied_vectors())
+def test_base_norm_kernels_match_the_oracle_and_the_least_witness(spec_text, x):
+    spec = NormSpec.parse(spec_text)
+    result = norm(spec, x)
+    assert result.value == norm_oracle(spec, x).value
+    if spec.kind == "schreier":
+        part, F = x.abs(), result.witness
+    else:
+        sign, F = result.witness
+        part = x.positive_part() if sign == "+" else x.negative_part()
+        other = x.negative_part() if sign == "+" else x.positive_part()
+        # "+" wins ties; "-" only when the negative part is strictly larger.
+        beaten = lex_least_maximizer(other, spec.xi)[0]
+        assert beaten <= result.value if sign == "+" else beaten < result.value
+    assert is_member_oracle(spec.xi, F)
+    assert sum((part[i] for i in F), Fraction(0)) == result.value
+    assert (result.value, F) == lex_least_maximizer(part, spec.xi)
+
+
+@pytest.mark.parametrize("xi_text", ["1", "2"])
+@settings(max_examples=30, deadline=None)
+@given(x=tied_vectors(max_size=6))
+def test_chain_norm_kernel_matches_the_oracle_and_the_least_witness(xi_text, x):
+    spec = NormSpec.parse(f"baernstein:{xi_text}")
+    result = norm(spec, x)
+    assert result.value_squared == norm_oracle(spec, x).value_squared
+    mags = x.abs()
+    assert all(is_member_oracle(spec.xi, block) for block in result.witness)
+    assert all(a.elements[-1] < b.elements[0]
+               for a, b in zip(result.witness, result.witness[1:]))
+    assert sum(sum((mags[i] for i in block), Fraction(0)) ** 2
+               for block in result.witness) == result.value_squared
+    assert (result.value_squared, result.witness) == lex_least_chain(mags, spec.xi)
+
+
+def test_search_refusal_keeps_its_limit_and_count():
+    with pytest.raises(BudgetExceededError) as info:
+        norm(NormSpec.schreier(TWO), units(*range(1, 25)), budget=Budget(work=3000))
+    assert str(info.value).endswith("limit 3000 (needs >= 3001)")
+
+
 # -- structural properties -------------------------------------------------------------
 
 
@@ -257,6 +361,19 @@ def test_violated_certificate_is_loud():
     with pytest.raises(CertificationViolationError):
         bogus.evaluate(RatVec.unit(1))
     assert bogus.evaluate(RatVec.unit(1), check=False) == 5
+
+
+@pytest.mark.parametrize("x, expected", [
+    # x's support is smaller than, larger than, and disjoint from {2, 3, 5}.
+    (RatVec({3: Fraction(1, 3)}), Fraction(1, 3)),
+    (RatVec({i: i for i in range(1, 9)}), Fraction(10)),
+    (RatVec({1: 7, 4: -2, 9: Fraction(1, 2)}), Fraction(0)),
+    (RatVec(), Fraction(0)),
+])
+def test_functional_evaluates_on_the_common_support(x, expected):
+    f = coordinate_sum_functional(FinSet.of(2, 3, 5), NormSpec.schreier(TWO))
+    value = f.evaluate(x)
+    assert value == expected and type(value) is Fraction
 
 
 def test_certificate_check_skipped_when_norm_is_infeasible():

@@ -82,6 +82,23 @@ def test_vector_json_rejects_other_shapes():
         RatVec.from_json('{"entries": [1, 2]}')
 
 
+def test_constructor_merges_converts_and_sorts():
+    merged = RatVec({"2": 1, 2: Fraction(1, 2), 5: 3})
+    assert merged.entries == {2: Fraction(3, 2), 5: 3}
+    cancelled = RatVec([(4, 1), (1, "1/3"), (4, -1), (1, Fraction(-1, 3)), (7, 2)])
+    assert cancelled.entries == {7: 2}
+    converted = RatVec({1: 2, 2: "3/4", 3: True, 4: False, 5: Fraction(-1, 2)})
+    assert converted.entries == {1: 2, 2: Fraction(3, 4), 3: 1,
+                                 5: Fraction(-1, 2)}
+    assert all(type(v) is Fraction for _, v in converted.items())
+    unsorted = RatVec({9: 1, 3: 2, 6: 3, 1: 4})
+    assert unsorted.support() == (1, 3, 6, 9)
+    assert list(unsorted.entries) == [1, 3, 6, 9]
+    for index in (0, -2, "0"):
+        with pytest.raises(ValueError):
+            RatVec({index: 1})
+
+
 def test_equality_and_hash():
     assert RatVec({1: Fraction(2, 4)}) == RatVec({1: "1/2"})
     assert RatVec({1: 1}) != RatVec({2: 1})
@@ -144,3 +161,17 @@ def test_scaling_is_homogeneous(a, c):
     x = RatVec(a)
     assert x.scale(c).l1() == abs(c) * x.l1()
     assert x.scale(c).l2_squared() == c * c * x.l2_squared()
+
+
+@given(a=_entries)
+def test_parts_are_what_the_checked_constructor_builds(a):
+    x = RatVec(a)
+    parts = [
+        (x.abs(), RatVec({i: abs(v) for i, v in a.items()})),
+        (x.positive_part(), RatVec({i: v for i, v in a.items() if v > 0})),
+        (x.negative_part(), RatVec({i: -v for i, v in a.items() if v < 0})),
+    ]
+    for part, checked in parts:
+        assert part == checked and type(part) is RatVec
+        assert list(part.entries) == sorted(part.entries)
+        assert all(type(v) is Fraction and v > 0 for _, v in part.items())
