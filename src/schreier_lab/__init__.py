@@ -14,8 +14,9 @@ from .ordinal import (Classification, ExponentBoundError, FundamentalRule,
                       default_fundamental_seq, fundamental_successor_seq,
                       parse as parse_ordinal)
 from .streams import IndexStream, STREAM_CATALOG, parse_stream
-from .schreier import (FinSet, enumerate_family, is_member, is_member_image,
-                       is_member_oracle, threshold, trace_member)
+from .schreier import (FinSet, count_family, enumerate_family, is_member,
+                       is_member_image, is_member_oracle, threshold,
+                       trace_member)
 from .vectors import (ProbVector, RatVec, format_fraction, parse_fraction)
 from .averages import (AmbiguousReconstructionError, ExplicitMethod,
                        NibccWitness, RepeatedAverages, SummabilityMethod,
@@ -44,7 +45,7 @@ __all__ = [
     "Ordinal", "OrdinalParseError", "ZERO", "classify",
     "default_fundamental_seq", "fundamental_successor_seq", "parse_ordinal",
     "IndexStream", "STREAM_CATALOG", "parse_stream",
-    "FinSet", "enumerate_family", "is_member", "is_member_image",
+    "FinSet", "count_family", "enumerate_family", "is_member", "is_member_image",
     "is_member_oracle", "threshold", "trace_member",
     "ProbVector", "RatVec", "format_fraction", "parse_fraction",
     "AmbiguousReconstructionError", "ExplicitMethod", "NibccWitness",

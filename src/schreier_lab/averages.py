@@ -32,7 +32,7 @@ from typing import Generator, Sequence
 
 from .budget import Budget, BudgetExceededError, get_budget
 from .ordinal import FundamentalRule, Ordinal, classify, default_fundamental_seq
-from .schreier import FinSet
+from .schreier import FinSet, _unwound
 from .streams import IndexStream
 from .vectors import ProbVector, RatVec
 
@@ -232,26 +232,6 @@ class RepeatedAverages(SummabilityMethod):
             raise BudgetExceededError("repeated-average support entries", cap,
                                       needed=total)
         return total
-
-
-def _unwound(call: Generator):
-    """The result of a generator call from :class:`RepeatedAverages`.
-
-    Nested calls go on an explicit stack instead of the interpreter's, so
-    the depth of the recursion is bounded by memory, not by the recursion
-    limit.
-    """
-    stack, value = [call], None
-    while stack:
-        try:
-            nested = stack[-1].send(value)
-        except StopIteration as done:
-            stack.pop()
-            value = done.value
-        else:
-            stack.append(nested)
-            value = None
-    return value
 
 
 _ONE = Fraction(1)

@@ -31,7 +31,8 @@ from .quantities import (CanonicalBasis, ExplicitSequence, SeqSpec,
                          cca_xi_tilde, cca_xi_tilde_sup, cca_xi_window,
                          f_delta, large_check, prop_formula, sm_constant)
 from .reports import Report
-from .schreier import (FinSet, enumerate_family, is_member, is_member_image,
+from .schreier import (FinSet, _refuse_past_budget, count_family,
+                       enumerate_family, is_member, is_member_image,
                        is_member_oracle, threshold, trace_member)
 from .spaces import NormSpec, coordinate_sum_functional, norm, norm_oracle
 from .streams import IndexStream, parse_stream
@@ -173,13 +174,20 @@ def _cmd_schreier_oracle(args) -> int:
 
 
 def _cmd_schreier_enum(args) -> int:
-    sets = [str(F) for F in enumerate_family(parse_ordinal(args.xi),
-                                             args.max_value)]
+    xi = parse_ordinal(args.xi)
+    _refuse_past_budget(xi, args.max_value)
+    sets = [str(F) for F in enumerate_family(xi, args.max_value)]
     payload = {"xi": args.xi, "max_value": args.max_value, "count": len(sets)}
     if args.limit is not None:
         sets = sets[:args.limit]
     payload["sets"] = sets
     _emit(args, payload)
+    return 0
+
+
+def _cmd_schreier_count(args) -> int:
+    count = count_family(parse_ordinal(args.xi), args.max_value)
+    _emit(args, {"xi": args.xi, "max_value": args.max_value, "count": count})
     return 0
 
 
@@ -263,6 +271,8 @@ def _cmd_avg_validate(args) -> int:
     vectors = [ProbVector(v.entries) for v in _load_vector_list(args.seq)]
     method = ExplicitMethod(vectors, parse_stream(args.stream))
     n = args.n if args.n is not None else len(vectors)
+    if n > len(vectors):
+        raise ValueError(f"--n {n} is past the {len(vectors)} listed vectors")
     method.validate_prefix(n)
     _emit(args, {"stream": args.stream, "n": n, "ok": True})
     return 0
@@ -538,6 +548,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-value", type=int, required=True)
     p.add_argument("--limit", type=int, help="print at most this many sets")
     p.set_defaults(handler=_cmd_schreier_enum)
+    p = sch_ops.add_parser("count", parents=[fmt],
+                           help="number of members inside 1..max-value, "
+                                "without listing them")
+    p.add_argument("--xi", required=True)
+    p.add_argument("--max-value", type=int, required=True)
+    p.set_defaults(handler=_cmd_schreier_count)
     p = sch_ops.add_parser("threshold", parents=[fmt],
                            help="smallest min value forcing one family "
                                 "into another")

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 from .averages import repeated_avg
 from .budget import Budget, get_budget
 from .ordinal import FundamentalRule, Ordinal, default_fundamental_seq
-from .schreier import FinSet, enumerate_family
+from .schreier import FinSet, _refuse_past_budget, enumerate_family
 from .spaces import (CertificationRefusedError, Functional, NormSpec, norm)
 from .streams import IndexStream
 from .vectors import RatVec, format_fraction
@@ -321,6 +321,7 @@ def sm_constant(xi: Ordinal, xs: SeqSpec, N: int, coeff_budget: int = 4, *,
     coefficients can only overshoot, hence the upper-bound tag.
     """
     budget = get_budget(budget)
+    _refuse_past_budget(xi, N, fs=fs, budget=budget)
     best = None
     best_witness = None
     for F in enumerate_family(xi, N, fs=fs, budget=budget):

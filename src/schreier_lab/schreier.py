@@ -7,15 +7,34 @@ collects the sets that belong to the n-th member of a fundamental sequence
 for some ``n <= min F``.  Every family is hereditary (closed under subsets)
 and spreading (closed under moving elements to the right), which the fast
 membership test exploits and the exhaustive oracle deliberately does not.
+
+Membership is decided left to right by an automaton compiled once per order
+and rule.  At a successor order a set is cut greedily into the longest
+initial pieces that belong to the order below; by heredity appending an
+element never changes the earlier pieces, only the last one can grow.  So
+the state of a set is its minimum and piece count at each level, from the
+top order down to order 0, and appending ``k`` lets the deepest level that
+still has a free piece (piece count below its minimum) open a new piece
+``{k}``: the levels above it keep their state and the levels below start
+afresh from ``k``.  A limit order has no state of its own: the minimum of
+the set fixes the approximating orders.  Under the default rule the families
+are nested in ``n``, so the order ``fs(xi, min F)`` alone decides, and the
+levels it descends through are handed out from the bottom up only as pieces
+open there; an injected rule keeps one alternative state per ``n <= min F``,
+and a set belongs when some alternative survives.  Levels that start afresh
+together share a minimum and one piece each, so a run of them is stored as
+one frame and the state of order 3000 is a single frame.  Nothing recurses
+in the interpreter: the alternatives of an injected rule are built and
+stepped from explicit stacks.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Generator, Iterable, Iterator
 
 from .budget import Budget, BudgetExceededError, get_budget, WorkMeter
-from .ordinal import (FundamentalRule, Ordinal, classify,
+from .ordinal import (ONE, FundamentalRule, Ordinal, classify,
                       default_fundamental_seq)
 from .streams import IndexStream
 
@@ -24,6 +43,7 @@ __all__ = [
     "is_member",
     "is_member_oracle",
     "enumerate_family",
+    "count_family",
     "is_member_image",
     "trace_member",
     "threshold",
@@ -110,11 +130,282 @@ class FinSet:
         return f"FinSet({self})"
 
 
-# -- fast membership ---------------------------------------------------------
+# -- the membership automaton --------------------------------------------------
+
+
+def _unwound(call: Generator):
+    """The result of a generator call that yields its nested calls.
+
+    Each nested call goes on an explicit stack instead of the interpreter's
+    and is sent its result, so the depth of a recursion written this way is
+    bounded by memory, not by the recursion limit.
+    """
+    stack, value = [call], None
+    while stack:
+        try:
+            nested = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+        else:
+            stack.append(nested)
+            value = None
+    return value
+
+
+class _Node:
+    """One order of a compiled automaton, with the stacks of its singletons.
+
+    ``chains[k]`` is the stack of ``{k}`` at this order.  A stack lists,
+    from the top level down, frames and at most one region and one branch:
+
+    - A frame ``(base, lo, hi, low, pieces)`` stands for the successor
+      levels ``base+lo+1 .. base+hi`` above the zero or limit order
+      ``base``.  They hold one set with minimum ``low``, cut into
+      ``pieces`` pieces at the bottom level and one piece at every level
+      above it.  Only the free pieces ``low - pieces`` of a one-level frame
+      matter from then on, so it is stored as ``(low - pieces + 1, 1)``,
+      and sets with the same future share one state.
+    - A :class:`_Region` stands for levels not yet touched below a nested
+      limit.
+    - A :class:`_Branch` ends a stack below a limit whose approximating
+      families need not be nested.
+    """
+
+    __slots__ = ("xi", "kind", "base", "count", "nested", "chains")
+
+    def __init__(self, xi: Ordinal, kind: str, base: "_Node | None",
+                 count: int, nested: bool):
+        self.xi, self.kind, self.base = xi, kind, base
+        self.count, self.nested = count, nested
+        self.chains: dict[int, tuple] = {}
+
+
+class _Region(tuple):
+    """``(limit, low, floor)``: the levels of ``{low}`` below ``limit`` that
+    lie above the zero or limit order ``floor``, each still one piece.
+
+    Under the default rule, ``{low}`` descends from ``limit`` through
+    ``fs(., low)`` at every limit until order 0, which at ``w^e`` passes
+    about ``low^(e-1)`` limits.  A set only ever opens pieces at its lowest
+    levels, so the region hands out its frames from the bottom up, one
+    limit at a time, and the levels above stay a single item.
+    """
+
+    __slots__ = ()
+
+
+class _Branch(tuple):
+    """The live stacks of one set at the approximating orders ``n <= min``."""
+
+    __slots__ = ()
+
+
+# The state of a singleton at order 0: one frame with no free piece.
+_SINGLETON = ((None, 0, 0, 1, 1),)
+
+
+def _plus_omega_power(terms: tuple, exponent: Ordinal) -> Ordinal:
+    """The ordinal with Cantor normal form ``terms``, plus ``w^exponent``.
+
+    The last exponent of ``terms`` must not be smaller than ``exponent``.
+    """
+    if terms and terms[-1][0] == exponent:
+        return Ordinal(terms[:-1] + ((exponent, terms[-1][1] + 1),))
+    return Ordinal(terms + ((exponent, 1),))
+
+
+class _Automaton:
+    """Membership in the order-``xi`` family, one appended element at a time.
+
+    A state is a stack (see :class:`_Node`), ``()`` stands for the empty set,
+    and ``None`` for a set that left the family.
+    """
+
+    __slots__ = ("_rule", "_nodes", "_root", "_zero")
+
+    def __init__(self, xi: Ordinal, rule: FundamentalRule):
+        self._rule = rule
+        self._nodes: dict[Ordinal, _Node] = {}
+        self._zero = self._node(Ordinal())
+        self._root = self._node(xi)
+
+    def _node(self, xi: Ordinal) -> _Node:
+        node = self._nodes.get(xi)
+        if node is not None:
+            return node
+        kind, _ = classify(xi)
+        base, count, nested = None, 0, False
+        if kind == "successor":
+            # The finite tail of xi: xi = base + count with base zero or a limit.
+            base, count = self._node(Ordinal(xi.terms[:-1])), xi.terms[-1][1]
+        elif kind == "limit":
+            # Below w^w the default rule's approximating families grow with
+            # n, so the largest allowed n decides alone.
+            nested = (self._rule is default_fundamental_seq
+                      and all(exp.is_finite for exp, _ in xi.terms))
+        node = self._nodes[xi] = _Node(xi, kind, base, count, nested)
+        return node
+
+    def _chains(self, node: _Node, k: int) -> tuple:
+        """The stack of ``{k}`` at ``node``; the stacks a branch needs go on
+        an explicit stack of pending orders."""
+        pending = [node]
+        while pending:
+            top = pending[-1]
+            if k in top.chains:
+                pending.pop()
+                continue
+            frames = []
+            below = top
+            while below.kind == "successor":
+                frames.append((below.base, 0, below.count, k, 1))
+                below = below.base
+            if below.nested:
+                frames.append(_Region((below, k, self._zero)))
+            elif below.kind == "limit":
+                targets = [self._node(self._rule(below.xi, n))
+                           for n in range(1, k + 1)]
+                missing = [n for n in targets if k not in n.chains]
+                if missing:
+                    pending.extend(missing)
+                    continue
+                # Equal orders share one stack object; keep each once.
+                alternatives = {id(n.chains[k]): n.chains[k] for n in targets}
+                frames.append(_Branch(alternatives.values()))
+            top.chains[k] = tuple(frames)
+            pending.pop()
+        return node.chains[k]
+
+    def _above(self, region: _Region) -> tuple[int, _Node | None]:
+        """The number of levels just above the region's floor, and the
+        limit they end below (None when that is the region's own limit).
+
+        The limits passed are the floors ``a`` with ``fs(b, low) = a + c``
+        for the next one ``b``.  That is ``b = a + w`` (then ``c = low``),
+        or, when ``a = r + w^e*low``, ``b = r + w^(e+1)`` (then ``c = 1``);
+        the descent takes the second whenever it does not pass the limit.
+        """
+        limit, low, floor = region
+        terms = floor.xi.terms
+        if terms and terms[-1][1] == low:
+            carried = _plus_omega_power(terms[:-1], terms[-1][0].successor())
+            if not limit.xi < carried:
+                return 1, None if carried == limit.xi else self._node(carried)
+        plus_w = _plus_omega_power(terms, ONE)
+        return low, None if plus_w == limit.xi else self._node(plus_w)
+
+    def start(self, k: int) -> tuple:
+        """The state of ``{k}``."""
+        stack = self._root.chains.get(k)
+        if stack is None:
+            stack = self._chains(self._root, k)
+        return stack or _SINGLETON
+
+    def step(self, state: tuple, k: int) -> tuple | None:
+        """The state after appending ``k`` (above every element), or None."""
+        if not state:
+            return self.start(k)
+        if type(state[-1]) is _Branch:
+            return _unwound(self._branched(state, k, {}))
+        return self._opened(state, k)
+
+    def _opened(self, stack: tuple, k: int) -> tuple | None:
+        """Open a piece ``{k}`` at the deepest level with a free one."""
+        i = len(stack)
+        while i:
+            i -= 1
+            item = stack[i]
+            if type(item) is _Region:
+                if item[1] == 1:
+                    continue   # one piece per level and a minimum of 1
+                # Hand out the region's lowest frame; the rest stays above.
+                limit, low, floor = item
+                count, ceiling = self._above(item)
+                item = (floor, 0, count, low, 1)
+                stack = stack[:i] + (
+                    (_Region((limit, low, ceiling)), item) if ceiling else (item,))
+                i = len(stack) - 1
+            base, lo, hi, low, pieces = item
+            if pieces < low:
+                # The bottom level opens a piece; the levels below restart.
+                opened = ((base, lo, hi, low, pieces + 1) if hi - lo > 1
+                          else (base, lo, hi, low - pieces, 1))
+                cut = lo
+            elif low > 1 and hi - lo > 1:
+                # The level above the bottom still has one piece only.
+                opened = ((base, lo + 1, hi, low, 2) if hi - lo > 2
+                          else (base, lo + 1, hi, low - 1, 1))
+                cut = lo + 1
+            else:
+                continue
+            head = stack[:i] + (opened,)
+            if cut:
+                head += ((base, 0, cut, k, 1),)
+            tail = base.chains.get(k)
+            if tail is None:
+                tail = self._chains(base, k)
+            return head + tail
+        return None
+
+    def _branched(self, stack: tuple, k: int, done: dict) -> Generator:
+        """:meth:`step` with the branch alternatives as nested calls.
+
+        A stack shared by several alternatives is stepped once (``done``
+        maps its id to its successor), which keeps a state's size linear in
+        the orders it passes through.
+        """
+        if not stack or type(stack[-1]) is not _Branch:
+            return self._opened(stack, k)
+        alive = {}
+        for alternative in stack[-1]:
+            key = id(alternative)
+            if key not in done:
+                done[key] = yield self._branched(alternative, k, done)
+            if done[key] is not None:
+                alive[id(done[key])] = done[key]
+        if alive:
+            return stack[:-1] + (_Branch(alive.values()),)
+        return self._opened(stack[:-1], k)
+
+    def accepts(self, elements: Iterable[int]) -> bool:
+        """Whether the increasing ``elements`` form a member."""
+        state = ()
+        for k in elements:
+            state = self.step(state, k)
+            if state is None:
+                return False
+        return True
+
+
+@lru_cache(maxsize=64)
+def _automaton(xi: Ordinal, rule: FundamentalRule) -> _Automaton:
+    return _Automaton(xi, rule)
+
+
+def is_member(xi: Ordinal, F: FinSet, *,
+              fs: FundamentalRule = default_fundamental_seq) -> bool:
+    """Decide membership of ``F`` in the family of order ``xi``.
+
+    Runs the compiled automaton over ``F`` from left to right; its agreement
+    with the exhaustive search is part of the test suite.
+
+    >>> is_member(Ordinal.from_int(1), FinSet.of(2, 3))
+    True
+    """
+    return _automaton(xi, fs).accepts(F.elements)
+
+
+# -- greedy membership for the norm oracles --------------------------------------
 
 
 @lru_cache(maxsize=None)
 def _member(xi: Ordinal, elements: tuple[int, ...], rule: FundamentalRule) -> bool:
+    """Membership by greedy cuts over slices, sharing no code with the automaton.
+
+    Only the exhaustive norm oracles use it, so that they cross-check the
+    searches with an independent membership test.
+    """
     if not elements:
         return True
     kind, pred = classify(xi)
@@ -144,19 +435,6 @@ def _member(xi: Ordinal, elements: tuple[int, ...], rule: FundamentalRule) -> bo
     # Limit order: member of the n-th approximating family for some n <= min.
     return any(_member(rule(xi, n), elements, rule)
                for n in range(1, elements[0] + 1))
-
-
-def is_member(xi: Ordinal, F: FinSet, *,
-              fs: FundamentalRule = default_fundamental_seq) -> bool:
-    """Decide membership of ``F`` in the family of order ``xi``.
-
-    Uses the greedy longest-prefix decomposition at successor orders; its
-    correctness against the exhaustive search is part of the test suite.
-
-    >>> is_member(Ordinal.from_int(1), FinSet.of(2, 3))
-    True
-    """
-    return _member(xi, F.elements, fs)
 
 
 # -- exhaustive oracle ---------------------------------------------------------
@@ -203,7 +481,7 @@ def is_member_oracle(xi: Ordinal, F: FinSet, *,
     return member(xi, F.elements)
 
 
-# -- enumeration ---------------------------------------------------------------
+# -- enumeration and counting --------------------------------------------------
 
 
 def enumerate_family(xi: Ordinal, max_value: int, *,
@@ -211,26 +489,90 @@ def enumerate_family(xi: Ordinal, max_value: int, *,
                      budget: Budget | None = None) -> Iterator[FinSet]:
     """Yield every member contained in ``{1..max_value}`` in lexicographic order.
 
-    Heredity lets the search extend only through member prefixes: a set all
-    of whose proper initial segments fail would fail itself.
+    Heredity lets the walk extend only members, and each extension costs one
+    automaton step from the state of the member it extends.
 
     >>> [str(F) for F in enumerate_family(Ordinal.from_int(1), 3)]
     ['', '1', '2', '2,3', '3']
     """
     budget = get_budget(budget)
     meter = WorkMeter("family enumeration", budget.work)
-
-    def extend(prefix: tuple[int, ...], start: int) -> Iterator[FinSet]:
-        for k in range(start, max_value + 1):
-            candidate = prefix + (k,)
-            if _member(xi, candidate, fs):
-                meter.spend()
-                yield FinSet(candidate)
-                yield from extend(candidate, k + 1)
-
+    step = _automaton(xi, fs).step
     meter.spend()
     yield FinSet()
-    yield from extend((), 1)
+    # A member, its state, and the next value to append; the top of the
+    # stack is extended first, which gives the lexicographic order.
+    pending = [((), (), 1)] if max_value >= 1 else []
+    while pending:
+        prefix, state, k = pending.pop()
+        after = step(state, k)
+        if after is None:
+            # Whether a value can be appended does not depend on the value,
+            # so no larger one extends this member either.
+            continue
+        if k < max_value:
+            pending.append((prefix, state, k + 1))
+        meter.spend()
+        member = prefix + (k,)
+        yield FinSet(member)
+        if k < max_value:
+            pending.append((member, after, k + 1))
+
+
+def count_family(xi: Ordinal, max_value: int, *,
+                 fs: FundamentalRule = default_fundamental_seq,
+                 budget: Budget | None = None) -> int:
+    """The number of members inside ``{1..max_value}``, the empty set included.
+
+    This is the number of sets :func:`enumerate_family` yields, found by
+    counting the members per automaton state as each value is appended, so
+    the cost follows the number of distinct states rather than of sets.
+    Each automaton step is one unit of work.
+
+    >>> count_family(Ordinal.from_int(1), 15)
+    1597
+    """
+    budget = get_budget(budget)
+    meter = WorkMeter("family count steps", budget.work)
+    step = _automaton(xi, fs).step
+    final = 0
+    live = {(): 1}   # state -> members with that state, all below k
+    for k in range(1, max_value + 1):
+        meter.spend(len(live))
+        grown: dict[tuple, int] = {}
+        for state, count in live.items():
+            after = step(state, k)
+            if after is None:
+                # Whether a value can be appended does not depend on the
+                # value, so these members take no larger one either.
+                final += count
+                continue
+            grown[state] = grown.get(state, 0) + count
+            grown[after] = grown.get(after, 0) + count
+        live = grown
+    return final + sum(live.values())
+
+
+def _refuse_past_budget(xi: Ordinal, max_value: int, *,
+                        fs: FundamentalRule = default_fundamental_seq,
+                        budget: Budget | None = None) -> None:
+    """Refuse up front a family :func:`enumerate_family` would refuse.
+
+    For callers that walk the whole family: they fail in the time of a
+    count, not after ``budget.work`` sets.  The refusal keeps the text of
+    the enumeration meter (``needs >= limit + 1``), so it reads the same
+    whichever of the two stops first.  When the count itself is refused,
+    the enumeration's meter decides alone.
+    """
+    budget = get_budget(budget)
+    try:
+        count = count_family(xi, max_value, fs=fs, budget=budget)
+    except BudgetExceededError:
+        return
+    if count > budget.work:
+        raise BudgetExceededError("family enumeration", budget.work,
+                                  needed=budget.work + 1,
+                                  needed_is_lower_bound=True)
 
 
 # -- traces and images -----------------------------------------------------------
@@ -249,7 +591,7 @@ def is_member_image(xi: Ordinal, M: IndexStream, F: FinSet, *,
         if pos is None:
             return False
         positions.append(pos)
-    return _member(xi, tuple(positions), fs)
+    return _automaton(xi, fs).accepts(positions)
 
 
 def trace_member(xi: Ordinal, M: IndexStream, F: FinSet, *,
@@ -261,7 +603,7 @@ def trace_member(xi: Ordinal, M: IndexStream, F: FinSet, *,
     """
     if not all(value in M for value in F):
         return False
-    return _member(xi, F.elements, fs)
+    return _automaton(xi, fs).accepts(F.elements)
 
 
 # -- threshold --------------------------------------------------------------------
@@ -277,9 +619,11 @@ def threshold(zeta: Ordinal, xi: Ordinal, max_value: int, *,
     every family that value is reachable only vacuously, but the contract
     keeps it as a distinguished result.
     """
+    _refuse_past_budget(zeta, max_value, fs=fs, budget=budget)
+    target = _automaton(xi, fs)
     outside: list[int] = []
     for F in enumerate_family(zeta, max_value, fs=fs, budget=budget):
-        if F and not _member(xi, F.elements, fs):
+        if F and not target.accepts(F.elements):
             outside.append(F.min())
     if not outside:
         return 1

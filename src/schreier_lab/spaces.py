@@ -10,11 +10,14 @@ Exact values are rationals; the Baernstein norm is reported through its
 exact square together with a floating approximation of the root.  Small
 orders (0 and 1) have closed-form or polynomial evaluations with no search;
 everything else runs a branch-and-bound over admissible prefixes, metered
-by the active budget.  The order-one scan and the searches run on Python
-integers: the magnitudes scaled by the lcm of their denominators, converted
-back to one ``Fraction`` on return.  ``norm_oracle`` is the same quantity
-computed by exhaustive enumeration over ``Fraction``, kept deliberately free
-of pruning.
+by the active budget.  Each search node carries the membership automaton
+state of its prefix (or of its open block, for the chain norm), so testing
+one more support point is a single automaton step.  The order-one scan and
+the searches run on Python integers: the magnitudes scaled by the lcm of
+their denominators, converted back to one ``Fraction`` on return.
+``norm_oracle`` is the same quantity computed by exhaustive enumeration over
+``Fraction``, kept deliberately free of pruning and of the automaton: it
+tests membership with the greedy cuts of ``schreier._member``.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from fractions import Fraction
 
 from .budget import Budget, BudgetExceededError, WorkMeter, get_budget
 from .ordinal import FundamentalRule, Ordinal, default_fundamental_seq, parse as parse_ordinal
-from .schreier import FinSet, _member
+from .schreier import FinSet, _automaton, _member
 from .vectors import RatVec, format_fraction
 
 __all__ = [
@@ -241,24 +244,26 @@ def _norm_search(mags: RatVec, xi: Ordinal, fs: FundamentalRule,
     for pos in range(len(support) - 1, -1, -1):
         suffix[pos] = suffix[pos + 1] + values[pos]
 
+    step = _automaton(xi, fs).step
     best = 0
     best_set: tuple[int, ...] = ()
 
-    def dfs(prefix: tuple[int, ...], total: int, pos: int) -> None:
+    def dfs(prefix: tuple[int, ...], state: tuple, total: int, pos: int) -> None:
         nonlocal best, best_set
         for nxt in range(pos, len(support)):
             if total + suffix[nxt] <= best:
                 return
             meter.spend(1)
-            extended = prefix + (support[nxt],)
-            if not _member(xi, extended, fs):
+            after = step(state, support[nxt])
+            if after is None:
                 continue
+            extended = prefix + (support[nxt],)
             value = total + values[nxt]
             if value > best:
                 best, best_set = value, extended
-            dfs(extended, value, nxt + 1)
+            dfs(extended, after, value, nxt + 1)
 
-    dfs((), 0, 0)
+    dfs((), (), 0, 0)
     return Fraction(best, D), FinSet(best_set)
 
 
@@ -289,6 +294,7 @@ def _chain_squared_search(mags: RatVec, xi: Ordinal, fs: FundamentalRule,
     for pos in range(len(support) - 1, -1, -1):
         suffix[pos] = suffix[pos + 1] + values[pos]
 
+    blocks = _automaton(xi, fs)
     best = 0   # in units of 1 / D**2
     best_chain: tuple[tuple[int, ...], ...] = ()
 
@@ -306,19 +312,21 @@ def _chain_squared_search(mags: RatVec, xi: Ordinal, fs: FundamentalRule,
             if closed_sq + suffix[nxt] ** 2 <= best:
                 return
             meter.spend(1)
-            grow(chain, closed_sq, (support[nxt],), values[nxt], nxt + 1)
+            grow(chain, closed_sq, (support[nxt],), blocks.start(support[nxt]),
+                 values[nxt], nxt + 1)
 
     def grow(chain: tuple[tuple[int, ...], ...], closed_sq: int,
-             block: tuple[int, ...], block_sum: int, pos: int) -> None:
+             block: tuple[int, ...], state: tuple, block_sum: int,
+             pos: int) -> None:
         between(chain + (block,), closed_sq + block_sum * block_sum, pos)
         for nxt in range(pos, len(support)):
             if closed_sq + (block_sum + suffix[nxt]) ** 2 <= best:
                 return
             meter.spend(1)
-            extended = block + (support[nxt],)
-            if _member(xi, extended, fs):
-                grow(chain, closed_sq, extended, block_sum + values[nxt],
-                     nxt + 1)
+            after = blocks.step(state, support[nxt])
+            if after is not None:
+                grow(chain, closed_sq, block + (support[nxt],), after,
+                     block_sum + values[nxt], nxt + 1)
 
     between((), 0, 0)
     return Fraction(best, D * D), tuple(FinSet(b) for b in best_chain)

@@ -9,6 +9,8 @@ loss-free.
 from __future__ import annotations
 
 import json
+import re
+import sys
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -21,8 +23,18 @@ def format_fraction(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+# A decimal exponent is held to Python's own limit on integer strings (4300
+# digits; releases before 3.10.7 lack it), so a short literal cannot stand
+# for an integer of millions of digits.
+_MAX_EXPONENT = getattr(sys.int_info, "default_max_str_digits", 4300)
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*\Z")
+
+
 def parse_fraction(text: str) -> Fraction:
+    exponent = _EXPONENT.search(text)
     try:
+        if exponent and abs(int(exponent.group(1))) > _MAX_EXPONENT:
+            raise ValueError
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"bad rational literal {text!r}") from None

@@ -21,7 +21,7 @@ from .budget import Budget, BudgetExceededError, get_budget
 from .ordinal import FundamentalRule, Ordinal, default_fundamental_seq
 from .quantities import CanonicalBasis, large_check, prop_formula, sm_constant
 from .reports import Report
-from .schreier import FinSet, enumerate_family
+from .schreier import FinSet, _refuse_past_budget, enumerate_family
 from .spaces import NormSpec, coordinate_sum_functional, norm
 from .streams import IndexStream
 from .vectors import RatVec, format_fraction
@@ -36,7 +36,12 @@ __all__ = [
 def _sum_functionals(order: Ordinal, spec: NormSpec, N: int, *,
                      fs: FundamentalRule = default_fundamental_seq,
                      budget: Budget | None = None):
-    """Certified coordinate sums over the nonempty members inside ``1..N``."""
+    """Certified coordinate sums over the nonempty members inside ``1..N``.
+
+    The members are counted first, so a family past the work budget is
+    refused before any functional is built.
+    """
+    _refuse_past_budget(order, N, fs=fs, budget=budget)
     return [coordinate_sum_functional(F, spec)
             for F in enumerate_family(order, N, fs=fs, budget=budget) if F]
 
@@ -145,6 +150,7 @@ def verify_example_star(xi: Ordinal, N: int, coeff_budget: int = 3, *,
     half = Fraction(1, 2)
     violations = 0
     tested = 0
+    _refuse_past_budget(order, N, fs=fs, budget=budget)
     for F in enumerate_family(order, N, fs=fs, budget=budget):
         if not F or len(F) > coeff_budget:
             continue

@@ -107,6 +107,27 @@ def test_schreier_enum_with_limit(capsys):
     assert payload["sets"] == ["", "1", "2"]
 
 
+def test_schreier_count(capsys):
+    code, payload = run_json(capsys, "schreier", "count", "--xi", "1",
+                             "--max-value", "15")
+    assert code == 0
+    assert payload == {"xi": "1", "max_value": 15, "count": 1597}
+    code, out, err = run(capsys, "schreier", "count", "--xi", "w",
+                         "--max-value", "40")
+    assert code == 0 and "count = 277510579805" in out.splitlines()
+
+
+def test_schreier_member_at_a_deep_order(capsys):
+    started = time.perf_counter()
+    code, payload = run_json(capsys, "schreier", "member", "--xi", "3000",
+                             "--set", "1,2")
+    assert code == 0 and payload["member"] is False
+    code, payload = run_json(capsys, "schreier", "member", "--xi", "3000",
+                             "--set", "5,6,7")
+    assert code == 0 and payload["member"] is True
+    assert time.perf_counter() - started < 1
+
+
 def test_schreier_threshold(capsys):
     code, payload = run_json(capsys, "schreier", "threshold", "--zeta", "2",
                              "--xi", "1", "--max-value", "8")
@@ -207,6 +228,13 @@ def test_avg_validate_rejects_a_malformed_list_entry(capsys):
     assert err.startswith("error:")
 
 
+def test_avg_validate_rejects_a_length_past_the_list(capsys):
+    code, out, err = run(capsys, "avg", "validate",
+                         "--seq", '[{"entries": {"1": "1"}}]', "--n", "3")
+    assert code == 2 and out == ""
+    assert err == "error: --n 3 is past the 1 listed vectors\n"
+
+
 def test_avg_nibcc_and_reweight_need_an_order_or_vectors(capsys):
     for argv in (("nibcc",), ("reweight", "--n", "1")):
         code, out, err = run(capsys, "avg", *argv)
@@ -277,6 +305,15 @@ def test_norm_rejects_entries_that_are_not_an_object(capsys):
                          "--vec", '{"entries":[1,2]}')
     assert code == 2 and out == ""
     assert err.startswith("error:")
+
+
+def test_norm_rejects_an_exponent_past_the_int_string_limit(capsys):
+    started = time.perf_counter()
+    code, out, err = run(capsys, "norm", "--space", "schreier", "--xi", "1",
+                         "--vec", '{"entries": {"1": "1e3000000"}}')
+    assert code == 2 and out == ""
+    assert err == "error: bad rational literal '1e3000000'\n"
+    assert time.perf_counter() - started < 1
 
 
 def test_norm_too_large_for_its_approximation_exits_two(capsys):
@@ -366,11 +403,35 @@ def test_quantity_large_exit_codes(capsys):
     assert payload["ok"] is False and payload["certificate"] == "1"
 
 
-def test_quantity_large_refuses_past_the_budget(capsys):
+def test_quantity_large_refuses_past_the_budget(capsys, monkeypatch):
+    # The family is counted before any functional is built, so the refusal
+    # costs no enumeration.
+    monkeypatch.delenv("SCHREIER_LAB_BUDGET", raising=False)
+    started = time.perf_counter()
     code, out, err = run(capsys, "quantity", "large", "--xi", "2",
                          "--c", "9/10", "--N", "20")
     assert code == 2
     assert err.startswith("budget exceeded:")
+    assert err == ("budget exceeded: budget exceeded for family enumeration: "
+                   "limit 200000 (needs >= 200001)\n")
+    assert time.perf_counter() - started < 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("quantity", "sm", "--xi", "2", "--space", "schreier", "--N", "22"),
+    ("schreier", "enum", "--xi", "w", "--max-value", "40"),
+    ("schreier", "threshold", "--zeta", "3", "--xi", "2", "--max-value", "30"),
+])
+def test_whole_family_walks_refuse_before_walking(capsys, monkeypatch, argv):
+    # Each walks every member; the count refuses first, with the text the
+    # enumeration would give after 200,000 sets (38 s for the sm case).
+    monkeypatch.delenv("SCHREIER_LAB_BUDGET", raising=False)
+    started = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == ("budget exceeded: budget exceeded for family enumeration: "
+                   "limit 200000 (needs >= 200001)\n")
+    assert time.perf_counter() - started < 1
 
 
 def test_quantity_prop_formula(capsys):
@@ -465,6 +526,7 @@ def _fuzz_commands(vec, seq, z, y, path):
          "--set", "2,3", f"--vec={vec}"],
         ["avg", "pair-sum", "--set", "1,2", f"--vec={vec}"],
         ["avg", "validate", f"--seq={seq}"],
+        ["avg", "validate", f"--seq={seq}", "--n", "5"],
         ["avg", "apply", "--xi", "1", "--n", "2", f"--seq=@{path}"],
         ["avg", "nibcc", f"--z={z}", f"--y={y}"],
         ["avg", "reweight", "--n", "1", f"--z={z}", f"--y={y}"],

@@ -4,19 +4,21 @@ The reference here builds each family inside {1..N} bottom-up as an explicit
 set of tuples: order 0 is the empty set plus singletons, a successor order
 collects unions of at most min-many consecutive blocks from the order below,
 and a limit order takes the union over its approximating orders gated by the
-minimum.  The package's greedy test and its split-search oracle must both
-agree with these materialized families.
+minimum.  The package's membership automaton and its split-search oracle
+must both agree with these materialized families.
 """
 
 import random
+import time
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schreier_lab.ordinal import Ordinal, default_fundamental_seq, parse
+from schreier_lab.ordinal import Ordinal, classify, default_fundamental_seq, parse
 from schreier_lab.budget import Budget, BudgetExceededError
-from schreier_lab.schreier import (FinSet, enumerate_family, is_member,
+from schreier_lab.schreier import (FinSet, _Region, _automaton, count_family,
+                                   enumerate_family, is_member,
                                    is_member_image, is_member_oracle,
                                    threshold, trace_member)
 from schreier_lab.streams import IndexStream
@@ -209,6 +211,29 @@ def test_enumeration_budget_gate():
         list(enumerate_family(parse("2"), 12, budget=tiny))
 
 
+@pytest.mark.parametrize("xi_text, N, count", [
+    ("1", 15, 1597), ("2", 14, 6718), ("w", 14, 6718), ("3", 12, 2049)])
+def test_count_family_matches_the_enumeration(xi_text, N, count):
+    # The order-1 count is the Fibonacci number F_17 (Schreier-Zeckendorf
+    # sets); the empty set is included, as in the enumeration meter.
+    xi = parse(xi_text)
+    assert count_family(xi, N) == count
+    assert len(list(enumerate_family(xi, N))) == count
+
+
+def test_count_family_past_the_enumeration_budget():
+    # 277,510,579,805 sets: far beyond any enumeration, a few thousand states.
+    assert count_family(parse("w"), 40) == 277_510_579_805
+    assert count_family(parse("2"), 0) == 1
+    # One unit of work per automaton step, so a long horizon is refused
+    # even where the states stay few.
+    for xi_text, N in (("1", 200), ("0", 10 ** 9)):
+        with pytest.raises(BudgetExceededError) as info:
+            count_family(parse(xi_text), N, budget=Budget(work=50))
+        assert info.value.what == "family count steps"
+        assert info.value.needed > 50 and info.value.needed_is_lower_bound
+
+
 def test_oracle_support_gate():
     wide = FinSet(range(2, 20))
     with pytest.raises(BudgetExceededError):
@@ -273,3 +298,92 @@ def test_rule_injection_changes_limit_membership():
     assert not is_member(parse("w"), F, fs=stingy)
     assert is_member_oracle(parse("w"), F)
     assert not is_member_oracle(parse("w"), F, fs=stingy)
+
+
+def stingy(x, n):
+    return default_fundamental_seq(x, max(1, n - 1))
+
+
+def test_count_family_under_an_injected_rule():
+    for xi_text in ("w", "w+1", "w*2"):
+        xi = parse(xi_text)
+        assert count_family(xi, 10, fs=stingy) == len(
+            list(enumerate_family(xi, 10, fs=stingy)))
+    assert count_family(parse("w"), 10, fs=stingy) < count_family(parse("w"), 10)
+
+
+# -- the automaton against the exhaustive oracle -------------------------------------
+
+_ORACLE_CASES = ([(parse(t), default_fundamental_seq)
+                  for t in ("0", "1", "2", "3", "w", "w+1", "w*2", "w^2",
+                            "w^2+w+3")]
+                 + [(parse(t), stingy) for t in ("w", "w+1", "w*2")])
+
+
+@given(case=st.sampled_from(_ORACLE_CASES),
+       elements=st.lists(st.integers(1, 16), max_size=9, unique=True))
+@settings(max_examples=400, deadline=None)
+def test_automaton_matches_the_split_oracle(case, elements):
+    # The default rule takes the nested shortcut at a limit; the stingy rule
+    # keeps one alternative per n <= min F.
+    xi, rule = case
+    F = FinSet(sorted(elements))
+    assert is_member(xi, F, fs=rule) == is_member_oracle(xi, F, fs=rule)
+
+
+@pytest.mark.parametrize("case", _ORACLE_CASES, ids=lambda c: (
+    f"{c[0]}-{'default' if c[1] is default_fundamental_seq else 'stingy'}"))
+def test_enumeration_is_the_oracle_filtered_subsets(case):
+    xi, rule = case
+    N = 8
+    expected = [F for r in range(N + 1) for F in combinations(range(1, N + 1), r)
+                if is_member_oracle(xi, FinSet(F), fs=rule)]
+    got = [F.elements for F in enumerate_family(xi, N, fs=rule)]
+    assert got == sorted(expected)
+
+
+# -- deep orders ---------------------------------------------------------------------
+
+
+def test_deep_orders_need_no_interpreter_recursion():
+    # A set with min 1 must be one piece at every level down to order 0, and
+    # {5,6,7} is in the order-1 family, which every larger finite order contains.
+    started = time.perf_counter()
+    assert not is_member(parse("3000"), FinSet.of(1, 2))
+    assert is_member(parse("3000"), FinSet.of(5, 6, 7))
+    assert is_member(parse("w*3000"), FinSet.of(5, 6, 7))
+    assert not is_member(parse("w*3000+2"), FinSet.of(1, 2))
+    # From min 300, w^4 descends through about 300^3 limits; only the
+    # lowest levels are ever built.
+    assert is_member(parse("w^4"), FinSet(range(300, 320)))
+    assert count_family(parse("3000"), 6) == count_family(parse("6"), 6)
+    assert time.perf_counter() - started < 1
+
+
+def descent(lam: Ordinal, k: int) -> list:
+    """(base, count) of each successor run passed from ``lam`` down to 0
+    along ``fs(., k)``, from the bottom up."""
+    runs = []
+    while not lam.is_zero:
+        if classify(lam).kind == "limit":
+            lam = default_fundamental_seq(lam, k)
+            continue
+        base = Ordinal(lam.terms[:-1])
+        runs.append((base, lam.terms[-1][1]))
+        lam = base
+    return runs[::-1]
+
+
+@pytest.mark.parametrize("lam_text", ["w", "w*4", "w^2", "w^2*3+w*5", "w^3",
+                                      "w^3*2+w^2+w*4", "w^4"])
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_regions_hand_out_the_descent_from_the_bottom(lam_text, k):
+    lam = parse(lam_text)
+    automaton = _automaton(lam, default_fundamental_seq)
+    limit = automaton._node(lam)
+    region, runs = _Region((limit, k, automaton._node(Ordinal()))), []
+    while region is not None:
+        count, ceiling = automaton._above(region)
+        runs.append((region[2].xi, count))
+        region = None if ceiling is None else _Region((limit, k, ceiling))
+    assert runs == descent(lam, k)

@@ -19,6 +19,17 @@ def test_fraction_wire_format():
     assert parse_fraction(format_fraction(Fraction(22, 7))) == Fraction(22, 7)
 
 
+def test_decimal_exponents_stay_within_the_int_string_limit():
+    # 4300 is Python's default limit on the digits of an int string.
+    assert parse_fraction("1e4300") == 10 ** 4300
+    assert parse_fraction("25e-4300") == Fraction(25, 10 ** 4300)
+    assert parse_fraction("1.5E+2") == 150
+    for text in ("1e4301", "1e-4301", "1e3000000", "2.5E+1_000_000",
+                 "1e" + "9" * 5000):
+        with pytest.raises(ValueError, match="bad rational literal"):
+            parse_fraction(text)
+
+
 def test_construction_and_access():
     x = RatVec({3: Fraction(1, 2), 1: "1/3", 5: 2})
     assert x.support() == (1, 3, 5)

@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from schreier_lab.budget import Budget, BudgetExceededError
 from schreier_lab.ordinal import parse
 from schreier_lab.reports import Check, Report
-from schreier_lab.verify import (verify_example_schreier, verify_example_star,
-                                 verify_prop_formula)
+from schreier_lab.spaces import NormSpec
+from schreier_lab.verify import (_sum_functionals, verify_example_schreier,
+                                 verify_example_star, verify_prop_formula)
 
 
 @pytest.mark.parametrize("xi_text", ["0", "1"])
@@ -20,6 +22,23 @@ def test_schreier_bundle_passes(xi_text):
                      "dual-certificates-hold"]
     assert report.results["sm"]["value"] == "1"
     assert report.results["large"]["ok"] is True
+
+
+def test_sum_functionals_count_the_family_first():
+    # 338,300 members: refused on the count, before any functional exists,
+    # with the enumeration meter's own text.
+    order = parse("2")
+    with pytest.raises(BudgetExceededError) as info:
+        _sum_functionals(order, NormSpec.schreier(order), 20,
+                         budget=Budget(work=2000))
+    assert str(info.value).endswith(
+        "family enumeration: limit 2000 (needs >= 2001)")
+    # Counting 31 members of order 0 takes about 60 steps; when the count
+    # is refused, the metered enumeration decides alone.
+    order = parse("0")
+    functionals = _sum_functionals(order, NormSpec.schreier(order), 30,
+                                   budget=Budget(work=40))
+    assert len(functionals) == 30
 
 
 @pytest.mark.parametrize("xi_text", ["0", "1"])
