@@ -25,8 +25,7 @@ from .averages import (AmbiguousReconstructionError, ExplicitMethod,
                        support_size)
 from .spaces import (CertificationRefusedError, CertificationViolationError,
                      Functional, NormResult, NormSpec,
-                     coordinate_sum_functional, l1_certificate, norm,
-                     norm_oracle)
+                     coordinate_sum_functional, norm, norm_oracle)
 from .quantities import (CanonicalBasis, DeltaFamily, ExplicitSequence,
                          HorizonEstimate, LargeCheckResult, PropFormulaValues,
                          SeqSpec, Subsequence, WeightedBasis, ca_window,
@@ -53,8 +52,8 @@ __all__ = [
     "cesaro_reweight", "check_nibcc", "pair_sum", "repeated_avg",
     "successor_pair_prefix", "support_size",
     "CertificationRefusedError", "CertificationViolationError", "Functional",
-    "NormResult", "NormSpec", "coordinate_sum_functional", "l1_certificate",
-    "norm", "norm_oracle",
+    "NormResult", "NormSpec", "coordinate_sum_functional", "norm",
+    "norm_oracle",
     "CanonicalBasis", "DeltaFamily", "ExplicitSequence", "HorizonEstimate",
     "LargeCheckResult", "PropFormulaValues", "SeqSpec", "Subsequence",
     "WeightedBasis", "ca_window", "cca_window", "cca_xi_tilde",

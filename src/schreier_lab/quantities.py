@@ -11,6 +11,7 @@ exact rational maximum with no pretense of being the limit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -21,7 +22,8 @@ from .averages import repeated_avg
 from .budget import Budget, get_budget
 from .ordinal import FundamentalRule, Ordinal, default_fundamental_seq
 from .schreier import FinSet, _refuse_past_budget, enumerate_family
-from .spaces import (CertificationRefusedError, Functional, NormSpec, norm)
+from .spaces import (CertificationRefusedError, Functional, NormResult, NormSpec,
+                     _scaled_norm, norm)
 from .streams import IndexStream
 from .vectors import RatVec, format_fraction
 
@@ -165,8 +167,8 @@ class ExplicitSequence(SeqSpec):
 # -- window oscillation statistics ---------------------------------------------------
 
 
-def _norm_value(ambient: NormSpec, x: RatVec, budget: Budget):
-    result = norm(ambient, x, budget=budget)
+def _value(result: NormResult):
+    """The exact value, or the float approximation of an irrational one."""
     return result.value if result.value is not None else result.approx
 
 
@@ -175,7 +177,7 @@ def _max_pairwise(vectors: dict, n0: int, N: int, ambient: NormSpec,
     best = Fraction(0)
     for k in range(n0, N + 1):
         for l in range(k + 1, N + 1):
-            value = _norm_value(ambient, vectors[k] - vectors[l], budget)
+            value = _value(norm(ambient, vectors[k] - vectors[l], budget=budget))
             if value > best:
                 best = value
     return best
@@ -319,22 +321,37 @@ def sm_constant(xi: Ordinal, xs: SeqSpec, N: int, coeff_budget: int = 4, *,
     are all sign choices up to ``coeff_budget`` coordinates and the uniform
     positive pattern above it.  A finite scan of an infimum over all real
     coefficients can only overshoot, hence the upper-bound tag.
+
+    The scan is exact on integers: the elements on ``F`` are scaled once to
+    one common denominator, each pattern is an integer sum of those rows,
+    and one memo of kernel results serves all the patterns on ``F``.
     """
     budget = get_budget(budget)
     _refuse_past_budget(xi, N, fs=fs, budget=budget)
+    scaled: dict[int, tuple] = {}   # n -> the n-th element, scaled
     best = None
     best_witness = None
     for F in enumerate_family(xi, N, fs=fs, budget=budget):
         if not F:
             continue
-        elements = [xs.element(n) for n in F]
+        for n in F:
+            if n not in scaled:
+                scaled[n] = xs.element(n).scaled()
+        rows, D = _common_rows([scaled[n] for n in F])
         if len(F) <= coeff_budget:
-            patterns = product((Fraction(1), Fraction(-1)), repeat=len(F))
+            patterns = product((1, -1), repeat=len(F))
         else:
-            patterns = [tuple(Fraction(1) for _ in F)]
+            patterns = [(1,) * len(F)]
+        memo: dict = {}
         for signs in patterns:
-            combined = RatVec.combination(zip(signs, elements))
-            ratio = _norm_value(xs.ambient, combined, budget) / len(F)
+            combined: dict[int, int] = {}
+            for sign, row in zip(signs, rows):
+                for i, v in row:
+                    combined[i] = combined.get(i, 0) + sign * v
+            support = tuple(sorted(i for i, v in combined.items() if v))
+            ratio = _value(_scaled_norm(xs.ambient, support,
+                                        [combined[i] for i in support], D,
+                                        budget, memo)) / len(F)
             if best is None or ratio < best:
                 best = ratio
                 best_witness = (F, signs)
@@ -343,6 +360,21 @@ def sm_constant(xi: Ordinal, xs: SeqSpec, N: int, coeff_budget: int = 4, *,
     F, signs = best_witness
     witness = f"{F};{','.join(format_fraction(s) for s in signs)}"
     return HorizonEstimate(best, "upper_bound", N, witness)
+
+
+def _integer_map(x: RatVec) -> tuple[dict[int, int], int]:
+    """``x`` as a map of index to numerator, and the common denominator."""
+    support, values, D = x.scaled()
+    return dict(zip(support, values)), D
+
+
+def _common_rows(scaled: Sequence[tuple]) -> tuple[list[list[tuple[int, int]]], int]:
+    """The ``(index, numerator)`` pairs of scaled vectors (see
+    :meth:`RatVec.scaled`) brought to one common denominator, and that
+    denominator."""
+    D = math.lcm(*(d for _, _, d in scaled))
+    return [list(zip(support, (v * (D // d) for v in values)))
+            for support, values, d in scaled], D
 
 
 # -- threshold families and largeness --------------------------------------------------
@@ -396,18 +428,29 @@ def f_delta(functionals: Sequence[Functional], xs: SeqSpec, delta: Fraction,
     """The sets in ``1..N`` that one functional pushes past ``delta``.
 
     Every functional must carry a certification; thresholding against
-    arbitrary maps says nothing about the dual ball.
+    arbitrary maps says nothing about the dual ball.  The test is exact on
+    integers: elements and coefficients are scaled once each, and the
+    threshold is compared by cross-multiplying with ``delta``.
     """
     delta = Fraction(delta)
     uncertified = [f.label or "?" for f in functionals if f.certified_for is None]
     if uncertified:
         raise CertificationRefusedError(
             f"uncertified functionals not allowed here: {', '.join(uncertified)}")
-    elements = [xs.element(n) for n in range(1, N + 1)]
+    # f(x) = total / (D_f * D_x), so f(x) >= p/q exactly when
+    # total * q >= p * D_f * D_x, with every term an integer.
+    p, q = delta.numerator, delta.denominator
+    elements = [_integer_map(xs.element(n)) for n in range(1, N + 1)]
     hit_sets = []
     for f in functionals:
-        hits = [n for n in range(1, N + 1)
-                if f.evaluate(elements[n - 1], check=False) >= delta]
+        coefficients, D_f = _integer_map(f.coefficients)
+        hits = []
+        for n, (x, D_x) in enumerate(elements, 1):
+            # Only the common support contributes: walk the smaller map.
+            small, large = sorted((x, coefficients), key=len)
+            total = sum(v * large[i] for i, v in small.items() if i in large)
+            if total * q >= p * D_f * D_x:
+                hits.append(n)
         hit_sets.append(FinSet.of(*hits))
     return DeltaFamily(tuple(hit_sets), delta, N,
                        tuple(f.label for f in functionals))

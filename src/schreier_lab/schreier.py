@@ -25,7 +25,8 @@ and a set belongs when some alternative survives.  Levels that start afresh
 together share a minimum and one piece each, so a run of them is stored as
 one frame and the state of order 3000 is a single frame.  Nothing recurses
 in the interpreter: the alternatives of an injected rule are built and
-stepped from explicit stacks.
+stepped from explicit stacks, and the greedy and exhaustive membership of
+the oracles run their lower orders as nested calls on an explicit stack.
 """
 
 from __future__ import annotations
@@ -404,37 +405,53 @@ def _member(xi: Ordinal, elements: tuple[int, ...], rule: FundamentalRule) -> bo
     """Membership by greedy cuts over slices, sharing no code with the automaton.
 
     Only the exhaustive norm oracles use it, so that they cross-check the
-    searches with an independent membership test.
+    searches with an independent membership test.  The cuts at lower orders
+    are nested calls unwound from an explicit stack, so an order thousands
+    of levels deep needs no interpreter recursion.
     """
-    if not elements:
-        return True
+    return _unwound(_greedy(xi, elements, rule, {}))
+
+
+def _greedy(xi: Ordinal, elements: tuple[int, ...], rule: FundamentalRule,
+            memo: dict) -> Generator:
+    """:func:`_member` with its calls at lower orders as nested calls, and
+    their answers in ``memo`` for the length of one probe."""
+    key = (xi, elements)
+    if key in memo:
+        return memo[key]
     kind, pred = classify(xi)
-    if kind == "zero":
-        return len(elements) <= 1
-    if kind == "successor":
+    if not elements:
+        found = True
+    elif kind == "zero":
+        found = len(elements) <= 1
+    elif kind == "successor":
         # Greedily strip the longest initial segment belonging to the
         # predecessor family.  Heredity makes prefix membership downward
         # closed in length, so the longest good prefix minimizes the piece
         # count and binary search locates it.
         pieces = 0
         rest = elements
-        allowed = elements[0]
-        while rest:
+        found = True
+        while rest and found:
             lo, hi = 1, len(rest)
             while lo < hi:
                 mid = (lo + hi + 1) // 2
-                if _member(pred, rest[:mid], rule):
+                if (yield _greedy(pred, rest[:mid], rule, memo)):
                     lo = mid
                 else:
                     hi = mid - 1
             rest = rest[lo:]
             pieces += 1
-            if pieces > allowed:
-                return False
-        return True
-    # Limit order: member of the n-th approximating family for some n <= min.
-    return any(_member(rule(xi, n), elements, rule)
-               for n in range(1, elements[0] + 1))
+            found = pieces <= elements[0]
+    else:
+        # Limit order: member of the n-th approximating family for some n <= min.
+        found = False
+        for n in range(1, elements[0] + 1):
+            if (yield _greedy(rule(xi, n), elements, rule, memo)):
+                found = True
+                break
+    memo[key] = found
+    return found
 
 
 # -- exhaustive oracle ---------------------------------------------------------
@@ -446,39 +463,50 @@ def is_member_oracle(xi: Ordinal, F: FinSet, *,
     """Membership by exhaustive decomposition search, with no greedy shortcut.
 
     Exponential in ``len(F)``; intended as the ground truth that validates
-    :func:`is_member` on small sets.
+    :func:`is_member` on small sets.  Lower orders are nested calls unwound
+    from an explicit stack, like :func:`_member`, but nothing else is
+    shared with it or with the automaton.
     """
     budget = get_budget(budget)
     if len(F) > budget.oracle_support:
         raise BudgetExceededError("oracle set size", budget.oracle_support, len(F))
 
-    @lru_cache(maxsize=None)
-    def member(o: Ordinal, elements: tuple[int, ...]) -> bool:
-        if not elements:
-            return True
-        kind, pred = classify(o)
-        if kind == "zero":
-            return len(elements) <= 1
-        if kind == "successor":
-            size = len(elements)
-            for n in range(1, min(elements[0], size) + 1):
-                if _any_split(elements, n, pred):
-                    return True
-            return False
-        return any(member(fs(o, n), elements)
-                   for n in range(1, elements[0] + 1))
+    memo: dict[tuple, bool] = {}
 
-    def _any_split(elements: tuple[int, ...], n: int, pred: Ordinal) -> bool:
+    def member(o: Ordinal, elements: tuple[int, ...]) -> Generator:
+        key = (o, elements)
+        if key in memo:
+            return memo[key]
+        kind, pred = classify(o)
+        found = False
+        if not elements:
+            found = True
+        elif kind == "zero":
+            found = len(elements) <= 1
+        elif kind == "successor":
+            for n in range(1, min(elements[0], len(elements)) + 1):
+                if (yield any_split(elements, n, pred)):
+                    found = True
+                    break
+        else:
+            for n in range(1, elements[0] + 1):
+                if (yield member(fs(o, n), elements)):
+                    found = True
+                    break
+        memo[key] = found
+        return found
+
+    def any_split(elements: tuple[int, ...], n: int, pred: Ordinal) -> Generator:
         # All ways to cut `elements` into n non-empty consecutive blocks.
         if n == 1:
-            return member(pred, elements)
-        size = len(elements)
-        for first in range(1, size - n + 2):
-            if member(pred, elements[:first]) and _any_split(elements[first:], n - 1, pred):
+            return (yield member(pred, elements))
+        for first in range(1, len(elements) - n + 2):
+            if ((yield member(pred, elements[:first]))
+                    and (yield any_split(elements[first:], n - 1, pred))):
                 return True
         return False
 
-    return member(xi, F.elements)
+    return _unwound(member(xi, F.elements))
 
 
 # -- enumeration and counting --------------------------------------------------

@@ -7,14 +7,24 @@ Baernstein-style norm summing squared coordinate masses over a strictly
 increasing chain of admissible sets.
 
 Exact values are rationals; the Baernstein norm is reported through its
-exact square together with a floating approximation of the root.  Small
-orders (0 and 1) have closed-form or polynomial evaluations with no search;
-everything else runs a branch-and-bound over admissible prefixes, metered
-by the active budget.  Each search node carries the membership automaton
-state of its prefix (or of its open block, for the chain norm), so testing
-one more support point is a single automaton step.  The order-one scan and
-the searches run on Python integers: the magnitudes scaled by the lcm of
-their denominators, converted back to one ``Fraction`` on return.
+exact square together with a floating approximation of the root.  Every
+kind, the classical ``l1``, ``l2`` and ``sup`` included, is evaluated by one
+private entry, ``_scaled_norm``, on integers: the support, the signed
+numerators and their common denominator ``D``.  :func:`norm` scales its
+vector once and calls it; scans that build many vectors (the sign patterns
+of ``quantities.sm_constant`` and of the star bundle) build them on the
+integers and call it directly.  The star norm splits signs on the integers,
+and the kernels see only magnitudes: order 0 takes the first largest entry,
+order 1 has a polynomial scan, and everything else runs a branch-and-bound
+over admissible prefixes, metered by the active budget.  Each search node
+carries the membership automaton state of its prefix (or of its open block,
+for the chain norm), so testing one more support point is a single
+automaton step.  Kernel totals are integers in units of ``1/D`` (``1/D**2``
+for the chain norm), turned into one ``Fraction`` on return.  A scan may
+pass the entry a memo of kernel results keyed on the magnitude vector; the
+memo lives only for that scan, under one spec and one budget, and no cache
+outlives it.
+
 ``norm_oracle`` is the same quantity computed by exhaustive enumeration over
 ``Fraction``, kept deliberately free of pruning and of the automaton: it
 tests membership with the greedy cuts of ``schreier._member``.
@@ -27,7 +37,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .budget import Budget, BudgetExceededError, WorkMeter, get_budget
-from .ordinal import FundamentalRule, Ordinal, default_fundamental_seq, parse as parse_ordinal
+from .ordinal import (ONE, FundamentalRule, Ordinal, default_fundamental_seq,
+                      parse as parse_ordinal)
 from .schreier import FinSet, _automaton, _member
 from .vectors import RatVec, format_fraction
 
@@ -36,7 +47,6 @@ __all__ = [
     "NormResult",
     "norm",
     "norm_oracle",
-    "l1_certificate",
     "Functional",
     "coordinate_sum_functional",
     "CertificationRefusedError",
@@ -151,32 +161,26 @@ def _sqrt_result(spec: NormSpec, squared: Fraction, witness) -> NormResult:
     return NormResult(spec, value, squared, math.sqrt(p / q), witness)
 
 
-# -- base norm ------------------------------------------------------------------
+# -- kernels on integer magnitudes ------------------------------------------------
+#
+# Each kernel takes the support (ascending) and the magnitudes as positive
+# integers, all over one common denominator, and returns its total in units
+# of that denominator (of its square, for the chain norm) with the witness.
 
 
-def _norm_order_zero(mags: RatVec) -> tuple[Fraction, FinSet]:
-    best = Fraction(0)
+def _norm_order_zero(support: tuple[int, ...],
+                     values: list[int]) -> tuple[int, FinSet]:
+    """The largest magnitude, at its first index."""
+    best = 0
     where: tuple[int, ...] = ()
-    for i, v in mags.items():
+    for i, v in zip(support, values):
         if v > best:
             best, where = v, (i,)
     return best, FinSet(where)
 
 
-def _scaled(mags: RatVec) -> tuple[tuple[int, ...], list[int], int]:
-    """The support, the magnitudes as integers, and their common denominator.
-
-    Entry ``v`` becomes ``v * D`` for ``D`` the lcm of the denominators;
-    scaling by a positive ``D`` keeps every sum and comparison in the same
-    order, so a search on the integers visits the same nodes and finds the
-    same witness.
-    """
-    D = math.lcm(*(v.denominator for _, v in mags.items()))
-    return (mags.support(),
-            [v.numerator * (D // v.denominator) for _, v in mags.items()], D)
-
-
-def _norm_order_one(mags: RatVec) -> tuple[Fraction, FinSet]:
+def _norm_order_one(support: tuple[int, ...],
+                    values: list[int]) -> tuple[int, FinSet]:
     """Exact maximum of coordinate sums over sets with size at most their minimum.
 
     For the optimal set with least element m, the top values at indices >= m
@@ -184,9 +188,8 @@ def _norm_order_one(mags: RatVec) -> tuple[Fraction, FinSet]:
     index as the cutoff is exhaustive.  Runs of equal values keep each scan
     linear in the number of distinct values.
     """
-    support, values, D = _scaled(mags)
     if not support:
-        return Fraction(0), FinSet(())
+        return 0, FinSet(())
     # Runs of equal value over consecutive support positions.
     runs: list[tuple[int, int, int]] = []   # (start_pos, end_pos, value)
     start = 0
@@ -217,25 +220,24 @@ def _norm_order_one(mags: RatVec) -> tuple[Fraction, FinSet]:
             best = total
             best_cut = (cut_pos, taken)
     if best_cut is None:
-        return Fraction(0), FinSet(())
+        return 0, FinSet(())
     cut_pos, taken = best_cut
     chosen: list[int] = []
     for r, take in taken:
         lo, hi, _ = runs[r]
         lo = max(lo, cut_pos)
         chosen.extend(support[lo:lo + take])
-    return Fraction(best, D), FinSet.of(*chosen)
+    return best, FinSet.of(*chosen)
 
 
-def _norm_search(mags: RatVec, xi: Ordinal, fs: FundamentalRule,
-                 budget: Budget) -> tuple[Fraction, FinSet]:
+def _norm_search(support: tuple[int, ...], values: list[int], xi: Ordinal,
+                 fs: FundamentalRule, budget: Budget) -> tuple[int, FinSet]:
     """Branch and bound over admissible subsets of the support.
 
     Depth-first in lexicographic order, so the first maximizer found is the
     lexicographically least one; a branch is cut when even taking all of the
     remaining suffix cannot beat the incumbent.
     """
-    support, values, D = _scaled(mags)
     if len(support) > budget.norm_support:
         raise BudgetExceededError("norm search support", budget.norm_support,
                                   needed=len(support))
@@ -264,28 +266,19 @@ def _norm_search(mags: RatVec, xi: Ordinal, fs: FundamentalRule,
             dfs(extended, after, value, nxt + 1)
 
     dfs((), (), 0, 0)
-    return Fraction(best, D), FinSet(best_set)
-
-
-def _base_norm(mags: RatVec, xi: Ordinal, fs: FundamentalRule,
-               budget: Budget) -> tuple[Fraction, FinSet]:
-    if xi.is_zero:
-        return _norm_order_zero(mags)
-    if xi == Ordinal.from_int(1):
-        return _norm_order_one(mags)
-    return _norm_search(mags, xi, fs, budget)
+    return best, FinSet(best_set)
 
 
 # -- Baernstein-style chain norm ---------------------------------------------------
 
 
-def _chain_squared_search(mags: RatVec, xi: Ordinal, fs: FundamentalRule,
-                          budget: Budget) -> tuple[Fraction, tuple[FinSet, ...]]:
-    support, values, D = _scaled(mags)
+def _chain_squared_search(support: tuple[int, ...], values: list[int],
+                          xi: Ordinal, fs: FundamentalRule, budget: Budget
+                          ) -> tuple[int, tuple[FinSet, ...]]:
+    """The largest sum of squared block masses over chains of admissible blocks."""
     if xi.is_zero:
         # Singleton blocks at every support point; any subfamily only loses mass.
-        return (Fraction(sum(v * v for v in values), D * D),
-                tuple(FinSet.of(i) for i in support))
+        return sum(v * v for v in values), tuple(FinSet.of(i) for i in support)
     if len(support) > budget.baernstein_support:
         raise BudgetExceededError("chain norm support", budget.baernstein_support,
                                   needed=len(support))
@@ -329,20 +322,64 @@ def _chain_squared_search(mags: RatVec, xi: Ordinal, fs: FundamentalRule,
                      block_sum + values[nxt], nxt + 1)
 
     between((), 0, 0)
-    return Fraction(best, D * D), tuple(FinSet(b) for b in best_chain)
+    return best, tuple(FinSet(b) for b in best_chain)
 
 
-# -- dispatch -------------------------------------------------------------------
+# -- the scaled entry -------------------------------------------------------------
 
 
-def _classical_norm(spec: NormSpec, x: RatVec) -> NormResult:
-    support = FinSet(x.support())
-    if spec.kind == "l1":
-        return _exact_result(spec, x.l1(), support)
-    if spec.kind == "l2":
-        return _sqrt_result(spec, x.l2_squared(), support)
-    value, where = _norm_order_zero(x.abs())
-    return _exact_result(spec, value, where)
+def _magnitude_norm(spec: NormSpec, support: tuple[int, ...], mags: list[int],
+                    budget: Budget, memo: dict | None):
+    """The kernel of ``spec`` on one magnitude vector, through the memo."""
+    if memo is not None:
+        key = (support, tuple(mags))
+        found = memo.get(key)
+        if found is None:
+            found = memo[key] = _magnitude_norm(spec, support, mags, budget, None)
+        return found
+    xi = spec.xi
+    if spec.kind == "baernstein":
+        return _chain_squared_search(support, mags, xi, spec.fs, budget)
+    if xi is None or xi.is_zero:   # sup, or order 0
+        return _norm_order_zero(support, mags)
+    if xi == ONE:
+        return _norm_order_one(support, mags)
+    return _norm_search(support, mags, xi, spec.fs, budget)
+
+
+def _scaled_norm(spec: NormSpec, support: tuple[int, ...], values: list[int],
+                 D: int, budget: Budget, memo: dict | None = None) -> NormResult:
+    """The norm of the vector with entry ``values[k] / D`` at ``support[k]``.
+
+    ``support`` ascends, ``values`` are non-zero integers and ``D`` is
+    positive.  ``memo``, when given, maps magnitude vectors to kernel
+    results; a caller keeps one per scan under one spec and budget, and the
+    totals it holds are integers, so vectors over different denominators
+    share it.
+    """
+    kind = spec.kind
+    if kind == "l1":
+        return _exact_result(spec, Fraction(sum(map(abs, values)), D),
+                             FinSet(support))
+    if kind == "l2":
+        return _sqrt_result(spec, Fraction(sum(v * v for v in values), D * D),
+                            FinSet(support))
+    if kind == "schreier_star":
+        # The two signed parts, split on the integers.
+        pos = [k for k, v in enumerate(values) if v > 0]
+        neg = [k for k, v in enumerate(values) if v < 0]
+        best_pos, F_pos = _magnitude_norm(spec, tuple(support[k] for k in pos),
+                                          [values[k] for k in pos], budget, memo)
+        best_neg, F_neg = _magnitude_norm(spec, tuple(support[k] for k in neg),
+                                          [-values[k] for k in neg], budget, memo)
+        if best_neg > best_pos:
+            return _exact_result(spec, Fraction(best_neg, D), ("-", F_neg))
+        return _exact_result(spec, Fraction(best_pos, D), ("+", F_pos))
+    best, witness = _magnitude_norm(spec, support, [abs(v) for v in values],
+                                    budget, memo)
+    if kind == "baernstein":
+        return _sqrt_result(spec, Fraction(best, D * D), witness)
+    return _exact_result(spec, Fraction(best, D), witness)
 
 
 def norm(spec: NormSpec, x: RatVec, *, budget: Budget | None = None) -> NormResult:
@@ -354,25 +391,8 @@ def norm(spec: NormSpec, x: RatVec, *, budget: Budget | None = None) -> NormResu
     >>> norm(NormSpec.schreier(Ordinal.from_int(1)), x).value
     Fraction(2, 1)
     """
-    budget = get_budget(budget)
-    if spec.kind in _CLASSICAL_KINDS:
-        return _classical_norm(spec, x)
-    if spec.kind == "schreier":
-        value, F = _base_norm(x.abs(), spec.xi, spec.fs, budget)
-        return _exact_result(spec, value, F)
-    if spec.kind == "schreier_star":
-        value_pos, F_pos = _base_norm(x.positive_part(), spec.xi, spec.fs, budget)
-        value_neg, F_neg = _base_norm(x.negative_part(), spec.xi, spec.fs, budget)
-        if value_neg > value_pos:
-            return _exact_result(spec, value_neg, ("-", F_neg))
-        return _exact_result(spec, value_pos, ("+", F_pos))
-    squared, chain = _chain_squared_search(x.abs(), spec.xi, spec.fs, budget)
-    return _sqrt_result(spec, squared, chain)
-
-
-def l1_certificate(x: RatVec) -> Fraction:
-    """An upper bound for every norm here: blocks only see part of the mass."""
-    return x.l1()
+    support, values, D = x.scaled()
+    return _scaled_norm(spec, support, values, D, get_budget(budget))
 
 
 # -- exhaustive oracle ----------------------------------------------------------
@@ -426,7 +446,7 @@ def norm_oracle(spec: NormSpec, x: RatVec, *,
     """
     budget = get_budget(budget)
     if spec.kind in _CLASSICAL_KINDS:
-        return _classical_norm(spec, x)
+        return norm(spec, x, budget=budget)
     if len(x.support()) > budget.oracle_support:
         raise BudgetExceededError("oracle norm support", budget.oracle_support,
                                   needed=len(x.support()))

@@ -9,6 +9,7 @@ loss-free.
 from __future__ import annotations
 
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -116,6 +117,20 @@ class RatVec:
     @property
     def is_zero(self) -> bool:
         return not self._entries
+
+    def scaled(self) -> tuple[tuple[int, ...], list[int], int]:
+        """The support, the entries times ``D`` as integers, and ``D``.
+
+        ``D`` is the lcm of the denominators (1 for the zero vector), so
+        exact scans can run on the integers and divide by ``D`` once.
+
+        >>> RatVec({2: Fraction(1, 2), 5: Fraction(-2, 3)}).scaled()
+        ((2, 5), [3, -4], 6)
+        """
+        D = math.lcm(*(v.denominator for v in self._entries.values()))
+        return (tuple(self._entries),
+                [v.numerator * (D // v.denominator) for v in self._entries.values()],
+                D)
 
     def min_support(self) -> int:
         if not self._entries:

@@ -128,6 +128,14 @@ def test_schreier_member_at_a_deep_order(capsys):
     assert time.perf_counter() - started < 1
 
 
+def test_schreier_oracle_at_a_deep_order(capsys):
+    started = time.perf_counter()
+    code, payload = run_json(capsys, "schreier", "oracle", "--xi", "3000",
+                             "--set", "1,2")
+    assert code == 0 and payload["member"] is False
+    assert time.perf_counter() - started < 1
+
+
 def test_schreier_threshold(capsys):
     code, payload = run_json(capsys, "schreier", "threshold", "--zeta", "2",
                              "--xi", "1", "--max-value", "8")
@@ -382,6 +390,98 @@ def test_quantity_sm_verbatim_shape(capsys):
     assert payload["value"] == "1"
     assert payload["direction"] == "upper_bound"
     assert payload["witness"] == "1;1"
+
+
+# -- README commands, byte for byte ---------------------------------------------------
+#
+# The JSON forms carry no wall time, so their bytes are fixed; these were
+# recorded while the sign-pattern scans still ran on Fraction vectors.
+
+README_SM_JSON = '''{
+  "approx": 1.0,
+  "direction": "upper_bound",
+  "horizon": "14",
+  "kind": "sm",
+  "sequence": "basis",
+  "space": "schreier:2",
+  "value": "1",
+  "witness": "1;1",
+  "xi": "2"
+}
+'''
+
+README_STAR_JSON = '''{
+  "checks": [
+    {
+      "detail": "norm 1",
+      "name": "alternating-pair-has-norm-one",
+      "ok": true
+    },
+    {
+      "detail": "1204 sign patterns, 0 below half mass",
+      "name": "half-lower-bound-holds",
+      "ok": true
+    },
+    {
+      "detail": "min ratio 1/2 at 2,3;1,-1",
+      "name": "spreading-constant-is-half",
+      "ok": true
+    },
+    {
+      "detail": "377 admissible sets at level 11/12",
+      "name": "basis-large-below-one",
+      "ok": true
+    },
+    {
+      "detail": "max distance 11/12 (66 exact, 0 certified)",
+      "name": "mean-distances-capped-at-one",
+      "ok": true
+    }
+  ],
+  "command": "verify example-star --xi 0 --N 12",
+  "config": {
+    "N": 12,
+    "c": "11/12",
+    "coeff_budget": 3,
+    "seed": 0,
+    "space": "star:1",
+    "xi": "0"
+  },
+  "ok": true,
+  "results": {
+    "large": {
+      "certificate": null,
+      "checked": 377,
+      "horizon": 12,
+      "ok": true,
+      "order": "1",
+      "stream": "all"
+    },
+    "mean_distance_routes": {
+      "exact": 66,
+      "l1-certificate": 0
+    },
+    "sm": {
+      "approx": 0.5,
+      "direction": "upper_bound",
+      "horizon": "12",
+      "value": "1/2",
+      "witness": "2,3;1,-1"
+    }
+  },
+  "schema_version": 1
+}
+'''
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("quantity", "sm", "--xi", "2", "--space", "schreier", "--N", "14"),
+     README_SM_JSON),
+    (("verify", "example-star", "--xi", "0", "--N", "12"), README_STAR_JSON),
+], ids=["quantity-sm", "verify-example-star"])
+def test_readme_commands_are_byte_stable(capsys, argv, expected):
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, out, err) == (0, expected, "")
 
 
 def test_quantity_fdelta(capsys):

@@ -5,6 +5,7 @@ admissible set is a final segment of the support no longer than its least
 element.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -19,9 +20,9 @@ from schreier_lab.quantities import (
 from schreier_lab.schreier import FinSet, enumerate_family
 from schreier_lab.spaces import (
     CertificationRefusedError, Functional, NormSpec,
-    coordinate_sum_functional)
+    coordinate_sum_functional, norm)
 from schreier_lab.streams import IndexStream
-from schreier_lab.vectors import RatVec
+from schreier_lab.vectors import RatVec, format_fraction
 
 S1 = NormSpec.schreier(parse("1"))
 STAR1 = NormSpec.star(parse("1"))
@@ -184,6 +185,64 @@ def test_sm_constant_respects_the_coefficient_budget():
     assert est.value == 1
 
 
+# The scan runs on integers; the reference below is the plain Fraction loop,
+# one RatVec.combination and one norm per sign pattern.
+
+
+def sm_reference(xi, xs, N, coeff_budget):
+    best, best_witness = None, None
+    for F in enumerate_family(xi, N):
+        if not F:
+            continue
+        elements = [xs.element(n) for n in F]
+        if len(F) <= coeff_budget:
+            patterns = itertools.product((Fraction(1), Fraction(-1)), repeat=len(F))
+        else:
+            patterns = [tuple(Fraction(1) for _ in F)]
+        for signs in patterns:
+            result = norm(xs.ambient, RatVec.combination(zip(signs, elements)))
+            value = result.value if result.value is not None else result.approx
+            ratio = value / len(F)
+            if best is None or ratio < best:
+                best, best_witness = ratio, (F, signs)
+    F, signs = best_witness
+    return best, f"{F};{','.join(format_fraction(s) for s in signs)}"
+
+
+def overlapping_vectors():
+    # Close to one another along coordinate 1, so mixed signs cancel most of
+    # the mass, yet keep the support of the uniform pattern: only the
+    # magnitudes change from pattern to pattern.
+    return [RatVec({1: Fraction(6 + n, 7), n + 1: Fraction((-1) ** n, 5),
+                    n + 3: Fraction(n, 9)})
+            for n in range(1, 7)]
+
+
+SEQUENCES = {
+    "basis": lambda ambient: CanonicalBasis(ambient),
+    "weighted": lambda ambient: WeightedBasis(
+        ambient, [Fraction(1, 2), Fraction(3), Fraction(-2, 5), Fraction(7, 6)],
+        tail=Fraction(-1, 3)),
+    "explicit": lambda ambient: ExplicitSequence(ambient, overlapping_vectors()),
+    "subsequence": lambda ambient: Subsequence(
+        WeightedBasis(ambient, [Fraction(2, 3)] * 3, tail=Fraction(5, 2)),
+        IndexStream.evens()),
+}
+
+
+@pytest.mark.parametrize("space", ["l1", "l2", "sup", "schreier:1", "star:2",
+                                   "baernstein:1"])
+@pytest.mark.parametrize("sequence", sorted(SEQUENCES))
+def test_sm_constant_matches_the_fraction_scan(space, sequence):
+    xs = SEQUENCES[sequence](NormSpec.parse(space))
+    for coeff_budget in range(5):
+        est = sm_constant(parse("1"), xs, 6, coeff_budget)
+        value, witness = sm_reference(parse("1"), xs, 6, coeff_budget)
+        assert (est.value, est.witness) == (value, witness), coeff_budget
+        assert type(est.value) is type(value)
+        assert est.direction == "upper_bound"
+
+
 # -- threshold families --------------------------------------------------------------
 
 
@@ -216,6 +275,31 @@ def test_f_delta_refuses_uncertified_functionals():
     bare = Functional(RatVec({2: Fraction(1)}), None, label="raw")
     with pytest.raises(CertificationRefusedError):
         f_delta([bare], CanonicalBasis(S1), Fraction(1), 4)
+
+
+@pytest.mark.parametrize("delta", [Fraction(-3, 7), Fraction(0), Fraction(2, 9), HALF,
+                                   Fraction(1), Fraction(5, 4)])
+@pytest.mark.parametrize("sequence", ["weighted", "explicit", "subsequence"])
+def test_f_delta_matches_functional_evaluation(delta, sequence):
+    xs = SEQUENCES[sequence](S1)
+    functionals = [
+        Functional(RatVec({1: Fraction(-1, 2), 2: Fraction(3, 4)}), S1, "a"),
+        Functional(RatVec({1: Fraction(3, 2), 5: -1}), S1, "d"),
+        Functional(RatVec({3: Fraction(2, 3), 4: -1, 6: Fraction(1, 5)}), S1, "b"),
+        Functional(RatVec({n: Fraction((-1) ** n, n) for n in range(2, 12)}),
+                   S1, "c"),
+        coordinate_sum_functional(FinSet.of(4, 5, 6), S1),
+        Functional(RatVec(), S1, "zero"),
+    ]
+    family = f_delta(functionals, xs, delta, 6)
+    expected = tuple(
+        FinSet.of(*(n for n in range(1, 7)
+                    if f.evaluate(xs.element(n), check=False) >= delta))
+        for f in functionals)
+    assert family.hit_sets == expected
+    # Some element clears every threshold and some element misses it.
+    assert any(family.hit_sets)
+    assert not all(len(h) == 6 for h in family.hit_sets)
 
 
 # -- largeness checks ----------------------------------------------------------------

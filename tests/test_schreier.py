@@ -17,7 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 from schreier_lab.ordinal import Ordinal, classify, default_fundamental_seq, parse
 from schreier_lab.budget import Budget, BudgetExceededError
-from schreier_lab.schreier import (FinSet, _Region, _automaton, count_family,
+from schreier_lab.schreier import (FinSet, _Region, _automaton, _member,
+                                   count_family,
                                    enumerate_family, is_member,
                                    is_member_image, is_member_oracle,
                                    threshold, trace_member)
@@ -357,6 +358,16 @@ def test_deep_orders_need_no_interpreter_recursion():
     # lowest levels are ever built.
     assert is_member(parse("w^4"), FinSet(range(300, 320)))
     assert count_family(parse("3000"), 6) == count_family(parse("6"), 6)
+    assert time.perf_counter() - started < 1
+
+
+def test_deep_orders_need_no_recursion_in_the_oracles():
+    # The greedy and the exhaustive oracle descend the same 3000 levels.
+    started = time.perf_counter()
+    assert is_member_oracle(parse("3000"), FinSet.of(5, 6, 7))
+    assert not is_member_oracle(parse("3000"), FinSet.of(1, 2))
+    assert _member(parse("3000"), (5, 6, 7), default_fundamental_seq)
+    assert not _member(parse("3001"), (1, 2), default_fundamental_seq)
     assert time.perf_counter() - started < 1
 
 

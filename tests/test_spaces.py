@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from schreier_lab.ordinal import Ordinal, parse
 from schreier_lab.schreier import FinSet, is_member, is_member_oracle
 from schreier_lab.spaces import (
     CertificationRefusedError, CertificationViolationError, Functional,
-    NormSpec, coordinate_sum_functional, l1_certificate, norm, norm_oracle)
+    NormSpec, _scaled_norm, coordinate_sum_functional, norm, norm_oracle)
 from schreier_lab.vectors import RatVec
 
 ONE = parse("1")
@@ -54,7 +55,6 @@ def test_classical_norms():
     irrational = norm(NormSpec.l2(), units(1, 2))
     assert irrational.value is None
     assert irrational.value_squared == 2
-    assert l1_certificate(x) == 7
 
 
 def test_order_zero_equals_sup():
@@ -149,6 +149,13 @@ def test_norm_matches_oracle(kind, xi_text):
     for _ in range(40):
         x = random_vector(rng, rng.randint(0, 6), signed=True)
         assert norm(spec, x).value == norm_oracle(spec, x).value, x
+
+
+def test_norm_oracle_at_a_deep_order():
+    started = time.perf_counter()
+    result = norm_oracle(NormSpec.schreier(parse("3000")), units(1, 2))
+    assert result.value == 1
+    assert time.perf_counter() - started < 1
 
 
 @pytest.mark.parametrize("xi_text", ["1", "2", "w"])
@@ -262,6 +269,65 @@ def test_search_refusal_keeps_its_limit_and_count():
     with pytest.raises(BudgetExceededError) as info:
         norm(NormSpec.schreier(TWO), units(*range(1, 25)), budget=Budget(work=3000))
     assert str(info.value).endswith("limit 3000 (needs >= 3001)")
+
+
+# -- the scaled entry ----------------------------------------------------------------
+
+ALL_KINDS = ("l1", "l2", "sup", "schreier:0", "schreier:1", "schreier:2",
+             "schreier:w", "star:0", "star:1", "star:2", "baernstein:0",
+             "baernstein:1", "baernstein:2")
+
+
+@pytest.mark.parametrize("spec_text", ["schreier:0", "star:0"])
+def test_order_zero_witness_is_the_first_largest_index(spec_text):
+    spec = NormSpec.parse(spec_text)
+    result = norm(spec, RatVec({2: Fraction(1, 2), 4: 3, 6: Fraction(9, 3),
+                                8: Fraction(-3)}))
+    assert result.value == 3
+    # The star's positive part reaches 3 first at 4 and ties with the
+    # negative part, so "+" keeps it.
+    expected = FinSet.of(4)
+    assert result.witness == (expected if spec.kind == "schreier"
+                              else ("+", expected))
+    negative = norm(spec, RatVec({1: 1, 3: -5, 5: -5}))
+    assert negative.value == 5
+    assert negative.witness == (FinSet.of(3) if spec.kind == "schreier"
+                                else ("-", FinSet.of(3)))
+
+
+@pytest.mark.parametrize("spec_text", ALL_KINDS)
+def test_zero_vector_at_every_kind(spec_text):
+    spec = NormSpec.parse(spec_text)
+    result = norm(spec, RatVec())
+    assert result.value == 0 and result.value_squared == 0
+    assert result.approx == 0.0
+    empty = {"schreier_star": ("+", FinSet()), "baernstein": ()}
+    assert result.witness == empty.get(spec.kind, FinSet())
+
+
+@pytest.mark.parametrize("xi_text", ["1", "2", "w"])
+def test_star_tie_goes_to_the_positive_part(xi_text):
+    spec = NormSpec.star(parse(xi_text))
+    x = RatVec({2: Fraction(1, 3), 3: Fraction(-1, 3), 5: Fraction(2, 3),
+                6: Fraction(-2, 3)})
+    result = norm(spec, x)
+    assert result.witness[0] == "+"
+    assert result.value == norm(NormSpec.schreier(spec.xi), x.positive_part()).value
+    assert result.value == norm(NormSpec.schreier(spec.xi), x.negative_part()).value
+
+
+@pytest.mark.parametrize("spec_text", ALL_KINDS)
+@settings(max_examples=25, deadline=None)
+@given(x=tied_vectors(max_size=6), factor=st.integers(1, 10 ** 12))
+def test_scaled_entry_ignores_a_common_factor(spec_text, x, factor):
+    spec = NormSpec.parse(spec_text)
+    support, values, D = x.scaled()
+    expected = norm(spec, x)
+    scaled = _scaled_norm(spec, support, [v * factor for v in values],
+                          D * factor, Budget())
+    assert scaled.value == expected.value
+    assert scaled.value_squared == expected.value_squared
+    assert scaled.witness == expected.witness
 
 
 # -- structural properties -------------------------------------------------------------
