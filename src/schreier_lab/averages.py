@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Generator, Sequence
 
-from .budget import Budget, BudgetExceededError, get_budget
+from .budget import Budget, BudgetExceededError, WorkMeter, get_budget
 from .ordinal import FundamentalRule, Ordinal, classify, default_fundamental_seq
 from .schreier import FinSet, _unwound
 from .streams import IndexStream
@@ -464,13 +464,16 @@ def _solve_exact(columns: Sequence[RatVec], target: RatVec):
     return solution
 
 
-def check_nibcc(z: Sequence[RatVec], y: Sequence[RatVec]) -> NibccWitness | None:
+def check_nibcc(z: Sequence[RatVec], y: Sequence[RatVec], *,
+                budget: Budget | None = None) -> NibccWitness | None:
     """Search for a non-increasing block convex combination witness.
 
     When the ``y`` supports are pairwise disjoint the weights are forced by
     coordinate matching; otherwise each candidate block is solved exactly,
     and an underdetermined block raises
-    :class:`AmbiguousReconstructionError` rather than guessing.
+    :class:`AmbiguousReconstructionError` rather than guessing.  The
+    overlapping search backtracks from an explicit stack, one level per
+    ``z`` vector, and each block solve is one unit of ``budget.work``.
     """
     z = list(z)
     y = list(y)
@@ -502,30 +505,32 @@ def check_nibcc(z: Sequence[RatVec], y: Sequence[RatVec]) -> NibccWitness | None
             return None
         return witness
 
-    def search(n: int, start: int, weights: list[Fraction]):
-        if n == len(z):
-            return weights, ()
-        for end in range(start + 1, len(y) + 1):
-            solved = _solve_exact(y[start:end], z[n])
+    meter = WorkMeter("nibcc block solves", get_budget(budget).work)
+    # The blocks placed so far, one (end, weights) per z vector, searched
+    # depth first with the shortest block tried first.
+    chosen: list[tuple[int, list[Fraction]]] = []
+    next_end = 1
+    while len(chosen) < len(z):
+        start = chosen[-1][0] if chosen else 0
+        for end in range(next_end, len(y) + 1):
+            meter.spend()
+            solved = _solve_exact(y[start:end], z[len(chosen)])
             if solved == "ambiguous":
                 raise AmbiguousReconstructionError(
                     "combination weights are underdetermined; the given "
                     "vectors are not support-separated")
-            if solved is None:
-                continue
-            if any(a <= 0 for a in solved) or sum(solved) != 1:
-                continue
-            found = search(n + 1, end, weights + solved)
-            if found is not None:
-                return found[0], (end,) + found[1]
-        return None
-
-    found = search(0, 0, [])
-    if found is None:
-        return None
-    weights, cuts = found
+            if (solved is not None and all(a > 0 for a in solved)
+                    and sum(solved) == 1):
+                chosen.append((end, solved))
+                next_end = end + 1
+                break
+        else:
+            if not chosen:
+                return None
+            next_end = chosen.pop()[0] + 1
     try:
-        return NibccWitness((0,) + cuts, tuple(weights))
+        return NibccWitness((0,) + tuple(end for end, _ in chosen),
+                            tuple(w for _, block in chosen for w in block))
     except ValueError:
         return None
 

@@ -243,10 +243,6 @@ def parse(text: str) -> Ordinal:
         raise OrdinalParseError(str(exc)) from exc
 
 
-def format_ordinal(x: Ordinal) -> str:
-    return str(x)
-
-
 # -- fundamental sequences -------------------------------------------------
 
 FundamentalRule = Callable[[Ordinal, int], Ordinal]

@@ -16,14 +16,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .averages import repeated_avg
 from .budget import Budget, get_budget
 from .ordinal import FundamentalRule, Ordinal, default_fundamental_seq
 from .schreier import FinSet, _refuse_past_budget, enumerate_family
 from .spaces import (CertificationRefusedError, Functional, NormResult, NormSpec,
-                     _scaled_norm, norm)
+                     _magnitude_norm, _scaled_norm, norm)
 from .streams import IndexStream
 from .vectors import RatVec, format_fraction
 
@@ -323,15 +323,28 @@ def sm_constant(xi: Ordinal, xs: SeqSpec, N: int, coeff_budget: int = 4, *,
     coefficients can only overshoot, hence the upper-bound tag.
 
     The scan is exact on integers: the elements on ``F`` are scaled once to
-    one common denominator, each pattern is an integer sum of those rows,
-    and one memo of kernel results serves all the patterns on ``F``.
+    one common denominator ``D``, each pattern is an integer sum of those
+    rows, and one memo of kernel results serves all the patterns on ``F``.
+    Where the norm is rational the ratios are compared as integers too: a
+    pattern with kernel total ``t`` beats the best ``t_b`` so far exactly
+    when ``t * D_b * |F_b| < t_b * D * |F|``, and only the winner becomes a
+    ``Fraction``.  Ties keep the first pattern met.
     """
     budget = get_budget(budget)
     _refuse_past_budget(xi, N, fs=fs, budget=budget)
+    return _sm_scan(xs, N, coeff_budget,
+                    enumerate_family(xi, N, fs=fs, budget=budget), budget)
+
+
+def _sm_scan(xs: SeqSpec, N: int, coeff_budget: int, members: Iterable[FinSet],
+             budget: Budget) -> HorizonEstimate:
+    """The scan of :func:`sm_constant` over the given family members."""
+    ambient = xs.ambient
+    rational = ambient.kind not in ("l2", "baernstein")
     scaled: dict[int, tuple] = {}   # n -> the n-th element, scaled
-    best = None
+    best = None        # (total, D * |F|) when rational, else the ratio
     best_witness = None
-    for F in enumerate_family(xi, N, fs=fs, budget=budget):
+    for F in members:
         if not F:
             continue
         for n in F:
@@ -342,6 +355,7 @@ def sm_constant(xi: Ordinal, xs: SeqSpec, N: int, coeff_budget: int = 4, *,
             patterns = product((1, -1), repeat=len(F))
         else:
             patterns = [(1,) * len(F)]
+        scale = D * len(F)
         memo: dict = {}
         for signs in patterns:
             combined: dict[int, int] = {}
@@ -349,23 +363,47 @@ def sm_constant(xi: Ordinal, xs: SeqSpec, N: int, coeff_budget: int = 4, *,
                 for i, v in row:
                     combined[i] = combined.get(i, 0) + sign * v
             support = tuple(sorted(i for i, v in combined.items() if v))
-            ratio = _value(_scaled_norm(xs.ambient, support,
-                                        [combined[i] for i in support], D,
+            values = [combined[i] for i in support]
+            if rational:
+                total = _norm_total(ambient, support, values, budget, memo)
+                if best is None or total * best[1] < best[0] * scale:
+                    best = (total, scale)
+                    best_witness = (F, signs)
+                continue
+            ratio = _value(_scaled_norm(ambient, support, values, D,
                                         budget, memo)) / len(F)
             if best is None or ratio < best:
                 best = ratio
                 best_witness = (F, signs)
     if best is None:
         raise ValueError("no nonempty admissible sets in the horizon")
+    if rational:
+        best = Fraction(*best)
     F, signs = best_witness
     witness = f"{F};{','.join(format_fraction(s) for s in signs)}"
     return HorizonEstimate(best, "upper_bound", N, witness)
 
 
-def _integer_map(x: RatVec) -> tuple[dict[int, int], int]:
-    """``x`` as a map of index to numerator, and the common denominator."""
-    support, values, D = x.scaled()
-    return dict(zip(support, values)), D
+def _norm_total(spec: NormSpec, support: tuple[int, ...], values: list[int],
+                budget: Budget, memo: dict) -> int:
+    """``D`` times the norm of the vector ``values / D`` on ``support``, for
+    the kinds whose norm is rational (all but ``l2`` and ``baernstein``).
+
+    The same integer :func:`spaces._scaled_norm` turns into its value, from
+    the same kernels and memo keys, without building a result.
+    """
+    if spec.kind == "l1":
+        return sum(map(abs, values))
+    if spec.kind != "schreier_star":
+        return _magnitude_norm(spec, support, [abs(v) for v in values],
+                               budget, memo)[0]
+    # The larger of the two signed parts, split on the integers.
+    return max(
+        _magnitude_norm(spec, tuple(i for i, v in zip(support, values)
+                                    if sign * v > 0),
+                        [sign * v for v in values if sign * v > 0],
+                        budget, memo)[0]
+        for sign in (1, -1))
 
 
 def _common_rows(scaled: Sequence[tuple]) -> tuple[list[list[tuple[int, int]]], int]:
@@ -430,7 +468,10 @@ def f_delta(functionals: Sequence[Functional], xs: SeqSpec, delta: Fraction,
     Every functional must carry a certification; thresholding against
     arbitrary maps says nothing about the dual ball.  The test is exact on
     integers: elements and coefficients are scaled once each, and the
-    threshold is compared by cross-multiplying with ``delta``.
+    threshold is compared by cross-multiplying with ``delta``.  The elements
+    are indexed by coordinate, so a functional adds up totals over its own
+    coefficients only; an element it never meets has total 0, which clears
+    the threshold exactly when ``delta <= 0``.
     """
     delta = Fraction(delta)
     uncertified = [f.label or "?" for f in functionals if f.certified_for is None]
@@ -440,18 +481,24 @@ def f_delta(functionals: Sequence[Functional], xs: SeqSpec, delta: Fraction,
     # f(x) = total / (D_f * D_x), so f(x) >= p/q exactly when
     # total * q >= p * D_f * D_x, with every term an integer.
     p, q = delta.numerator, delta.denominator
-    elements = [_integer_map(xs.element(n)) for n in range(1, N + 1)]
+    users: dict[int, list[tuple[int, int]]] = {}   # i -> (n, numerator) pairs
+    denominators = [0]                             # D_x of the n-th element
+    for n in range(1, N + 1):
+        support, values, D_x = xs.element(n).scaled()
+        denominators.append(D_x)
+        for i, v in zip(support, values):
+            users.setdefault(i, []).append((n, v))
     hit_sets = []
     for f in functionals:
-        coefficients, D_f = _integer_map(f.coefficients)
-        hits = []
-        for n, (x, D_x) in enumerate(elements, 1):
-            # Only the common support contributes: walk the smaller map.
-            small, large = sorted((x, coefficients), key=len)
-            total = sum(v * large[i] for i, v in small.items() if i in large)
-            if total * q >= p * D_f * D_x:
-                hits.append(n)
-        hit_sets.append(FinSet.of(*hits))
+        support, coefficients, D_f = f.coefficients.scaled()
+        totals = dict.fromkeys(range(1, N + 1), 0) if p <= 0 else {}
+        for i, c in zip(support, coefficients):
+            for n, v in users.get(i, ()):
+                totals[n] = totals.get(n, 0) + c * v
+        bound = p * D_f
+        hit_sets.append(FinSet(sorted(
+            n for n, total in totals.items()
+            if total * q >= bound * denominators[n])))
     return DeltaFamily(tuple(hit_sets), delta, N,
                        tuple(f.label for f in functionals))
 
@@ -490,9 +537,21 @@ def large_check(xi: Ordinal, c: Fraction, xs: SeqSpec, M: IndexStream,
     default, right for basis-like sequences); every set carried by ``M``
     with admissible positions must then lie in the level-``c`` threshold
     family.  The first failing set in lexicographic order is the
-    certificate.  The verdict is certified on this window only.
+    certificate.  The verdict is certified on this window only.  The walk
+    over the positions is metered as it goes, so a failure met early is
+    reported even when the whole family is past the budget.
     """
-    budget = get_budget(budget)
+    return _large_scan(xi, c, xs, M, functionals, N, weak_limit, None,
+                       fs=fs, budget=get_budget(budget))
+
+
+def _large_scan(xi: Ordinal, c: Fraction, xs: SeqSpec, M: IndexStream,
+                functionals: Sequence[Functional], N: int,
+                weak_limit: RatVec | None, members: Iterable[FinSet] | None, *,
+                fs: FundamentalRule, budget: Budget) -> LargeCheckResult:
+    """The scan of :func:`large_check`; ``members`` is the order-``xi``
+    family over the positions ``M`` carries below ``N``, walked here when
+    None."""
     weak_limit = RatVec() if weak_limit is None else weak_limit
     shifted = ExplicitSequence(xs.ambient,
                                [xs.element(n) - weak_limit
@@ -506,9 +565,13 @@ def large_check(xi: Ordinal, c: Fraction, xs: SeqSpec, M: IndexStream,
             break
         values.append(value)
         position += 1
+    if members is None:
+        members = enumerate_family(xi, len(values), fs=fs, budget=budget)
+    # Along the identity the positions are the values themselves.
+    identity = all(v == k for k, v in enumerate(values, 1))
     checked = 0
-    for G in enumerate_family(xi, len(values), fs=fs, budget=budget):
-        F = FinSet.of(*(values[g - 1] for g in G))
+    for G in members:
+        F = G if identity else FinSet.of(*(values[g - 1] for g in G))
         checked += 1
         if not family.contains(F):
             return LargeCheckResult(False, checked, F, str(xi), M.name, N)

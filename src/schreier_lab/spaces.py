@@ -13,7 +13,8 @@ private entry, ``_scaled_norm``, on integers: the support, the signed
 numerators and their common denominator ``D``.  :func:`norm` scales its
 vector once and calls it; scans that build many vectors (the sign patterns
 of ``quantities.sm_constant`` and of the star bundle) build them on the
-integers and call it directly.  The star norm splits signs on the integers,
+integers and call it, or the kernels behind it when only the integer total
+matters.  The star norm splits signs on the integers,
 and the kernels see only magnitudes: order 0 takes the first largest entry,
 order 1 has a polynomial scan, and everything else runs a branch-and-bound
 over admissible prefixes, metered by the active budget.  Each search node
@@ -529,5 +530,5 @@ def coordinate_sum_functional(F: FinSet, spec: NormSpec) -> Functional:
     if not is_member(spec.xi, F, fs=spec.fs):
         raise CertificationRefusedError(
             f"{{{F}}} is not admissible at order {spec.xi}")
-    ones = RatVec({i: Fraction(1) for i in F})
+    ones = RatVec._canonical(dict.fromkeys(F, Fraction(1)))
     return Functional(ones, spec, label=f"sum[{F}]")

@@ -77,8 +77,13 @@ class IndexStream:
 
     @classmethod
     def custom(cls, fn: Callable[[int], int], name: str) -> "IndexStream":
-        """Wrap a monotone callable; monotonicity is checked as values are drawn."""
-        return cls("custom", (name, id(fn)), fn, f"custom:{name}")
+        """Wrap a monotone callable; monotonicity is checked as values are drawn.
+
+        Two custom streams are equal when they wrap the same callable under
+        the same name; the key holds the callable itself, so it can never
+        collide with a later function reusing a freed id.
+        """
+        return cls("custom", (name, fn), fn, f"custom:{name}")
 
     # -- derived streams ---------------------------------------------------
 

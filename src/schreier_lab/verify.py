@@ -7,6 +7,11 @@ explicit witness for the renorming, largeness of the basis just below level
 1, certified dual evaluations on seeded samples, the unit cap on pairwise
 distances of running means, and the convergence envelopes of the ratio
 formula.  All sampling is seeded, so two runs emit identical JSON.
+
+The two example bundles count their admissible family once, refusing it up
+front when it is past the budget, and walk it once; the sign-pattern scans,
+the coordinate-sum functionals, the largeness scan and the dual-certificate
+pool all read that one list of members.
 """
 
 from __future__ import annotations
@@ -19,10 +24,11 @@ from itertools import product
 from .averages import cesaro_mean
 from .budget import Budget, BudgetExceededError, get_budget
 from .ordinal import FundamentalRule, Ordinal, default_fundamental_seq
-from .quantities import CanonicalBasis, large_check, prop_formula, sm_constant
+from .quantities import (CanonicalBasis, _large_scan, _norm_total, _sm_scan,
+                         prop_formula)
 from .reports import Report
 from .schreier import FinSet, _refuse_past_budget, enumerate_family
-from .spaces import NormSpec, _scaled_norm, coordinate_sum_functional, norm
+from .spaces import NormSpec, coordinate_sum_functional, norm
 from .streams import IndexStream
 from .vectors import RatVec, format_fraction
 
@@ -46,6 +52,13 @@ def _sum_functionals(order: Ordinal, spec: NormSpec, N: int, *,
             for F in enumerate_family(order, N, fs=fs, budget=budget) if F]
 
 
+def _family(order: Ordinal, N: int, fs: FundamentalRule,
+            budget: Budget) -> list[FinSet]:
+    """Every member inside ``1..N``, counted first and then walked once."""
+    _refuse_past_budget(order, N, fs=fs, budget=budget)
+    return list(enumerate_family(order, N, fs=fs, budget=budget))
+
+
 def _sample_vector(rng: random.Random, N: int) -> RatVec:
     size = rng.randint(1, min(6, N))
     support = rng.sample(range(1, N + 1), size)
@@ -56,22 +69,22 @@ def _sample_vector(rng: random.Random, N: int) -> RatVec:
     return RatVec(entries)
 
 
-def _dual_certificate_trials(spec: NormSpec, order: Ordinal, N: int, *,
-                             trials: int, seed: int,
-                             fs: FundamentalRule, budget: Budget):
+def _dual_certificate_trials(spec: NormSpec, members: list[FinSet], N: int, *,
+                             trials: int, seed: int, budget: Budget):
     """Seeded spot check that certified sums never beat the norm.
 
-    The guarded evaluation re-derives the bound internally; the explicit
-    comparison here keeps the check meaningful even if guarding is off.
+    Each sample's norm is computed once, and ``|f(x)| <= norm`` is tested
+    against it here rather than by the functional's own guard, which would
+    compute the same norm again; a budget refusal of that norm propagates.
     """
     rng = random.Random(seed)
-    pool = [F for F in enumerate_family(order, N, fs=fs, budget=budget) if F]
+    pool = [F for F in members if F]
     worst = Fraction(0)
     for _ in range(trials):
         F = rng.choice(pool)
         x = _sample_vector(rng, N)
         functional = coordinate_sum_functional(F, spec)
-        value = functional.evaluate(x, check=True, budget=budget)
+        value = functional.evaluate(x, check=False)
         bound = norm(spec, x, budget=budget).value
         if abs(value) > bound:
             return False, f"|{value}| > {bound} at F={{{F}}}"
@@ -101,21 +114,22 @@ def verify_example_schreier(xi: Ordinal, N: int, coeff_budget: int = 3, *,
                      "coeff_budget": coeff_budget, "c": format_fraction(c),
                      "seed": 0})
 
-    sm = sm_constant(order, basis, N, coeff_budget, fs=fs, budget=budget)
+    members = _family(order, N, fs, budget)
+    sm = _sm_scan(basis, N, coeff_budget, members, budget)
     report.check("spreading-constant-is-one", sm.value == 1,
                  f"min ratio {sm.to_json()['value']} at {sm.witness}")
     report.result("sm", sm.to_json())
 
-    functionals = _sum_functionals(order, spec, N, fs=fs, budget=budget)
-    large = large_check(order, c, basis, IndexStream.all_indices(),
-                        functionals, N, fs=fs, budget=budget)
+    functionals = [coordinate_sum_functional(F, spec) for F in members if F]
+    large = _large_scan(order, c, basis, IndexStream.all_indices(), functionals,
+                        N, None, members, fs=fs, budget=budget)
     report.check("basis-large-below-one", large.ok,
                  f"{large.checked} admissible sets at level {format_fraction(c)}"
                  + ("" if large.ok else f"; first failure {{{large.certificate}}}"))
     report.result("large", large.to_json())
 
-    ok, detail = _dual_certificate_trials(spec, order, N, trials=30, seed=0,
-                                          fs=fs, budget=budget)
+    ok, detail = _dual_certificate_trials(spec, members, N, trials=30, seed=0,
+                                          budget=budget)
     report.check("dual-certificates-hold", ok, detail)
 
     report.wall_seconds = time.perf_counter() - started
@@ -150,31 +164,30 @@ def verify_example_star(xi: Ordinal, N: int, coeff_budget: int = 3, *,
     half = Fraction(1, 2)
     violations = 0
     tested = 0
-    _refuse_past_budget(order, N, fs=fs, budget=budget)
-    for F in enumerate_family(order, N, fs=fs, budget=budget):
+    members = _family(order, N, fs, budget)
+    for F in members:
         if not F or len(F) > coeff_budget:
             continue
-        # The +-1 vectors on F, on the integers; their sign parts are
-        # subsets of F, so one memo serves every pattern.
+        # The +-1 vectors on F, on the integers (D = 1); their sign parts
+        # are subsets of F, so one memo serves every pattern.
         memo: dict = {}
         for signs in product((1, -1), repeat=len(F)):
             tested += 1
-            value = _scaled_norm(spec, F.elements, list(signs), 1, budget, memo).value
-            if value < half * len(F):
+            if 2 * _norm_total(spec, F.elements, signs, budget, memo) < len(F):
                 violations += 1
     report.check("half-lower-bound-holds", violations == 0,
                  f"{tested} sign patterns, {violations} below half mass")
 
-    sm = sm_constant(order, basis, N, coeff_budget, fs=fs, budget=budget)
+    sm = _sm_scan(basis, N, coeff_budget, members, budget)
     expected_witness = "2,3;1,-1"
     report.check("spreading-constant-is-half",
                  sm.value == half and sm.witness == expected_witness,
                  f"min ratio {sm.to_json()['value']} at {sm.witness}")
     report.result("sm", sm.to_json())
 
-    functionals = _sum_functionals(order, spec, N, fs=fs, budget=budget)
-    large = large_check(order, c, basis, IndexStream.all_indices(),
-                        functionals, N, fs=fs, budget=budget)
+    functionals = [coordinate_sum_functional(F, spec) for F in members if F]
+    large = _large_scan(order, c, basis, IndexStream.all_indices(), functionals,
+                        N, None, members, fs=fs, budget=budget)
     report.check("basis-large-below-one", large.ok,
                  f"{large.checked} admissible sets at level {format_fraction(c)}"
                  + ("" if large.ok else f"; first failure {{{large.certificate}}}"))

@@ -426,6 +426,33 @@ def test_check_nibcc_overlap_between_non_adjacent_vectors():
     assert check_nibcc([y[0]], y).breakpoints == (0, 1)
 
 
+def _overlapping_pairs(count):
+    """y_j = (e_j + e_{j+1}) / 2: each support meets the next one."""
+    return [RatVec({j: HALF, j + 1: HALF}) for j in range(1, count + 1)]
+
+
+def test_check_nibcc_overlapping_search_is_not_recursive():
+    # One search level per z vector: far more levels than the interpreter's
+    # recursion limit.
+    y = _overlapping_pairs(1200)
+    witness = check_nibcc(y, y)
+    assert witness.breakpoints == tuple(range(1201))
+    assert witness.weights == (Fraction(1),) * 1200
+
+
+def test_check_nibcc_overlapping_search_is_metered():
+    # The last z vector is no combination of any block, so the search
+    # backtracks through every earlier level before it gives up.
+    y = _overlapping_pairs(14)
+    z = y[:-1] + [RatVec.unit(40)]
+    assert check_nibcc(z, y) is None
+    with pytest.raises(BudgetExceededError) as info:
+        check_nibcc(z, y, budget=Budget(work=50))
+    assert info.value.limit == 50
+    assert info.value.needed > 50 and info.value.needed_is_lower_bound
+    assert "nibcc block solves" in str(info.value)
+
+
 def test_check_nibcc_on_a_long_disjoint_prefix():
     z, y = successor_pair_prefix(parse("0"), IndexStream.shift(2), 10)
     assert len(y) == 3_069

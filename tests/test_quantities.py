@@ -302,6 +302,25 @@ def test_f_delta_matches_functional_evaluation(delta, sequence):
     assert not all(len(h) == 6 for h in family.hit_sets)
 
 
+@pytest.mark.parametrize("delta, hit", [(Fraction(-1, 3), True), (Fraction(0), True),
+                                        (Fraction(1, 3), False)])
+def test_f_delta_on_an_element_no_functional_meets(delta, hit):
+    # The third element lives on coordinate 9, which no functional uses, so
+    # its total is 0 under both: it clears the threshold exactly when
+    # delta <= 0.
+    xs = ExplicitSequence(S1, [RatVec({1: 1}), RatVec({2: Fraction(-1, 2)}),
+                               RatVec({9: 5}), RatVec({1: HALF, 2: 1})])
+    functionals = [Functional(RatVec({1: 1, 2: 1}), S1, "a"),
+                   Functional(RatVec({2: Fraction(2, 3)}), S1, "b")]
+    family = f_delta(functionals, xs, delta, 4)
+    expected = tuple(
+        FinSet.of(*(n for n in range(1, 5)
+                    if f.evaluate(xs.element(n), check=False) >= delta))
+        for f in functionals)
+    assert family.hit_sets == expected
+    assert all((3 in hits) == hit for hits in family.hit_sets)
+
+
 # -- largeness checks ----------------------------------------------------------------
 
 

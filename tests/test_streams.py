@@ -1,5 +1,8 @@
 """Strictly increasing index streams and their wire names."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -67,6 +70,28 @@ def test_custom():
     decreasing = IndexStream.custom(lambda n: 10 - n, "down")
     with pytest.raises(ValueError):
         decreasing.prefix(3)
+
+
+def test_custom_streams_are_keyed_on_the_callable():
+    def squares(n):
+        return n * n
+
+    def cubes(n):
+        return n ** 3
+
+    same = IndexStream.custom(squares, "f")
+    assert same == IndexStream.custom(squares, "f")
+    assert same._key() == IndexStream.custom(squares, "f")._key()
+    assert hash(same) == hash(IndexStream.custom(squares, "f"))
+    assert same != IndexStream.custom(cubes, "f")
+    assert same != IndexStream.custom(squares, "g")
+    # A key outliving its stream keeps the callable alive, so no later
+    # function can take over its identity.
+    ref = weakref.ref(cubes)
+    key = IndexStream.custom(cubes, "f")._key()
+    del cubes
+    gc.collect()
+    assert ref() is not None and key[1][1] is ref()
 
 
 def test_parse_stream():

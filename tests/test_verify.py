@@ -1,16 +1,20 @@
 """Verification bundles: exact checks, deterministic reports."""
 
+import hashlib
 import json
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from schreier_lab import quantities, schreier, spaces, verify
 from schreier_lab.budget import Budget, BudgetExceededError
 from schreier_lab.ordinal import parse
 from schreier_lab.reports import Check, Report
-from schreier_lab.spaces import NormSpec
-from schreier_lab.verify import (_sum_functionals, verify_example_schreier,
-                                 verify_example_star, verify_prop_formula)
+from schreier_lab.spaces import NormSpec, norm
+from schreier_lab.verify import (_dual_certificate_trials, _sum_functionals,
+                                 verify_example_schreier, verify_example_star,
+                                 verify_prop_formula)
 
 
 @pytest.mark.parametrize("xi_text", ["0", "1"])
@@ -39,6 +43,79 @@ def test_sum_functionals_count_the_family_first():
     functionals = _sum_functionals(order, NormSpec.schreier(order), 30,
                                    budget=Budget(work=40))
     assert len(functionals) == 30
+
+
+@pytest.mark.parametrize("bundle", [verify_example_schreier, verify_example_star])
+def test_bundles_count_and_walk_their_family_once(monkeypatch, bundle):
+    calls = {"count": 0, "walk": 0}
+    count_family, enumerate_family = schreier.count_family, schreier.enumerate_family
+
+    def counting(*args, **kwargs):
+        calls["count"] += 1
+        return count_family(*args, **kwargs)
+
+    def walking(*args, **kwargs):
+        calls["walk"] += 1
+        return enumerate_family(*args, **kwargs)
+
+    monkeypatch.setattr(schreier, "count_family", counting)
+    for module in (schreier, quantities, verify):
+        monkeypatch.setattr(module, "enumerate_family", walking)
+    assert bundle(parse("1"), 10).ok
+    assert calls == {"count": 1, "walk": 1}
+
+
+@pytest.mark.parametrize("bundle, xi_text, digest", [
+    (verify_example_schreier, "w",
+     "b4a2ba51e47e851dae91eefd0a8196752c93c48bc7abe278dd6e7e830e5c6349"),
+    (verify_example_star, "1",
+     "06b844131c06ced3a466db385a1c95628e6c36b1e6f87e2bb68bbba981fc304e"),
+])
+def test_bundle_report_bytes_are_pinned(bundle, xi_text, digest):
+    # Recorded from the bundles when each check still walked the family
+    # on its own and compared the spreading ratios as fractions.
+    report = bundle(parse(xi_text), 10)
+    assert hashlib.sha256(report.json_bytes()).hexdigest() == digest
+
+
+def _members(order, N):
+    return list(schreier.enumerate_family(order, N))
+
+
+def test_dual_certificates_take_one_norm_per_sample(monkeypatch):
+    order = parse("2")
+    spec = NormSpec.schreier(order)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return norm(*args, **kwargs)
+
+    # The functional's own guard calls the norm from its module.
+    monkeypatch.setattr(verify, "norm", counted)
+    monkeypatch.setattr(spaces, "norm", counted)
+    ok, detail = _dual_certificate_trials(spec, _members(order, 12), 12,
+                                          trials=30, seed=0, budget=Budget())
+    assert ok and detail.startswith("30 certified evaluations")
+    assert len(calls) == 30
+
+
+def test_dual_certificates_fail_on_a_violation(monkeypatch):
+    order = parse("1")
+    spec = NormSpec.schreier(order)
+    # A norm that reads half the true value must be caught on some sample.
+    monkeypatch.setattr(verify, "norm", lambda spec, x, budget: SimpleNamespace(
+        value=norm(spec, x, budget=budget).value / 2))
+    ok, detail = _dual_certificate_trials(spec, _members(order, 8), 8,
+                                          trials=30, seed=0, budget=Budget())
+    assert not ok and detail.startswith("|")
+
+
+def test_dual_certificates_pass_norm_refusals_on():
+    order = parse("2")
+    with pytest.raises(BudgetExceededError):
+        _dual_certificate_trials(NormSpec.schreier(order), _members(order, 12),
+                                 12, trials=30, seed=0, budget=Budget(work=1))
 
 
 @pytest.mark.parametrize("xi_text", ["0", "1"])
