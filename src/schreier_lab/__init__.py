@@ -9,8 +9,8 @@ lower bound on the true cost, instead of silently truncating.
 """
 
 from .budget import (Budget, BudgetExceededError, WorkMeter, get_budget)
-from .ordinal import (Classification, ExponentBoundError, FundamentalRule,
-                      OMEGA, ONE, Ordinal, OrdinalParseError, ZERO, classify,
+from .ordinal import (Classification, FundamentalRule, OMEGA, ONE, Ordinal,
+                      OrdinalParseError, ZERO, classify,
                       default_fundamental_seq, fundamental_successor_seq,
                       parse as parse_ordinal)
 from .streams import IndexStream, STREAM_CATALOG, parse_stream
@@ -40,7 +40,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Budget", "BudgetExceededError", "WorkMeter", "get_budget",
-    "Classification", "ExponentBoundError", "FundamentalRule", "OMEGA", "ONE",
+    "Classification", "FundamentalRule", "OMEGA", "ONE",
     "Ordinal", "OrdinalParseError", "ZERO", "classify",
     "default_fundamental_seq", "fundamental_successor_seq", "parse_ordinal",
     "IndexStream", "STREAM_CATALOG", "parse_stream",

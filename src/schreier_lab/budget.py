@@ -10,7 +10,7 @@ through the ``SCHREIER_LAB_BUDGET`` environment variable.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 ENV_VAR = "SCHREIER_LAB_BUDGET"
 
@@ -66,9 +66,6 @@ class Budget:
         if work <= 0:
             raise ValueError(f"{ENV_VAR} must be positive, got {work}")
         return cls(work=work)
-
-    def with_work(self, work: int) -> "Budget":
-        return replace(self, work=work)
 
 
 def get_budget(budget: Budget | None = None) -> Budget:

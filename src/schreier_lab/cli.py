@@ -160,16 +160,16 @@ def _cmd_ord_fseq(args) -> int:
 
 
 def _cmd_schreier_member(args) -> int:
+    """``member``, ``oracle``, ``image`` and ``trace``: ``args.test`` takes
+    the order, the stream when the op has one, and the set."""
     F = FinSet.parse(args.set)
-    member = is_member(parse_ordinal(args.xi), F)
-    _emit(args, {"xi": args.xi, "set": str(F), "member": member})
-    return 0
-
-
-def _cmd_schreier_oracle(args) -> int:
-    F = FinSet.parse(args.set)
-    member = is_member_oracle(parse_ordinal(args.xi), F)
-    _emit(args, {"xi": args.xi, "set": str(F), "member": member})
+    payload = {"xi": args.xi, "set": str(F)}
+    operands = [parse_ordinal(args.xi)]
+    if getattr(args, "stream", None) is not None:
+        payload["stream"] = args.stream
+        operands.append(parse_stream(args.stream))
+    payload["member"] = args.test(*operands, F)
+    _emit(args, payload)
     return 0
 
 
@@ -188,22 +188,6 @@ def _cmd_schreier_enum(args) -> int:
 def _cmd_schreier_count(args) -> int:
     count = count_family(parse_ordinal(args.xi), args.max_value)
     _emit(args, {"xi": args.xi, "max_value": args.max_value, "count": count})
-    return 0
-
-
-def _cmd_schreier_image(args) -> int:
-    F = FinSet.parse(args.set)
-    member = is_member_image(parse_ordinal(args.xi), parse_stream(args.stream), F)
-    _emit(args, {"xi": args.xi, "stream": args.stream, "set": str(F),
-                 "member": member})
-    return 0
-
-
-def _cmd_schreier_trace(args) -> int:
-    F = FinSet.parse(args.set)
-    member = trace_member(parse_ordinal(args.xi), parse_stream(args.stream), F)
-    _emit(args, {"xi": args.xi, "stream": args.stream, "set": str(F),
-                 "member": member})
     return 0
 
 
@@ -312,15 +296,9 @@ def _cmd_avg_reweight(args) -> int:
 
 
 def _cmd_norm_eval(args) -> int:
+    """``eval`` and ``oracle``: ``args.evaluate`` is ``norm`` or ``norm_oracle``."""
     spec = _space_spec(args.space, args.xi)
-    result = norm(spec, _load_vector(args.vec))
-    _emit(args, result.to_json())
-    return 0
-
-
-def _cmd_norm_oracle(args) -> int:
-    spec = _space_spec(args.space, args.xi)
-    result = norm_oracle(spec, _load_vector(args.vec))
+    result = args.evaluate(spec, _load_vector(args.vec))
     _emit(args, result.to_json())
     return 0
 
@@ -347,19 +325,12 @@ def _window_payload(args, ambient, xs, kind: str, value) -> dict:
     return payload
 
 
-def _cmd_q_ca(args) -> int:
+def _cmd_q_window(args) -> int:
+    """``ca`` and ``cca``: ``args.window`` computes the constant named ``args.kind``."""
     ambient = _ambient_spec(args)
     xs = _sequence(args, ambient)
-    _emit(args, _window_payload(args, ambient, xs, "ca",
-                                ca_window(xs, args.n0, args.N)))
-    return 0
-
-
-def _cmd_q_cca(args) -> int:
-    ambient = _ambient_spec(args)
-    xs = _sequence(args, ambient)
-    _emit(args, _window_payload(args, ambient, xs, "cca",
-                                cca_window(xs, args.n0, args.N)))
+    _emit(args, _window_payload(args, ambient, xs, args.kind,
+                                args.window(xs, args.n0, args.N)))
     return 0
 
 
@@ -529,19 +500,18 @@ def _build_parser() -> argparse.ArgumentParser:
     # schreier
     sch = groups.add_parser("schreier", help="admissible set families")
     sch_ops = sch.add_subparsers(dest="op", required=True)
-    for name, handler, extra in (
-            ("member", _cmd_schreier_member, ()),
-            ("oracle", _cmd_schreier_oracle, ()),
-            ("image", _cmd_schreier_image, ("stream",)),
-            ("trace", _cmd_schreier_trace, ("stream",))):
+    for name, test, streamed in (("member", is_member, False),
+                                 ("oracle", is_member_oracle, False),
+                                 ("image", is_member_image, True),
+                                 ("trace", trace_member, True)):
         p = sch_ops.add_parser(name, parents=[fmt],
                                help=f"{name} membership test")
         p.add_argument("--xi", required=True)
-        if "stream" in extra:
+        if streamed:
             p.add_argument("--stream", required=True,
                            help="all, shift:<k>, cubes, or evens")
         p.add_argument("--set", required=True, help="like 2,3,7")
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=_cmd_schreier_member, test=test)
     p = sch_ops.add_parser("enum", parents=[fmt],
                            help="every member inside 1..max-value")
     p.add_argument("--xi", required=True)
@@ -621,13 +591,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", choices=_SPACE_KINDS, required=True)
     p.add_argument("--xi", help="family order; classical kinds take none")
     p.add_argument("--vec", required=True, help="vector JSON or @file")
-    p.set_defaults(handler=_cmd_norm_eval)
+    p.set_defaults(handler=_cmd_norm_eval, evaluate=norm)
     p = nrm_ops.add_parser("oracle", parents=[fmt],
                            help="brute-force cross-check on small supports")
     p.add_argument("--space", choices=_SPACE_KINDS, required=True)
     p.add_argument("--xi")
     p.add_argument("--vec", required=True)
-    p.set_defaults(handler=_cmd_norm_oracle)
+    p.set_defaults(handler=_cmd_norm_eval, evaluate=norm_oracle)
     p = nrm_ops.add_parser("functional", parents=[fmt],
                            help="certified coordinate-sum functional")
     p.add_argument("--space", choices=_SPACE_KINDS, required=True)
@@ -643,10 +613,10 @@ def _build_parser() -> argparse.ArgumentParser:
     qty_ops = qty.add_subparsers(dest="op", required=True)
     p = qty_ops.add_parser("ca", parents=[fmt, seq_flags, window],
                            help="largest pairwise distance in the window")
-    p.set_defaults(handler=_cmd_q_ca)
+    p.set_defaults(handler=_cmd_q_window, window=ca_window, kind="ca")
     p = qty_ops.add_parser("cca", parents=[fmt, seq_flags, window],
                            help="the same over running means")
-    p.set_defaults(handler=_cmd_q_cca)
+    p.set_defaults(handler=_cmd_q_window, window=cca_window, kind="cca")
     p = qty_ops.add_parser("cca-xi", parents=[fmt, seq_flags, window],
                            help="over running means of the averaged sequence")
     p.add_argument("--xi", required=True)

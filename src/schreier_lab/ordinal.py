@@ -2,9 +2,9 @@
 
 The library indexes transfinite constructions by countable ordinals written
 in Cantor normal form, ``w^k1*c1 + ... + w^kr*cr`` with strictly decreasing
-exponents and positive integer coefficients.  By default the universe is
-capped below ``w^w`` so every exponent is a plain natural number; the cap is
-configurable per constructor call for callers that need deeper nesting.
+exponents and positive integer coefficients.  The universe is the ordinals
+below ``w^w``, so every exponent is a natural number and no deeper nesting
+can be configured.
 
 Only comparison, classification, and fundamental sequences are provided.
 General ordinal arithmetic is deliberately out of scope.
@@ -19,7 +19,6 @@ from typing import Callable, NamedTuple
 __all__ = [
     "Ordinal",
     "OrdinalParseError",
-    "ExponentBoundError",
     "Classification",
     "ZERO",
     "ONE",
@@ -31,54 +30,45 @@ __all__ = [
     "FundamentalRule",
 ]
 
-DEFAULT_EXPONENT_HEIGHT = 1
-
 
 class OrdinalParseError(ValueError):
     """Raised for text that is not a well-formed ordinal expression."""
 
 
-class ExponentBoundError(ValueError):
-    """Raised when a constructed ordinal exceeds the exponent-height cap."""
-
-
 @total_ordering
 class Ordinal:
-    """An ordinal below epsilon_0, immutable and canonical.
+    """An ordinal below ``w^w``, immutable and canonical.
 
-    Stored as a tuple of ``(exponent, coefficient)`` pairs with strictly
-    decreasing exponents (themselves Ordinals) and coefficients >= 1.
-    ``height`` measures exponent nesting: finite ordinals have height 0,
-    anything below ``w^w`` has height 1.  Construction rejects ordinals
-    whose height exceeds ``max_height`` (default 1).
+    Stored as a tuple of ``(exponent, coefficient)`` pairs of naturals with
+    strictly decreasing exponents and coefficients >= 1, so that order,
+    equality and hashing are those of the tuple.
     """
 
-    __slots__ = ("_terms", "_height")
+    __slots__ = ("_terms",)
 
-    def __init__(self, terms=(), *, max_height: int = DEFAULT_EXPONENT_HEIGHT):
-        terms = tuple((exp, int(coeff)) for exp, coeff in terms)
+    def __init__(self, terms=()):
+        terms = tuple((int(exp), int(coeff)) for exp, coeff in terms)
         prev = None
-        height = 0
         for exp, coeff in terms:
-            if not isinstance(exp, Ordinal):
-                raise TypeError("exponents must be Ordinal instances")
+            if exp < 0:
+                raise ValueError("exponents must be >= 0")
             if coeff < 1:
                 raise ValueError("coefficients must be >= 1")
             if prev is not None and not exp < prev:
                 raise ValueError("exponents must be strictly decreasing")
             prev = exp
-            height = max(height, exp._height + (1 if exp._terms else 0))
-        if height > max_height:
-            raise ExponentBoundError(
-                f"exponent nesting {height} exceeds the configured cap {max_height}")
         object.__setattr__(self, "_terms", terms)
-        object.__setattr__(self, "_height", height)
 
     def __setattr__(self, name, value):
         raise AttributeError("Ordinal is immutable")
 
     @property
     def terms(self):
+        """The ``(exponent, coefficient)`` pairs, highest exponent first.
+
+        >>> parse("w^2*3+1").terms
+        ((2, 3), (0, 1))
+        """
         return self._terms
 
     @classmethod
@@ -87,14 +77,11 @@ class Ordinal:
             raise ValueError("ordinals are non-negative")
         if n == 0:
             return ZERO
-        return cls(((ZERO, n),))
+        return cls(((0, n),))
 
     @classmethod
-    def omega_power(cls, exponent: "Ordinal | int", coeff: int = 1, *,
-                    max_height: int = DEFAULT_EXPONENT_HEIGHT) -> "Ordinal":
-        if isinstance(exponent, int):
-            exponent = cls.from_int(exponent)
-        return cls(((exponent, coeff),), max_height=max_height)
+    def omega_power(cls, exponent: int, coeff: int = 1) -> "Ordinal":
+        return cls(((exponent, coeff),))
 
     # -- predicates ------------------------------------------------------
 
@@ -104,7 +91,7 @@ class Ordinal:
 
     @property
     def is_finite(self) -> bool:
-        return not self._terms or (len(self._terms) == 1 and self._terms[0][0].is_zero)
+        return not self._terms or self._terms[0][0] == 0
 
     def as_int(self) -> int:
         """The integer value of a finite ordinal."""
@@ -122,42 +109,31 @@ class Ordinal:
     def __lt__(self, other):
         if not isinstance(other, Ordinal):
             return NotImplemented
-        # Cantor normal form compares lexicographically term by term,
-        # with a missing term counting as smaller.
-        for (e1, c1), (e2, c2) in zip(self._terms, other._terms):
-            if e1 != e2:
-                return e1 < e2
-            if c1 != c2:
-                return c1 < c2
-        return len(self._terms) < len(other._terms)
+        # Cantor normal form compares lexicographically term by term, with
+        # a missing term counting as smaller: the order of the tuples.
+        return self._terms < other._terms
 
     def __hash__(self):
-        return hash(("Ordinal", self._terms))
+        return hash(self._terms)
 
     # -- structure -------------------------------------------------------
 
     def successor(self) -> "Ordinal":
         """x + 1."""
         terms = self._terms
-        if terms and terms[-1][0].is_zero:
-            return Ordinal(terms[:-1] + ((ZERO, terms[-1][1] + 1),))
-        return Ordinal(terms + ((ZERO, 1),))
+        if terms and terms[-1][0] == 0:
+            return Ordinal(terms[:-1] + ((0, terms[-1][1] + 1),))
+        return Ordinal(terms + ((0, 1),))
 
     def __str__(self) -> str:
         if not self._terms:
             return "0"
         parts = []
         for exp, coeff in self._terms:
-            if exp.is_zero:
+            if exp == 0:
                 parts.append(str(coeff))
                 continue
-            if exp == ONE:
-                body = "w"
-            elif exp.is_finite:
-                body = f"w^{exp.as_int()}"
-            else:
-                # Outside the default universe; not covered by the wire grammar.
-                body = f"w^({exp})"
+            body = "w" if exp == 1 else f"w^{exp}"
             parts.append(body if coeff == 1 else f"{body}*{coeff}")
         return "+".join(parts)
 
@@ -185,10 +161,10 @@ def classify(x: Ordinal) -> Classification:
     if x.is_zero:
         return Classification("zero")
     last_exp, last_coeff = x.terms[-1]
-    if not last_exp.is_zero:
+    if last_exp != 0:
         return Classification("limit")
     if last_coeff > 1:
-        pred = Ordinal(x.terms[:-1] + ((ZERO, last_coeff - 1),))
+        pred = Ordinal(x.terms[:-1] + ((0, last_coeff - 1),))
     else:
         pred = Ordinal(x.terms[:-1])
     return Classification("successor", pred)
@@ -214,7 +190,7 @@ def parse(text: str) -> Ordinal:
     if not stripped:
         raise OrdinalParseError("empty ordinal expression")
     parts = [p.strip() for p in stripped.split("+")]
-    terms: list[tuple[Ordinal, int]] = []
+    terms: list[tuple[int, int]] = []
     for part in parts:
         m = _NAT.match(part)
         if m:
@@ -223,7 +199,7 @@ def parse(text: str) -> Ordinal:
                 if len(parts) == 1:
                     return ZERO
                 raise OrdinalParseError("a zero term is only valid on its own")
-            terms.append((ZERO, value))
+            terms.append((0, value))
             continue
         m = _W_TERM.match(part)
         if not m:
@@ -232,14 +208,12 @@ def parse(text: str) -> Ordinal:
         coeff = int(m.group(2)) if m.group(2) is not None else 1
         if coeff == 0:
             raise OrdinalParseError(f"zero coefficient in term {part!r}")
-        terms.append((Ordinal.from_int(exp), coeff))
-    # Merge nothing: the wire format demands strictly decreasing exponents.
-    for (e1, _), (e2, _) in zip(terms, terms[1:]):
-        if not e2 < e1:
-            raise OrdinalParseError("exponents must be strictly decreasing")
+        terms.append((exp, coeff))
+    # Merge nothing: the wire format demands strictly decreasing exponents,
+    # which the constructor checks.
     try:
         return Ordinal(terms)
-    except ValueError as exc:  # pragma: no cover - guarded above
+    except ValueError as exc:
         raise OrdinalParseError(str(exc)) from exc
 
 
@@ -272,17 +246,9 @@ def default_fundamental_seq(x: Ordinal, n: int) -> Ordinal:
     rho = list(x.terms[:-1])
     if last_coeff > 1:
         rho.append((last_exp, last_coeff - 1))
-    exp_kind, exp_pred = classify(last_exp)
-    if exp_kind == "successor":
-        alpha = exp_pred
-        if alpha.is_zero:
-            return Ordinal(tuple(rho) + ((ZERO, n),))
-        return Ordinal(tuple(rho) + ((alpha, n), (ZERO, 1)))
-    # Limit last exponent: reachable only above the default universe cap.
-    # Recurse into the exponent and add 1 to keep every member a successor.
-    inner = default_fundamental_seq(last_exp, n)
-    max_height = x._height
-    return Ordinal(tuple(rho) + ((inner, 1), (ZERO, 1)), max_height=max_height)
+    if last_exp == 1:
+        return Ordinal(tuple(rho) + ((0, n),))
+    return Ordinal(tuple(rho) + ((last_exp - 1, n), (0, 1)))
 
 
 def fundamental_successor_seq(x: Ordinal, n: int,

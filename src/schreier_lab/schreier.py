@@ -35,7 +35,7 @@ from functools import lru_cache
 from typing import Generator, Iterable, Iterator
 
 from .budget import Budget, BudgetExceededError, get_budget, WorkMeter
-from .ordinal import (ONE, FundamentalRule, Ordinal, classify,
+from .ordinal import (FundamentalRule, Ordinal, classify,
                       default_fundamental_seq)
 from .streams import IndexStream
 
@@ -206,7 +206,7 @@ class _Branch(tuple):
 _SINGLETON = ((None, 0, 0, 1, 1),)
 
 
-def _plus_omega_power(terms: tuple, exponent: Ordinal) -> Ordinal:
+def _plus_omega_power(terms: tuple, exponent: int) -> Ordinal:
     """The ordinal with Cantor normal form ``terms``, plus ``w^exponent``.
 
     The last exponent of ``terms`` must not be smaller than ``exponent``.
@@ -241,10 +241,9 @@ class _Automaton:
             # The finite tail of xi: xi = base + count with base zero or a limit.
             base, count = self._node(Ordinal(xi.terms[:-1])), xi.terms[-1][1]
         elif kind == "limit":
-            # Below w^w the default rule's approximating families grow with
-            # n, so the largest allowed n decides alone.
-            nested = (self._rule is default_fundamental_seq
-                      and all(exp.is_finite for exp, _ in xi.terms))
+            # The default rule's approximating families grow with n, so the
+            # largest allowed n decides alone.
+            nested = self._rule is default_fundamental_seq
         node = self._nodes[xi] = _Node(xi, kind, base, count, nested)
         return node
 
@@ -290,10 +289,10 @@ class _Automaton:
         limit, low, floor = region
         terms = floor.xi.terms
         if terms and terms[-1][1] == low:
-            carried = _plus_omega_power(terms[:-1], terms[-1][0].successor())
+            carried = _plus_omega_power(terms[:-1], terms[-1][0] + 1)
             if not limit.xi < carried:
                 return 1, None if carried == limit.xi else self._node(carried)
-        plus_w = _plus_omega_power(terms, ONE)
+        plus_w = _plus_omega_power(terms, 1)
         return low, None if plus_w == limit.xi else self._node(plus_w)
 
     def start(self, k: int) -> tuple:

@@ -71,10 +71,6 @@ class RatVec:
         return cls({index: 1})
 
     @classmethod
-    def zero(cls) -> "RatVec":
-        return cls()
-
-    @classmethod
     def combination(cls, terms: Iterable[tuple]) -> "RatVec":
         """``sum c_k v_k`` over ``(c_k, v_k)`` pairs, accumulated in one dict."""
         merged: dict[int, Fraction] = {}

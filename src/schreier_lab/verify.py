@@ -47,13 +47,12 @@ def _sum_functionals(order: Ordinal, spec: NormSpec, N: int, *,
     The members are counted first, so a family past the work budget is
     refused before any functional is built.
     """
-    _refuse_past_budget(order, N, fs=fs, budget=budget)
     return [coordinate_sum_functional(F, spec)
-            for F in enumerate_family(order, N, fs=fs, budget=budget) if F]
+            for F in _family(order, N, fs, budget) if F]
 
 
 def _family(order: Ordinal, N: int, fs: FundamentalRule,
-            budget: Budget) -> list[FinSet]:
+            budget: Budget | None) -> list[FinSet]:
     """Every member inside ``1..N``, counted first and then walked once."""
     _refuse_past_budget(order, N, fs=fs, budget=budget)
     return list(enumerate_family(order, N, fs=fs, budget=budget))
@@ -93,6 +92,21 @@ def _dual_certificate_trials(spec: NormSpec, members: list[FinSet], N: int, *,
     return True, f"{trials} certified evaluations, max |f(x)|/norm = {worst}"
 
 
+def _check_large(report: Report, basis: CanonicalBasis, order: Ordinal,
+                 c: Fraction, members: list[FinSet], N: int,
+                 fs: FundamentalRule, budget: Budget) -> None:
+    """Largeness of the basis at level ``c`` along the identity stream,
+    tested by the certified coordinate sums over ``members``."""
+    functionals = [coordinate_sum_functional(F, basis.ambient)
+                   for F in members if F]
+    large = _large_scan(order, c, basis, IndexStream.all_indices(), functionals,
+                        N, None, members, fs=fs, budget=budget)
+    report.check("basis-large-below-one", large.ok,
+                 f"{large.checked} admissible sets at level {format_fraction(c)}"
+                 + ("" if large.ok else f"; first failure {{{large.certificate}}}"))
+    report.result("large", large.to_json())
+
+
 def verify_example_schreier(xi: Ordinal, N: int, coeff_budget: int = 3, *,
                             c_override: Fraction | None = None,
                             fs: FundamentalRule = default_fundamental_seq,
@@ -120,13 +134,7 @@ def verify_example_schreier(xi: Ordinal, N: int, coeff_budget: int = 3, *,
                  f"min ratio {sm.to_json()['value']} at {sm.witness}")
     report.result("sm", sm.to_json())
 
-    functionals = [coordinate_sum_functional(F, spec) for F in members if F]
-    large = _large_scan(order, c, basis, IndexStream.all_indices(), functionals,
-                        N, None, members, fs=fs, budget=budget)
-    report.check("basis-large-below-one", large.ok,
-                 f"{large.checked} admissible sets at level {format_fraction(c)}"
-                 + ("" if large.ok else f"; first failure {{{large.certificate}}}"))
-    report.result("large", large.to_json())
+    _check_large(report, basis, order, c, members, N, fs, budget)
 
     ok, detail = _dual_certificate_trials(spec, members, N, trials=30, seed=0,
                                           budget=budget)
@@ -185,13 +193,7 @@ def verify_example_star(xi: Ordinal, N: int, coeff_budget: int = 3, *,
                  f"min ratio {sm.to_json()['value']} at {sm.witness}")
     report.result("sm", sm.to_json())
 
-    functionals = [coordinate_sum_functional(F, spec) for F in members if F]
-    large = _large_scan(order, c, basis, IndexStream.all_indices(), functionals,
-                        N, None, members, fs=fs, budget=budget)
-    report.check("basis-large-below-one", large.ok,
-                 f"{large.checked} admissible sets at level {format_fraction(c)}"
-                 + ("" if large.ok else f"; first failure {{{large.certificate}}}"))
-    report.result("large", large.to_json())
+    _check_large(report, basis, order, c, members, N, fs, budget)
 
     # Distances of running means: exact norms when the search is affordable,
     # otherwise the l1 mass of each sign part, which already caps the max.

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from schreier_lab.ordinal import (
-    ExponentBoundError, OMEGA, ONE, Ordinal, OrdinalParseError, ZERO,
+    OMEGA, ONE, Ordinal, OrdinalParseError, ZERO,
     classify, default_fundamental_seq, fundamental_successor_seq, parse)
 
 
@@ -125,16 +125,40 @@ def test_rule_is_injectable():
     assert str(fundamental_successor_seq(OMEGA, 5, stingy)) == "4"
 
 
-def test_exponent_height_cap():
-    with pytest.raises(ExponentBoundError):
-        Ordinal.omega_power(OMEGA)
-    tall = Ordinal.omega_power(OMEGA, max_height=2)
-    assert OMEGA < tall
-    assert str(tall) == "w^(w)"
-
-
 def test_omega_power_constructor():
     assert Ordinal.omega_power(0, 4) == parse("4")
     assert Ordinal.omega_power(1) == OMEGA
     assert Ordinal.omega_power(2, 3) == parse("w^2*3")
     assert ONE == parse("1")
+
+
+# Cantor normal forms below w^7 with coefficients below 10, keyed by the
+# base-10 integer whose digit e is the coefficient of w^e: one CNF term list
+# per key, ordered the same way.
+_CNF_TERMS = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=6),
+              st.integers(min_value=1, max_value=9)),
+    max_size=7, unique_by=lambda term: term[0],
+).map(lambda terms: sorted(terms, reverse=True))
+
+
+def _digit_key(terms):
+    return sum(c * 10 ** e for e, c in terms)
+
+
+@given(a=_CNF_TERMS, b=_CNF_TERMS)
+def test_order_equality_and_hash_agree_with_digit_key(a, b):
+    x, y = Ordinal(a), Ordinal(b)
+    assert (x < y) == (_digit_key(a) < _digit_key(b))
+    assert (x == y) == (_digit_key(a) == _digit_key(b))
+    if x == y:
+        assert hash(x) == hash(y)
+    assert parse(str(x)) == x
+    assert x.terms == tuple(a)
+
+
+def test_terms_are_integer_pairs():
+    assert Ordinal(((2, 3), (0, 1))) == parse("w^2*3+1")
+    for bad in [((-1, 1),), ((1, 0),), ((1, 2), (1, 3)), ((1, 2), (2, 3))]:
+        with pytest.raises(ValueError):
+            Ordinal(bad)
