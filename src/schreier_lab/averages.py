@@ -298,26 +298,16 @@ def repeated_avg(xi: Ordinal, M: IndexStream, n: int, *,
 # -- applying a method to a vector sequence --------------------------------------
 
 
-def _sequence_element(xs, index: int) -> RatVec:
-    element = getattr(xs, "element", None)
-    if element is not None:
-        return element(index)
-    try:
-        return xs[index - 1]
-    except IndexError:
-        raise ValueError(f"sequence has no element {index}; it is shorter than "
-                         f"the support of the averaging vector") from None
-
-
 def apply(method: SummabilityMethod, xs, n: int, *,
           budget: Budget | None = None) -> RatVec:
     """The image of a vector sequence under the n-th averaging vector.
 
-    ``xs`` may be anything with a 1-indexed ``element`` method or a plain
-    sequence; the result is ``sum_k a_k x_k`` over the averaging support.
+    ``xs`` is a :class:`~schreier_lab.quantities.SeqSpec`, read through its
+    1-indexed ``element``; the result is ``sum_k a_k x_k`` over the
+    averaging support.
     """
     weights = method.vector(n, budget=budget)
-    return RatVec.combination((weight, _sequence_element(xs, index))
+    return RatVec.combination((weight, xs.element(index))
                               for index, weight in weights.items())
 
 

@@ -31,9 +31,9 @@ from .quantities import (CanonicalBasis, ExplicitSequence, SeqSpec,
                          cca_xi_tilde, cca_xi_tilde_sup, cca_xi_window,
                          f_delta, large_check, prop_formula, sm_constant)
 from .reports import Report
-from .schreier import (FinSet, _refuse_past_budget, count_family,
-                       enumerate_family, is_member, is_member_image,
-                       is_member_oracle, threshold, trace_member)
+from .schreier import (FinSet, _family, count_family, is_member,
+                       is_member_image, is_member_oracle, threshold,
+                       trace_member)
 from .spaces import NormSpec, coordinate_sum_functional, norm, norm_oracle
 from .streams import IndexStream, parse_stream
 from .vectors import ProbVector, RatVec, format_fraction, parse_fraction
@@ -79,7 +79,6 @@ def _ambient_spec(args) -> NormSpec:
 
 
 def _sequence(args, ambient: NormSpec) -> SeqSpec:
-    base: SeqSpec
     if getattr(args, "weights", None) is not None:
         weights = [parse_fraction(w) for w in args.weights.split(",")]
         base = WeightedBasis(ambient, weights, parse_fraction(args.weight_tail))
@@ -175,8 +174,7 @@ def _cmd_schreier_member(args) -> int:
 
 def _cmd_schreier_enum(args) -> int:
     xi = parse_ordinal(args.xi)
-    _refuse_past_budget(xi, args.max_value)
-    sets = [str(F) for F in enumerate_family(xi, args.max_value)]
+    sets = [str(F) for F in _family(xi, args.max_value)]
     payload = {"xi": args.xi, "max_value": args.max_value, "count": len(sets)}
     if args.limit is not None:
         sets = sets[:args.limit]
@@ -200,14 +198,6 @@ def _cmd_schreier_threshold(args) -> int:
 
 
 # -- avg -------------------------------------------------------------------------
-
-
-def _avg_sequence(text: str):
-    if text == "basis":
-        return CanonicalBasis(NormSpec.l1())
-    if text.startswith("@"):
-        return _load_vector_list(text)
-    raise ValueError(f"unknown sequence {text!r}; use basis or @file")
 
 
 def _nibcc_inputs(args) -> tuple[list[ProbVector], list[ProbVector]]:
@@ -239,7 +229,7 @@ def _cmd_avg_size(args) -> int:
 
 def _cmd_avg_apply(args) -> int:
     method = RepeatedAverages(parse_ordinal(args.xi), parse_stream(args.stream))
-    out = apply(method, _avg_sequence(args.seq), args.n)
+    out = apply(method, _sequence(args, NormSpec.l1()), args.n)
     _emit(args, {"xi": args.xi, "stream": args.stream, "n": args.n,
                  "vector": out.to_map()})
     return 0

@@ -7,6 +7,10 @@ return a :class:`HorizonEstimate` whose ``direction`` tag records how the
 computed value relates to the limit quantity (``exact``, ``upper_bound``,
 ``lower_bound``, or ``unverified``).  Plain window statistics return the
 exact rational maximum with no pretense of being the limit.
+
+Every quantity reads its vector sequence through one :class:`SeqSpec`, an
+ambient norm with a 1-indexed ``element`` callable, and so does
+:func:`~schreier_lab.averages.apply`, which :func:`cca_xi_window` averages with.
 """
 
 from __future__ import annotations
@@ -18,12 +22,12 @@ from functools import cached_property
 from itertools import product
 from typing import Callable, Iterable, Sequence
 
-from .averages import repeated_avg
+from .averages import _averages, apply
 from .budget import Budget, get_budget
 from .ordinal import FundamentalRule, Ordinal, default_fundamental_seq
-from .schreier import FinSet, _refuse_past_budget, enumerate_family
+from .schreier import FinSet, _family, enumerate_family
 from .spaces import (CertificationRefusedError, Functional, NormResult, NormSpec,
-                     _magnitude_norm, _scaled_norm, norm)
+                     _norm_total, _scaled_norm, norm)
 from .streams import IndexStream
 from .vectors import RatVec, format_fraction
 
@@ -90,78 +94,64 @@ class HorizonEstimate:
 # -- vector sequences --------------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class SeqSpec:
-    """A 1-indexed sequence of vectors living in a normed ambient."""
+    """A 1-indexed sequence of vectors living in a normed ambient:
+    ``element(n)`` is the n-th vector, and :meth:`describe` gives ``name``."""
 
     ambient: NormSpec
-
-    def element(self, n: int) -> RatVec:
-        raise NotImplementedError
+    element: Callable[[int], RatVec]
+    name: str
 
     def describe(self) -> str:
-        raise NotImplementedError
+        return self.name
 
 
-class CanonicalBasis(SeqSpec):
-    def __init__(self, ambient: NormSpec):
-        self.ambient = ambient
-
-    def element(self, n: int) -> RatVec:
+def _one_indexed(element: Callable[[int], RatVec]) -> Callable[[int], RatVec]:
+    """``element``, refusing indices below 1."""
+    def checked(n: int) -> RatVec:
         if n < 1:
             raise ValueError("sequences are 1-indexed")
-        return RatVec.unit(n)
-
-    def describe(self) -> str:
-        return "basis"
+        return element(n)
+    return checked
 
 
-class Subsequence(SeqSpec):
+def CanonicalBasis(ambient: NormSpec) -> SeqSpec:
+    """The unit vectors ``e_n``."""
+    return SeqSpec(ambient, _one_indexed(RatVec.unit), "basis")
+
+
+def Subsequence(base: SeqSpec, along: IndexStream) -> SeqSpec:
     """``base`` re-indexed along a stream: element(n) = base.element(m_n)."""
-
-    def __init__(self, base: SeqSpec, along: IndexStream):
-        self.base = base
-        self.along = along
-        self.ambient = base.ambient
-
-    def element(self, n: int) -> RatVec:
-        return self.base.element(self.along.element(n))
-
-    def describe(self) -> str:
-        return f"{self.base.describe()}[{self.along.name}]"
+    return SeqSpec(base.ambient, lambda n: base.element(along.element(n)),
+                   f"{base.describe()}[{along.name}]")
 
 
-class WeightedBasis(SeqSpec):
+def WeightedBasis(ambient: NormSpec, weights: Sequence[Fraction],
+                  tail: Fraction = Fraction(1)) -> SeqSpec:
     """``w_n e_n`` with explicitly listed leading weights and a constant tail."""
+    weights = tuple(Fraction(w) for w in weights)
+    tail = Fraction(tail)
 
-    def __init__(self, ambient: NormSpec, weights: Sequence[Fraction],
-                 tail: Fraction = Fraction(1)):
-        self.ambient = ambient
-        self.weights = tuple(Fraction(w) for w in weights)
-        self.tail = Fraction(tail)
-
-    def element(self, n: int) -> RatVec:
-        if n < 1:
-            raise ValueError("sequences are 1-indexed")
-        weight = self.weights[n - 1] if n <= len(self.weights) else self.tail
+    def element(n: int) -> RatVec:
+        weight = weights[n - 1] if n <= len(weights) else tail
         return RatVec.unit(n).scale(weight)
 
-    def describe(self) -> str:
-        return f"weighted-basis[{len(self.weights)} weights, tail {self.tail}]"
+    return SeqSpec(ambient, _one_indexed(element),
+                   f"weighted-basis[{len(weights)} weights, tail {tail}]")
 
 
-class ExplicitSequence(SeqSpec):
-    def __init__(self, ambient: NormSpec, vectors: Sequence[RatVec]):
-        self.ambient = ambient
-        self.vectors = tuple(RatVec(v.entries) for v in vectors)
+def ExplicitSequence(ambient: NormSpec, vectors: Sequence[RatVec]) -> SeqSpec:
+    """The listed vectors, in order."""
+    vectors = tuple(RatVec(v.entries) for v in vectors)
 
-    def element(self, n: int) -> RatVec:
-        if not 1 <= n <= len(self.vectors):
-            raise ValueError(f"sequence has {len(self.vectors)} vectors, "
+    def element(n: int) -> RatVec:
+        if not 1 <= n <= len(vectors):
+            raise ValueError(f"sequence has {len(vectors)} vectors, "
                              f"asked for {n}")
-        return self.vectors[n - 1]
+        return vectors[n - 1]
 
-    def describe(self) -> str:
-        return f"explicit[{len(self.vectors)}]"
+    return SeqSpec(ambient, element, f"explicit[{len(vectors)}]")
 
 
 # -- window oscillation statistics ---------------------------------------------------
@@ -233,13 +223,8 @@ def cca_xi_window(xi: Ordinal, M: IndexStream, xs: SeqSpec, n0: int, N: int, *,
     """
     _check_window(n0, N)
     budget = get_budget(budget)
-
-    def averaged(n: int) -> RatVec:
-        weights = repeated_avg(xi, M, n, fs=fs, budget=budget)
-        return RatVec.combination((weight, xs.element(index))
-                                  for index, weight in weights.items())
-
-    means = _cesaro_prefix(averaged, N)
+    method = _averages(xi, M, fs)
+    means = _cesaro_prefix(lambda n: apply(method, xs, n, budget=budget), N)
     return _max_pairwise(means, n0, N, xs.ambient, budget)
 
 
@@ -331,9 +316,8 @@ def sm_constant(xi: Ordinal, xs: SeqSpec, N: int, coeff_budget: int = 4, *,
     ``Fraction``.  Ties keep the first pattern met.
     """
     budget = get_budget(budget)
-    _refuse_past_budget(xi, N, fs=fs, budget=budget)
-    return _sm_scan(xs, N, coeff_budget,
-                    enumerate_family(xi, N, fs=fs, budget=budget), budget)
+    return _sm_scan(xs, N, coeff_budget, _family(xi, N, fs=fs, budget=budget),
+                    budget)
 
 
 def _sm_scan(xs: SeqSpec, N: int, coeff_budget: int, members: Iterable[FinSet],
@@ -365,7 +349,7 @@ def _sm_scan(xs: SeqSpec, N: int, coeff_budget: int, members: Iterable[FinSet],
             support = tuple(sorted(i for i, v in combined.items() if v))
             values = [combined[i] for i in support]
             if rational:
-                total = _norm_total(ambient, support, values, budget, memo)
+                total = _norm_total(ambient, support, values, budget, memo)[0]
                 if best is None or total * best[1] < best[0] * scale:
                     best = (total, scale)
                     best_witness = (F, signs)
@@ -382,28 +366,6 @@ def _sm_scan(xs: SeqSpec, N: int, coeff_budget: int, members: Iterable[FinSet],
     F, signs = best_witness
     witness = f"{F};{','.join(format_fraction(s) for s in signs)}"
     return HorizonEstimate(best, "upper_bound", N, witness)
-
-
-def _norm_total(spec: NormSpec, support: tuple[int, ...], values: list[int],
-                budget: Budget, memo: dict) -> int:
-    """``D`` times the norm of the vector ``values / D`` on ``support``, for
-    the kinds whose norm is rational (all but ``l2`` and ``baernstein``).
-
-    The same integer :func:`spaces._scaled_norm` turns into its value, from
-    the same kernels and memo keys, without building a result.
-    """
-    if spec.kind == "l1":
-        return sum(map(abs, values))
-    if spec.kind != "schreier_star":
-        return _magnitude_norm(spec, support, [abs(v) for v in values],
-                               budget, memo)[0]
-    # The larger of the two signed parts, split on the integers.
-    return max(
-        _magnitude_norm(spec, tuple(i for i, v in zip(support, values)
-                                    if sign * v > 0),
-                        [sign * v for v in values if sign * v > 0],
-                        budget, memo)[0]
-        for sign in (1, -1))
 
 
 def _common_rows(scaled: Sequence[tuple]) -> tuple[list[list[tuple[int, int]]], int]:
@@ -553,9 +515,7 @@ def _large_scan(xi: Ordinal, c: Fraction, xs: SeqSpec, M: IndexStream,
     family over the positions ``M`` carries below ``N``, walked here when
     None."""
     weak_limit = RatVec() if weak_limit is None else weak_limit
-    shifted = ExplicitSequence(xs.ambient,
-                               [xs.element(n) - weak_limit
-                                for n in range(1, N + 1)])
+    shifted = SeqSpec(xs.ambient, lambda n: xs.element(n) - weak_limit, xs.name)
     family = f_delta(functionals, shifted, c, N)
     values = []
     position = 1

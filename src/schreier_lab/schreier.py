@@ -580,26 +580,29 @@ def count_family(xi: Ordinal, max_value: int, *,
     return final + sum(live.values())
 
 
-def _refuse_past_budget(xi: Ordinal, max_value: int, *,
-                        fs: FundamentalRule = default_fundamental_seq,
-                        budget: Budget | None = None) -> None:
-    """Refuse up front a family :func:`enumerate_family` would refuse.
+def _family(xi: Ordinal, max_value: int, *,
+            fs: FundamentalRule = default_fundamental_seq,
+            budget: Budget | None = None) -> Iterator[FinSet]:
+    """The walk of :func:`enumerate_family`, counted first.
 
-    For callers that walk the whole family: they fail in the time of a
-    count, not after ``budget.work`` sets.  The refusal keeps the text of
-    the enumeration meter (``needs >= limit + 1``), so it reads the same
-    whichever of the two stops first.  When the count itself is refused,
-    the enumeration's meter decides alone.
+    For callers that need the whole family: a family the walk would refuse
+    fails here, in the time of a count, not after ``budget.work`` sets.
+    The refusal keeps the text of the enumeration meter (``needs >= limit +
+    1``), so it reads the same whichever of the two stops first.  When the
+    count itself is refused, the enumeration's meter decides alone.  The
+    walk stays lazy, so a caller that needs one pass holds no list.
     """
     budget = get_budget(budget)
     try:
         count = count_family(xi, max_value, fs=fs, budget=budget)
     except BudgetExceededError:
-        return
-    if count > budget.work:
-        raise BudgetExceededError("family enumeration", budget.work,
-                                  needed=budget.work + 1,
-                                  needed_is_lower_bound=True)
+        pass
+    else:
+        if count > budget.work:
+            raise BudgetExceededError("family enumeration", budget.work,
+                                      needed=budget.work + 1,
+                                      needed_is_lower_bound=True)
+    return enumerate_family(xi, max_value, fs=fs, budget=budget)
 
 
 # -- traces and images -----------------------------------------------------------
@@ -646,10 +649,9 @@ def threshold(zeta: Ordinal, xi: Ordinal, max_value: int, *,
     every family that value is reachable only vacuously, but the contract
     keeps it as a distinguished result.
     """
-    _refuse_past_budget(zeta, max_value, fs=fs, budget=budget)
     target = _automaton(xi, fs)
     outside: list[int] = []
-    for F in enumerate_family(zeta, max_value, fs=fs, budget=budget):
+    for F in _family(zeta, max_value, fs=fs, budget=budget):
         if F and not target.accepts(F.elements):
             outside.append(F.min())
     if not outside:

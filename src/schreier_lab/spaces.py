@@ -9,12 +9,13 @@ increasing chain of admissible sets.
 Exact values are rationals; the Baernstein norm is reported through its
 exact square together with a floating approximation of the root.  Every
 kind, the classical ``l1``, ``l2`` and ``sup`` included, is evaluated by one
-private entry, ``_scaled_norm``, on integers: the support, the signed
-numerators and their common denominator ``D``.  :func:`norm` scales its
-vector once and calls it; scans that build many vectors (the sign patterns
-of ``quantities.sm_constant`` and of the star bundle) build them on the
-integers and call it, or the kernels behind it when only the integer total
-matters.  The star norm splits signs on the integers,
+private entry, ``_norm_total``, on integers: the support and the signed
+numerators over a common denominator ``D``, giving an integer total and a
+witness.  ``_scaled_norm`` turns that total into a :class:`NormResult`, and
+:func:`norm` scales its vector once and calls it; scans that build many
+vectors (the sign patterns of ``quantities.sm_constant`` and of the star
+bundle) build them on the integers and call ``_norm_total`` directly when
+only the integer total matters.  The star norm splits signs on the integers,
 and the kernels see only magnitudes: order 0 takes the first largest entry,
 order 1 has a polynomial scan, and everything else runs a branch-and-bound
 over admissible prefixes, metered by the active budget.  Each search node
@@ -348,23 +349,23 @@ def _magnitude_norm(spec: NormSpec, support: tuple[int, ...], mags: list[int],
     return _norm_search(support, mags, xi, spec.fs, budget)
 
 
-def _scaled_norm(spec: NormSpec, support: tuple[int, ...], values: list[int],
-                 D: int, budget: Budget, memo: dict | None = None) -> NormResult:
-    """The norm of the vector with entry ``values[k] / D`` at ``support[k]``.
+def _norm_total(spec: NormSpec, support: tuple[int, ...], values: list[int],
+                budget: Budget, memo: dict | None = None) -> tuple[int, object]:
+    """The integer total and the witness of the norm of the vector with entry
+    ``values[k] / D`` at ``support[k]``, for any kind and any ``D``.
 
-    ``support`` ascends, ``values`` are non-zero integers and ``D`` is
-    positive.  ``memo``, when given, maps magnitude vectors to kernel
-    results; a caller keeps one per scan under one spec and budget, and the
-    totals it holds are integers, so vectors over different denominators
-    share it.
+    ``support`` ascends and ``values`` are non-zero integers.  The total is
+    in units of ``1/D``, or of ``1/D**2`` for ``l2`` and ``baernstein``, so
+    it does not depend on ``D``; on a tie between the star norm's signed
+    parts the positive part wins.  ``memo``, when given, maps magnitude
+    vectors to kernel results; a caller keeps one per scan under one spec
+    and budget, and vectors over different denominators share it.
     """
     kind = spec.kind
     if kind == "l1":
-        return _exact_result(spec, Fraction(sum(map(abs, values)), D),
-                             FinSet(support))
+        return sum(map(abs, values)), FinSet(support)
     if kind == "l2":
-        return _sqrt_result(spec, Fraction(sum(v * v for v in values), D * D),
-                            FinSet(support))
+        return sum(v * v for v in values), FinSet(support)
     if kind == "schreier_star":
         # The two signed parts, split on the integers.
         pos = [k for k, v in enumerate(values) if v > 0]
@@ -374,13 +375,18 @@ def _scaled_norm(spec: NormSpec, support: tuple[int, ...], values: list[int],
         best_neg, F_neg = _magnitude_norm(spec, tuple(support[k] for k in neg),
                                           [-values[k] for k in neg], budget, memo)
         if best_neg > best_pos:
-            return _exact_result(spec, Fraction(best_neg, D), ("-", F_neg))
-        return _exact_result(spec, Fraction(best_pos, D), ("+", F_pos))
-    best, witness = _magnitude_norm(spec, support, [abs(v) for v in values],
-                                    budget, memo)
-    if kind == "baernstein":
-        return _sqrt_result(spec, Fraction(best, D * D), witness)
-    return _exact_result(spec, Fraction(best, D), witness)
+            return best_neg, ("-", F_neg)
+        return best_pos, ("+", F_pos)
+    return _magnitude_norm(spec, support, [abs(v) for v in values], budget, memo)
+
+
+def _scaled_norm(spec: NormSpec, support: tuple[int, ...], values: list[int],
+                 D: int, budget: Budget, memo: dict | None = None) -> NormResult:
+    """:func:`_norm_total` over the positive denominator ``D``, as a result."""
+    total, witness = _norm_total(spec, support, values, budget, memo)
+    if spec.kind in ("l2", "baernstein"):
+        return _sqrt_result(spec, Fraction(total, D * D), witness)
+    return _exact_result(spec, Fraction(total, D), witness)
 
 
 def norm(spec: NormSpec, x: RatVec, *, budget: Budget | None = None) -> NormResult:
@@ -480,7 +486,8 @@ class Functional:
 
     When ``certified_for`` is set, evaluation checks ``|f(x)| <= ||x||``
     against that norm; the inequality holds by construction, so a failure is
-    a defect in the norm code, not in the data.
+    a defect in the norm code, not in the data.  A norm the budget refuses
+    refuses the evaluation too: the check is never skipped silently.
     """
 
     coefficients: RatVec
@@ -496,11 +503,8 @@ class Functional:
         value = sum((v * large[i] for i, v in small.items() if i in large),
                     Fraction(0))
         if check and self.certified_for is not None:
-            try:
-                bound = norm(self.certified_for, x, budget=budget)
-            except BudgetExceededError:
-                bound = None
-            if bound is not None and abs(value) > bound.value:
+            bound = norm(self.certified_for, x, budget=budget)
+            if abs(value) > bound.value:
                 raise CertificationViolationError(
                     f"certified functional {self.label or 'f'} exceeded the "
                     f"norm: |{value}| > {bound.value}")
@@ -530,5 +534,12 @@ def coordinate_sum_functional(F: FinSet, spec: NormSpec) -> Functional:
     if not is_member(spec.xi, F, fs=spec.fs):
         raise CertificationRefusedError(
             f"{{{F}}} is not admissible at order {spec.xi}")
+    return _member_sum_functional(F, spec)
+
+
+def _member_sum_functional(F: FinSet, spec: NormSpec) -> Functional:
+    """:func:`coordinate_sum_functional` without its checks, for a set known
+    to be a member at the order of a ``schreier`` or ``schreier_star`` spec,
+    such as one walked from that family."""
     ones = RatVec._canonical(dict.fromkeys(F, Fraction(1)))
     return Functional(ones, spec, label=f"sum[{F}]")

@@ -11,7 +11,9 @@ formula.  All sampling is seeded, so two runs emit identical JSON.
 The two example bundles count their admissible family once, refusing it up
 front when it is past the budget, and walk it once; the sign-pattern scans,
 the coordinate-sum functionals, the largeness scan and the dual-certificate
-pool all read that one list of members.
+pool all read that one list of members.  The walk yields members of the
+space's own order only, so their coordinate sums are built without testing
+membership again.
 """
 
 from __future__ import annotations
@@ -21,14 +23,14 @@ import time
 from fractions import Fraction
 from itertools import product
 
-from .averages import cesaro_mean
 from .budget import Budget, BudgetExceededError, get_budget
 from .ordinal import FundamentalRule, Ordinal, default_fundamental_seq
-from .quantities import (CanonicalBasis, _large_scan, _norm_total, _sm_scan,
-                         prop_formula)
+from .quantities import (CanonicalBasis, SeqSpec, _cesaro_prefix, _large_scan,
+                         _sm_scan, prop_formula)
 from .reports import Report
-from .schreier import FinSet, _refuse_past_budget, enumerate_family
-from .spaces import NormSpec, coordinate_sum_functional, norm
+from .schreier import FinSet, _family
+from .spaces import (NormSpec, _member_sum_functional, _norm_total,
+                     coordinate_sum_functional, norm)
 from .streams import IndexStream
 from .vectors import RatVec, format_fraction
 
@@ -48,14 +50,7 @@ def _sum_functionals(order: Ordinal, spec: NormSpec, N: int, *,
     refused before any functional is built.
     """
     return [coordinate_sum_functional(F, spec)
-            for F in _family(order, N, fs, budget) if F]
-
-
-def _family(order: Ordinal, N: int, fs: FundamentalRule,
-            budget: Budget | None) -> list[FinSet]:
-    """Every member inside ``1..N``, counted first and then walked once."""
-    _refuse_past_budget(order, N, fs=fs, budget=budget)
-    return list(enumerate_family(order, N, fs=fs, budget=budget))
+            for F in _family(order, N, fs=fs, budget=budget) if F]
 
 
 def _sample_vector(rng: random.Random, N: int) -> RatVec:
@@ -82,7 +77,7 @@ def _dual_certificate_trials(spec: NormSpec, members: list[FinSet], N: int, *,
     for _ in range(trials):
         F = rng.choice(pool)
         x = _sample_vector(rng, N)
-        functional = coordinate_sum_functional(F, spec)
+        functional = _member_sum_functional(F, spec)
         value = functional.evaluate(x, check=False)
         bound = norm(spec, x, budget=budget).value
         if abs(value) > bound:
@@ -92,12 +87,12 @@ def _dual_certificate_trials(spec: NormSpec, members: list[FinSet], N: int, *,
     return True, f"{trials} certified evaluations, max |f(x)|/norm = {worst}"
 
 
-def _check_large(report: Report, basis: CanonicalBasis, order: Ordinal,
+def _check_large(report: Report, basis: SeqSpec, order: Ordinal,
                  c: Fraction, members: list[FinSet], N: int,
                  fs: FundamentalRule, budget: Budget) -> None:
     """Largeness of the basis at level ``c`` along the identity stream,
     tested by the certified coordinate sums over ``members``."""
-    functionals = [coordinate_sum_functional(F, basis.ambient)
+    functionals = [_member_sum_functional(F, basis.ambient)
                    for F in members if F]
     large = _large_scan(order, c, basis, IndexStream.all_indices(), functionals,
                         N, None, members, fs=fs, budget=budget)
@@ -128,7 +123,7 @@ def verify_example_schreier(xi: Ordinal, N: int, coeff_budget: int = 3, *,
                      "coeff_budget": coeff_budget, "c": format_fraction(c),
                      "seed": 0})
 
-    members = _family(order, N, fs, budget)
+    members = list(_family(order, N, fs=fs, budget=budget))
     sm = _sm_scan(basis, N, coeff_budget, members, budget)
     report.check("spreading-constant-is-one", sm.value == 1,
                  f"min ratio {sm.to_json()['value']} at {sm.witness}")
@@ -172,7 +167,7 @@ def verify_example_star(xi: Ordinal, N: int, coeff_budget: int = 3, *,
     half = Fraction(1, 2)
     violations = 0
     tested = 0
-    members = _family(order, N, fs, budget)
+    members = list(_family(order, N, fs=fs, budget=budget))
     for F in members:
         if not F or len(F) > coeff_budget:
             continue
@@ -181,7 +176,7 @@ def verify_example_star(xi: Ordinal, N: int, coeff_budget: int = 3, *,
         memo: dict = {}
         for signs in product((1, -1), repeat=len(F)):
             tested += 1
-            if 2 * _norm_total(spec, F.elements, signs, budget, memo) < len(F):
+            if 2 * _norm_total(spec, F.elements, signs, budget, memo)[0] < len(F):
                 violations += 1
     report.check("half-lower-bound-holds", violations == 0,
                  f"{tested} sign patterns, {violations} below half mass")
@@ -197,8 +192,7 @@ def verify_example_star(xi: Ordinal, N: int, coeff_budget: int = 3, *,
 
     # Distances of running means: exact norms when the search is affordable,
     # otherwise the l1 mass of each sign part, which already caps the max.
-    units = [RatVec.unit(n) for n in range(1, N + 1)]
-    means = {n: cesaro_mean(units, n) for n in range(1, N + 1)}
+    means = _cesaro_prefix(RatVec.unit, N)
     cap_violations = 0
     largest = Fraction(0)
     routes = {"exact": 0, "l1-certificate": 0}

@@ -20,7 +20,7 @@ from schreier_lab.averages import (
     pair_sum, repeated_avg, successor_pair_prefix, support_size)
 from schreier_lab.budget import Budget, BudgetExceededError
 from schreier_lab.ordinal import classify, default_fundamental_seq, parse
-from schreier_lab.quantities import CanonicalBasis
+from schreier_lab.quantities import CanonicalBasis, ExplicitSequence
 from schreier_lab.schreier import FinSet, trace_member
 from schreier_lab.spaces import NormSpec
 from schreier_lab.streams import IndexStream
@@ -324,11 +324,12 @@ def test_explicit_method_validation():
 
 def test_apply_averages_a_sequence():
     method = RepeatedAverages(parse("1"), ALL)
-    xs = [RatVec.unit(10 + i) for i in range(1, 8)]
-    out = apply(method, xs, 2)
+    vectors = [RatVec.unit(10 + i) for i in range(1, 8)]
+    out = apply(method, ExplicitSequence(NormSpec.l1(), vectors), 2)
     assert out.entries == {12: HALF, 13: HALF}
     with pytest.raises(ValueError):
-        apply(method, xs[:2], 3)  # sequence shorter than the support
+        # sequence shorter than the support
+        apply(method, ExplicitSequence(NormSpec.l1(), vectors[:2]), 3)
 
 
 def test_pair_sum():

@@ -2,6 +2,7 @@
 
 import json
 import re
+import shlex
 import tempfile
 import time
 from pathlib import Path
@@ -198,6 +199,14 @@ def test_avg_apply_and_pair_sum(capsys, tmp_path):
     assert payload["value"] == "3/2"
 
 
+def test_avg_apply_past_a_short_sequence_exits_two(capsys, tmp_path):
+    seq = write_vecs(tmp_path, "short.json", {"11": "1"}, {"12": "1"})
+    code, out, err = run(capsys, "avg", "apply", "--xi", "1", "--n", "3",
+                         "--seq", seq)
+    assert (code, out, err) == (2, "", "error: sequence has 2 vectors, "
+                                       "asked for 4\n")
+
+
 def test_avg_validate(capsys, tmp_path):
     good = write_vecs(tmp_path, "good.json", {"1": "1"},
                       {"2": "1/2", "3": "1/2"})
@@ -306,6 +315,15 @@ def test_norm_functional(capsys):
     code, out, err = run(capsys, "norm", "functional", "--space", "schreier",
                          "--xi", "1", "--set", "1,2")
     assert code == 2 and "not admissible" in err
+
+
+def test_norm_functional_check_refused_past_the_search_budget(capsys):
+    ones = json.dumps({"entries": {str(i): "1" for i in range(1, 30)}})
+    code, out, err = run(capsys, "norm", "functional", "--space", "schreier",
+                         "--xi", "2", "--set", "2,3", "--vec", ones)
+    assert code == 2 and out == ""
+    assert err.startswith("budget exceeded:")
+    assert err.endswith("norm search support: limit 24 (needs = 29)\n")
 
 
 def test_norm_rejects_entries_that_are_not_an_object(capsys):
@@ -484,12 +502,59 @@ def test_readme_commands_are_byte_stable(capsys, argv, expected):
     assert (code, out, err) == (0, expected, "")
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+# The README's one example that refuses at the default budget.
+README_REFUSALS = {"avg --xi w --stream all --n 5 --format json"}
+
+
+def _readme_commands(*headings):
+    """The ``schreier-lab`` lines of the first ``sh`` block under each
+    heading, continuation lines joined, as (environment, argv) params."""
+    text = README.read_text()
+    commands = []
+    for heading in headings:
+        section = text.split(f"\n## {heading}\n", 1)[1]
+        block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if "schreier-lab" in words:
+                at = words.index("schreier-lab")
+                env = dict(word.split("=", 1) for word in words[:at])
+                commands.append(pytest.param(env, words[at + 1:],
+                                             id=" ".join(words)))
+    return commands
+
+
+@pytest.mark.parametrize("env, argv", _readme_commands("Command line", "Budget"))
+def test_readme_commands_run(capsys, monkeypatch, tmp_path, env, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "vec.json").write_text(
+        '{"entries": {"2": "3/2", "3": "-1", "5": "2", "8": "1/3"}}\n')
+    monkeypatch.delenv("SCHREIER_LAB_BUDGET", raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, out, err = run(capsys, *argv)
+    if " ".join(argv) in README_REFUSALS:
+        assert code == 2 and re.match(r"budget exceeded: .*needs", err), err
+    else:
+        assert code == 0 and out and err == "", err
+
+
 def test_quantity_fdelta(capsys):
     code, payload = run_json(capsys, "quantity", "fdelta", "--space-xi", "1",
                              "--delta", "1", "--N", "3")
     assert code == 0
     assert payload["hit_sets"] == ["1", "2", "2,3", "3"]
     assert payload["labels"] == ["sum[1]", "sum[2]", "sum[2,3]", "sum[3]"]
+
+
+def test_quantity_fdelta_refuses_a_functional_order_past_the_space(capsys):
+    # Order-2 sets such as {2,3,4} are not order-1 admissible, so the
+    # space cannot certify their coordinate sums.
+    code, out, err = run(capsys, "quantity", "fdelta", "--space-xi", "1",
+                         "--gamma-xi", "2", "--delta", "1/2", "--N", "6")
+    assert (code, out, err) == (2, "", "error: {2,3,4} is not admissible "
+                                       "at order 1\n")
 
 
 def test_quantity_large_exit_codes(capsys):

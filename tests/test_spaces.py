@@ -442,7 +442,23 @@ def test_functional_evaluates_on_the_common_support(x, expected):
     assert value == expected and type(value) is Fraction
 
 
-def test_certificate_check_skipped_when_norm_is_infeasible():
+def test_certificate_check_refused_when_norm_is_infeasible():
     f = coordinate_sum_functional(FinSet.of(2, 3), NormSpec.schreier(TWO))
     wide = units(*range(1, 30))   # support exceeds the search budget
-    assert f.evaluate(wide) == 2
+    with pytest.raises(BudgetExceededError) as info:
+        f.evaluate(wide)
+    assert str(info.value).endswith(
+        "norm search support: limit 24 (needs = 29)")
+    assert f.evaluate(wide, check=False) == 2
+
+
+def test_refused_guard_does_not_hide_a_violation():
+    # Coefficient 5 on 1..8 is no norm-one functional for schreier:2 (it
+    # gives 40 on a vector of norm 6); a refused guard must not pass it.
+    bogus = Functional(units(*range(1, 9)).scale(5), NormSpec.schreier(TWO),
+                       label="bogus")
+    ones = units(*range(1, 9))
+    with pytest.raises(BudgetExceededError):
+        bogus.evaluate(ones, budget=Budget(work=2))
+    with pytest.raises(CertificationViolationError, match=r"\|40\| > 6"):
+        bogus.evaluate(ones)

@@ -59,7 +59,7 @@ def test_bundles_count_and_walk_their_family_once(monkeypatch, bundle):
         return enumerate_family(*args, **kwargs)
 
     monkeypatch.setattr(schreier, "count_family", counting)
-    for module in (schreier, quantities, verify):
+    for module in (schreier, quantities):
         monkeypatch.setattr(module, "enumerate_family", walking)
     assert bundle(parse("1"), 10).ok
     assert calls == {"count": 1, "walk": 1}
