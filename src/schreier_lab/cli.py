@@ -8,6 +8,11 @@ Vector-valued flags accept inline JSON or ``@path`` to read a file.
 The ``avg`` and ``norm`` groups run their primary operation when no
 sub-operation is named, so ``avg --xi w --stream all --n 5`` and
 ``norm --space schreier --xi 1 --vec @x.json`` work as written.
+
+Each group imports its layer when one of its commands runs, not when the
+parser is built.  So an ``ord`` command loads only the ordinals, and the
+``avg`` and ``norm`` commands load neither the quantities nor the bundles
+(except ``avg apply``, which builds its sequence as the quantity group does).
 """
 
 from __future__ import annotations
@@ -15,30 +20,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
-from pathlib import Path
-from typing import Sequence
 
-from .averages import (AmbiguousReconstructionError, ExplicitMethod,
-                       RepeatedAverages, apply, cesaro_reweight, check_nibcc,
-                       pair_sum, repeated_avg, successor_pair_prefix,
-                       support_size)
 from .budget import BudgetExceededError
-from .ordinal import (Ordinal, classify, default_fundamental_seq,
-                      parse as parse_ordinal)
-from .quantities import (CanonicalBasis, ExplicitSequence, SeqSpec,
-                         Subsequence, WeightedBasis, ca_window, cca_window,
-                         cca_xi_tilde, cca_xi_tilde_sup, cca_xi_window,
-                         f_delta, large_check, prop_formula, sm_constant)
-from .reports import Report
-from .schreier import (FinSet, _family, count_family, is_member,
-                       is_member_image, is_member_oracle, threshold,
-                       trace_member)
-from .spaces import NormSpec, coordinate_sum_functional, norm, norm_oracle
-from .streams import IndexStream, parse_stream
-from .vectors import ProbVector, RatVec, format_fraction, parse_fraction
-from .verify import (_sum_functionals, verify_example_schreier,
-                     verify_example_star, verify_prop_formula)
 
 _SPACE_KINDS = ("l1", "l2", "sup", "schreier", "star", "baernstein")
 
@@ -46,42 +29,67 @@ _SPACE_KINDS = ("l1", "l2", "sup", "schreier", "star", "baernstein")
 # -- input and output helpers ----------------------------------------------------
 
 
+# Parsers of the textual arguments, each importing the layer that owns the syntax.
+
+
+def _ordinal(text: str):
+    from .ordinal import parse
+    return parse(text)
+
+
+def _stream(text: str):
+    from .streams import parse_stream
+    return parse_stream(text)
+
+
+def _fraction(text: str):
+    from .vectors import parse_fraction
+    return parse_fraction(text)
+
+
 def _read_arg(text: str) -> str:
     if text.startswith("@"):
+        from pathlib import Path
         return Path(text[1:]).read_text()
     return text
 
 
-def _load_vector(text: str) -> RatVec:
+def _load_vector(text: str):
+    from .vectors import RatVec
     return RatVec.from_json(_read_arg(text))
 
 
-def _load_vector_list(text: str) -> list[RatVec]:
+def _load_vector_list(text: str) -> list:
+    from .vectors import RatVec
     data = json.loads(_read_arg(text))
     if not isinstance(data, list):
         raise ValueError("expected a JSON list of vectors")
     return [RatVec.from_obj(item) for item in data]
 
 
-def _space_spec(space: str, xi_text: str | None) -> NormSpec:
+def _space_spec(space: str, xi_text: str | None):
+    from .spaces import NormSpec
     if xi_text is None:
         return NormSpec.parse(space)
     return NormSpec.parse(f"{space}:{xi_text}")
 
 
-def _ambient_spec(args) -> NormSpec:
+def _ambient_spec(args):
     order = getattr(args, "space_xi", None) or getattr(args, "xi", None)
     if args.space in ("l1", "l2", "sup"):
-        return NormSpec.parse(args.space)
+        return _space_spec(args.space, None)
     if order is None:
         raise ValueError(f"--space {args.space} needs --space-xi")
     return _space_spec(args.space, order)
 
 
-def _sequence(args, ambient: NormSpec) -> SeqSpec:
+def _sequence(args, ambient):
+    """The vector sequence named by the sequence flags, in ``ambient``."""
+    from .quantities import (CanonicalBasis, ExplicitSequence, Subsequence,
+                             WeightedBasis)
     if getattr(args, "weights", None) is not None:
-        weights = [parse_fraction(w) for w in args.weights.split(",")]
-        base = WeightedBasis(ambient, weights, parse_fraction(args.weight_tail))
+        weights = [_fraction(w) for w in args.weights.split(",")]
+        base = WeightedBasis(ambient, weights, _fraction(args.weight_tail))
     elif args.seq == "basis":
         base = CanonicalBasis(ambient)
     elif args.seq.startswith("@"):
@@ -89,11 +97,13 @@ def _sequence(args, ambient: NormSpec) -> SeqSpec:
     else:
         raise ValueError(f"unknown sequence {args.seq!r}; use basis or @file")
     if getattr(args, "along", None) is not None:
-        base = Subsequence(base, parse_stream(args.along))
+        base = Subsequence(base, _stream(args.along))
     return base
 
 
 def _value_fields(value) -> dict:
+    from fractions import Fraction
+    from .vectors import format_fraction
     exact = format_fraction(value) if isinstance(value, Fraction) else None
     return {"value": exact, "approx": float(value)}
 
@@ -121,7 +131,7 @@ def _emit(args, payload: dict) -> None:
         sys.stdout.write("\n".join(_text_lines(payload)) + "\n")
 
 
-def _emit_report(args, report: Report) -> int:
+def _emit_report(args, report) -> int:
     if args.format == "json":
         sys.stdout.write(report.json_bytes().decode())
     else:
@@ -133,13 +143,15 @@ def _emit_report(args, report: Report) -> int:
 
 
 def _cmd_ord_parse(args) -> int:
-    x = parse_ordinal(args.text)
+    from .ordinal import classify
+    x = _ordinal(args.text)
     _emit(args, {"ordinal": str(x), "kind": classify(x).kind})
     return 0
 
 
 def _cmd_ord_classify(args) -> int:
-    x = parse_ordinal(args.xi)
+    from .ordinal import classify
+    x = _ordinal(args.xi)
     kind, pred = classify(x)
     _emit(args, {"ordinal": str(x), "kind": kind,
                  "predecessor": None if pred is None else str(pred)})
@@ -147,7 +159,8 @@ def _cmd_ord_classify(args) -> int:
 
 
 def _cmd_ord_fseq(args) -> int:
-    x = parse_ordinal(args.xi)
+    from .ordinal import default_fundamental_seq
+    x = _ordinal(args.xi)
     if args.n < 1:
         raise ValueError("--n must be at least 1")
     values = [str(default_fundamental_seq(x, n)) for n in range(1, args.n + 1)]
@@ -159,21 +172,28 @@ def _cmd_ord_fseq(args) -> int:
 
 
 def _cmd_schreier_member(args) -> int:
-    """``member``, ``oracle``, ``image`` and ``trace``: ``args.test`` takes
-    the order, the stream when the op has one, and the set."""
+    """``member``, ``oracle``, ``image`` and ``trace``: the op names the test,
+    which takes the order, the stream when the op has one, and the set."""
+    from .schreier import (FinSet, is_member, is_member_image,
+                           is_member_oracle, trace_member)
+    test = {"member": is_member, "oracle": is_member_oracle,
+            "image": is_member_image, "trace": trace_member}[args.op]
     F = FinSet.parse(args.set)
     payload = {"xi": args.xi, "set": str(F)}
-    operands = [parse_ordinal(args.xi)]
+    operands = [_ordinal(args.xi)]
     if getattr(args, "stream", None) is not None:
         payload["stream"] = args.stream
-        operands.append(parse_stream(args.stream))
-    payload["member"] = args.test(*operands, F)
+        operands.append(_stream(args.stream))
+    payload["member"] = test(*operands, F)
     _emit(args, payload)
     return 0
 
 
 def _cmd_schreier_enum(args) -> int:
-    xi = parse_ordinal(args.xi)
+    from .schreier import _family
+    xi = _ordinal(args.xi)
+    if args.limit is not None and args.limit < 0:
+        raise ValueError("--limit must be at least 0")
     sets = [str(F) for F in _family(xi, args.max_value)]
     payload = {"xi": args.xi, "max_value": args.max_value, "count": len(sets)}
     if args.limit is not None:
@@ -184,14 +204,15 @@ def _cmd_schreier_enum(args) -> int:
 
 
 def _cmd_schreier_count(args) -> int:
-    count = count_family(parse_ordinal(args.xi), args.max_value)
+    from .schreier import count_family
+    count = count_family(_ordinal(args.xi), args.max_value)
     _emit(args, {"xi": args.xi, "max_value": args.max_value, "count": count})
     return 0
 
 
 def _cmd_schreier_threshold(args) -> int:
-    n = threshold(parse_ordinal(args.zeta), parse_ordinal(args.xi),
-                  args.max_value)
+    from .schreier import threshold
+    n = threshold(_ordinal(args.zeta), _ordinal(args.xi), args.max_value)
     _emit(args, {"zeta": args.zeta, "xi": args.xi,
                  "max_value": args.max_value, "threshold": n})
     return 0
@@ -200,50 +221,64 @@ def _cmd_schreier_threshold(args) -> int:
 # -- avg -------------------------------------------------------------------------
 
 
-def _nibcc_inputs(args) -> tuple[list[ProbVector], list[ProbVector]]:
+def _nibcc_witness(args):
+    """The combined and original vectors, from files or generated, and the
+    block combination witness between them (``None`` when there is none)."""
+    from .averages import check_nibcc, successor_pair_prefix
+    from .vectors import ProbVector
     if args.z is not None or args.y is not None:
         if args.z is None or args.y is None:
             raise ValueError("--z and --y go together")
         z = [ProbVector(v.entries) for v in _load_vector_list(args.z)]
         y = [ProbVector(v.entries) for v in _load_vector_list(args.y)]
-        return z, y
-    if args.xi is None:
+    elif args.xi is None:
         raise ValueError("give --xi, or --z and --y")
-    return successor_pair_prefix(parse_ordinal(args.xi),
-                                 parse_stream(args.stream), args.count)
+    else:
+        z, y = successor_pair_prefix(_ordinal(args.xi),
+                                     _stream(args.stream), args.count)
+    return z, y, check_nibcc(z, y)
 
 
 def _cmd_avg_vector(args) -> int:
-    vec = repeated_avg(parse_ordinal(args.xi), parse_stream(args.stream), args.n)
+    from .averages import repeated_avg
+    vec = repeated_avg(_ordinal(args.xi), _stream(args.stream), args.n)
     _emit(args, {"xi": args.xi, "stream": args.stream, "n": args.n,
                  "size": len(vec), "vector": vec.to_map()})
     return 0
 
 
 def _cmd_avg_size(args) -> int:
-    size = support_size(parse_ordinal(args.xi), parse_stream(args.stream), args.n)
+    from .averages import support_size
+    size = support_size(_ordinal(args.xi), _stream(args.stream), args.n)
     _emit(args, {"xi": args.xi, "stream": args.stream, "n": args.n,
                  "size": size})
     return 0
 
 
 def _cmd_avg_apply(args) -> int:
-    method = RepeatedAverages(parse_ordinal(args.xi), parse_stream(args.stream))
-    out = apply(method, _sequence(args, NormSpec.l1()), args.n)
+    """Builds its sequence like the quantity group, so it loads that layer."""
+    from .averages import RepeatedAverages, apply
+    method = RepeatedAverages(_ordinal(args.xi), _stream(args.stream))
+    out = apply(method, _sequence(args, _space_spec("l1", None)), args.n)
     _emit(args, {"xi": args.xi, "stream": args.stream, "n": args.n,
                  "vector": out.to_map()})
     return 0
 
 
 def _cmd_avg_pair_sum(args) -> int:
+    from .averages import pair_sum
+    from .schreier import FinSet
+    from .vectors import format_fraction
     value = pair_sum(_load_vector(args.vec), FinSet.parse(args.set))
     _emit(args, {"set": args.set, "value": format_fraction(value)})
     return 0
 
 
 def _cmd_avg_validate(args) -> int:
+    from .averages import ExplicitMethod
+    from .vectors import ProbVector
     vectors = [ProbVector(v.entries) for v in _load_vector_list(args.seq)]
-    method = ExplicitMethod(vectors, parse_stream(args.stream))
+    method = ExplicitMethod(vectors, _stream(args.stream))
     n = args.n if args.n is not None else len(vectors)
     if n > len(vectors):
         raise ValueError(f"--n {n} is past the {len(vectors)} listed vectors")
@@ -253,8 +288,8 @@ def _cmd_avg_validate(args) -> int:
 
 
 def _cmd_avg_nibcc(args) -> int:
-    z, y = _nibcc_inputs(args)
-    witness = check_nibcc(z, y)
+    from .vectors import format_fraction
+    z, y, witness = _nibcc_witness(args)
     payload: dict = {"combined": len(z), "originals": len(y)}
     if witness is None:
         payload.update({"ok": False, "witness": None})
@@ -271,8 +306,10 @@ def _cmd_avg_nibcc(args) -> int:
 
 
 def _cmd_avg_reweight(args) -> int:
-    z, y = _nibcc_inputs(args)
-    witness = check_nibcc(z, y)
+    from fractions import Fraction
+    from .averages import cesaro_reweight
+    from .vectors import format_fraction
+    _, _, witness = _nibcc_witness(args)
     if witness is None:
         raise ValueError("no block combination witness; nothing to reweight")
     beta = cesaro_reweight(witness, args.n)
@@ -286,14 +323,19 @@ def _cmd_avg_reweight(args) -> int:
 
 
 def _cmd_norm_eval(args) -> int:
-    """``eval`` and ``oracle``: ``args.evaluate`` is ``norm`` or ``norm_oracle``."""
+    """``eval`` and ``oracle``: the search, or its brute-force cross-check."""
+    from .spaces import norm, norm_oracle
+    evaluate = norm if args.op == "eval" else norm_oracle
     spec = _space_spec(args.space, args.xi)
-    result = args.evaluate(spec, _load_vector(args.vec))
+    result = evaluate(spec, _load_vector(args.vec))
     _emit(args, result.to_json())
     return 0
 
 
 def _cmd_norm_functional(args) -> int:
+    from .schreier import FinSet
+    from .spaces import coordinate_sum_functional
+    from .vectors import format_fraction
     spec = _space_spec(args.space, args.xi)
     functional = coordinate_sum_functional(FinSet.parse(args.set), spec)
     payload = functional.to_json()
@@ -316,18 +358,21 @@ def _window_payload(args, ambient, xs, kind: str, value) -> dict:
 
 
 def _cmd_q_window(args) -> int:
-    """``ca`` and ``cca``: ``args.window`` computes the constant named ``args.kind``."""
+    """``ca`` and ``cca``: the op names the constant."""
+    from .quantities import ca_window, cca_window
+    window = ca_window if args.op == "ca" else cca_window
     ambient = _ambient_spec(args)
     xs = _sequence(args, ambient)
-    _emit(args, _window_payload(args, ambient, xs, args.kind,
-                                args.window(xs, args.n0, args.N)))
+    _emit(args, _window_payload(args, ambient, xs, args.op,
+                                window(xs, args.n0, args.N)))
     return 0
 
 
 def _cmd_q_cca_xi(args) -> int:
+    from .quantities import cca_xi_window
     ambient = _ambient_spec(args)
     xs = _sequence(args, ambient)
-    value = cca_xi_window(parse_ordinal(args.xi), parse_stream(args.stream),
+    value = cca_xi_window(_ordinal(args.xi), _stream(args.stream),
                           xs, args.n0, args.N)
     payload = _window_payload(args, ambient, xs, "cca-xi", value)
     payload.update({"xi": args.xi, "stream": args.stream})
@@ -335,14 +380,15 @@ def _cmd_q_cca_xi(args) -> int:
     return 0
 
 
-def _parse_catalog(text: str) -> list[IndexStream]:
-    return [parse_stream(part) for part in text.split(",") if part]
+def _parse_catalog(text: str) -> list:
+    return [_stream(part) for part in text.split(",") if part]
 
 
 def _cmd_q_cca_tilde(args) -> int:
+    from .quantities import cca_xi_tilde
     ambient = _ambient_spec(args)
     xs = _sequence(args, ambient)
-    est = cca_xi_tilde(parse_ordinal(args.xi), xs, _parse_catalog(args.catalog),
+    est = cca_xi_tilde(_ordinal(args.xi), xs, _parse_catalog(args.catalog),
                        args.n0, args.N)
     payload = est.to_json()
     payload.update({"kind": "cca-tilde", "xi": args.xi, "space": str(ambient),
@@ -352,9 +398,10 @@ def _cmd_q_cca_tilde(args) -> int:
 
 
 def _cmd_q_cca_tilde_sup(args) -> int:
+    from .quantities import cca_xi_tilde_sup
     ambient = _ambient_spec(args)
     xs = _sequence(args, ambient)
-    est = cca_xi_tilde_sup(parse_ordinal(args.xi), xs,
+    est = cca_xi_tilde_sup(_ordinal(args.xi), xs,
                            _parse_catalog(args.catalog), None,
                            args.n0, args.N)
     payload = est.to_json()
@@ -365,9 +412,10 @@ def _cmd_q_cca_tilde_sup(args) -> int:
 
 
 def _cmd_q_sm(args) -> int:
+    from .quantities import sm_constant
     ambient = _ambient_spec(args)
     xs = _sequence(args, ambient)
-    est = sm_constant(parse_ordinal(args.xi), xs, args.N, args.coeff_budget)
+    est = sm_constant(_ordinal(args.xi), xs, args.N, args.coeff_budget)
     payload = est.to_json()
     payload.update({"kind": "sm", "xi": args.xi, "space": str(ambient),
                     "sequence": xs.describe()})
@@ -375,19 +423,21 @@ def _cmd_q_sm(args) -> int:
     return 0
 
 
-def _gamma_order(args, ambient: NormSpec) -> Ordinal:
+def _gamma_order(args, ambient):
     if args.gamma_xi is not None:
-        return parse_ordinal(args.gamma_xi)
+        return _ordinal(args.gamma_xi)
     if ambient.xi is None:
         raise ValueError(f"--space {args.space} needs an explicit --gamma-xi")
     return ambient.xi
 
 
 def _cmd_q_fdelta(args) -> int:
+    from .quantities import f_delta
+    from .verify import _sum_functionals
     ambient = _ambient_spec(args)
     xs = _sequence(args, ambient)
     functionals = _sum_functionals(_gamma_order(args, ambient), ambient, args.N)
-    family = f_delta(functionals, xs, parse_fraction(args.delta), args.N)
+    family = f_delta(functionals, xs, _fraction(args.delta), args.N)
     payload = family.to_json()
     payload.update({"kind": "fdelta", "space": str(ambient),
                     "functionals": len(functionals)})
@@ -396,12 +446,14 @@ def _cmd_q_fdelta(args) -> int:
 
 
 def _cmd_q_large(args) -> int:
+    from .quantities import large_check
+    from .verify import _sum_functionals
     ambient = _ambient_spec(args)
     xs = _sequence(args, ambient)
     functionals = _sum_functionals(_gamma_order(args, ambient), ambient, args.N)
     weak_limit = None if args.weak_limit is None else _load_vector(args.weak_limit)
-    result = large_check(parse_ordinal(args.xi), parse_fraction(args.c), xs,
-                         parse_stream(args.stream), functionals, args.N,
+    result = large_check(_ordinal(args.xi), _fraction(args.c), xs,
+                         _stream(args.stream), functionals, args.N,
                          weak_limit=weak_limit)
     payload = result.to_json()
     payload.update({"kind": "large", "space": str(ambient),
@@ -411,7 +463,8 @@ def _cmd_q_large(args) -> int:
 
 
 def _cmd_q_prop_formula(args) -> int:
-    values = prop_formula(args.l, parse_fraction(args.c))
+    from .quantities import prop_formula
+    values = prop_formula(args.l, _fraction(args.c))
     _emit(args, values.to_json())
     return 0
 
@@ -420,20 +473,23 @@ def _cmd_q_prop_formula(args) -> int:
 
 
 def _cmd_verify_schreier(args) -> int:
-    c_override = None if args.c_override is None else parse_fraction(args.c_override)
-    report = verify_example_schreier(parse_ordinal(args.xi), args.N,
+    from .verify import verify_example_schreier
+    c_override = None if args.c_override is None else _fraction(args.c_override)
+    report = verify_example_schreier(_ordinal(args.xi), args.N,
                                      args.coeff_budget, c_override=c_override)
     return _emit_report(args, report)
 
 
 def _cmd_verify_star(args) -> int:
-    report = verify_example_star(parse_ordinal(args.xi), args.N,
+    from .verify import verify_example_star
+    report = verify_example_star(_ordinal(args.xi), args.N,
                                  args.coeff_budget)
     return _emit_report(args, report)
 
 
 def _cmd_verify_prop(args) -> int:
-    report = verify_prop_formula(args.l_max, parse_fraction(args.c))
+    from .verify import verify_prop_formula
+    report = verify_prop_formula(args.l_max, _fraction(args.c))
     return _emit_report(args, report)
 
 
@@ -490,10 +546,8 @@ def _build_parser() -> argparse.ArgumentParser:
     # schreier
     sch = groups.add_parser("schreier", help="admissible set families")
     sch_ops = sch.add_subparsers(dest="op", required=True)
-    for name, test, streamed in (("member", is_member, False),
-                                 ("oracle", is_member_oracle, False),
-                                 ("image", is_member_image, True),
-                                 ("trace", trace_member, True)):
+    for name, streamed in (("member", False), ("oracle", False),
+                           ("image", True), ("trace", True)):
         p = sch_ops.add_parser(name, parents=[fmt],
                                help=f"{name} membership test")
         p.add_argument("--xi", required=True)
@@ -501,7 +555,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--stream", required=True,
                            help="all, shift:<k>, cubes, or evens")
         p.add_argument("--set", required=True, help="like 2,3,7")
-        p.set_defaults(handler=_cmd_schreier_member, test=test)
+        p.set_defaults(handler=_cmd_schreier_member)
     p = sch_ops.add_parser("enum", parents=[fmt],
                            help="every member inside 1..max-value")
     p.add_argument("--xi", required=True)
@@ -581,13 +635,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", choices=_SPACE_KINDS, required=True)
     p.add_argument("--xi", help="family order; classical kinds take none")
     p.add_argument("--vec", required=True, help="vector JSON or @file")
-    p.set_defaults(handler=_cmd_norm_eval, evaluate=norm)
+    p.set_defaults(handler=_cmd_norm_eval)
     p = nrm_ops.add_parser("oracle", parents=[fmt],
                            help="brute-force cross-check on small supports")
     p.add_argument("--space", choices=_SPACE_KINDS, required=True)
     p.add_argument("--xi")
     p.add_argument("--vec", required=True)
-    p.set_defaults(handler=_cmd_norm_eval, evaluate=norm_oracle)
+    p.set_defaults(handler=_cmd_norm_eval)
     p = nrm_ops.add_parser("functional", parents=[fmt],
                            help="certified coordinate-sum functional")
     p.add_argument("--space", choices=_SPACE_KINDS, required=True)
@@ -603,10 +657,10 @@ def _build_parser() -> argparse.ArgumentParser:
     qty_ops = qty.add_subparsers(dest="op", required=True)
     p = qty_ops.add_parser("ca", parents=[fmt, seq_flags, window],
                            help="largest pairwise distance in the window")
-    p.set_defaults(handler=_cmd_q_window, window=ca_window, kind="ca")
+    p.set_defaults(handler=_cmd_q_window)
     p = qty_ops.add_parser("cca", parents=[fmt, seq_flags, window],
                            help="the same over running means")
-    p.set_defaults(handler=_cmd_q_window, window=cca_window, kind="cca")
+    p.set_defaults(handler=_cmd_q_window)
     p = qty_ops.add_parser("cca-xi", parents=[fmt, seq_flags, window],
                            help="over running means of the averaged sequence")
     p.add_argument("--xi", required=True)
@@ -698,7 +752,19 @@ def _with_default_op(argv: list[str]) -> list[str]:
     return [argv[0], default, *rest]
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+def _is_ambiguous(exc: BaseException) -> bool:
+    """Whether ``exc`` is the averaging layer's AmbiguousReconstructionError.
+
+    Only that layer raises it, so a command that never loaded the layer
+    cannot have; asking ``sys.modules`` keeps every other command from
+    importing it just to test the type.
+    """
+    averages = sys.modules.get(f"{__package__}.averages")
+    return (averages is not None
+            and isinstance(exc, averages.AmbiguousReconstructionError))
+
+
+def main(argv: list[str] | None = None) -> int:
     raw = list(sys.argv[1:] if argv is None else argv)
     args = _build_parser().parse_args(_with_default_op(raw))
     try:
@@ -706,12 +772,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 2
-    except AmbiguousReconstructionError as exc:
-        print(f"ambiguous: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, RuntimeError, OSError, OverflowError) as exc:
         # OverflowError: an exact result too large for its float approximation.
-        print(f"error: {exc}", file=sys.stderr)
+        prefix = "ambiguous" if _is_ambiguous(exc) else "error"
+        print(f"{prefix}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -112,6 +112,8 @@ def verify_example_schreier(xi: Ordinal, N: int, coeff_budget: int = 3, *,
     below level 1 along the identity stream, and its admissible coordinate
     sums act as certified dual functionals.
     """
+    if N < 1:
+        raise ValueError("N must be at least 1")
     started = time.perf_counter()
     budget = get_budget(budget)
     order = xi.successor()
@@ -148,6 +150,8 @@ def verify_example_star(xi: Ordinal, N: int, coeff_budget: int = 3, *,
     pair and alternating signs as the extremal witness, while largeness
     survives and the running means stay within unit distance of each other.
     """
+    if N < 1:
+        raise ValueError("N must be at least 1")
     started = time.perf_counter()
     budget = get_budget(budget)
     order = xi.successor()

@@ -1,8 +1,11 @@
 """Command line behavior: argument shapes, formats, exit codes."""
 
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import schreier_lab
 from schreier_lab import averages
 from schreier_lab.cli import main
 
@@ -106,6 +110,17 @@ def test_schreier_enum_with_limit(capsys):
     assert code == 0
     assert payload["count"] == 8
     assert payload["sets"] == ["", "1", "2"]
+
+
+def test_schreier_enum_limit_zero_and_negative(capsys):
+    code, payload = run_json(capsys, "schreier", "enum", "--xi", "1",
+                             "--max-value", "4", "--limit", "0")
+    assert code == 0
+    assert payload["count"] == 8 and payload["sets"] == []
+
+    code, out, err = run(capsys, "schreier", "enum", "--xi", "1",
+                         "--max-value", "4", "--limit", "-1")
+    assert (code, out, err) == (2, "", "error: --limit must be at least 0\n")
 
 
 def test_schreier_count(capsys):
@@ -236,6 +251,19 @@ def test_avg_nibcc_from_files(capsys, tmp_path):
 
     code, out, err = run(capsys, "avg", "nibcc", "--z", z)
     assert code == 2 and "--z and --y go together" in err
+
+
+def test_avg_nibcc_ambiguous_weights_exit_two(capsys, tmp_path):
+    # y2 overlaps both neighbours: z is 1/4 y1 + 3/4 y3, and also
+    # 1/2 y2 + 1/2 y3, so no unique weights exist.
+    z = write_vecs(tmp_path, "z.json", {"1": "1/4", "2": "3/4"})
+    y = write_vecs(tmp_path, "y.json", {"1": "1"}, {"1": "1/2", "2": "1/2"},
+                   {"2": "1"})
+    for argv in (("nibcc",), ("reweight", "--n", "1")):
+        code, out, err = run(capsys, "avg", *argv, "--z", z, "--y", y)
+        assert (code, out) == (2, "")
+        assert err == ("ambiguous: combination weights are underdetermined; "
+                       "the given vectors are not support-separated\n")
 
 
 def test_avg_validate_rejects_a_malformed_list_entry(capsys):
@@ -642,6 +670,13 @@ def test_verify_prop_formula(capsys):
     assert code == 0 and "all checks passed" in out
 
 
+@pytest.mark.parametrize("bundle", ["example-schreier", "example-star"])
+@pytest.mark.parametrize("N", ["0", "-3"])
+def test_verify_needs_a_positive_horizon(capsys, bundle, N):
+    code, out, err = run(capsys, "verify", bundle, "--xi", "1", "--N", N)
+    assert (code, out, err) == (2, "", "error: N must be at least 1\n")
+
+
 def test_verify_json_is_reproducible(capsys):
     _, first = run_json(capsys, "verify", "example-star", "--xi", "0",
                         "--N", "8")
@@ -656,6 +691,36 @@ def test_verify_json_is_reproducible(capsys):
 def test_unknown_group_is_an_argparse_error(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+_LAYERS = {"ordinal", "streams", "schreier", "vectors", "averages", "spaces",
+           "quantities", "verify", "reports"}
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    (["ord", "parse", "--text", "w+1"], _LAYERS - {"ordinal"}),
+    (["schreier", "member", "--xi", "w", "--set", "2,3"],
+     {"vectors", "averages", "spaces", "quantities", "verify", "reports"}),
+    (["avg", "--xi", "1", "--n", "3"], {"quantities", "verify"}),
+    (["avg", "nibcc", "--xi", "0", "--count", "2"], {"quantities", "verify"}),
+    (["norm", "--space", "schreier", "--xi", "1",
+      "--vec", '{"entries": {"2": "1", "3": "-1"}}'], {"quantities", "verify"}),
+], ids=["ord", "schreier", "avg", "avg-nibcc", "norm"])
+def test_a_command_loads_only_its_layers(argv, unloaded):
+    # A fresh interpreter, so no other test has imported the layers.
+    probe = ("import json, sys\n"
+             "from schreier_lab import cli\n"
+             "code = cli.main(sys.argv[1:])\n"
+             "loaded = [m.split('.')[1] for m in sys.modules\n"
+             "          if m.startswith('schreier_lab.')]\n"
+             "print(json.dumps([code, loaded]), file=sys.stderr)\n")
+    src = str(Path(schreier_lab.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", probe, *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    code, loaded = json.loads(proc.stderr.splitlines()[-1])
+    assert code == 0
+    assert unloaded.isdisjoint(loaded), sorted(unloaded & set(loaded))
 
 
 def test_text_output_sorts_keys(capsys):

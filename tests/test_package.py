@@ -1,0 +1,63 @@
+"""The package namespace: lazy exports with the same contract as eager ones."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import schreier_lab
+
+# Exports whose ``__module__`` does not name their layer (values and a type
+# alias), by defining layer.
+_DEFINED_IN = {"FundamentalRule": "ordinal", "OMEGA": "ordinal",
+               "ONE": "ordinal", "ZERO": "ordinal",
+               "STREAM_CATALOG": "streams", "SCHEMA_VERSION": "reports"}
+
+
+def test_every_export_is_its_layers_own_object():
+    for name in schreier_lab.__all__:
+        if name == "__version__":
+            continue
+        value = getattr(schreier_lab, name)
+        if name in _DEFINED_IN:
+            layer = importlib.import_module(f"schreier_lab.{_DEFINED_IN[name]}")
+        else:
+            layer = sys.modules[value.__module__]
+        attr = "parse" if name == "parse_ordinal" else name
+        assert getattr(layer, attr) is value, name
+
+
+def test_star_import_binds_every_export():
+    namespace: dict = {}
+    exec("from schreier_lab import *", namespace)
+    assert set(schreier_lab.__all__) <= set(namespace)
+
+
+def test_dir_lists_every_export():
+    assert set(schreier_lab.__all__) <= set(dir(schreier_lab))
+
+
+def test_submodules_import_through_the_package():
+    from schreier_lab import averages
+    assert averages is sys.modules["schreier_lab.averages"]
+
+
+def test_unknown_names_raise_attribute_error():
+    with pytest.raises(AttributeError, match="nope"):
+        schreier_lab.nope
+    assert not hasattr(schreier_lab, "nope")
+
+
+def test_importing_the_package_loads_no_layer():
+    src = str(Path(schreier_lab.__file__).resolve().parents[1])
+    probe = ("import sys, schreier_lab\n"
+             "print([m for m in sys.modules if m.startswith('schreier_lab.')])\n"
+             "schreier_lab.Budget\n"
+             "print([m for m in sys.modules if m.startswith('schreier_lab.')])\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=60, check=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout.splitlines() == ["[]", "['schreier_lab.budget']"]

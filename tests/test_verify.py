@@ -129,6 +129,15 @@ def test_star_bundle_passes(xi_text):
     assert routes["exact"] > 0
 
 
+@pytest.mark.parametrize("bundle", [verify_example_schreier,
+                                    verify_example_star])
+@pytest.mark.parametrize("N", [0, -3])
+def test_bundles_need_a_positive_horizon(bundle, N):
+    # N = 0 used to divide by zero in the default level 1 - 1/N.
+    with pytest.raises(ValueError, match="N must be at least 1"):
+        bundle(parse("1"), N)
+
+
 def test_schreier_bundle_fails_above_one():
     report = verify_example_schreier(parse("1"), 8,
                                      c_override=Fraction(11, 10))
