@@ -13,7 +13,11 @@ vector from them.  Support sizes grow tower-exponentially with the order,
 so the boundaries are checked against the budget as they grow: a request
 that cannot fit refuses with the exact entry requirement, or a lower bound
 for it, before any vector is allocated, and :func:`support_size` answers
-from the boundaries alone.
+from the boundaries alone.  Finding a first vector can pass through many
+orders before it covers one entry (about ``2^k`` of them below ``w^k``), so
+the orders entered are metered against the same cap, and under the default
+rule the descent finds the first vector of ``w+1``, where such descents
+refuse, before the orders above it.
 
 A vector is held as runs ``(first, last, weight)``: the stream positions
 ``first..last`` all carry ``weight``.  Supports tile the stream, so a
@@ -31,7 +35,8 @@ from fractions import Fraction
 from typing import Generator, Sequence
 
 from .budget import Budget, BudgetExceededError, WorkMeter, get_budget
-from .ordinal import FundamentalRule, Ordinal, classify, default_fundamental_seq
+from .ordinal import (OMEGA, FundamentalRule, Ordinal, classify,
+                      default_fundamental_seq)
 from .schreier import FinSet, _unwound
 from .streams import IndexStream
 from .vectors import ProbVector, RatVec
@@ -139,7 +144,8 @@ class RepeatedAverages(SummabilityMethod):
             raise ValueError("averages are 1-indexed")
         budget = get_budget(budget)
         # Entries covered by vectors 1..n also bound the work at every
-        # lower order, by support tiling.
+        # lower order, by support tiling; the orders passed on the way are
+        # metered by the sizing step.
         self._checked_covered(n, budget.work)
         runs = _unwound(self._runs(n))
         if any(weight <= 0 for _, _, weight in runs):
@@ -189,36 +195,56 @@ class RepeatedAverages(SummabilityMethod):
 
     # -- integer block boundaries ------------------------------------------
 
-    def _covered(self, n: int, cap: int) -> Generator:
-        """Stream entries covered by vectors 1..n, growing under ``cap``."""
+    def _covered(self, n: int, meter: WorkMeter) -> Generator:
+        """Stream entries covered by vectors 1..n, growing under the cap
+        ``meter.limit``; ``meter`` counts the orders entered for their
+        first vector."""
         if self.kind == "zero":
             return n
+        cap = meter.limit
         while len(self._consumed) <= n:
             done = self._consumed[-1]
+            head = self._M.element(done + 1)
+            # The next vector averages `head` vectors of the order below, or
+            # at a limit order it is the first vector of a chain of `head`
+            # successor levels over a stream starting at `head`: either way
+            # it covers at least `head` entries, so refuse before iterating
+            # a huge block.
+            _refuse_past(done + head, cap)
+            if not done:
+                meter.spend(1)   # entered for its first vector
             if self.kind == "successor":
                 child = _averages(self.pred, self._M, self.fs)
-                k = self._sub_counts[-1]
                 # Child vectors 1..k cover what vectors 1..j-1 cover: `done`.
-                start_value = self._M.element(done + 1)
-                # The block has start_value sub-vectors, hence at least that
-                # many entries; refuse before iterating a huge block.
-                _refuse_past(done + start_value, cap)
-                k += start_value
-                end = k if child.kind == "zero" else (yield child._covered(k, cap))
+                k = self._sub_counts[-1] + head
+                end = k if child.kind == "zero" else (yield child._covered(k, meter))
                 _refuse_past(end, cap)
                 self._consumed.append(end)
                 self._sub_counts.append(k)
-                continue
-            # Limit order.
-            tail = self._M.drop(done)
-            n_j = tail.element(1)
-            # A chain of n_j successor levels over a stream starting at n_j
-            # covers at least n_j elements with its first vector.
-            _refuse_past(done + n_j, cap)
-            approx = _averages(self.fs(self.xi, n_j), tail, self.fs)
-            total = done + (yield approx._covered(1, cap))
-            _refuse_past(total, cap)
-            self._consumed.append(total)
+            else:
+                tail = self._M.drop(done)
+                order = self.fs(self.xi, head)
+                # The first vectors of the orders met on the way down from
+                # `order` all start at `head`, so that descent can pass a
+                # number of orders exponential in the exponents of `order`
+                # before it covers one entry.  Under the default rule with
+                # head >= 2, it passes w+1 if it starts above: a successor
+                # step lands on its predecessor, and a limit rho + w^(a+1)
+                # above w+1 steps to rho + head >= w+2 or to
+                # rho + w^a*head + 1 >= w*2+1.  The orders above w+1 only
+                # compare `head` with the cap, so the first vector of w+1
+                # on `tail` is the first real work of the descent; finding
+                # it first makes a descent that refuses there refuse at
+                # once, with the same error.
+                if (head > 1 and self.fs is default_fundamental_seq
+                        and _OMEGA_PLUS_ONE < order):
+                    floor = _averages(_OMEGA_PLUS_ONE, tail, self.fs)
+                    if len(floor._consumed) == 1:
+                        yield floor._covered(1, meter)
+                approx = _averages(order, tail, self.fs)
+                total = done + (yield approx._covered(1, meter))
+                _refuse_past(total, cap)
+                self._consumed.append(total)
         return self._consumed[n]
 
     def _checked_covered(self, n: int, cap: int) -> int:
@@ -227,7 +253,7 @@ class RepeatedAverages(SummabilityMethod):
         Boundaries may have been found under a wider cap than the
         caller's, so the exact total is compared against ``cap`` here too.
         """
-        total = _unwound(self._covered(n, cap))
+        total = _unwound(self._covered(n, _descent_meter(cap)))
         if total > cap:
             raise BudgetExceededError("repeated-average support entries", cap,
                                       needed=total)
@@ -235,6 +261,11 @@ class RepeatedAverages(SummabilityMethod):
 
 
 _ONE = Fraction(1)
+_OMEGA_PLUS_ONE = OMEGA.successor()
+
+
+def _descent_meter(cap: int) -> WorkMeter:
+    return WorkMeter("repeated-average orders visited", cap)
 
 
 def _merged(runs) -> list:
@@ -279,7 +310,7 @@ def support_size(xi: Ordinal, M: IndexStream, n: int, *,
     cap = cap if cap is not None else get_budget().work
     averages = _averages(xi, M, fs)
     return (averages._checked_covered(n, cap)
-            - _unwound(averages._covered(n - 1, cap)))
+            - _unwound(averages._covered(n - 1, _descent_meter(cap))))
 
 
 def repeated_avg(xi: Ordinal, M: IndexStream, n: int, *,

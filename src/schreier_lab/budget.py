@@ -10,7 +10,6 @@ through the ``SCHREIER_LAB_BUDGET`` environment variable.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 ENV_VAR = "SCHREIER_LAB_BUDGET"
 
@@ -38,21 +37,52 @@ class BudgetExceededError(RuntimeError):
         super().__init__(f"budget exceeded for {what}: limit {limit}{detail}")
 
 
-@dataclass(frozen=True)
 class Budget:
-    """Budget knobs.
+    """Budget knobs, immutable and compared by value.
 
     work: generic unit shared by enumeration counts, branch-and-bound
         nodes, and materialized vector entries.
     norm_support: max support size for the generic Schreier-norm search.
     baernstein_support: max support size for the chained-norm search.
     oracle_support: max set size accepted by the exhaustive oracles.
+
+    A plain class rather than a dataclass: every command needs this module,
+    and ``dataclasses`` (with the ``inspect`` it imports) would cost each
+    command-line call more than the rest of this module.
     """
 
-    work: int = _DEFAULT_WORK
-    norm_support: int = 24
-    baernstein_support: int = 16
-    oracle_support: int = 12
+    __slots__ = ("work", "norm_support", "baernstein_support", "oracle_support")
+
+    def __init__(self, work: int = _DEFAULT_WORK, norm_support: int = 24,
+                 baernstein_support: int = 16, oracle_support: int = 12):
+        for name, value in zip(self.__slots__, (work, norm_support,
+                                                baernstein_support,
+                                                oracle_support)):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return "Budget(" + ", ".join(f"{name}={value!r}" for name, value
+                                     in zip(self.__slots__, self._fields())) + ")"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return type(self), self._fields()
 
     @classmethod
     def from_env(cls) -> "Budget":

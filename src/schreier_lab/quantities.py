@@ -309,7 +309,8 @@ def sm_constant(xi: Ordinal, xs: SeqSpec, N: int, coeff_budget: int = 4, *,
 
     The scan is exact on integers: the elements on ``F`` are scaled once to
     one common denominator ``D``, each pattern is an integer sum of those
-    rows, and one memo of kernel results serves all the patterns on ``F``.
+    rows, and one memo of kernel results, keyed on the support and
+    magnitudes it was asked for, serves every pattern of the scan.
     Where the norm is rational the ratios are compared as integers too: a
     pattern with kernel total ``t`` beats the best ``t_b`` so far exactly
     when ``t * D_b * |F_b| < t_b * D * |F|``, and only the winner becomes a
@@ -328,6 +329,7 @@ def _sm_scan(xs: SeqSpec, N: int, coeff_budget: int, members: Iterable[FinSet],
     scaled: dict[int, tuple] = {}   # n -> the n-th element, scaled
     best = None        # (total, D * |F|) when rational, else the ratio
     best_witness = None
+    memo: dict = {}
     for F in members:
         if not F:
             continue
@@ -340,7 +342,6 @@ def _sm_scan(xs: SeqSpec, N: int, coeff_budget: int, members: Iterable[FinSet],
         else:
             patterns = [(1,) * len(F)]
         scale = D * len(F)
-        memo: dict = {}
         for signs in patterns:
             combined: dict[int, int] = {}
             for sign, row in zip(signs, rows):

@@ -21,10 +21,16 @@ order 1 has a polynomial scan, and everything else runs a branch-and-bound
 over admissible prefixes, metered by the active budget.  Each search node
 carries the membership automaton state of its prefix (or of its open block,
 for the chain norm), so testing one more support point is a single
-automaton step.  Kernel totals are integers in units of ``1/D`` (``1/D**2``
-for the chain norm), turned into one ``Fraction`` on return.  A scan may
-pass the entry a memo of kernel results keyed on the magnitude vector; the
-memo lives only for that scan, under one spec and one budget, and no cache
+automaton step.  The base and star kernels at orders 1 and up first test
+whether the whole support is admissible: magnitudes are positive, so then
+the whole support is the maximizer and the total is its sum.  That is the
+common case of the bundle scans, whose vectors live on family members.  The
+chain kernel searches in another order and has no such test.  Kernel totals
+are integers in units of ``1/D`` (``1/D**2`` for the chain norm), turned
+into one ``Fraction`` on return.  A scan may pass the entry a memo of
+kernel results keyed on the support and magnitudes; one memo serves a whole
+scan (every member and pattern of ``quantities.sm_constant`` or of the star
+bundle's half-mass loop), under one spec and one budget, and no cache
 outlives it.
 
 ``norm_oracle`` is the same quantity computed by exhaustive enumeration over
@@ -190,8 +196,9 @@ def _norm_order_one(support: tuple[int, ...],
     index as the cutoff is exhaustive.  Runs of equal values keep each scan
     linear in the number of distinct values.
     """
-    if not support:
-        return 0, FinSet(())
+    if not support or len(support) <= support[0]:
+        # The whole support is admissible, so it is the unique maximizer.
+        return sum(values), FinSet(support)
     # Runs of equal value over consecutive support positions.
     runs: list[tuple[int, int, int]] = []   # (start_pos, end_pos, value)
     start = 0
@@ -239,16 +246,25 @@ def _norm_search(support: tuple[int, ...], values: list[int], xi: Ordinal,
     Depth-first in lexicographic order, so the first maximizer found is the
     lexicographically least one; a branch is cut when even taking all of the
     remaining suffix cannot beat the incumbent.
+
+    The whole support is tried first.  Magnitudes are positive, so when it
+    is admissible it is the unique maximizer; the search would find it on
+    its first dive, which spends one node per support point, so the test
+    answers only where that dive fits the meter and every refusal stays
+    the search's own.
     """
     if len(support) > budget.norm_support:
         raise BudgetExceededError("norm search support", budget.norm_support,
                                   needed=len(support))
+    automaton = _automaton(xi, fs)
+    if len(support) <= budget.work and automaton.accepts(support):
+        return sum(values), FinSet(support)
     meter = WorkMeter("norm search nodes", budget.work)
     suffix = [0] * (len(support) + 1)
     for pos in range(len(support) - 1, -1, -1):
         suffix[pos] = suffix[pos + 1] + values[pos]
 
-    step = _automaton(xi, fs).step
+    step = automaton.step
     best = 0
     best_set: tuple[int, ...] = ()
 

@@ -13,7 +13,11 @@ front when it is past the budget, and walk it once; the sign-pattern scans,
 the coordinate-sum functionals, the largeness scan and the dual-certificate
 pool all read that one list of members.  The walk yields members of the
 space's own order only, so their coordinate sums are built without testing
-membership again.
+membership again.  The star bundle's half-mass loop and each sign-pattern
+scan keep one memo of norm kernel results for all their members, so a
+support and magnitudes met on several members are searched once; most of
+those supports are members themselves, which the kernels recognize before
+any search.
 """
 
 from __future__ import annotations
@@ -172,12 +176,13 @@ def verify_example_star(xi: Ordinal, N: int, coeff_budget: int = 3, *,
     violations = 0
     tested = 0
     members = list(_family(order, N, fs=fs, budget=budget))
+    # The +-1 vectors on each F, on the integers (D = 1).  A kernel result
+    # depends only on the support and magnitudes it was asked for, so one
+    # memo serves every pattern on every member.
+    memo: dict = {}
     for F in members:
         if not F or len(F) > coeff_budget:
             continue
-        # The +-1 vectors on F, on the integers (D = 1); their sign parts
-        # are subsets of F, so one memo serves every pattern.
-        memo: dict = {}
         for signs in product((1, -1), repeat=len(F)):
             tested += 1
             if 2 * _norm_total(spec, F.elements, signs, budget, memo)[0] < len(F):

@@ -203,6 +203,27 @@ def test_deep_orders_need_no_interpreter_recursion(monkeypatch):
         assert info.value.needed > info.value.limit
 
 
+def test_the_descent_through_orders_is_metered(monkeypatch):
+    # Under a rule other than the default one nothing is known about the
+    # orders the descent passes, and vector 2 of w^20 passes about 2^20 of
+    # them before its first count; each order entered costs a unit of work.
+    monkeypatch.setattr(averages, "_AVERAGES_CACHE", {})
+
+    def rule(x, n):
+        return default_fundamental_seq(x, n)
+
+    with pytest.raises(BudgetExceededError) as info:
+        support_size(parse("w^20"), ALL, 3, fs=rule, cap=5_000)
+    assert str(info.value) == ("budget exceeded for repeated-average orders "
+                               "visited: limit 5000 (needs >= 5001)")
+    assert len(averages._AVERAGES_CACHE) < 6_000
+    # The default rule finds the same refusal at w+1 on the way down.
+    with pytest.raises(BudgetExceededError) as info:
+        support_size(parse("w^20"), ALL, 3, cap=5_000)
+    assert str(info.value).startswith("budget exceeded for repeated-average "
+                                      "support entries: limit 5000")
+
+
 def test_a_long_vector_keeps_no_per_entry_intermediates(monkeypatch):
     # Only the requested vector is expanded: order-1 vector 17 has 65,536
     # entries and its predecessors are never built.

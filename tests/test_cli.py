@@ -195,6 +195,22 @@ def test_avg_deep_limit_order_refuses_in_time(capsys, monkeypatch):
     assert elapsed < 1
 
 
+def test_avg_size_at_a_tall_omega_power_refuses_in_time(capsys, monkeypatch):
+    # Vector 2 of w^20 along all indices descends through about 2^20 orders
+    # before a count passes the budget; whatever the exponent, the refusal
+    # is the one met at w+1.
+    monkeypatch.delenv("SCHREIER_LAB_BUDGET", raising=False)
+    monkeypatch.setattr(averages, "_AVERAGES_CACHE", {})
+    started = time.perf_counter()
+    code, out, err = run(capsys, "avg", "size", "--xi", "w^20",
+                         "--stream", "all", "--n", "3")
+    elapsed = time.perf_counter() - started
+    assert (code, out) == (2, "")
+    assert err == ("budget exceeded: budget exceeded for repeated-average "
+                   "support entries: limit 200000 (needs >= 262136)\n")
+    assert elapsed < 1
+
+
 def test_avg_size_without_materializing(capsys):
     code, payload = run_json(capsys, "avg", "size", "--xi", "2", "--n", "3")
     assert code == 0 and payload["size"] == 2040
@@ -698,9 +714,12 @@ _LAYERS = {"ordinal", "streams", "schreier", "vectors", "averages", "spaces",
 
 
 @pytest.mark.parametrize("argv, unloaded", [
-    (["ord", "parse", "--text", "w+1"], _LAYERS - {"ordinal"}),
+    # The cheapest commands load no dataclasses (nor the inspect it needs).
+    (["ord", "parse", "--text", "w+1"],
+     _LAYERS - {"ordinal"} | {"dataclasses", "inspect"}),
     (["schreier", "member", "--xi", "w", "--set", "2,3"],
-     {"vectors", "averages", "spaces", "quantities", "verify", "reports"}),
+     {"vectors", "averages", "spaces", "quantities", "verify", "reports",
+      "dataclasses", "inspect"}),
     (["avg", "--xi", "1", "--n", "3"], {"quantities", "verify"}),
     (["avg", "nibcc", "--xi", "0", "--count", "2"], {"quantities", "verify"}),
     (["norm", "--space", "schreier", "--xi", "1",
@@ -711,8 +730,8 @@ def test_a_command_loads_only_its_layers(argv, unloaded):
     probe = ("import json, sys\n"
              "from schreier_lab import cli\n"
              "code = cli.main(sys.argv[1:])\n"
-             "loaded = [m.split('.')[1] for m in sys.modules\n"
-             "          if m.startswith('schreier_lab.')]\n"
+             "loaded = [m.split('.')[1] if m.startswith('schreier_lab.')\n"
+             "          else m for m in sys.modules]\n"
              "print(json.dumps([code, loaded]), file=sys.stderr)\n")
     src = str(Path(schreier_lab.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", probe, *argv],

@@ -1,5 +1,6 @@
 """Norms built from admissible families, their oracles, and certified functionals."""
 
+import functools
 import itertools
 import random
 import time
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 
 from schreier_lab.budget import Budget, BudgetExceededError
 from schreier_lab.ordinal import Ordinal, parse
-from schreier_lab.schreier import FinSet, is_member, is_member_oracle
+from schreier_lab.schreier import (FinSet, enumerate_family, is_member,
+                                   is_member_oracle)
 from schreier_lab.spaces import (
     CertificationRefusedError, CertificationViolationError, Functional,
     NormSpec, _scaled_norm, coordinate_sum_functional, norm, norm_oracle)
@@ -269,6 +271,60 @@ def test_search_refusal_keeps_its_limit_and_count():
     with pytest.raises(BudgetExceededError) as info:
         norm(NormSpec.schreier(TWO), units(*range(1, 25)), budget=Budget(work=3000))
     assert str(info.value).endswith("limit 3000 (needs >= 3001)")
+
+
+# -- admissible supports: the whole-support test ---------------------------------------
+#
+# On a member of the family the base norm of a positive vector is its l1
+# total, with the member itself as the witness; the kernels test the whole
+# support before any search.
+
+WHOLE_ORDERS = ("1", "2", "w", "w+1")
+
+
+@functools.cache
+def nonempty_members(xi_text: str) -> list[FinSet]:
+    return [F for F in enumerate_family(parse(xi_text), 9) if F]
+
+
+@pytest.mark.parametrize("spec_text", [
+    f"{kind}:{xi}" for kind in ("schreier", "star") for xi in WHOLE_ORDERS])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), mixed=st.booleans())
+def test_norm_on_a_member_matches_the_oracle(spec_text, data, mixed):
+    spec = NormSpec.parse(spec_text)
+    F = data.draw(st.sampled_from(nonempty_members(str(spec.xi))))
+    signs = st.sampled_from((1, -1)) if mixed else st.just(1)
+    x = RatVec({i: data.draw(magnitudes) * data.draw(signs) for i in F})
+    result = norm(spec, x)
+    assert result.value == norm_oracle(spec, x).value
+    if spec.kind == "schreier":
+        part, witness = x.abs(), result.witness
+    else:
+        sign, witness = result.witness
+        part = x.positive_part() if sign == "+" else x.negative_part()
+    assert (result.value, witness) == lex_least_maximizer(part, spec.xi)
+    if not mixed:
+        assert result.value == x.l1()
+        assert witness == F
+        assert spec.kind == "schreier" or sign == "+"
+
+
+@pytest.mark.parametrize("spec_text", ["schreier:2", "star:2", "schreier:w",
+                                       "star:w+1"])
+def test_whole_support_refusal_matches_the_search(spec_text):
+    # A member of length L costs the search L nodes, on its first dive; a
+    # budget one short refuses it as the search always did.
+    spec = NormSpec.parse(spec_text)
+    F = max(nonempty_members(str(spec.xi)), key=len)
+    L = len(F)
+    x = units(*F)
+    with pytest.raises(BudgetExceededError) as info:
+        norm(spec, x, budget=Budget(work=L - 1))
+    assert str(info.value).endswith(f"limit {L - 1} (needs >= {L})")
+    result = norm(spec, x, budget=Budget(work=L))
+    assert result.value == L
+    assert result.witness == (F if spec.kind == "schreier" else ("+", F))
 
 
 # -- the scaled entry ----------------------------------------------------------------

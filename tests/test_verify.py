@@ -197,3 +197,46 @@ def test_empty_report_is_vacuously_ok():
     report = Report("empty")
     assert report.ok and report.exit_code == 0
     assert "all checks passed" in report.render_text()
+
+
+def _sized_globals(modules) -> dict:
+    return {(module.__name__, name): len(value)
+            for module in modules for name, value in vars(module).items()
+            if isinstance(value, (dict, list, set))}
+
+
+def test_star_bundle_evaluates_each_kernel_key_once_per_scan(monkeypatch):
+    # A kernel evaluation is a _magnitude_norm call without a memo; the
+    # memo a call goes through names the scan it belongs to.
+    real = spaces._magnitude_norm
+    scan = [None]
+    evaluations = []
+    requested: dict = {}
+
+    def counting(spec, support, mags, budget, memo):
+        if memo is None:
+            evaluations.append((scan[0], (support, tuple(mags))))
+            return real(spec, support, mags, budget, None)
+        requested.setdefault(id(memo), set()).add((support, tuple(mags)))
+        outer, scan[0] = scan[0], id(memo)
+        try:
+            return real(spec, support, mags, budget, memo)
+        finally:
+            scan[0] = outer
+
+    modules = (spaces, quantities, verify)
+    before = _sized_globals(modules)
+    monkeypatch.setattr(spaces, "_magnitude_norm", counting)
+    report = verify_example_star(parse("1"), 8)
+    monkeypatch.undo()
+    assert report.ok
+    per_scan: dict = {}
+    for memo, key in evaluations:
+        if memo is not None:
+            per_scan.setdefault(memo, []).append(key)
+    # The half-mass loop and the sign-pattern scan, each with one memo.
+    assert len(per_scan) == 2 and requested.keys() == per_scan.keys()
+    for memo, keys in per_scan.items():
+        assert sorted(keys) == sorted(requested[memo])
+    # Nothing outlives the call at module level.
+    assert _sized_globals(modules) == before
