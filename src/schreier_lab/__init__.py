@@ -21,8 +21,7 @@ _LAYERS = {
     "budget": ("Budget", "BudgetExceededError", "WorkMeter", "get_budget"),
     "ordinal": ("Classification", "FundamentalRule", "OMEGA", "ONE",
                 "Ordinal", "OrdinalParseError", "ZERO", "classify",
-                "default_fundamental_seq", "fundamental_successor_seq",
-                "parse_ordinal"),
+                "default_fundamental_seq", "parse_ordinal"),
     "streams": ("IndexStream", "STREAM_CATALOG", "parse_stream"),
     "schreier": ("FinSet", "count_family", "enumerate_family", "is_member",
                  "is_member_image", "is_member_oracle", "threshold",

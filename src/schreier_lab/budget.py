@@ -41,9 +41,8 @@ class Budget:
     """Budget knobs, immutable and compared by value.
 
     work: generic unit shared by enumeration counts, branch-and-bound
-        nodes, and materialized vector entries.
-    norm_support: max support size for the generic Schreier-norm search.
-    baernstein_support: max support size for the chained-norm search.
+        nodes, and materialized vector entries; the norm searches take
+        supports of any length and stop only on it.
     oracle_support: max set size accepted by the exhaustive oracles.
 
     A plain class rather than a dataclass: every command needs this module,
@@ -51,14 +50,11 @@ class Budget:
     command-line call more than the rest of this module.
     """
 
-    __slots__ = ("work", "norm_support", "baernstein_support", "oracle_support")
+    __slots__ = ("work", "oracle_support")
 
-    def __init__(self, work: int = _DEFAULT_WORK, norm_support: int = 24,
-                 baernstein_support: int = 16, oracle_support: int = 12):
-        for name, value in zip(self.__slots__, (work, norm_support,
-                                                baernstein_support,
-                                                oracle_support)):
-            object.__setattr__(self, name, value)
+    def __init__(self, work: int = _DEFAULT_WORK, oracle_support: int = 12):
+        object.__setattr__(self, "work", work)
+        object.__setattr__(self, "oracle_support", oracle_support)
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)

@@ -25,7 +25,6 @@ __all__ = [
     "OMEGA",
     "parse",
     "classify",
-    "fundamental_successor_seq",
     "default_fundamental_seq",
     "FundamentalRule",
 ]
@@ -249,9 +248,3 @@ def default_fundamental_seq(x: Ordinal, n: int) -> Ordinal:
     if last_exp == 1:
         return Ordinal(tuple(rho) + ((0, n),))
     return Ordinal(tuple(rho) + ((last_exp - 1, n), (0, 1)))
-
-
-def fundamental_successor_seq(x: Ordinal, n: int,
-                              rule: FundamentalRule = default_fundamental_seq) -> Ordinal:
-    """Evaluate a fundamental-sequence rule; the rule is injectable."""
-    return rule(x, n)

@@ -399,22 +399,24 @@ def is_member(xi: Ordinal, F: FinSet, *,
 # -- greedy membership for the norm oracles --------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _member(xi: Ordinal, elements: tuple[int, ...], rule: FundamentalRule) -> bool:
+def _member(xi: Ordinal, elements: tuple[int, ...], rule: FundamentalRule,
+            memo: dict | None = None) -> bool:
     """Membership by greedy cuts over slices, sharing no code with the automaton.
 
     Only the exhaustive norm oracles use it, so that they cross-check the
     searches with an independent membership test.  The cuts at lower orders
     are nested calls unwound from an explicit stack, so an order thousands
-    of levels deep needs no interpreter recursion.
+    of levels deep needs no interpreter recursion.  ``memo`` keeps the
+    answers at every order visited; probes under one ``rule`` may share it,
+    and without it they are kept for one probe only.
     """
-    return _unwound(_greedy(xi, elements, rule, {}))
+    return _unwound(_greedy(xi, elements, rule, {} if memo is None else memo))
 
 
 def _greedy(xi: Ordinal, elements: tuple[int, ...], rule: FundamentalRule,
             memo: dict) -> Generator:
     """:func:`_member` with its calls at lower orders as nested calls, and
-    their answers in ``memo`` for the length of one probe."""
+    their answers in ``memo``."""
     key = (xi, elements)
     if key in memo:
         return memo[key]

@@ -18,11 +18,12 @@ bundle) build them on the integers and call ``_norm_total`` directly when
 only the integer total matters.  The star norm splits signs on the integers,
 and the kernels see only magnitudes: order 0 takes the first largest entry,
 order 1 has a polynomial scan, and everything else runs a branch-and-bound
-over admissible prefixes, metered by the active budget.  Each search node
-carries the membership automaton state of its prefix (or of its open block,
-for the chain norm), so testing one more support point is a single
-automaton step.  The base and star kernels at orders 1 and up first test
-whether the whole support is admissible: magnitudes are positive, so then
+over admissible prefixes from an explicit stack, metered by the active
+budget's ``work`` alone, so no support is too long for the interpreter.
+Each search node carries the membership automaton state of its prefix (or
+of its open block, for the chain norm), so testing one more support point
+is a single automaton step.  The base and star kernels at orders 1 and up
+first test whether the whole support is admissible: magnitudes are positive, so then
 the whole support is the maximizer and the total is its sum.  That is the
 common case of the bundle scans, whose vectors live on family members.  The
 chain kernel searches in another order and has no such test.  Kernel totals
@@ -245,7 +246,9 @@ def _norm_search(support: tuple[int, ...], values: list[int], xi: Ordinal,
 
     Depth-first in lexicographic order, so the first maximizer found is the
     lexicographically least one; a branch is cut when even taking all of the
-    remaining suffix cannot beat the incumbent.
+    remaining suffix cannot beat the incumbent.  Open frames wait on a stack
+    and a prefix is a linked list of ``(point, rest)`` cells, so a node costs
+    the same at any depth.
 
     The whole support is tried first.  Magnitudes are positive, so when it
     is admissible it is the unique maximizer; the search would find it on
@@ -253,9 +256,6 @@ def _norm_search(support: tuple[int, ...], values: list[int], xi: Ordinal,
     answers only where that dive fits the meter and every refusal stays
     the search's own.
     """
-    if len(support) > budget.norm_support:
-        raise BudgetExceededError("norm search support", budget.norm_support,
-                                  needed=len(support))
     automaton = _automaton(xi, fs)
     if len(support) <= budget.work and automaton.accepts(support):
         return sum(values), FinSet(support)
@@ -266,25 +266,39 @@ def _norm_search(support: tuple[int, ...], values: list[int], xi: Ordinal,
 
     step = automaton.step
     best = 0
-    best_set: tuple[int, ...] = ()
+    best_prefix = None
+    # The current frame (prefix, automaton state, total, next position) and
+    # the frames below it.  No frame's total exceeds the incumbent, so the
+    # bound also ends a frame at the end of the support.
+    prefix, state, total, nxt = None, (), 0, 0
+    stack = []
+    while True:
+        if total + suffix[nxt] <= best:
+            if not stack:
+                break
+            prefix, state, total, nxt = stack.pop()
+            continue
+        meter.spend(1)
+        after = step(state, support[nxt])
+        if after is None:
+            nxt += 1
+            continue
+        stack.append((prefix, state, total, nxt + 1))
+        prefix, state, total = (support[nxt], prefix), after, total + values[nxt]
+        nxt += 1
+        if total > best:
+            best, best_prefix = total, prefix
+    return best, FinSet(_unlinked(best_prefix))
 
-    def dfs(prefix: tuple[int, ...], state: tuple, total: int, pos: int) -> None:
-        nonlocal best, best_set
-        for nxt in range(pos, len(support)):
-            if total + suffix[nxt] <= best:
-                return
-            meter.spend(1)
-            after = step(state, support[nxt])
-            if after is None:
-                continue
-            extended = prefix + (support[nxt],)
-            value = total + values[nxt]
-            if value > best:
-                best, best_set = value, extended
-            dfs(extended, after, value, nxt + 1)
 
-    dfs((), (), 0, 0)
-    return best, FinSet(best_set)
+def _unlinked(cells) -> list:
+    """The items of a linked list of ``(item, rest)`` cells, oldest first."""
+    items = []
+    while cells is not None:
+        item, cells = cells
+        items.append(item)
+    items.reverse()
+    return items
 
 
 # -- Baernstein-style chain norm ---------------------------------------------------
@@ -297,50 +311,44 @@ def _chain_squared_search(support: tuple[int, ...], values: list[int],
     if xi.is_zero:
         # Singleton blocks at every support point; any subfamily only loses mass.
         return sum(v * v for v in values), tuple(FinSet.of(i) for i in support)
-    if len(support) > budget.baernstein_support:
-        raise BudgetExceededError("chain norm support", budget.baernstein_support,
-                                  needed=len(support))
     meter = WorkMeter("chain norm nodes", budget.work)
     suffix = [0] * (len(support) + 1)
     for pos in range(len(support) - 1, -1, -1):
         suffix[pos] = suffix[pos + 1] + values[pos]
 
-    blocks = _automaton(xi, fs)
+    step = _automaton(xi, fs).step
     best = 0   # in units of 1 / D**2
-    best_chain: tuple[tuple[int, ...], ...] = ()
+    best_chain = None
 
-    # Two alternating states: between blocks, and growing an open block.
-    # Bounds fold everything still available into a single block, which can
-    # only overstate the reachable value; suffix masses shrink with the
-    # position, so a failed bound ends the whole loop.
-
-    def between(chain: tuple[tuple[int, ...], ...], closed_sq: int,
-                pos: int) -> None:
-        nonlocal best, best_chain
+    # A frame grows an open block; with the empty block and state it stands
+    # between blocks.  Blocks and chains are linked lists of ``(item, rest)``
+    # cells.  A grown block's frame first closes the block, in a frame
+    # between blocks on top of it.  Bounds fold everything still available
+    # into the open block, which can only overstate the reachable value; a
+    # frame's closed value never exceeds the incumbent, so a bound also ends
+    # the frame at the end of the support.
+    chain, closed_sq, block, state, block_sum, nxt = None, 0, None, (), 0, 0
+    stack = []
+    while True:
+        if closed_sq + (block_sum + suffix[nxt]) ** 2 <= best:
+            if not stack:
+                break
+            chain, closed_sq, block, state, block_sum, nxt = stack.pop()
+            continue
+        meter.spend(1)
+        after = step(state, support[nxt])
+        if after is None:
+            nxt += 1
+            continue
+        stack.append((chain, closed_sq, block, state, block_sum, nxt + 1))
+        block, block_sum = (support[nxt], block), block_sum + values[nxt]
+        nxt += 1
+        stack.append((chain, closed_sq, block, after, block_sum, nxt))
+        chain, closed_sq = (block, chain), closed_sq + block_sum * block_sum
+        block, state, block_sum = None, (), 0
         if closed_sq > best:
             best, best_chain = closed_sq, chain
-        for nxt in range(pos, len(support)):
-            if closed_sq + suffix[nxt] ** 2 <= best:
-                return
-            meter.spend(1)
-            grow(chain, closed_sq, (support[nxt],), blocks.start(support[nxt]),
-                 values[nxt], nxt + 1)
-
-    def grow(chain: tuple[tuple[int, ...], ...], closed_sq: int,
-             block: tuple[int, ...], state: tuple, block_sum: int,
-             pos: int) -> None:
-        between(chain + (block,), closed_sq + block_sum * block_sum, pos)
-        for nxt in range(pos, len(support)):
-            if closed_sq + (block_sum + suffix[nxt]) ** 2 <= best:
-                return
-            meter.spend(1)
-            after = blocks.step(state, support[nxt])
-            if after is not None:
-                grow(chain, closed_sq, block + (support[nxt],), after,
-                     block_sum + values[nxt], nxt + 1)
-
-    between((), 0, 0)
-    return best, tuple(FinSet(b) for b in best_chain)
+    return best, tuple(FinSet(_unlinked(b)) for b in _unlinked(best_chain))
 
 
 # -- the scaled entry -------------------------------------------------------------
@@ -422,7 +430,7 @@ def norm(spec: NormSpec, x: RatVec, *, budget: Budget | None = None) -> NormResu
 
 
 def _oracle_base(mags: RatVec, xi: Ordinal, fs: FundamentalRule,
-                 meter: WorkMeter) -> Fraction:
+                 meter: WorkMeter, memo: dict) -> Fraction:
     from itertools import combinations
 
     support = mags.support()
@@ -430,13 +438,13 @@ def _oracle_base(mags: RatVec, xi: Ordinal, fs: FundamentalRule,
     for size in range(1, len(support) + 1):
         for combo in combinations(support, size):
             meter.spend(1)
-            if _member(xi, combo, fs):
+            if _member(xi, combo, fs, memo):
                 best = max(best, sum((mags[i] for i in combo), Fraction(0)))
     return best
 
 
 def _oracle_chain(mags: RatVec, xi: Ordinal, fs: FundamentalRule,
-                  meter: WorkMeter) -> Fraction:
+                  meter: WorkMeter, memo: dict) -> Fraction:
     from itertools import combinations
 
     support = mags.support()
@@ -452,7 +460,7 @@ def _oracle_chain(mags: RatVec, xi: Ordinal, fs: FundamentalRule,
                 for combo in combinations(tail, size):
                     block = (support[start],) + combo
                     meter.spend(1)
-                    if _member(xi, block, fs):
+                    if _member(xi, block, fs, memo):
                         mass = sum((mags[i] for i in block), Fraction(0))
                         rec(position[block[-1]] + 1, acc + mass * mass)
 
@@ -474,14 +482,15 @@ def norm_oracle(spec: NormSpec, x: RatVec, *,
         raise BudgetExceededError("oracle norm support", budget.oracle_support,
                                   needed=len(x.support()))
     meter = WorkMeter("oracle norm candidates", budget.work)
+    memo: dict = {}   # greedy membership answers, for this call only
     if spec.kind == "schreier":
-        return _exact_result(spec, _oracle_base(x.abs(), spec.xi, spec.fs, meter),
-                             witness=None)
+        return _exact_result(spec, _oracle_base(x.abs(), spec.xi, spec.fs, meter,
+                                                memo), witness=None)
     if spec.kind == "schreier_star":
-        value = max(_oracle_base(x.positive_part(), spec.xi, spec.fs, meter),
-                    _oracle_base(x.negative_part(), spec.xi, spec.fs, meter))
+        value = max(_oracle_base(x.positive_part(), spec.xi, spec.fs, meter, memo),
+                    _oracle_base(x.negative_part(), spec.xi, spec.fs, meter, memo))
         return _exact_result(spec, value, witness=None)
-    squared = _oracle_chain(x.abs(), spec.xi, spec.fs, meter)
+    squared = _oracle_chain(x.abs(), spec.xi, spec.fs, meter, memo)
     return _sqrt_result(spec, squared, witness=None)
 
 

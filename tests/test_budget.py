@@ -9,18 +9,17 @@ from schreier_lab.budget import Budget
 
 
 def test_defaults_and_repr():
-    assert repr(Budget()) == ("Budget(work=200000, norm_support=24, "
-                              "baernstein_support=16, oracle_support=12)")
+    assert repr(Budget()) == "Budget(work=200000, oracle_support=12)"
     assert repr(Budget(work=5, oracle_support=3)) == (
-        "Budget(work=5, norm_support=24, baernstein_support=16, "
-        "oracle_support=3)")
+        "Budget(work=5, oracle_support=3)")
 
 
 def test_equality_and_hash_follow_the_fields():
     assert Budget(work=5) == Budget(5) == copy.copy(Budget(work=5))
     assert Budget(work=5) != Budget(work=6)
-    assert Budget(norm_support=4) != Budget(baernstein_support=4)
-    assert Budget() != (200_000, 24, 16, 12)
+    assert Budget(work=4) != Budget(oracle_support=4)
+    assert Budget(5, 4) == Budget(work=5, oracle_support=4)
+    assert Budget() != (200_000, 12)
     assert len({Budget(work=5), Budget(work=5), Budget()}) == 2
     assert pickle.loads(pickle.dumps(Budget(work=7))) == Budget(work=7)
 

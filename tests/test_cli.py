@@ -367,7 +367,7 @@ def test_norm_functional_check_refused_past_the_search_budget(capsys):
                          "--xi", "2", "--set", "2,3", "--vec", ones)
     assert code == 2 and out == ""
     assert err.startswith("budget exceeded:")
-    assert err.endswith("norm search support: limit 24 (needs = 29)\n")
+    assert err.endswith("norm search nodes: limit 200000 (needs >= 200001)\n")
 
 
 def test_norm_rejects_entries_that_are_not_an_object(capsys):

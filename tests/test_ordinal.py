@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from schreier_lab.ordinal import (
     OMEGA, ONE, Ordinal, OrdinalParseError, ZERO,
-    classify, default_fundamental_seq, fundamental_successor_seq, parse)
+    classify, default_fundamental_seq, parse)
 
 
 def test_parse_round_trip():
@@ -116,13 +116,6 @@ def test_fundamental_seq_increasing_below_limit(x, n):
     assert a < b < x
     # Every member is a successor, so iteration can keep unfolding it.
     assert classify(a).kind == "successor"
-
-
-def test_rule_is_injectable():
-    def stingy(x, n):
-        return default_fundamental_seq(x, max(1, n - 1))
-    assert str(fundamental_successor_seq(OMEGA, 5)) == "5"
-    assert str(fundamental_successor_seq(OMEGA, 5, stingy)) == "4"
 
 
 def test_omega_power_constructor():

@@ -449,13 +449,41 @@ def test_star_norm_two_sided_bounds():
 def test_norm_budget_gates():
     wide = units(*range(1, 8))
     with pytest.raises(BudgetExceededError):
-        norm(NormSpec.schreier(TWO), wide, budget=Budget(norm_support=4))
-    with pytest.raises(BudgetExceededError):
-        norm(NormSpec.baernstein(ONE), wide, budget=Budget(baernstein_support=4))
-    with pytest.raises(BudgetExceededError):
         norm_oracle(NormSpec.schreier(ONE), wide, budget=Budget(oracle_support=4))
     # Order one bypasses the search, so wide supports are still fine there.
     assert norm(NormSpec.schreier(ONE), units(*range(1, 60))).value == 30
+
+
+@pytest.mark.parametrize("spec_text", ["schreier:3", "star:3", "schreier:w+1"])
+def test_search_answers_a_support_deeper_than_the_interpreter(spec_text):
+    # {1} is a whole family member at these orders, and 2..1500 is admissible.
+    spec = NormSpec.parse(spec_text)
+    started = time.perf_counter()
+    result = norm(spec, units(*range(1, 1501)))
+    assert time.perf_counter() - started < 1
+    F = FinSet(tuple(range(2, 1501)))
+    assert result.value == 1499
+    assert result.witness == (F if spec.kind == "schreier" else ("+", F))
+
+
+@pytest.mark.parametrize("spec_text, what", [("schreier:2", "norm search"),
+                                             ("baernstein:1", "chain norm")])
+def test_long_supports_refuse_on_work_alone(spec_text, what):
+    started = time.perf_counter()
+    with pytest.raises(BudgetExceededError) as info:
+        norm(NormSpec.parse(spec_text), units(*range(1, 1501)))
+    assert time.perf_counter() - started < 1
+    assert str(info.value).endswith(
+        f"{what} nodes: limit 200000 (needs >= 200001)")
+
+
+def test_chain_search_answers_a_long_support():
+    xi = TWO
+    result = norm(NormSpec.baernstein(xi), units(*range(1, 101)))
+    blocks = result.witness
+    assert all(is_member(xi, F) for F in blocks)
+    assert all(F.max() < G.min() for F, G in zip(blocks, blocks[1:]))
+    assert result.value_squared == sum(len(F) ** 2 for F in blocks)
 
 
 # -- certified functionals ---------------------------------------------------------
@@ -500,11 +528,11 @@ def test_functional_evaluates_on_the_common_support(x, expected):
 
 def test_certificate_check_refused_when_norm_is_infeasible():
     f = coordinate_sum_functional(FinSet.of(2, 3), NormSpec.schreier(TWO))
-    wide = units(*range(1, 30))   # support exceeds the search budget
+    wide = units(*range(1, 30))   # the search exceeds the work budget
     with pytest.raises(BudgetExceededError) as info:
         f.evaluate(wide)
     assert str(info.value).endswith(
-        "norm search support: limit 24 (needs = 29)")
+        "norm search nodes: limit 200000 (needs >= 200001)")
     assert f.evaluate(wide, check=False) == 2
 
 
