@@ -10,9 +10,10 @@ sub-operation is named, so ``avg --xi w --stream all --n 5`` and
 ``norm --space schreier --xi 1 --vec @x.json`` work as written.
 
 Each group imports its layer when one of its commands runs, not when the
-parser is built.  So an ``ord`` command loads only the ordinals, and the
+parser is built.  So an ``ord`` command loads only the ordinals, the
 ``avg`` and ``norm`` commands load neither the quantities nor the bundles
-(except ``avg apply``, which builds its sequence as the quantity group does).
+(except ``avg apply``, which builds its sequence as the quantity group does),
+and the ``quantity`` commands load no bundles.
 """
 
 from __future__ import annotations
@@ -385,28 +386,18 @@ def _parse_catalog(text: str) -> list:
 
 
 def _cmd_q_cca_tilde(args) -> int:
-    from .quantities import cca_xi_tilde
+    """``cca-tilde`` and ``cca-tilde-sup``: the op names the estimate."""
+    from .quantities import cca_xi_tilde, cca_xi_tilde_sup
     ambient = _ambient_spec(args)
     xs = _sequence(args, ambient)
-    est = cca_xi_tilde(_ordinal(args.xi), xs, _parse_catalog(args.catalog),
-                       args.n0, args.N)
+    xi, catalog = _ordinal(args.xi), _parse_catalog(args.catalog)
+    if args.op == "cca-tilde":
+        est = cca_xi_tilde(xi, xs, catalog, args.n0, args.N)
+    else:
+        est = cca_xi_tilde_sup(xi, xs, catalog, None, args.n0, args.N)
     payload = est.to_json()
-    payload.update({"kind": "cca-tilde", "xi": args.xi, "space": str(ambient),
+    payload.update({"kind": args.op, "xi": args.xi, "space": str(ambient),
                     "catalog": args.catalog})
-    _emit(args, payload)
-    return 0
-
-
-def _cmd_q_cca_tilde_sup(args) -> int:
-    from .quantities import cca_xi_tilde_sup
-    ambient = _ambient_spec(args)
-    xs = _sequence(args, ambient)
-    est = cca_xi_tilde_sup(_ordinal(args.xi), xs,
-                           _parse_catalog(args.catalog), None,
-                           args.n0, args.N)
-    payload = est.to_json()
-    payload.update({"kind": "cca-tilde-sup", "xi": args.xi,
-                    "space": str(ambient), "catalog": args.catalog})
     _emit(args, payload)
     return 0
 
@@ -432,8 +423,7 @@ def _gamma_order(args, ambient):
 
 
 def _cmd_q_fdelta(args) -> int:
-    from .quantities import f_delta
-    from .verify import _sum_functionals
+    from .quantities import _sum_functionals, f_delta
     ambient = _ambient_spec(args)
     xs = _sequence(args, ambient)
     functionals = _sum_functionals(_gamma_order(args, ambient), ambient, args.N)
@@ -446,8 +436,7 @@ def _cmd_q_fdelta(args) -> int:
 
 
 def _cmd_q_large(args) -> int:
-    from .quantities import large_check
-    from .verify import _sum_functionals
+    from .quantities import _sum_functionals, large_check
     ambient = _ambient_spec(args)
     xs = _sequence(args, ambient)
     functionals = _sum_functionals(_gamma_order(args, ambient), ambient, args.N)
@@ -676,7 +665,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="worst catalog stream after refinement")
     p.add_argument("--xi", required=True)
     p.add_argument("--catalog", required=True)
-    p.set_defaults(handler=_cmd_q_cca_tilde_sup)
+    p.set_defaults(handler=_cmd_q_cca_tilde)
     p = qty_ops.add_parser("sm", parents=[fmt, seq_flags],
                            help="spreading-model constant over a horizon")
     p.add_argument("--xi", required=True)

@@ -20,14 +20,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .averages import _averages, apply
 from .budget import Budget, get_budget
 from .ordinal import FundamentalRule, Ordinal, default_fundamental_seq
 from .schreier import FinSet, _family, enumerate_family
 from .spaces import (CertificationRefusedError, Functional, NormResult, NormSpec,
-                     _norm_total, _scaled_norm, norm)
+                     _norm_total, _sqrt_result, coordinate_sum_functional, norm)
 from .streams import IndexStream
 from .vectors import RatVec, format_fraction
 
@@ -307,28 +307,30 @@ def sm_constant(xi: Ordinal, xs: SeqSpec, N: int, coeff_budget: int = 4, *,
     positive pattern above it.  A finite scan of an infimum over all real
     coefficients can only overshoot, hence the upper-bound tag.
 
-    The scan is exact on integers: the elements on ``F`` are scaled once to
-    one common denominator ``D``, each pattern is an integer sum of those
-    rows, and one memo of kernel results, keyed on the support and
-    magnitudes it was asked for, serves every pattern of the scan.
-    Where the norm is rational the ratios are compared as integers too: a
-    pattern with kernel total ``t`` beats the best ``t_b`` so far exactly
-    when ``t * D_b * |F_b| < t_b * D * |F|``, and only the winner becomes a
-    ``Fraction``.  Ties keep the first pattern met.
+    The scan is exact on integers for every kind: the elements on ``F`` are
+    scaled once to one common denominator ``D``, each pattern is an integer
+    sum of those rows, and one memo of kernel results, keyed on the support
+    and magnitudes it was asked for, serves every pattern of the scan.  The
+    ratios are compared as integers too: a pattern with kernel total ``t``
+    beats the best ``t_b`` so far exactly when
+    ``t * (D_b * |F_b|)**p < t_b * (D * |F|)**p``, with ``p = 2`` for ``l2``
+    and ``baernstein``, whose totals are squares, and ``p = 1`` otherwise.
+    Only the winner becomes a value.  Ties keep the first pattern met.
     """
     budget = get_budget(budget)
-    return _sm_scan(xs, N, coeff_budget, _family(xi, N, fs=fs, budget=budget),
-                    budget)
+    members = _family(xi, N, fs=fs, budget=budget)
+    return _sm_least(xs.ambient, N, _sm_patterns(xs, coeff_budget, members,
+                                                 budget))
 
 
-def _sm_scan(xs: SeqSpec, N: int, coeff_budget: int, members: Iterable[FinSet],
-             budget: Budget) -> HorizonEstimate:
-    """The scan of :func:`sm_constant` over the given family members."""
+def _sm_patterns(xs: SeqSpec, coeff_budget: int, members: Iterable[FinSet],
+                 budget: Budget) -> Iterator[tuple[FinSet, tuple, int, int]]:
+    """The sign patterns of :func:`sm_constant` over the given members, in
+    scan order, each as ``(F, signs, total, D)``: the kernel total of
+    ``sum signs[k] * x_{F[k]}`` in units of ``1/D`` (``1/D**2`` for ``l2``
+    and ``baernstein``), all patterns through one memo."""
     ambient = xs.ambient
-    rational = ambient.kind not in ("l2", "baernstein")
     scaled: dict[int, tuple] = {}   # n -> the n-th element, scaled
-    best = None        # (total, D * |F|) when rational, else the ratio
-    best_witness = None
     memo: dict = {}
     for F in members:
         if not F:
@@ -341,7 +343,6 @@ def _sm_scan(xs: SeqSpec, N: int, coeff_budget: int, members: Iterable[FinSet],
             patterns = product((1, -1), repeat=len(F))
         else:
             patterns = [(1,) * len(F)]
-        scale = D * len(F)
         for signs in patterns:
             combined: dict[int, int] = {}
             for sign, row in zip(signs, rows):
@@ -349,24 +350,34 @@ def _sm_scan(xs: SeqSpec, N: int, coeff_budget: int, members: Iterable[FinSet],
                     combined[i] = combined.get(i, 0) + sign * v
             support = tuple(sorted(i for i, v in combined.items() if v))
             values = [combined[i] for i in support]
-            if rational:
-                total = _norm_total(ambient, support, values, budget, memo)[0]
-                if best is None or total * best[1] < best[0] * scale:
-                    best = (total, scale)
-                    best_witness = (F, signs)
-                continue
-            ratio = _value(_scaled_norm(ambient, support, values, D,
-                                        budget, memo)) / len(F)
-            if best is None or ratio < best:
-                best = ratio
-                best_witness = (F, signs)
+            yield F, signs, _norm_total(ambient, support, values, budget,
+                                        memo)[0], D
+
+
+def _sm_least(ambient: NormSpec, N: int,
+              patterns: Iterable[tuple[FinSet, tuple, int, int]]
+              ) -> HorizonEstimate:
+    """The first pattern of least ratio ``total / (D * |F|)`` (its root, for
+    square totals), compared on integers, as the estimate of
+    :func:`sm_constant`."""
+    p = 2 if ambient.kind in ("l2", "baernstein") else 1
+    best = None
+    best_scale = 0
+    for pattern in patterns:
+        F, _, total, D = pattern
+        scale = (D * len(F)) ** p
+        if best is None or total * best_scale < best[2] * scale:
+            best, best_scale = pattern, scale
     if best is None:
         raise ValueError("no nonempty admissible sets in the horizon")
-    if rational:
-        best = Fraction(*best)
-    F, signs = best_witness
+    F, signs, total, D = best
+    if p == 1:
+        value = Fraction(total, D * len(F))
+    else:
+        value = _value(_sqrt_result(ambient, Fraction(total, D * D),
+                                    None)) / len(F)
     witness = f"{F};{','.join(format_fraction(s) for s in signs)}"
-    return HorizonEstimate(best, "upper_bound", N, witness)
+    return HorizonEstimate(value, "upper_bound", N, witness)
 
 
 def _common_rows(scaled: Sequence[tuple]) -> tuple[list[list[tuple[int, int]]], int]:
@@ -405,16 +416,6 @@ class DeltaFamily:
             return True
         return any(all(n in hits for n in F) for hits in self.hit_sets)
 
-    def members(self) -> list[FinSet]:
-        """Every set in the family, deduplicated, in lexicographic order."""
-        seen = set()
-        for hits in self.hit_sets:
-            values = tuple(hits)
-            for mask in range(1 << len(values)):
-                subset = tuple(v for i, v in enumerate(values) if mask >> i & 1)
-                seen.add(subset)
-        return [FinSet(s) for s in sorted(seen)]
-
     def to_json(self) -> dict:
         return {
             "hit_sets": [str(h) for h in self.hit_sets],
@@ -422,6 +423,18 @@ class DeltaFamily:
             "horizon": self.horizon,
             "labels": list(self.labels),
         }
+
+
+def _sum_functionals(order: Ordinal, spec: NormSpec, N: int, *,
+                     fs: FundamentalRule = default_fundamental_seq,
+                     budget: Budget | None = None) -> list[Functional]:
+    """Certified coordinate sums over the nonempty members inside ``1..N``.
+
+    The members are counted first, so a family past the work budget is
+    refused before any functional is built.
+    """
+    return [coordinate_sum_functional(F, spec)
+            for F in _family(order, N, fs=fs, budget=budget) if F]
 
 
 def f_delta(functionals: Sequence[Functional], xs: SeqSpec, delta: Fraction,

@@ -121,9 +121,6 @@ class FinSet:
     def __hash__(self):
         return hash(("FinSet", self._elements))
 
-    def union(self, other: "FinSet") -> "FinSet":
-        return FinSet.of(*self._elements, *other._elements)
-
     def __str__(self):
         return ",".join(map(str, self._elements))
 

@@ -12,11 +12,11 @@ kind, the classical ``l1``, ``l2`` and ``sup`` included, is evaluated by one
 private entry, ``_norm_total``, on integers: the support and the signed
 numerators over a common denominator ``D``, giving an integer total and a
 witness.  ``_scaled_norm`` turns that total into a :class:`NormResult`, and
-:func:`norm` scales its vector once and calls it; scans that build many
-vectors (the sign patterns of ``quantities.sm_constant`` and of the star
-bundle) build them on the integers and call ``_norm_total`` directly when
-only the integer total matters.  The star norm splits signs on the integers,
-and the kernels see only magnitudes: order 0 takes the first largest entry,
+:func:`norm` scales its vector once and calls it; the sign-pattern scan of
+``quantities.sm_constant``, which the bundles share, builds its many vectors
+on the integers and calls ``_norm_total`` directly, since it compares only
+integer totals.  The star norm splits signs on the integers, and the
+kernels see only magnitudes: order 0 takes the first largest entry,
 order 1 has a polynomial scan, and everything else runs a branch-and-bound
 over admissible prefixes from an explicit stack, metered by the active
 budget's ``work`` alone, so no support is too long for the interpreter.
@@ -30,13 +30,14 @@ chain kernel searches in another order and has no such test.  Kernel totals
 are integers in units of ``1/D`` (``1/D**2`` for the chain norm), turned
 into one ``Fraction`` on return.  A scan may pass the entry a memo of
 kernel results keyed on the support and magnitudes; one memo serves a whole
-scan (every member and pattern of ``quantities.sm_constant`` or of the star
-bundle's half-mass loop), under one spec and one budget, and no cache
-outlives it.
+scan (every member and pattern of ``quantities.sm_constant``), under one
+spec and one budget, and no cache outlives it.
 
 ``norm_oracle`` is the same quantity computed by exhaustive enumeration over
 ``Fraction``, kept deliberately free of pruning and of the automaton: it
-tests membership with the greedy cuts of ``schreier._member``.
+tests membership with the greedy cuts of ``schreier._member``.  The chain
+oracle squares each block's mass once per call, yet still spends one meter
+unit on every candidate block of every path.
 """
 
 from __future__ import annotations
@@ -449,6 +450,7 @@ def _oracle_chain(mags: RatVec, xi: Ordinal, fs: FundamentalRule,
 
     support = mags.support()
     position = {value: pos for pos, value in enumerate(support)}
+    squares: dict = {}   # block -> its squared mass, or False off the family
     best = Fraction(0)
 
     def rec(pos: int, acc: Fraction) -> None:
@@ -460,9 +462,13 @@ def _oracle_chain(mags: RatVec, xi: Ordinal, fs: FundamentalRule,
                 for combo in combinations(tail, size):
                     block = (support[start],) + combo
                     meter.spend(1)
-                    if _member(xi, block, fs, memo):
-                        mass = sum((mags[i] for i in block), Fraction(0))
-                        rec(position[block[-1]] + 1, acc + mass * mass)
+                    square = squares.get(block)
+                    if square is None:
+                        square = squares[block] = (
+                            _member(xi, block, fs, memo)
+                            and sum((mags[i] for i in block), Fraction(0)) ** 2)
+                    if square is not False:
+                        rec(position[block[-1]] + 1, acc + square)
 
     rec(0, Fraction(0))
     return best

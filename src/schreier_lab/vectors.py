@@ -153,10 +153,6 @@ class RatVec:
             return RatVec()
         return RatVec({i: v * c for i, v in self._entries.items()})
 
-    def restrict(self, indices) -> "RatVec":
-        keep = set(indices)
-        return RatVec({i: v for i, v in self._entries.items() if i in keep})
-
     # The entries are canonical already, and these keep them so.
 
     def abs(self) -> "RatVec":
@@ -177,12 +173,6 @@ class RatVec:
 
     def total(self) -> Fraction:
         return sum(self._entries.values(), Fraction(0))
-
-    def sup_abs(self) -> Fraction:
-        return max((abs(v) for v in self._entries.values()), default=Fraction(0))
-
-    def l2_squared(self) -> Fraction:
-        return sum((v * v for v in self._entries.values()), Fraction(0))
 
     # -- identity --------------------------------------------------------------
 
@@ -248,6 +238,3 @@ class ProbVector(RatVec):
             raise ValueError("cannot average zero vectors")
         weight = Fraction(1, len(vectors))
         return cls.combination((weight, vec) for vec in vectors)
-
-    def as_ratvec(self) -> RatVec:
-        return RatVec(self._entries)

@@ -13,11 +13,12 @@ front when it is past the budget, and walk it once; the sign-pattern scans,
 the coordinate-sum functionals, the largeness scan and the dual-certificate
 pool all read that one list of members.  The walk yields members of the
 space's own order only, so their coordinate sums are built without testing
-membership again.  The star bundle's half-mass loop and each sign-pattern
-scan keep one memo of norm kernel results for all their members, so a
-support and magnitudes met on several members are searched once; most of
-those supports are members themselves, which the kernels recognize before
-any search.
+membership again.  Each bundle evaluates its sign patterns once, in
+``quantities``, through one memo of norm kernel results, so a support and
+magnitudes met on several members are searched once; most of those supports
+are members themselves, which the kernels recognize before any search.  The
+star bundle lists its patterns, and its half-mass check and its spreading
+constant both read that list.
 """
 
 from __future__ import annotations
@@ -25,16 +26,14 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
-from itertools import product
 
 from .budget import Budget, BudgetExceededError, get_budget
 from .ordinal import FundamentalRule, Ordinal, default_fundamental_seq
 from .quantities import (CanonicalBasis, SeqSpec, _cesaro_prefix, _large_scan,
-                         _sm_scan, prop_formula)
+                         _sm_least, _sm_patterns, prop_formula)
 from .reports import Report
 from .schreier import FinSet, _family
-from .spaces import (NormSpec, _member_sum_functional, _norm_total,
-                     coordinate_sum_functional, norm)
+from .spaces import NormSpec, _member_sum_functional, norm
 from .streams import IndexStream
 from .vectors import RatVec, format_fraction
 
@@ -43,18 +42,6 @@ __all__ = [
     "verify_example_star",
     "verify_prop_formula",
 ]
-
-
-def _sum_functionals(order: Ordinal, spec: NormSpec, N: int, *,
-                     fs: FundamentalRule = default_fundamental_seq,
-                     budget: Budget | None = None):
-    """Certified coordinate sums over the nonempty members inside ``1..N``.
-
-    The members are counted first, so a family past the work budget is
-    refused before any functional is built.
-    """
-    return [coordinate_sum_functional(F, spec)
-            for F in _family(order, N, fs=fs, budget=budget) if F]
 
 
 def _sample_vector(rng: random.Random, N: int) -> RatVec:
@@ -130,7 +117,7 @@ def verify_example_schreier(xi: Ordinal, N: int, coeff_budget: int = 3, *,
                      "seed": 0})
 
     members = list(_family(order, N, fs=fs, budget=budget))
-    sm = _sm_scan(basis, N, coeff_budget, members, budget)
+    sm = _sm_least(spec, N, _sm_patterns(basis, coeff_budget, members, budget))
     report.check("spreading-constant-is-one", sm.value == 1,
                  f"min ratio {sm.to_json()['value']} at {sm.witness}")
     report.result("sm", sm.to_json())
@@ -172,28 +159,21 @@ def verify_example_star(xi: Ordinal, N: int, coeff_budget: int = 3, *,
     report.check("alternating-pair-has-norm-one", diff_norm == 1,
                  f"norm {format_fraction(diff_norm)}")
 
-    half = Fraction(1, 2)
-    violations = 0
-    tested = 0
     members = list(_family(order, N, fs=fs, budget=budget))
-    # The +-1 vectors on each F, on the integers (D = 1).  A kernel result
-    # depends only on the support and magnitudes it was asked for, so one
-    # memo serves every pattern on every member.
-    memo: dict = {}
-    for F in members:
-        if not F or len(F) > coeff_budget:
-            continue
-        for signs in product((1, -1), repeat=len(F)):
-            tested += 1
-            if 2 * _norm_total(spec, F.elements, signs, budget, memo)[0] < len(F):
-                violations += 1
+    # The sign patterns of the spreading-constant scan, listed once.  Every
+    # sign choice is listed on the members of at most coeff_budget points,
+    # and the half-mass check reads those; the spreading constant reads all.
+    patterns = list(_sm_patterns(basis, coeff_budget, members, budget))
+    below_half = [2 * total < D * len(F)
+                  for F, _, total, D in patterns if len(F) <= coeff_budget]
+    violations = sum(below_half)
     report.check("half-lower-bound-holds", violations == 0,
-                 f"{tested} sign patterns, {violations} below half mass")
+                 f"{len(below_half)} sign patterns, {violations} below half mass")
 
-    sm = _sm_scan(basis, N, coeff_budget, members, budget)
+    sm = _sm_least(spec, N, patterns)
     expected_witness = "2,3;1,-1"
     report.check("spreading-constant-is-half",
-                 sm.value == half and sm.witness == expected_witness,
+                 sm.value == Fraction(1, 2) and sm.witness == expected_witness,
                  f"min ratio {sm.to_json()['value']} at {sm.witness}")
     report.result("sm", sm.to_json())
 

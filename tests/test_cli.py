@@ -724,7 +724,9 @@ _LAYERS = {"ordinal", "streams", "schreier", "vectors", "averages", "spaces",
     (["avg", "nibcc", "--xi", "0", "--count", "2"], {"quantities", "verify"}),
     (["norm", "--space", "schreier", "--xi", "1",
       "--vec", '{"entries": {"2": "1", "3": "-1"}}'], {"quantities", "verify"}),
-], ids=["ord", "schreier", "avg", "avg-nibcc", "norm"])
+    (["quantity", "large", "--xi", "2", "--c", "9/10", "--N", "8"],
+     {"verify", "reports"}),
+], ids=["ord", "schreier", "avg", "avg-nibcc", "norm", "quantity-large"])
 def test_a_command_loads_only_its_layers(argv, unloaded):
     # A fresh interpreter, so no other test has imported the layers.
     probe = ("import json, sys\n"

@@ -68,9 +68,6 @@ def test_parts_and_sizes():
     assert x.positive_part() - x.negative_part() == x
     assert x.l1() == Fraction(11, 2)
     assert x.total() == Fraction(-1, 2)
-    assert x.sup_abs() == 3
-    assert x.l2_squared() == Fraction(53, 4)
-    assert x.restrict((2, 4, 9)).entries == {2: -3, 4: Fraction(1, 2)}
 
 
 def test_json_round_trip():
@@ -136,7 +133,6 @@ def test_prob_vector_unit_and_average():
         ProbVector({2: 1}),
     ])
     assert overlapping.entries == {1: Fraction(1, 4), 2: Fraction(3, 4)}
-    assert isinstance(mean.as_ratvec(), RatVec)
 
 
 def test_combination_keeps_the_class_checks():
@@ -163,7 +159,6 @@ _entries = st.dictionaries(st.integers(min_value=1, max_value=30),
 def test_l1_triangle_inequality(a, b):
     x, y = RatVec(a), RatVec(b)
     assert (x + y).l1() <= x.l1() + y.l1()
-    assert (x + y).sup_abs() <= x.sup_abs() + y.sup_abs()
 
 
 @given(a=_entries, c=st.fractions(min_value=-4, max_value=4,
@@ -171,7 +166,6 @@ def test_l1_triangle_inequality(a, b):
 def test_scaling_is_homogeneous(a, c):
     x = RatVec(a)
     assert x.scale(c).l1() == abs(c) * x.l1()
-    assert x.scale(c).l2_squared() == c * c * x.l2_squared()
 
 
 @given(a=_entries)
