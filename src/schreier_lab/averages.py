@@ -30,11 +30,10 @@ the vector is handed out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Generator, Sequence
 
-from .budget import Budget, BudgetExceededError, WorkMeter, get_budget
+from .budget import Budget, BudgetExceededError, Record, WorkMeter, get_budget
 from .ordinal import (OMEGA, FundamentalRule, Ordinal, classify,
                       default_fundamental_seq)
 from .schreier import FinSet, _unwound
@@ -383,8 +382,7 @@ class AmbiguousReconstructionError(RuntimeError):
     """The combination weights are not uniquely determined by the data."""
 
 
-@dataclass(frozen=True)
-class NibccWitness:
+class NibccWitness(Record):
     """Certificate that ``z`` is a non-increasing block convex combination of ``y``.
 
     ``breakpoints`` is ``(k_1, ..., k_{p+1})`` with ``k_1 = 0``, and
@@ -392,24 +390,25 @@ class NibccWitness:
     non-increasing, and sum to 1 over each block ``k_n+1 .. k_{n+1}``.
     """
 
-    breakpoints: tuple[int, ...]
-    weights: tuple[Fraction, ...]
+    __slots__ = ("breakpoints", "weights")
 
-    def __post_init__(self):
-        bp = self.breakpoints
+    def __init__(self, breakpoints: tuple[int, ...],
+                 weights: tuple[Fraction, ...]):
+        bp = breakpoints
         if not bp or bp[0] != 0:
             raise ValueError("breakpoints must start at 0")
         if any(b >= c for b, c in zip(bp, bp[1:])):
             raise ValueError("breakpoints must strictly increase")
-        if len(self.weights) != bp[-1]:
+        if len(weights) != bp[-1]:
             raise ValueError("need one weight per combined vector")
-        if any(w <= 0 for w in self.weights):
+        if any(w <= 0 for w in weights):
             raise ValueError("weights must be positive")
-        if any(w < v for w, v in zip(self.weights, self.weights[1:])):
+        if any(w < v for w, v in zip(weights, weights[1:])):
             raise ValueError("weights must be non-increasing")
         for lo, hi in zip(bp, bp[1:]):
-            if sum(self.weights[lo:hi], Fraction(0)) != 1:
+            if sum(weights[lo:hi], Fraction(0)) != 1:
                 raise ValueError("each block of weights must sum to 1")
+        Record.__init__(self, breakpoints, weights)
 
     @property
     def blocks(self) -> int:

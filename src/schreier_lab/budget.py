@@ -5,6 +5,10 @@ super-exponentially in the order and the horizon, so every expensive
 operation is guarded by an explicit budget and fails with a clear error
 instead of exhausting memory.  The generic work unit can be overridden
 through the ``SCHREIER_LAB_BUDGET`` environment variable.
+
+The module also holds :class:`Record`, the base of the budget and of every
+other small immutable record in the package, since every module that
+defines one already imports this one.
 """
 
 from __future__ import annotations
@@ -37,24 +41,33 @@ class BudgetExceededError(RuntimeError):
         super().__init__(f"budget exceeded for {what}: limit {limit}{detail}")
 
 
-class Budget:
-    """Budget knobs, immutable and compared by value.
+class Record:
+    """Base of the package's small immutable records.
 
-    work: generic unit shared by enumeration counts, branch-and-bound
-        nodes, and materialized vector entries; the norm searches take
-        supports of any length and stop only on it.
-    oracle_support: max set size accepted by the exhaustive oracles.
+    A subclass lists its fields, in order, as its ``__slots__``; its class
+    annotations, if any, only document their types.  A record is built from
+    its fields by position or by name, refuses assignment and deletion, and
+    compares, hashes, prints and pickles by its fields, as a frozen
+    dataclass would.  A subclass with defaults or checks defines its own
+    ``__init__`` and ends it in ``Record.__init__``.
 
     A plain class rather than a dataclass: every command needs this module,
     and ``dataclasses`` (with the ``inspect`` it imports) would cost each
     command-line call more than the rest of this module.
     """
 
-    __slots__ = ("work", "oracle_support")
+    __slots__ = ()
 
-    def __init__(self, work: int = _DEFAULT_WORK, oracle_support: int = 12):
-        object.__setattr__(self, "work", work)
-        object.__setattr__(self, "oracle_support", oracle_support)
+    def __init__(self, *values, **named):
+        names = self.__slots__
+        if named:
+            values += tuple(named.pop(name) for name in names[len(values):]
+                            if name in named)
+        if named or len(values) != len(names):
+            raise TypeError(f"{type(self).__name__} takes the fields "
+                            f"{', '.join(names)}")
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -66,8 +79,8 @@ class Budget:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __repr__(self) -> str:
-        return "Budget(" + ", ".join(f"{name}={value!r}" for name, value
-                                     in zip(self.__slots__, self._fields())) + ")"
+        pairs = zip(self.__slots__, self._fields())
+        return f"{type(self).__name__}({', '.join(f'{n}={v!r}' for n, v in pairs)})"
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -79,6 +92,21 @@ class Budget:
 
     def __reduce__(self):
         return type(self), self._fields()
+
+
+class Budget(Record):
+    """Budget knobs, immutable and compared by value.
+
+    work: generic unit shared by enumeration counts, branch-and-bound
+        nodes, and materialized vector entries; the norm searches take
+        supports of any length and stop only on it.
+    oracle_support: max set size accepted by the exhaustive oracles.
+    """
+
+    __slots__ = ("work", "oracle_support")
+
+    def __init__(self, work: int = _DEFAULT_WORK, oracle_support: int = 12):
+        Record.__init__(self, work, oracle_support)
 
     @classmethod
     def from_env(cls) -> "Budget":

@@ -22,7 +22,7 @@ import argparse
 import json
 import sys
 
-from .budget import BudgetExceededError
+from .budget import BudgetExceededError, get_budget
 
 _SPACE_KINDS = ("l1", "l2", "sup", "schreier", "star", "baernstein")
 
@@ -164,6 +164,9 @@ def _cmd_ord_fseq(args) -> int:
     x = _ordinal(args.xi)
     if args.n < 1:
         raise ValueError("--n must be at least 1")
+    work = get_budget().work
+    if args.n > work:
+        raise BudgetExceededError("fundamental-sequence terms", work, needed=args.n)
     values = [str(default_fundamental_seq(x, n)) for n in range(1, args.n + 1)]
     _emit(args, {"ordinal": str(x), "n": args.n, "sequence": values})
     return 0

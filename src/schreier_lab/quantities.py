@@ -16,14 +16,12 @@ ambient norm with a 1-indexed ``element`` callable, and so does
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import product
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .averages import _averages, apply
-from .budget import Budget, get_budget
+from .budget import Budget, Record, get_budget
 from .ordinal import FundamentalRule, Ordinal, default_fundamental_seq
 from .schreier import FinSet, _family, enumerate_family
 from .spaces import (CertificationRefusedError, Functional, NormResult, NormSpec,
@@ -63,23 +61,22 @@ def _format_value(value) -> str:
     return repr(float(value))
 
 
-@dataclass(frozen=True)
-class HorizonEstimate:
+class HorizonEstimate(Record):
     """A value computed over a finite horizon, tagged with its direction.
 
     ``direction`` says how ``value`` relates to the limit quantity the
     computation stands in for: equal to it, a one-sided bound for it, or
-    unverified when neither side is certified.
+    unverified when neither side is certified.  ``value`` is a Fraction, or
+    a float when the quantity is irrational.
     """
 
-    value: object                 # Fraction, or float when irrational
-    direction: str
-    horizon: object
-    witness: object = None
+    __slots__ = ("value", "direction", "horizon", "witness")
 
-    def __post_init__(self):
-        if self.direction not in DIRECTIONS:
-            raise ValueError(f"unknown direction {self.direction!r}")
+    def __init__(self, value: Fraction | float, direction: str, horizon: object,
+                 witness: object = None):
+        if direction not in DIRECTIONS:
+            raise ValueError(f"unknown direction {direction!r}")
+        Record.__init__(self, value, direction, horizon, witness)
 
     def to_json(self) -> dict:
         return {
@@ -94,11 +91,11 @@ class HorizonEstimate:
 # -- vector sequences --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SeqSpec:
+class SeqSpec(Record):
     """A 1-indexed sequence of vectors living in a normed ambient:
     ``element(n)`` is the n-th vector, and :meth:`describe` gives ``name``."""
 
+    __slots__ = ("ambient", "element", "name")
     ambient: NormSpec
     element: Callable[[int], RatVec]
     name: str
@@ -392,8 +389,7 @@ def _common_rows(scaled: Sequence[tuple]) -> tuple[list[list[tuple[int, int]]], 
 # -- threshold families and largeness --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DeltaFamily:
+class DeltaFamily(Record):
     """Sets on which some listed functional clears the threshold everywhere.
 
     ``hit_sets[i]`` collects the indices ``n`` in ``1..horizon`` where the
@@ -402,18 +398,13 @@ class DeltaFamily:
     construction.
     """
 
+    __slots__ = ("hit_sets", "delta", "horizon", "labels")
     hit_sets: tuple[FinSet, ...]
     delta: Fraction
     horizon: int
-    labels: tuple[str, ...] = ()
-
-    @cached_property
-    def _exact_hits(self) -> frozenset:
-        return frozenset(tuple(h) for h in self.hit_sets)
+    labels: tuple[str, ...]
 
     def contains(self, F: FinSet) -> bool:
-        if tuple(F) in self._exact_hits:
-            return True
         return any(all(n in hits for n in F) for hits in self.hit_sets)
 
     def to_json(self) -> dict:
@@ -479,10 +470,10 @@ def f_delta(functionals: Sequence[Functional], xs: SeqSpec, delta: Fraction,
                        tuple(f.label for f in functionals))
 
 
-@dataclass(frozen=True)
-class LargeCheckResult:
+class LargeCheckResult(Record):
     """Whether every admissible image set in the horizon lies in the family."""
 
+    __slots__ = ("ok", "checked", "certificate", "order", "stream", "horizon")
     ok: bool
     checked: int
     certificate: FinSet | None
@@ -531,6 +522,7 @@ def _large_scan(xi: Ordinal, c: Fraction, xs: SeqSpec, M: IndexStream,
     weak_limit = RatVec() if weak_limit is None else weak_limit
     shifted = SeqSpec(xs.ambient, lambda n: xs.element(n) - weak_limit, xs.name)
     family = f_delta(functionals, shifted, c, N)
+    exact_hits = frozenset(family.hit_sets)
     values = []
     position = 1
     while True:
@@ -547,7 +539,7 @@ def _large_scan(xi: Ordinal, c: Fraction, xs: SeqSpec, M: IndexStream,
     for G in members:
         F = G if identity else FinSet.of(*(values[g - 1] for g in G))
         checked += 1
-        if not family.contains(F):
+        if F not in exact_hits and not family.contains(F):
             return LargeCheckResult(False, checked, F, str(xi), M.name, N)
     return LargeCheckResult(True, checked, None, str(xi), M.name, N)
 
@@ -555,10 +547,10 @@ def _large_scan(xi: Ordinal, c: Fraction, xs: SeqSpec, M: IndexStream,
 # -- the two-term ratio formula ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PropFormulaValues:
+class PropFormulaValues(Record):
     """Exact values of the vanishing remainder and the main lower-bound term."""
 
+    __slots__ = ("l", "c", "vanishing", "main")
     l: int
     c: Fraction
     vanishing: Fraction

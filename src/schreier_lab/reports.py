@@ -9,18 +9,19 @@ out of it (it appears only in the text rendering, which is for humans).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+
+from .budget import Record
 
 SCHEMA_VERSION = 1
 
 __all__ = ["SCHEMA_VERSION", "Check", "Report"]
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(Record):
+    __slots__ = ("name", "ok", "detail")
     name: str
     ok: bool
-    detail: str = ""
+    detail: str
 
 
 class Report:

@@ -43,10 +43,9 @@ unit on every candidate block of every path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .budget import Budget, BudgetExceededError, WorkMeter, get_budget
+from .budget import Budget, BudgetExceededError, Record, WorkMeter, get_budget
 from .ordinal import (ONE, FundamentalRule, Ordinal, default_fundamental_seq,
                       parse as parse_ordinal)
 from .schreier import FinSet, _automaton, _member
@@ -67,23 +66,22 @@ _FAMILY_KINDS = ("schreier", "schreier_star", "baernstein")
 _CLASSICAL_KINDS = ("l1", "l2", "sup")
 
 
-@dataclass(frozen=True)
-class NormSpec:
+class NormSpec(Record):
     """Which norm to evaluate: a kind, plus an order for the family-based kinds."""
 
-    kind: str
-    xi: Ordinal | None = None
-    fs: FundamentalRule = default_fundamental_seq
+    __slots__ = ("kind", "xi", "fs")
 
-    def __post_init__(self):
-        if self.kind in _FAMILY_KINDS:
-            if self.xi is None:
-                raise ValueError(f"kind {self.kind!r} needs an order")
-        elif self.kind in _CLASSICAL_KINDS:
-            if self.xi is not None:
-                raise ValueError(f"kind {self.kind!r} takes no order")
+    def __init__(self, kind: str, xi: Ordinal | None = None,
+                 fs: FundamentalRule = default_fundamental_seq):
+        if kind in _FAMILY_KINDS:
+            if xi is None:
+                raise ValueError(f"kind {kind!r} needs an order")
+        elif kind in _CLASSICAL_KINDS:
+            if xi is not None:
+                raise ValueError(f"kind {kind!r} takes no order")
         else:
-            raise ValueError(f"unknown norm kind {self.kind!r}")
+            raise ValueError(f"unknown norm kind {kind!r}")
+        Record.__init__(self, kind, xi, fs)
 
     @classmethod
     def l1(cls):
@@ -136,14 +134,14 @@ def _witness_str(witness) -> str:
     return "|".join(str(F) for F in witness)
 
 
-@dataclass(frozen=True)
-class NormResult:
+class NormResult(Record):
     """An exactly computed norm with a maximizing witness.
 
     ``value`` is None when the norm is irrational (possible only for the
     Baernstein kind); ``value_squared`` is always exact.
     """
 
+    __slots__ = ("spec", "value", "value_squared", "approx", "witness")
     spec: NormSpec
     value: Fraction | None
     value_squared: Fraction
@@ -511,8 +509,7 @@ class CertificationViolationError(RuntimeError):
     """A certified bound failed on concrete data, which indicates a bug."""
 
 
-@dataclass(frozen=True)
-class Functional:
+class Functional(Record):
     """A finitely supported functional ``x -> sum_i c_i x_i``.
 
     When ``certified_for`` is set, evaluation checks ``|f(x)| <= ||x||``
@@ -521,9 +518,10 @@ class Functional:
     refuses the evaluation too: the check is never skipped silently.
     """
 
+    __slots__ = ("coefficients", "certified_for", "label")
     coefficients: RatVec
-    certified_for: NormSpec | None = None
-    label: str = ""
+    certified_for: NormSpec | None
+    label: str
 
     def evaluate(self, x: RatVec, *, check: bool = True,
                  budget: Budget | None = None) -> Fraction:

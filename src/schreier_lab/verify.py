@@ -213,7 +213,10 @@ def verify_prop_formula(l_max: int, c: Fraction, *,
 
     The main term must climb once past the degenerate first row and stay
     within ``5/l`` of the limit in relative terms; the remainder must fall
-    and stay below ``1/l``.
+    and stay below ``1/l``.  Each row costs one unit of work, so ``l_max``
+    past the work budget is refused up front; the rows are checked as they
+    are computed, keeping only the first five offenders of each check and
+    the rows shown.
     """
     started = time.perf_counter()
     if l_max < 1:
@@ -221,38 +224,45 @@ def verify_prop_formula(l_max: int, c: Fraction, *,
     c = Fraction(c)
     if c <= 0:
         raise ValueError("the level must be positive")
+    budget = get_budget(budget)
+    if l_max > budget.work:
+        raise BudgetExceededError("prop-formula rows", budget.work, needed=l_max)
     report = Report(f"verify prop-formula --l-max {l_max} --c {format_fraction(c)}",
                     {"l_max": l_max, "c": format_fraction(c),
                      "target": format_fraction(2 * c)})
 
-    rows = [prop_formula(l, c) for l in range(1, l_max + 1)]
+    envelope_bad, vanishing_bad, main_drops, vanishing_rises = [], [], [], []
+    stride = max(1, l_max // 10)
+    shown, previous = [], None
+    for l in range(1, l_max + 1):
+        row = prop_formula(l, c)
+        if len(envelope_bad) < 5 and abs(row.main / c - 2) > Fraction(5, l):
+            envelope_bad.append(l)
+        if len(vanishing_bad) < 5 and row.vanishing > Fraction(1, l):
+            vanishing_bad.append(l)
+        if l >= 3:
+            if len(main_drops) < 5 and row.main < previous.main:
+                main_drops.append(l)
+            if len(vanishing_rises) < 5 and row.vanishing > previous.vanishing:
+                vanishing_rises.append(l)
+        if l == 1 or l == l_max or l % stride == 0:
+            shown.append(row.to_json())
+        previous = row
 
-    envelope_bad = [r.l for r in rows if abs(r.main / c - 2) > Fraction(5, r.l)]
     report.check("main-within-five-over-l", not envelope_bad,
                  "relative gap |main/c - 2| <= 5/l on every row"
-                 if not envelope_bad else f"violated at l = {envelope_bad[:5]}")
-
-    vanishing_bad = [r.l for r in rows if r.vanishing > Fraction(1, r.l)]
+                 if not envelope_bad else f"violated at l = {envelope_bad}")
     report.check("vanishing-below-one-over-l", not vanishing_bad,
                  "vanishing <= 1/l on every row"
-                 if not vanishing_bad else f"violated at l = {vanishing_bad[:5]}")
-
-    main_drops = [rows[i].l for i in range(2, len(rows))
-                  if rows[i].main < rows[i - 1].main]
+                 if not vanishing_bad else f"violated at l = {vanishing_bad}")
     report.check("main-climbs-from-two", not main_drops,
                  "main is non-decreasing for l >= 2"
-                 if not main_drops else f"drops at l = {main_drops[:5]}")
-
-    vanishing_rises = [rows[i].l for i in range(2, len(rows))
-                       if rows[i].vanishing > rows[i - 1].vanishing]
+                 if not main_drops else f"drops at l = {main_drops}")
     report.check("vanishing-falls-from-two", not vanishing_rises,
                  "vanishing is non-increasing for l >= 2"
-                 if not vanishing_rises else f"rises at l = {vanishing_rises[:5]}")
-
-    stride = max(1, l_max // 10)
-    shown = [r for r in rows if r.l == 1 or r.l == l_max or r.l % stride == 0]
-    report.result("table", [r.to_json() for r in shown])
-    report.result("final", rows[-1].to_json())
+                 if not vanishing_rises else f"rises at l = {vanishing_rises}")
+    report.result("table", shown)
+    report.result("final", previous.to_json())
 
     report.wall_seconds = time.perf_counter() - started
     return report

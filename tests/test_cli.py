@@ -68,6 +68,16 @@ def test_ord_fseq_needs_a_positive_length(capsys):
         assert err.startswith("error:")
 
 
+def test_ord_fseq_past_the_budget_is_refused_up_front(capsys, monkeypatch):
+    monkeypatch.setenv("SCHREIER_LAB_BUDGET", "1000")
+    code, out, err = run(capsys, "ord", "fseq", "--xi", "w", "--n", "1001")
+    assert (code, out) == (2, "")
+    assert err == ("budget exceeded: budget exceeded for fundamental-sequence "
+                   "terms: limit 1000 (needs = 1001)\n")
+    code, payload = run_json(capsys, "ord", "fseq", "--xi", "w", "--n", "1000")
+    assert code == 0 and len(payload["sequence"]) == 1000
+
+
 def test_ord_parse_error_exits_two(capsys):
     code, out, err = run(capsys, "ord", "parse", "--text", "w+w")
     assert code == 2 and out == ""
@@ -686,6 +696,18 @@ def test_verify_prop_formula(capsys):
     assert code == 0 and "all checks passed" in out
 
 
+def test_verify_prop_formula_past_the_budget_is_refused_up_front(capsys,
+                                                                 monkeypatch):
+    monkeypatch.delenv("SCHREIER_LAB_BUDGET", raising=False)
+    started = time.perf_counter()
+    code, out, err = run(capsys, "verify", "prop-formula",
+                         "--l-max", "200001", "--c", "1/2")
+    assert time.perf_counter() - started < 1
+    assert (code, out) == (2, "")
+    assert err == ("budget exceeded: budget exceeded for prop-formula rows: "
+                   "limit 200000 (needs = 200001)\n")
+
+
 @pytest.mark.parametrize("bundle", ["example-schreier", "example-star"])
 @pytest.mark.parametrize("N", ["0", "-3"])
 def test_verify_needs_a_positive_horizon(capsys, bundle, N):
@@ -714,19 +736,17 @@ _LAYERS = {"ordinal", "streams", "schreier", "vectors", "averages", "spaces",
 
 
 @pytest.mark.parametrize("argv, unloaded", [
-    # The cheapest commands load no dataclasses (nor the inspect it needs).
-    (["ord", "parse", "--text", "w+1"],
-     _LAYERS - {"ordinal"} | {"dataclasses", "inspect"}),
+    (["ord", "parse", "--text", "w+1"], _LAYERS - {"ordinal"}),
     (["schreier", "member", "--xi", "w", "--set", "2,3"],
-     {"vectors", "averages", "spaces", "quantities", "verify", "reports",
-      "dataclasses", "inspect"}),
+     {"vectors", "averages", "spaces", "quantities", "verify", "reports"}),
     (["avg", "--xi", "1", "--n", "3"], {"quantities", "verify"}),
     (["avg", "nibcc", "--xi", "0", "--count", "2"], {"quantities", "verify"}),
     (["norm", "--space", "schreier", "--xi", "1",
       "--vec", '{"entries": {"2": "1", "3": "-1"}}'], {"quantities", "verify"}),
     (["quantity", "large", "--xi", "2", "--c", "9/10", "--N", "8"],
      {"verify", "reports"}),
-], ids=["ord", "schreier", "avg", "avg-nibcc", "norm", "quantity-large"])
+    (["verify", "example-star", "--xi", "0", "--N", "6"], set()),
+], ids=["ord", "schreier", "avg", "avg-nibcc", "norm", "quantity-large", "verify"])
 def test_a_command_loads_only_its_layers(argv, unloaded):
     # A fresh interpreter, so no other test has imported the layers.
     probe = ("import json, sys\n"
@@ -741,6 +761,8 @@ def test_a_command_loads_only_its_layers(argv, unloaded):
                           env=dict(os.environ, PYTHONPATH=src))
     code, loaded = json.loads(proc.stderr.splitlines()[-1])
     assert code == 0
+    # No command loads dataclasses, nor the inspect it imports.
+    unloaded = unloaded | {"dataclasses", "inspect"}
     assert unloaded.isdisjoint(loaded), sorted(unloaded & set(loaded))
 
 
