@@ -8,8 +8,9 @@ average of an approximating order taken along the tail of ``M`` left over
 by its predecessors.  All coefficients are exact rationals.
 
 One :class:`RepeatedAverages` per (order, stream, rule) walks this
-recursion.  It first grows integer block boundaries, then builds each
-vector from them.  Support sizes grow tower-exponentially with the order,
+recursion; the process keeps the 64 most recently used, and each holds
+the lower orders it is built from.  It first grows integer block
+boundaries, then builds each vector from them.  Support sizes grow tower-exponentially with the order,
 so the boundaries are checked against the budget as they grow: a request
 that cannot fit refuses with the exact entry requirement, or a lower bound
 for it, before any vector is allocated, and :func:`support_size` answers
@@ -19,17 +20,20 @@ the orders entered are metered against the same cap, and under the default
 rule the descent finds the first vector of ``w+1``, where such descents
 refuse, before the orders above it.
 
-A vector is held as runs ``(first, last, weight)``: the stream positions
-``first..last`` all carry ``weight``.  Supports tile the stream, so a
-successor-order vector is its children's runs scaled by one share, and
-equal weights come in long consecutive stretches (the third order-2
-vector along all indices has 2,040 entries in 8 runs).  Positivity and
-the sum to 1 are checked on the runs, and entries are expanded only when
-the vector is handed out.
+A vector is held as runs ``(first, last, q)`` of integers: the stream
+positions ``first..last`` all carry the weight ``1/q``.  Every weight is a
+unit fraction, since order 0 has ``q = 1``, a successor order multiplies
+its children's ``q`` by the block length, and a limit order only shifts
+runs.  Supports tile the stream, so equal weights come in long consecutive
+stretches (the third order-2 vector along all indices has 2,040 entries in
+8 runs).  Positivity and the sum to 1 are checked on the runs, the sum as
+one integer sum over ``lcm(q)``, and entries are expanded, with one
+``Fraction`` per run, only when the vector is handed out.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Generator, Sequence
 
@@ -116,12 +120,17 @@ class RepeatedAverages(SummabilityMethod):
     handful of integer operations.  Boundaries found under a wider cap
     stay and are reused.
 
-    ``_run_cache[j]`` holds vector j as runs ``(first, last, weight)`` of
-    stream positions, ascending and disjoint.  :meth:`vector` builds the
-    runs of the one vector asked for from the boundaries (and the cached
-    runs of its children), checks that the weights are positive and that
-    ``sum((last - first + 1) * weight) == 1``, and only then expands the
-    entries.
+    A successor order holds the order below it (``_child``), and a limit
+    order holds, in ``_approx[j]``, the approximating order whose first
+    vector is its vector j, so what the boundaries were grown on stays
+    reachable when the process-wide cache evicts it.
+
+    ``_run_cache[j]`` holds vector j as integer runs ``(first, last, q)``
+    of stream positions, ascending and disjoint, each of weight ``1/q``.
+    :meth:`vector` builds the runs of the one vector asked for from the
+    boundaries (and the cached runs of its children), checks that every
+    ``q`` is positive and that ``sum((last - first + 1) * (L // q)) == L``
+    for ``L = lcm(q)``, and only then expands the entries.
     """
 
     def __init__(self, xi: Ordinal, M: IndexStream,
@@ -132,6 +141,8 @@ class RepeatedAverages(SummabilityMethod):
         self.kind, self.pred = classify(xi)
         self._consumed = [0]
         self._sub_counts = [0]
+        self._child: RepeatedAverages | None = None
+        self._approx: list = [None]
         self._run_cache: dict[int, tuple] = {}
 
     @property
@@ -141,22 +152,35 @@ class RepeatedAverages(SummabilityMethod):
     def vector(self, n: int, *, budget: Budget | None = None) -> ProbVector:
         if n < 1:
             raise ValueError("averages are 1-indexed")
-        budget = get_budget(budget)
         # Entries covered by vectors 1..n also bound the work at every
         # lower order, by support tiling; the orders passed on the way are
         # metered by the sizing step.
-        self._checked_covered(n, budget.work)
+        self._checked_covered(n, get_budget(budget).work)
+        return self._expanded(n)
+
+    def _expanded(self, n: int) -> ProbVector:
+        """Vector n from its runs, checked; its boundaries must be grown."""
         runs = _unwound(self._runs(n))
-        if any(weight <= 0 for _, _, weight in runs):
+        if any(q <= 0 for _, _, q in runs):
             raise ValueError("probability vectors need strictly positive entries")
-        if sum((last - first + 1) * weight for first, last, weight in runs) != 1:
+        L = math.lcm(*(q for _, _, q in runs))
+        if sum((last - first + 1) * (L // q) for first, last, q in runs) != L:
             raise ValueError("probability vector entries must sum to 1")
         # Runs ascend and the stream strictly increases, so the keys come
         # out ascending.
         element = self._M.element
-        return ProbVector._canonical({element(p): weight
-                                      for first, last, weight in runs
-                                      for p in range(first, last + 1)})
+        entries = {}
+        for first, last, q in runs:
+            weight = Fraction(1, q)
+            for p in range(first, last + 1):
+                entries[element(p)] = weight
+        return ProbVector._canonical(entries)
+
+    def _lower(self) -> "RepeatedAverages":
+        """The order below a successor order, held once found."""
+        if self._child is None:
+            self._child = _averages(self.pred, self._M, self.fs)
+        return self._child
 
     # The recursions below descend one level per successor step, and at a
     # limit order the number of steps is a stream value, so they are
@@ -166,29 +190,26 @@ class RepeatedAverages(SummabilityMethod):
     def _runs(self, j: int) -> Generator:
         """Vector j as runs; its boundaries must already be grown."""
         if self.kind == "zero":
-            return ((j, j, _ONE),)
+            return ((j, j, 1),)
         runs = self._run_cache.get(j)
         if runs is not None:
             return runs
         if self.kind == "successor":
-            child = _averages(self.pred, self._M, self.fs)
+            child = self._lower()
             first, last = self._sub_counts[j - 1] + 1, self._sub_counts[j]
             if child.kind == "zero":
-                parts = [(first, last, _ONE)]   # unit vectors, merged
+                parts = [(first, last, 1)]   # unit vectors, merged
             else:
                 parts = []
                 for k in range(first, last + 1):
                     parts.extend((yield child._runs(k)))
             # Merging before scaling is the same as after: one share for all.
-            share = Fraction(1, last - first + 1)
-            runs = tuple((a, b, weight * share)
-                         for a, b, weight in _merged(parts))
+            share = last - first + 1
+            runs = tuple((a, b, q * share) for a, b, q in _merged(parts))
         else:
             done = self._consumed[j - 1]
-            tail = self._M.drop(done)
-            approx = _averages(self.fs(self.xi, tail.element(1)), tail, self.fs)
-            runs = tuple((a + done, b + done, weight)
-                         for a, b, weight in (yield approx._runs(1)))
+            runs = tuple((a + done, b + done, q)
+                         for a, b, q in (yield self._approx[j]._runs(1)))
         self._run_cache[j] = runs
         return runs
 
@@ -213,7 +234,7 @@ class RepeatedAverages(SummabilityMethod):
             if not done:
                 meter.spend(1)   # entered for its first vector
             if self.kind == "successor":
-                child = _averages(self.pred, self._M, self.fs)
+                child = self._lower()
                 # Child vectors 1..k cover what vectors 1..j-1 cover: `done`.
                 k = self._sub_counts[-1] + head
                 end = k if child.kind == "zero" else (yield child._covered(k, meter))
@@ -244,6 +265,7 @@ class RepeatedAverages(SummabilityMethod):
                 total = done + (yield approx._covered(1, meter))
                 _refuse_past(total, cap)
                 self._consumed.append(total)
+                self._approx.append(approx)
         return self._consumed[n]
 
     def _checked_covered(self, n: int, cap: int) -> int:
@@ -259,7 +281,6 @@ class RepeatedAverages(SummabilityMethod):
         return total
 
 
-_ONE = Fraction(1)
 _OMEGA_PLUS_ONE = OMEGA.successor()
 
 
@@ -270,11 +291,11 @@ def _descent_meter(cap: int) -> WorkMeter:
 def _merged(runs) -> list:
     """Ascending runs with each touching pair of equal weights joined."""
     out: list = []
-    for first, last, weight in runs:
-        if out and out[-1][1] + 1 == first and out[-1][2] == weight:
-            out[-1] = (out[-1][0], last, weight)
+    for first, last, q in runs:
+        if out and out[-1][1] + 1 == first and out[-1][2] == q:
+            out[-1] = (out[-1][0], last, q)
         else:
-            out.append((first, last, weight))
+            out.append((first, last, q))
     return out
 
 
@@ -284,15 +305,22 @@ def _refuse_past(total: int, cap: int) -> None:
                                   needed=total, needed_is_lower_bound=True)
 
 
+# The most recently used (order, stream, rule) averages, oldest first.  A
+# descent under a rule other than the default one enters a new order at
+# every step, so the cache is bounded; an evicted order stays reachable
+# from the orders built on it, so their boundaries and runs stay valid.
 _AVERAGES_CACHE: dict = {}
+_AVERAGES_CACHE_SIZE = 64
 
 
 def _averages(xi: Ordinal, M: IndexStream, fs: FundamentalRule) -> RepeatedAverages:
     key = (xi, M, fs)
-    found = _AVERAGES_CACHE.get(key)
+    found = _AVERAGES_CACHE.pop(key, None)
     if found is None:
         found = RepeatedAverages(xi, M, fs)
-        _AVERAGES_CACHE[key] = found
+        if len(_AVERAGES_CACHE) >= _AVERAGES_CACHE_SIZE:
+            del _AVERAGES_CACHE[next(iter(_AVERAGES_CACHE))]
+    _AVERAGES_CACHE[key] = found
     return found
 
 
@@ -359,13 +387,15 @@ def successor_pair_prefix(xi: Ordinal, M: IndexStream, count: int, *,
     if count < 1:
         raise ValueError("count must be at least 1")
     budget = get_budget(budget)
-    succ = xi.successor()
-    z = [repeated_avg(succ, M, n, fs=fs, budget=budget)
-         for n in range(1, count + 1)]
-    used = _averages(succ, M, fs)._sub_counts[count]
-    y = [repeated_avg(xi, M, j, fs=fs, budget=budget)
-         for j in range(1, used + 1)]
-    return z, y
+    upper = _averages(xi.successor(), M, fs)
+    z = [upper.vector(n, budget=budget) for n in range(1, count + 1)]
+    # Base vectors 1..used tile what z_1..z_count cover, so once those
+    # passed, one sizing of the base order cannot refuse, and each vector
+    # is expanded without a budget of its own.
+    used = upper._sub_counts[count]
+    base = upper._lower()
+    base._checked_covered(used, budget.work)
+    return z, [base._expanded(j) for j in range(1, used + 1)]
 
 
 def cesaro_mean(vectors: Sequence[RatVec], n: int) -> RatVec:
@@ -401,12 +431,17 @@ class NibccWitness(Record):
             raise ValueError("breakpoints must strictly increase")
         if len(weights) != bp[-1]:
             raise ValueError("need one weight per combined vector")
-        if any(w <= 0 for w in weights):
+        # On numerators and denominators: denominators are positive.
+        nums = [w.numerator for w in weights]
+        dens = [w.denominator for w in weights]
+        if any(p <= 0 for p in nums):
             raise ValueError("weights must be positive")
-        if any(w < v for w, v in zip(weights, weights[1:])):
+        if any(p * e < r * d for p, d, r, e
+               in zip(nums, dens, nums[1:], dens[1:])):
             raise ValueError("weights must be non-increasing")
         for lo, hi in zip(bp, bp[1:]):
-            if sum(weights[lo:hi], Fraction(0)) != 1:
+            L = math.lcm(*dens[lo:hi])
+            if sum(p * (L // d) for p, d in zip(nums[lo:hi], dens[lo:hi])) != L:
                 raise ValueError("each block of weights must sum to 1")
         Record.__init__(self, breakpoints, weights)
 
@@ -423,29 +458,49 @@ def _match_block_weights(target: RatVec, y: Sequence[RatVec], start: int):
     """Weights of a block by coordinate matching on disjoint supports.
 
     Returns ``(weights, next_start)`` or None.  Assumes the y supports are
-    pairwise disjoint, which makes the reconstruction unique.
+    pairwise disjoint, which makes the reconstruction unique.  It runs on
+    the :meth:`RatVec.scaled` rows ``(support, numerators, D)`` of the
+    target and of each ``y_j``: ``y_j`` matches with the weight
+    ``alpha = t_lead * d / (D * v_lead)`` at its least index ``lead``
+    exactly when ``t_i * v_lead == t_lead * v_i`` on its support, so a
+    weight becomes a fraction only when it is handed out, and the block
+    sum is kept on integers.
     """
-    remaining = dict(target.items())
+    support, nums, D = target.scaled()
+    remaining = dict(zip(support, nums))
     weights: list[Fraction] = []
-    acc = Fraction(0)
+    # The weights so far sum to acc / (D * den).
+    acc, den = 0, 1
+    made = weight = None
     j = start
     while True:
         if j >= len(y) or y[j].is_zero:
             return None
-        yj = y[j]
-        lead = yj.min_support()
-        alpha = remaining.get(lead, Fraction(0)) / yj[lead]
-        if alpha <= 0:
+        row_support, row_nums, d = y[j].scaled()
+        lead = row_support[0]
+        t_lead, v_lead = remaining.get(lead, 0), row_nums[0]
+        if v_lead < 0:
+            t_lead, v_lead = -t_lead, -v_lead
+        if t_lead <= 0:
             return None
-        for i, v in yj.items():
-            if remaining.pop(i, None) != alpha * v:
+        for i, v in zip(row_support, row_nums):
+            t = remaining.pop(i, None)
+            if t is None or t * v_lead != t_lead * v:
                 return None
-        weights.append(alpha)
-        acc += alpha
+        key = (t_lead * d, D * v_lead)
+        if key != made:     # equal weights come in stretches
+            made, weight = key, Fraction(*key)
+        weights.append(weight)
+        if v_lead == den:
+            acc += t_lead * d
+        else:
+            common = math.lcm(den, v_lead)
+            acc = acc * (common // den) + t_lead * d * (common // v_lead)
+            den = common
         j += 1
-        if acc == 1:
+        if acc == D * den:
             return (weights, j) if not remaining else None
-        if acc > 1:
+        if acc > D * den:
             return None
 
 
@@ -489,8 +544,11 @@ def check_nibcc(z: Sequence[RatVec], y: Sequence[RatVec], *,
     """Search for a non-increasing block convex combination witness.
 
     When the ``y`` supports are pairwise disjoint the weights are forced by
-    coordinate matching; otherwise each candidate block is solved exactly,
-    and an underdetermined block raises
+    coordinate matching, cross-multiplied on the integer
+    :meth:`RatVec.scaled` rows of the vectors given; the checker reads
+    nothing else, so it stays independent of how the vectors were made.
+    Otherwise each candidate block is solved exactly, and an
+    underdetermined block raises
     :class:`AmbiguousReconstructionError` rather than guessing.  The
     overlapping search backtracks from an explicit stack, one level per
     ``z`` vector, and each block solve is one unit of ``budget.work``.
@@ -566,7 +624,10 @@ def cesaro_reweight(witness: NibccWitness, n: int) -> dict[int, Fraction]:
     if not 1 <= n <= witness.blocks:
         raise ValueError(f"witness has {witness.blocks} blocks, asked for {n}")
     K = witness.breakpoints[n]
-    alpha = witness.weights
-    beta = {j: (alpha[j - 1] - alpha[j]) * j for j in range(1, K)}
-    beta[K] = alpha[K - 1] * K
+    nums = [a.numerator for a in witness.weights[:K]]
+    dens = [a.denominator for a in witness.weights[:K]]
+    beta = {j: Fraction((nums[j - 1] * dens[j] - nums[j] * dens[j - 1]) * j,
+                        dens[j - 1] * dens[j])
+            for j in range(1, K)}
+    beta[K] = Fraction(nums[K - 1] * K, dens[K - 1])
     return beta

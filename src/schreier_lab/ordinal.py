@@ -61,6 +61,9 @@ class Ordinal:
     def __setattr__(self, name, value):
         raise AttributeError("Ordinal is immutable")
 
+    def __reduce__(self):
+        return type(self), (self._terms,)
+
     @property
     def terms(self):
         """The ``(exponent, coefficient)`` pairs, highest exponent first.

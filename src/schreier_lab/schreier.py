@@ -68,6 +68,9 @@ class FinSet:
     def __setattr__(self, name, value):
         raise AttributeError("FinSet is immutable")
 
+    def __reduce__(self):
+        return type(self), (self._elements,)
+
     @classmethod
     def of(cls, *values: int) -> "FinSet":
         return cls(sorted(set(values)))

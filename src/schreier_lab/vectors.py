@@ -66,6 +66,10 @@ class RatVec:
     def __setattr__(self, name, value):
         raise AttributeError("RatVec is immutable")
 
+    def __reduce__(self):
+        # Rebuilt through the constructor of its class, with its checks.
+        return type(self), (self._entries,)
+
     @classmethod
     def unit(cls, index: int) -> "RatVec":
         return cls({index: 1})

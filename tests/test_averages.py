@@ -12,6 +12,8 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from schreier_lab import averages
 from schreier_lab.averages import (
@@ -224,6 +226,47 @@ def test_the_descent_through_orders_is_metered(monkeypatch):
                                       "support entries: limit 5000")
 
 
+def test_the_averages_cache_is_bounded(monkeypatch):
+    # The descent under a copy of the default rule enters 20,000 orders
+    # before it refuses; the cache keeps only the most recent ones.
+    monkeypatch.setattr(averages, "_AVERAGES_CACHE", {})
+
+    def rule(x, n):
+        return default_fundamental_seq(x, n)
+
+    with pytest.raises(BudgetExceededError) as info:
+        support_size(parse("w^20"), ALL, 3, fs=rule, cap=20_000)
+    assert info.value.limit == 20_000
+    assert len(averages._AVERAGES_CACHE) <= averages._AVERAGES_CACHE_SIZE
+
+
+def _evict_all():
+    for k in range(averages._AVERAGES_CACHE_SIZE):
+        averages._averages(parse(str(k)), IndexStream.shift(1000),
+                           default_fundamental_seq)
+
+
+@pytest.mark.parametrize("xi_text, M, n", [
+    ("2", ALL, 3), ("2", IndexStream.shift(1), 2), ("w", ALL, 2),
+    ("w", IndexStream.evens(), 1)])
+def test_vectors_rebuilt_after_an_eviction_are_the_same(monkeypatch,
+                                                        xi_text, M, n):
+    monkeypatch.setattr(averages, "_AVERAGES_CACHE", {})
+    xi = parse(xi_text)
+    key = (xi, M, default_fundamental_seq)
+    before = repeated_avg(xi, M, n)
+    _evict_all()
+    assert key not in averages._AVERAGES_CACHE
+    assert repeated_avg(xi, M, n) == before
+    # Evicted between sizing and building: the orders below stay reachable
+    # from the one sized, with the boundaries grown on them.
+    monkeypatch.setattr(averages, "_AVERAGES_CACHE", {})
+    top = averages._averages(xi, M, default_fundamental_seq)
+    top._checked_covered(n, Budget().work)
+    _evict_all()
+    assert top._expanded(n) == before
+
+
 def test_a_long_vector_keeps_no_per_entry_intermediates(monkeypatch):
     # Only the requested vector is expanded: order-1 vector 17 has 65,536
     # entries and its predecessors are never built.
@@ -319,6 +362,40 @@ def test_repeated_avg_matches_the_definition(xi_text):
     assert exact > 0
 
 
+def _reachable(top):
+    """Every averages object that ``top`` builds its vectors from."""
+    seen, stack = {}, [top]
+    while stack:
+        found = stack.pop()
+        if id(found) not in seen:
+            seen[id(found)] = found
+            stack.extend(a for a in [found._child, *found._approx] if a)
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("xi_text", ["0", "1", "2", "3", "w", "w+1", "w*2", "w^2"])
+def test_cached_runs_are_integer_unit_fraction_runs(xi_text):
+    # Every weight is 1/q for an integer q >= 1, so the runs carry q alone.
+    xi = parse(xi_text)
+    budget = Budget(work=3_000)
+    runs = 0
+    for M in ORACLE_STREAMS:
+        for n in range(1, 5):
+            try:
+                repeated_avg(xi, M, n, budget=budget)
+            except BudgetExceededError:
+                break
+            top = averages._averages(xi, M, default_fundamental_seq)
+            for found in _reachable(top):
+                for cached in found._run_cache.values():
+                    for run in cached:
+                        first, last, q = run
+                        assert all(type(v) is int for v in run), run
+                        assert 1 <= first <= last and q >= 1, run
+                        runs += 1
+    assert runs > 0 or xi_text == "0"
+
+
 # -- summability methods --------------------------------------------------------------
 
 
@@ -385,6 +462,46 @@ def test_successor_pair_prefix_needs_a_positive_count():
     for count in (0, -1):
         with pytest.raises(ValueError):
             successor_pair_prefix(parse("0"), ALL, count)
+
+
+def test_successor_pair_prefix_sizes_the_base_order_once(monkeypatch):
+    # z_1..z_10 are sized one by one; the 3,069 base vectors they combine
+    # are sized in one pass and then only expanded.
+    monkeypatch.setattr(averages, "_AVERAGES_CACHE", {})
+    sized = []
+    checked = RepeatedAverages._checked_covered
+
+    def counted(self, n, cap):
+        sized.append((str(self.xi), n))
+        return checked(self, n, cap)
+
+    monkeypatch.setattr(RepeatedAverages, "_checked_covered", counted)
+    z, y = successor_pair_prefix(parse("0"), IndexStream.shift(2), 10)
+    assert len(y) == 3_069
+    assert [call for call in sized if call[0] == "0"] == [("0", 3_069)]
+    assert [call for call in sized if call[0] == "1"] == \
+        [("1", n) for n in range(1, 11)]
+    assert y == [repeated_avg(parse("0"), IndexStream.shift(2), j)
+                 for j in range(1, 3_070)]
+
+
+@pytest.mark.parametrize("xi_text, M, count, limit, needed", [
+    ("1", IndexStream.shift(7), 1, 1_000, 2_040),
+    ("0", IndexStream.shift(2), 10, 1_000, 1_533),
+    ("0", ALL, 12, 2_000, 2_047),
+])
+def test_successor_pair_prefix_refusal_after_a_wider_call(xi_text, M, count,
+                                                          limit, needed):
+    # Both orders are cached past the narrow budget; the refusal is the
+    # first combined vector whose exact total passes it.
+    xi = parse(xi_text)
+    successor_pair_prefix(xi, M, count, budget=Budget(work=10 ** 5))
+    narrow = Budget(work=limit)
+    with pytest.raises(BudgetExceededError) as info:
+        successor_pair_prefix(xi, M, count, budget=narrow)
+    assert info.value.limit == narrow.work
+    assert info.value.needed == needed
+    assert not info.value.needed_is_lower_bound
 
 
 def test_check_nibcc_on_generated_pairs():
@@ -491,6 +608,91 @@ def test_check_nibcc_on_a_long_disjoint_prefix():
 def test_check_nibcc_rejects_non_combinations():
     z, y = successor_pair_prefix(parse("0"), ALL, 2)
     assert check_nibcc([z[0], z[1] + RatVec.unit(50)], y) is None
+
+
+def reference_match_block_weights(target, y, start):
+    """The disjoint-support matching on fractions, as it was written before
+    the matcher ran on integers: the oracle for that matcher."""
+    remaining = dict(target.items())
+    weights = []
+    acc = Fraction(0)
+    j = start
+    while True:
+        if j >= len(y) or y[j].is_zero:
+            return None
+        yj = y[j]
+        lead = yj.min_support()
+        alpha = remaining.get(lead, Fraction(0)) / yj[lead]
+        if alpha <= 0:
+            return None
+        for i, v in yj.items():
+            if remaining.pop(i, None) != alpha * v:
+                return None
+        weights.append(alpha)
+        acc += alpha
+        j += 1
+        if acc == 1:
+            return (weights, j) if not remaining else None
+        if acc > 1:
+            return None
+
+
+_ENTRY = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 6))
+_WEIGHT = st.builds(Fraction, st.integers(-1, 6), st.integers(1, 6))
+
+
+@st.composite
+def _disjoint_blocks(draw):
+    """Disjoint y vectors, a start, and a target near a combination of a
+    block of them: exact, or with its lead entry dropped, one entry off,
+    or one coordinate too many."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=6))
+    indices = draw(st.permutations(range(1, sum(sizes) + 1)))
+    y, used = [], 0
+    for size in sizes:
+        y.append(RatVec({i: draw(_ENTRY) for i in indices[used:used + size]}))
+        used += size
+    start = draw(st.integers(0, len(y) - 1))
+    end = draw(st.integers(start + 1, len(y)))
+    if draw(st.booleans()):
+        # Weights summing to 1, so that the block can match.
+        cuts = sorted(draw(st.lists(st.integers(1, 11), min_size=end - start - 1,
+                                    max_size=end - start - 1)))
+        bounds = [0, *cuts, 12]
+        alphas = [Fraction(b - a, 12) for a, b in zip(bounds, bounds[1:])]
+    else:
+        alphas = [draw(_WEIGHT) for _ in range(start, end)]
+    target = dict(RatVec.combination(zip(alphas, y[start:end])).items())
+    flaw = draw(st.sampled_from(["none", "none", "drop lead", "off", "extra"]))
+    if flaw == "drop lead":
+        target.pop(y[draw(st.integers(start, end - 1))].min_support(), None)
+    elif flaw == "off" and target:
+        index = draw(st.sampled_from(sorted(target)))
+        target[index] += draw(_ENTRY)
+    elif flaw == "extra":
+        target[used + draw(st.integers(1, 3))] = draw(_ENTRY)
+    return RatVec(target), y, start
+
+
+_Y = [RatVec({1: 2, 2: -4}), RatVec({3: Fraction(-1, 3)}),
+      RatVec({4: Fraction(3, 2)})]
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_disjoint_blocks())
+# 1/4 y_1 + 3/4 y_2, with non-unit weights and negative entries; then no
+# entry at the lead of y_2, a sum past 1, and a sum short of 1.
+@example(case=(RatVec({1: HALF, 2: -1, 3: Fraction(-1, 4)}), _Y, 0))
+@example(case=(RatVec({1: HALF, 2: -1}), _Y, 0))
+@example(case=(RatVec({1: 1, 2: -2, 3: -1}), _Y, 0))
+@example(case=(RatVec({1: HALF, 2: -1, 3: Fraction(-1, 6)}), _Y, 0))
+def test_integer_matcher_agrees_with_the_fraction_reference(case):
+    target, y, start = case
+    want = reference_match_block_weights(target, y, start)
+    got = averages._match_block_weights(target, y, start)
+    assert got == want
+    if got is not None:
+        assert all(type(w) is Fraction for w in got[0])
 
 
 def test_witness_validation():

@@ -10,14 +10,14 @@ import pytest
 
 from schreier_lab.averages import NibccWitness
 from schreier_lab.budget import Budget
-from schreier_lab.ordinal import default_fundamental_seq
+from schreier_lab.ordinal import default_fundamental_seq, parse
 from schreier_lab.quantities import (CanonicalBasis, DeltaFamily, HorizonEstimate,
                                      LargeCheckResult, PropFormulaValues,
                                      prop_formula)
 from schreier_lab.reports import Check
 from schreier_lab.schreier import FinSet
 from schreier_lab.spaces import Functional, NormResult, NormSpec
-from schreier_lab.vectors import RatVec
+from schreier_lab.vectors import ProbVector, RatVec
 
 
 def test_defaults_and_repr():
@@ -69,7 +69,7 @@ RECORDS = [
     (Functional(RatVec({2: Fraction(1)}), None, label="raw"),
      {"coefficients": RatVec({2: Fraction(1)}), "certified_for": None,
       "label": "raw"},
-     Functional(RatVec({2: Fraction(1)}), L1, "raw"), False),
+     Functional(RatVec({2: Fraction(1)}), L1, "raw"), True),
     (HorizonEstimate(HALF, "upper_bound", 7, witness="2,3"),
      {"value": HALF, "direction": "upper_bound", "horizon": 7, "witness": "2,3"},
      HorizonEstimate(HALF, "upper_bound", 7), True),
@@ -78,7 +78,7 @@ RECORDS = [
     (DeltaFamily((FinSet.of(2, 3),), HALF, 4, ("a",)),
      {"hit_sets": (FinSet.of(2, 3),), "delta": HALF, "horizon": 4,
       "labels": ("a",)},
-     DeltaFamily((FinSet.of(2, 3),), HALF, 5, ("a",)), False),
+     DeltaFamily((FinSet.of(2, 3),), HALF, 5, ("a",)), True),
     (LargeCheckResult(True, 3, None, "2", "all", 8),
      {"ok": True, "checked": 3, "certificate": None, "order": "2",
       "stream": "all", "horizon": 8},
@@ -125,3 +125,29 @@ def test_record_reprs_read_like_dataclasses():
     assert repr(prop_formula(10, HALF)) == (
         "PropFormulaValues(l=10, c=Fraction(1, 2), "
         "vanishing=Fraction(9, 1111), main=Fraction(945, 1111))")
+
+
+# The immutable values the records hold refuse assignment, so copies and
+# pickles rebuild them through their constructors instead.
+VALUES = [
+    parse("w+1"),
+    FinSet.of(2, 3),
+    RatVec({1: 1}),
+    RatVec({2: HALF, 5: Fraction(-2, 3)}),
+    ProbVector({2: HALF, 3: HALF}),
+    NormSpec.parse("schreier:w+1"),
+    Functional(RatVec({2: Fraction(1), 3: -HALF}), NormSpec.parse("schreier:2"),
+               label="sum"),
+    NibccWitness((0, 1, 3), (Fraction(1), HALF, HALF)),
+]
+
+
+@pytest.mark.parametrize("value", VALUES, ids=[type(v).__name__ for v in VALUES])
+@pytest.mark.parametrize("how", [copy.copy, copy.deepcopy,
+                                 lambda v: pickle.loads(pickle.dumps(v))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_values_copy_and_pickle(value, how):
+    again = how(value)
+    assert again == value and hash(again) == hash(value)
+    assert type(again) is type(value)
+    assert repr(again) == repr(value)

@@ -1,5 +1,6 @@
 """Command line behavior: argument shapes, formats, exit codes."""
 
+import hashlib
 import json
 import os
 import re
@@ -328,6 +329,19 @@ def test_avg_reweight(capsys):
     assert code == 0
     assert payload["beta"] == {"1": "1/2", "2": "0", "3": "3/2"}
     assert payload["total"] == "2"
+
+
+@pytest.mark.parametrize("argv, digest", [
+    # 10 combined vectors over 3,069 originals, in json.
+    ("avg nibcc --xi 0 --stream shift:2 --count 10 --format json",
+     "2ed6af4f428553067710a8cf468131b8a755edb305e49f5c2e40a5cf3d1ba676"),
+    ("avg reweight --xi 1 --stream all --count 3 --n 2",
+     "69f212f50346058768056f8abe3451114693227623f56373f6cb31a869c4f92f"),
+])
+def test_avg_nibcc_and_reweight_bytes_are_pinned(capsys, argv, digest):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # -- norm --------------------------------------------------------------------------
