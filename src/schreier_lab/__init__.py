@@ -26,21 +26,21 @@ _LAYERS = {
     "schreier": ("FinSet", "count_family", "enumerate_family", "is_member",
                  "is_member_image", "is_member_oracle", "threshold",
                  "trace_member"),
-    "vectors": ("ProbVector", "RatVec", "format_fraction", "parse_fraction"),
-    "averages": ("AmbiguousReconstructionError", "ExplicitMethod",
-                 "NibccWitness", "RepeatedAverages", "SummabilityMethod",
-                 "apply", "cesaro_mean", "cesaro_reweight", "check_nibcc",
-                 "pair_sum", "repeated_avg", "successor_pair_prefix",
-                 "support_size"),
+    "vectors": ("CanonicalBasis", "ExplicitSequence", "ProbVector", "RatVec",
+                "SeqSpec", "Subsequence", "WeightedBasis", "format_fraction",
+                "parse_fraction"),
+    "averages": ("AmbiguousReconstructionError", "NibccWitness",
+                 "RepeatedAverages", "apply", "cesaro_mean", "cesaro_reweight",
+                 "check_nibcc", "pair_sum", "repeated_avg",
+                 "successor_pair_prefix", "support_size", "validate_prefix"),
     "spaces": ("CertificationRefusedError", "CertificationViolationError",
                "Functional", "NormResult", "NormSpec",
                "coordinate_sum_functional", "norm", "norm_oracle"),
-    "quantities": ("CanonicalBasis", "DeltaFamily", "ExplicitSequence",
-                   "HorizonEstimate", "LargeCheckResult", "PropFormulaValues",
-                   "SeqSpec", "Subsequence", "WeightedBasis", "ca_window",
-                   "cca_window", "cca_xi_tilde", "cca_xi_tilde_sup",
-                   "cca_xi_window", "compose_refinements", "f_delta",
-                   "large_check", "prop_formula", "sm_constant"),
+    "quantities": ("DeltaFamily", "HorizonEstimate", "LargeCheckResult",
+                   "PropFormulaValues", "ca_window", "cca_window",
+                   "cca_xi_tilde", "cca_xi_tilde_sup", "cca_xi_window",
+                   "compose_refinements", "f_delta", "large_check",
+                   "prop_formula", "sm_constant"),
     "reports": ("Report", "SCHEMA_VERSION"),
     "verify": ("verify_example_schreier", "verify_example_star",
                "verify_prop_formula"),

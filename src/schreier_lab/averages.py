@@ -29,6 +29,11 @@ stretches (the third order-2 vector along all indices has 2,040 entries in
 8 runs).  Positivity and the sum to 1 are checked on the runs, the sum as
 one integer sum over ``lcm(q)``, and entries are expanded, with one
 ``Fraction`` per run, only when the vector is handed out.
+
+:func:`apply` pushes a vector sequence, a
+:class:`~schreier_lab.vectors.SeqSpec`, through one average, and
+:func:`validate_prefix` checks that listed vectors lie along a stream as the
+averages do.
 """
 
 from __future__ import annotations
@@ -42,17 +47,16 @@ from .ordinal import (OMEGA, FundamentalRule, Ordinal, classify,
                       default_fundamental_seq)
 from .schreier import FinSet, _unwound
 from .streams import IndexStream
-from .vectors import ProbVector, RatVec
+from .vectors import ProbVector, RatVec, SeqSpec
 
 __all__ = [
-    "SummabilityMethod",
     "RepeatedAverages",
-    "ExplicitMethod",
     "repeated_avg",
     "support_size",
     "apply",
     "pair_sum",
     "successor_pair_prefix",
+    "validate_prefix",
     "cesaro_mean",
     "NibccWitness",
     "AmbiguousReconstructionError",
@@ -61,54 +65,10 @@ __all__ = [
 ]
 
 
-# -- summability methods -------------------------------------------------------
+# -- repeated averages -----------------------------------------------------------
 
 
-class SummabilityMethod:
-    """A sequence of probability vectors with a declared index stream."""
-
-    @property
-    def stream(self) -> IndexStream:
-        raise NotImplementedError
-
-    def vector(self, n: int, *, budget: Budget | None = None) -> ProbVector:
-        raise NotImplementedError
-
-    def validate_prefix(self, n: int, *, budget: Budget | None = None) -> None:
-        """Check that supports strictly increase and tile a prefix of the stream."""
-        covered: list[int] = []
-        previous_max = 0
-        for j in range(1, n + 1):
-            vec = self.vector(j, budget=budget)
-            supp = vec.support()
-            if supp[0] <= previous_max:
-                raise ValueError(f"support of vector {j} does not start after "
-                                 f"vector {j - 1}")
-            previous_max = supp[-1]
-            covered.extend(supp)
-        expected = self.stream.prefix(len(covered))
-        if tuple(covered) != expected:
-            raise ValueError("supports do not tile a prefix of the stream")
-
-
-class ExplicitMethod(SummabilityMethod):
-    """A finite, explicitly listed summability method (mostly for tests)."""
-
-    def __init__(self, vectors: Sequence[ProbVector], stream: IndexStream):
-        self._vectors = [ProbVector(v.entries) for v in vectors]
-        self._stream = stream
-
-    @property
-    def stream(self) -> IndexStream:
-        return self._stream
-
-    def vector(self, n: int, *, budget: Budget | None = None) -> ProbVector:
-        if not 1 <= n <= len(self._vectors):
-            raise IndexError(f"method has {len(self._vectors)} vectors, asked for {n}")
-        return self._vectors[n - 1]
-
-
-class RepeatedAverages(SummabilityMethod):
+class RepeatedAverages:
     """The repeated-average sequence of a given order along a stream.
 
     ``_consumed[n]`` is the number of stream entries covered by vectors
@@ -144,10 +104,6 @@ class RepeatedAverages(SummabilityMethod):
         self._child: RepeatedAverages | None = None
         self._approx: list = [None]
         self._run_cache: dict[int, tuple] = {}
-
-    @property
-    def stream(self) -> IndexStream:
-        return self._M
 
     def vector(self, n: int, *, budget: Budget | None = None) -> ProbVector:
         if n < 1:
@@ -356,13 +312,13 @@ def repeated_avg(xi: Ordinal, M: IndexStream, n: int, *,
 # -- applying a method to a vector sequence --------------------------------------
 
 
-def apply(method: SummabilityMethod, xs, n: int, *,
+def apply(method: RepeatedAverages, xs: SeqSpec, n: int, *,
           budget: Budget | None = None) -> RatVec:
     """The image of a vector sequence under the n-th averaging vector.
 
-    ``xs`` is a :class:`~schreier_lab.quantities.SeqSpec`, read through its
-    1-indexed ``element``; the result is ``sum_k a_k x_k`` over the
-    averaging support.
+    ``xs`` is a :class:`~schreier_lab.vectors.SeqSpec`, read through its
+    1-indexed ``element`` only, so its ambient may be None; the result is
+    ``sum_k a_k x_k`` over the averaging support.
     """
     weights = method.vector(n, budget=budget)
     return RatVec.combination((weight, xs.element(index))
@@ -396,6 +352,22 @@ def successor_pair_prefix(xi: Ordinal, M: IndexStream, count: int, *,
     base = upper._lower()
     base._checked_covered(used, budget.work)
     return z, [base._expanded(j) for j in range(1, used + 1)]
+
+
+def validate_prefix(vectors: Sequence[RatVec], stream: IndexStream) -> None:
+    """Check that the supports of ``vectors`` strictly increase and tile a
+    prefix of ``stream``, as the averages along it do."""
+    covered: list[int] = []
+    previous_max = 0
+    for j, vec in enumerate(vectors, 1):
+        supp = vec.support()
+        if supp[0] <= previous_max:
+            raise ValueError(f"support of vector {j} does not start after "
+                             f"vector {j - 1}")
+        previous_max = supp[-1]
+        covered.extend(supp)
+    if tuple(covered) != stream.prefix(len(covered)):
+        raise ValueError("supports do not tile a prefix of the stream")
 
 
 def cesaro_mean(vectors: Sequence[RatVec], n: int) -> RatVec:

@@ -7,8 +7,8 @@ instead of exhausting memory.  The generic work unit can be overridden
 through the ``SCHREIER_LAB_BUDGET`` environment variable.
 
 The module also holds :class:`Record`, the base of the budget and of every
-other small immutable record in the package, since every module that
-defines one already imports this one.
+other small immutable record in the package, since every command loads
+this module anyway.
 """
 
 from __future__ import annotations

@@ -11,9 +11,10 @@ sub-operation is named, so ``avg --xi w --stream all --n 5`` and
 
 Each group imports its layer when one of its commands runs, not when the
 parser is built.  So an ``ord`` command loads only the ordinals, the
-``avg`` and ``norm`` commands load neither the quantities nor the bundles
-(except ``avg apply``, which builds its sequence as the quantity group does),
-and the ``quantity`` commands load no bundles.
+``avg`` and ``norm`` commands load neither the quantities nor the bundles,
+and the ``quantity`` commands load no bundles.  The sequence flags build a
+:class:`~schreier_lab.vectors.SeqSpec` from the vector layer, so ``avg
+apply`` loads no norm either.
 """
 
 from __future__ import annotations
@@ -86,8 +87,8 @@ def _ambient_spec(args):
 
 def _sequence(args, ambient):
     """The vector sequence named by the sequence flags, in ``ambient``."""
-    from .quantities import (CanonicalBasis, ExplicitSequence, Subsequence,
-                             WeightedBasis)
+    from .vectors import (CanonicalBasis, ExplicitSequence, Subsequence,
+                          WeightedBasis)
     if getattr(args, "weights", None) is not None:
         weights = [_fraction(w) for w in args.weights.split(",")]
         base = WeightedBasis(ambient, weights, _fraction(args.weight_tail))
@@ -260,10 +261,9 @@ def _cmd_avg_size(args) -> int:
 
 
 def _cmd_avg_apply(args) -> int:
-    """Builds its sequence like the quantity group, so it loads that layer."""
     from .averages import RepeatedAverages, apply
     method = RepeatedAverages(_ordinal(args.xi), _stream(args.stream))
-    out = apply(method, _sequence(args, _space_spec("l1", None)), args.n)
+    out = apply(method, _sequence(args, None), args.n)
     _emit(args, {"xi": args.xi, "stream": args.stream, "n": args.n,
                  "vector": out.to_map()})
     return 0
@@ -279,14 +279,16 @@ def _cmd_avg_pair_sum(args) -> int:
 
 
 def _cmd_avg_validate(args) -> int:
-    from .averages import ExplicitMethod
+    from .averages import validate_prefix
     from .vectors import ProbVector
     vectors = [ProbVector(v.entries) for v in _load_vector_list(args.seq)]
-    method = ExplicitMethod(vectors, _stream(args.stream))
+    stream = _stream(args.stream)
     n = args.n if args.n is not None else len(vectors)
+    if n < 0:
+        raise ValueError(f"--n must be at least 0, got {n}")
     if n > len(vectors):
         raise ValueError(f"--n {n} is past the {len(vectors)} listed vectors")
-    method.validate_prefix(n)
+    validate_prefix(vectors[:n], stream)
     _emit(args, {"stream": args.stream, "n": n, "ok": True})
     return 0
 
@@ -355,7 +357,7 @@ def _cmd_norm_functional(args) -> int:
 
 
 def _window_payload(args, ambient, xs, kind: str, value) -> dict:
-    payload = {"kind": kind, "space": str(ambient), "sequence": xs.describe(),
+    payload = {"kind": kind, "space": str(ambient), "sequence": xs.name,
                "window": [args.n0, args.N]}
     payload.update(_value_fields(value))
     return payload
@@ -412,7 +414,7 @@ def _cmd_q_sm(args) -> int:
     est = sm_constant(_ordinal(args.xi), xs, args.N, args.coeff_budget)
     payload = est.to_json()
     payload.update({"kind": "sm", "xi": args.xi, "space": str(ambient),
-                    "sequence": xs.describe()})
+                    "sequence": xs.name})
     _emit(args, payload)
     return 0
 

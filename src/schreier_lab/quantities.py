@@ -8,9 +8,13 @@ computed value relates to the limit quantity (``exact``, ``upper_bound``,
 ``lower_bound``, or ``unverified``).  Plain window statistics return the
 exact rational maximum with no pretense of being the limit.
 
-Every quantity reads its vector sequence through one :class:`SeqSpec`, an
-ambient norm with a 1-indexed ``element`` callable, and so does
-:func:`~schreier_lab.averages.apply`, which :func:`cca_xi_window` averages with.
+Every quantity reads its vector sequence through one
+:class:`~schreier_lab.vectors.SeqSpec`, an ambient norm with a 1-indexed
+``element`` callable; the sequence constructors live in
+:mod:`~schreier_lab.vectors`, and :func:`cca_xi_window` averages a sequence
+with :func:`~schreier_lab.averages.apply`.  A window statistic compares its
+norms on their exact squares, so an irrational ``l2`` or ``baernstein`` norm
+ranks exactly, and only the winner becomes a value.
 """
 
 from __future__ import annotations
@@ -27,16 +31,12 @@ from .schreier import FinSet, _family, enumerate_family
 from .spaces import (CertificationRefusedError, Functional, NormResult, NormSpec,
                      _norm_total, _sqrt_result, coordinate_sum_functional, norm)
 from .streams import IndexStream
-from .vectors import RatVec, format_fraction
+from .vectors import RatVec, SeqSpec, format_fraction
+from .vectors import CanonicalBasis  # noqa: F401 -- still importable from here
 
 __all__ = [
     "DIRECTIONS",
     "HorizonEstimate",
-    "SeqSpec",
-    "CanonicalBasis",
-    "Subsequence",
-    "WeightedBasis",
-    "ExplicitSequence",
     "ca_window",
     "cca_window",
     "cca_xi_window",
@@ -88,69 +88,6 @@ class HorizonEstimate(Record):
         }
 
 
-# -- vector sequences --------------------------------------------------------------
-
-
-class SeqSpec(Record):
-    """A 1-indexed sequence of vectors living in a normed ambient:
-    ``element(n)`` is the n-th vector, and :meth:`describe` gives ``name``."""
-
-    __slots__ = ("ambient", "element", "name")
-    ambient: NormSpec
-    element: Callable[[int], RatVec]
-    name: str
-
-    def describe(self) -> str:
-        return self.name
-
-
-def _one_indexed(element: Callable[[int], RatVec]) -> Callable[[int], RatVec]:
-    """``element``, refusing indices below 1."""
-    def checked(n: int) -> RatVec:
-        if n < 1:
-            raise ValueError("sequences are 1-indexed")
-        return element(n)
-    return checked
-
-
-def CanonicalBasis(ambient: NormSpec) -> SeqSpec:
-    """The unit vectors ``e_n``."""
-    return SeqSpec(ambient, _one_indexed(RatVec.unit), "basis")
-
-
-def Subsequence(base: SeqSpec, along: IndexStream) -> SeqSpec:
-    """``base`` re-indexed along a stream: element(n) = base.element(m_n)."""
-    return SeqSpec(base.ambient, lambda n: base.element(along.element(n)),
-                   f"{base.describe()}[{along.name}]")
-
-
-def WeightedBasis(ambient: NormSpec, weights: Sequence[Fraction],
-                  tail: Fraction = Fraction(1)) -> SeqSpec:
-    """``w_n e_n`` with explicitly listed leading weights and a constant tail."""
-    weights = tuple(Fraction(w) for w in weights)
-    tail = Fraction(tail)
-
-    def element(n: int) -> RatVec:
-        weight = weights[n - 1] if n <= len(weights) else tail
-        return RatVec.unit(n).scale(weight)
-
-    return SeqSpec(ambient, _one_indexed(element),
-                   f"weighted-basis[{len(weights)} weights, tail {tail}]")
-
-
-def ExplicitSequence(ambient: NormSpec, vectors: Sequence[RatVec]) -> SeqSpec:
-    """The listed vectors, in order."""
-    vectors = tuple(RatVec(v.entries) for v in vectors)
-
-    def element(n: int) -> RatVec:
-        if not 1 <= n <= len(vectors):
-            raise ValueError(f"sequence has {len(vectors)} vectors, "
-                             f"asked for {n}")
-        return vectors[n - 1]
-
-    return SeqSpec(ambient, element, f"explicit[{len(vectors)}]")
-
-
 # -- window oscillation statistics ---------------------------------------------------
 
 
@@ -160,14 +97,18 @@ def _value(result: NormResult):
 
 
 def _max_pairwise(vectors: dict, n0: int, N: int, ambient: NormSpec,
-                  budget: Budget):
-    best = Fraction(0)
+                  budget: Budget) -> tuple[Fraction, Fraction | float]:
+    """The largest norm of ``vectors[k] - vectors[l]`` over the window, as
+    ``(square, value)``; the first of equal squares wins."""
+    best = None
     for k in range(n0, N + 1):
         for l in range(k + 1, N + 1):
-            value = _value(norm(ambient, vectors[k] - vectors[l], budget=budget))
-            if value > best:
-                best = value
-    return best
+            result = norm(ambient, vectors[k] - vectors[l], budget=budget)
+            if best is None or result.value_squared > best.value_squared:
+                best = result
+    if best is None:
+        return Fraction(0), Fraction(0)
+    return best.value_squared, _value(best)
 
 
 def _check_window(n0: int, N: int) -> None:
@@ -186,7 +127,7 @@ def ca_window(xs: SeqSpec, n0: int, N: int, *,
     _check_window(n0, N)
     budget = get_budget(budget)
     vectors = {n: xs.element(n) for n in range(n0, N + 1)}
-    return _max_pairwise(vectors, n0, N, xs.ambient, budget)
+    return _max_pairwise(vectors, n0, N, xs.ambient, budget)[1]
 
 
 def _cesaro_prefix(element: Callable[[int], RatVec], N: int) -> dict:
@@ -206,7 +147,7 @@ def cca_window(xs: SeqSpec, n0: int, N: int, *,
     _check_window(n0, N)
     budget = get_budget(budget)
     means = _cesaro_prefix(xs.element, N)
-    return _max_pairwise(means, n0, N, xs.ambient, budget)
+    return _max_pairwise(means, n0, N, xs.ambient, budget)[1]
 
 
 def cca_xi_window(xi: Ordinal, M: IndexStream, xs: SeqSpec, n0: int, N: int, *,
@@ -218,6 +159,13 @@ def cca_xi_window(xi: Ordinal, M: IndexStream, xs: SeqSpec, n0: int, N: int, *,
     this collapses to :func:`cca_window` there.  Infeasibly large averaging
     supports surface as budget errors carrying the required size.
     """
+    return _cca_xi(xi, M, xs, n0, N, fs, budget)[1]
+
+
+def _cca_xi(xi: Ordinal, M: IndexStream, xs: SeqSpec, n0: int, N: int,
+            fs: FundamentalRule, budget: Budget | None
+            ) -> tuple[Fraction, Fraction | float]:
+    """:func:`cca_xi_window` as ``(square, value)``."""
     _check_window(n0, N)
     budget = get_budget(budget)
     method = _averages(xi, M, fs)
@@ -241,11 +189,11 @@ def cca_xi_tilde(xi: Ordinal, xs: SeqSpec, catalog: Sequence[IndexStream],
     best = None
     best_stream = None
     for M in catalog:
-        value = cca_xi_window(xi, M, xs, n0, N, fs=fs, budget=budget)
-        if best is None or value < best:
-            best, best_stream = value, M
-    direction = "exact" if best == 0 else "upper_bound"
-    return HorizonEstimate(best, direction, f"[{n0},{N}]x{len(catalog)}",
+        found = _cca_xi(xi, M, xs, n0, N, fs, budget)
+        if best is None or found[0] < best[0]:
+            best, best_stream = found, M
+    direction = "exact" if best[0] == 0 else "upper_bound"
+    return HorizonEstimate(best[1], direction, f"[{n0},{N}]x{len(catalog)}",
                            best_stream.name)
 
 
@@ -283,11 +231,11 @@ def cca_xi_tilde_sup(xi: Ordinal, xs: SeqSpec, catalog: Sequence[IndexStream],
         refinements = list(subcatalog_rule(M))
         if not refinements:
             raise ValueError(f"refinement rule produced nothing for {M.name}")
-        inner = min(cca_xi_window(xi, refined, xs, n0, N, fs=fs, budget=budget)
-                    for refined in refinements)
-        if best is None or inner > best:
+        inner = min((_cca_xi(xi, refined, xs, n0, N, fs, budget)
+                     for refined in refinements), key=lambda found: found[0])
+        if best is None or inner[0] > best[0]:
             best, best_stream = inner, M
-    return HorizonEstimate(best, "unverified", f"[{n0},{N}]x{len(catalog)}",
+    return HorizonEstimate(best[1], "unverified", f"[{n0},{N}]x{len(catalog)}",
                            best_stream.name)
 
 

@@ -1,9 +1,13 @@
-"""Finitely supported rational vectors and probability vectors.
+"""Finitely supported rational vectors, probability vectors, and sequences.
 
 Coordinates are indexed by positive integers and held exactly as
 ``fractions.Fraction``; zero entries are never stored.  The JSON wire
 format writes every rational as a ``"p/q"`` string so that parsing is
 loss-free.
+
+A vector sequence is one :class:`SeqSpec`: an ambient norm, which this
+module only carries, and a 1-indexed ``element`` callable.  Every quantity,
+and :func:`~schreier_lab.averages.apply`, reads its sequence through one.
 """
 
 from __future__ import annotations
@@ -13,9 +17,13 @@ import math
 import re
 import sys
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
-__all__ = ["RatVec", "ProbVector", "format_fraction", "parse_fraction"]
+from .budget import Record
+
+__all__ = ["RatVec", "ProbVector", "format_fraction", "parse_fraction",
+           "SeqSpec", "CanonicalBasis", "Subsequence", "WeightedBasis",
+           "ExplicitSequence"]
 
 
 def format_fraction(q: Fraction) -> str:
@@ -242,3 +250,63 @@ class ProbVector(RatVec):
             raise ValueError("cannot average zero vectors")
         weight = Fraction(1, len(vectors))
         return cls.combination((weight, vec) for vec in vectors)
+
+
+# -- vector sequences --------------------------------------------------------------
+
+
+class SeqSpec(Record):
+    """A 1-indexed sequence of vectors living in a normed ambient:
+    ``element(n)`` is the n-th vector, and ``name`` says which sequence."""
+
+    __slots__ = ("ambient", "element", "name")
+    ambient: object   # a spaces.NormSpec, or None where no norm is taken
+    element: Callable[[int], RatVec]
+    name: str
+
+
+def _one_indexed(element: Callable[[int], RatVec]) -> Callable[[int], RatVec]:
+    """``element``, refusing indices below 1."""
+    def checked(n: int) -> RatVec:
+        if n < 1:
+            raise ValueError("sequences are 1-indexed")
+        return element(n)
+    return checked
+
+
+def CanonicalBasis(ambient) -> SeqSpec:
+    """The unit vectors ``e_n``."""
+    return SeqSpec(ambient, _one_indexed(RatVec.unit), "basis")
+
+
+def Subsequence(base: SeqSpec, along) -> SeqSpec:
+    """``base`` re-indexed along a stream: element(n) = base.element(m_n)."""
+    return SeqSpec(base.ambient, lambda n: base.element(along.element(n)),
+                   f"{base.name}[{along.name}]")
+
+
+def WeightedBasis(ambient, weights: Sequence[Fraction],
+                  tail: Fraction = Fraction(1)) -> SeqSpec:
+    """``w_n e_n`` with explicitly listed leading weights and a constant tail."""
+    weights = tuple(Fraction(w) for w in weights)
+    tail = Fraction(tail)
+
+    def element(n: int) -> RatVec:
+        weight = weights[n - 1] if n <= len(weights) else tail
+        return RatVec.unit(n).scale(weight)
+
+    return SeqSpec(ambient, _one_indexed(element),
+                   f"weighted-basis[{len(weights)} weights, tail {tail}]")
+
+
+def ExplicitSequence(ambient, vectors: Sequence[RatVec]) -> SeqSpec:
+    """The listed vectors, in order."""
+    vectors = tuple(RatVec(v.entries) for v in vectors)
+
+    def element(n: int) -> RatVec:
+        if not 1 <= n <= len(vectors):
+            raise ValueError(f"sequence has {len(vectors)} vectors, "
+                             f"asked for {n}")
+        return vectors[n - 1]
+
+    return SeqSpec(ambient, element, f"explicit[{len(vectors)}]")

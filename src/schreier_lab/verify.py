@@ -29,13 +29,13 @@ from fractions import Fraction
 
 from .budget import Budget, BudgetExceededError, get_budget
 from .ordinal import FundamentalRule, Ordinal, default_fundamental_seq
-from .quantities import (CanonicalBasis, SeqSpec, _cesaro_prefix, _large_scan,
-                         _sm_least, _sm_patterns, prop_formula)
+from .quantities import (_cesaro_prefix, _large_scan, _sm_least, _sm_patterns,
+                         prop_formula)
 from .reports import Report
 from .schreier import FinSet, _family
 from .spaces import NormSpec, _member_sum_functional, norm
 from .streams import IndexStream
-from .vectors import RatVec, format_fraction
+from .vectors import CanonicalBasis, RatVec, SeqSpec, format_fraction
 
 __all__ = [
     "verify_example_schreier",

@@ -17,16 +17,16 @@ from hypothesis import strategies as st
 
 from schreier_lab import averages
 from schreier_lab.averages import (
-    AmbiguousReconstructionError, ExplicitMethod, NibccWitness,
-    RepeatedAverages, apply, cesaro_mean, cesaro_reweight, check_nibcc,
-    pair_sum, repeated_avg, successor_pair_prefix, support_size)
+    AmbiguousReconstructionError, NibccWitness, RepeatedAverages, apply,
+    cesaro_mean, cesaro_reweight, check_nibcc, pair_sum, repeated_avg,
+    successor_pair_prefix, support_size, validate_prefix)
 from schreier_lab.budget import Budget, BudgetExceededError
 from schreier_lab.ordinal import classify, default_fundamental_seq, parse
-from schreier_lab.quantities import CanonicalBasis, ExplicitSequence
 from schreier_lab.schreier import FinSet, trace_member
 from schreier_lab.spaces import NormSpec
 from schreier_lab.streams import IndexStream
-from schreier_lab.vectors import ProbVector, RatVec
+from schreier_lab.vectors import (CanonicalBasis, ExplicitSequence, ProbVector,
+                                  RatVec)
 
 ALL = IndexStream.all_indices()
 HALF = Fraction(1, 2)
@@ -396,28 +396,22 @@ def test_cached_runs_are_integer_unit_fraction_runs(xi_text):
     assert runs > 0 or xi_text == "0"
 
 
-# -- summability methods --------------------------------------------------------------
+# -- methods and prefixes ------------------------------------------------------------
 
 
 def test_repeated_averages_method():
     method = RepeatedAverages(parse("1"), ALL)
-    assert method.stream == ALL
     assert method.vector(2) == repeated_avg(parse("1"), ALL, 2)
-    method.validate_prefix(4)
+    validate_prefix([method.vector(n) for n in range(1, 5)], ALL)
 
 
 def test_explicit_method_validation():
-    good = ExplicitMethod([ProbVector.unit(1), ProbVector(uniform([2, 3]))],
-                          ALL)
-    good.validate_prefix(2)
-    gap = ExplicitMethod([ProbVector.unit(1), ProbVector.unit(3)], ALL)
+    good = [ProbVector.unit(1), ProbVector(uniform([2, 3]))]
+    validate_prefix(good, ALL)
     with pytest.raises(ValueError):
-        gap.validate_prefix(2)
-    backwards = ExplicitMethod([ProbVector.unit(2), ProbVector.unit(1)], ALL)
+        validate_prefix([ProbVector.unit(1), ProbVector.unit(3)], ALL)
     with pytest.raises(ValueError):
-        backwards.validate_prefix(2)
-    with pytest.raises(IndexError):
-        good.vector(3)
+        validate_prefix([ProbVector.unit(2), ProbVector.unit(1)], ALL)
 
 
 def test_apply_averages_a_sequence():

@@ -307,6 +307,16 @@ def test_avg_validate_rejects_a_length_past_the_list(capsys):
     assert err == "error: --n 3 is past the 1 listed vectors\n"
 
 
+def test_avg_validate_rejects_a_negative_length(capsys):
+    # A negative --n would slice the list from its end, and validate a
+    # prefix nobody asked for.
+    code, out, err = run(capsys, "avg", "validate", "--seq",
+                         '[{"entries":{"1":"1"}},{"entries":{"3":"1"}}]',
+                         "--n", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: --n must be at least 0, got -1\n"
+
+
 def test_avg_nibcc_and_reweight_need_an_order_or_vectors(capsys):
     for argv in (("nibcc",), ("reweight", "--n", "1")):
         code, out, err = run(capsys, "avg", *argv)
@@ -755,12 +765,17 @@ _LAYERS = {"ordinal", "streams", "schreier", "vectors", "averages", "spaces",
      {"vectors", "averages", "spaces", "quantities", "verify", "reports"}),
     (["avg", "--xi", "1", "--n", "3"], {"quantities", "verify"}),
     (["avg", "nibcc", "--xi", "0", "--count", "2"], {"quantities", "verify"}),
+    (["avg", "apply", "--xi", "1", "--n", "2"],
+     {"quantities", "spaces", "verify"}),
+    (["avg", "validate", "--seq", '[{"entries": {"1": "1"}}]'],
+     {"quantities", "spaces", "verify"}),
     (["norm", "--space", "schreier", "--xi", "1",
       "--vec", '{"entries": {"2": "1", "3": "-1"}}'], {"quantities", "verify"}),
     (["quantity", "large", "--xi", "2", "--c", "9/10", "--N", "8"],
      {"verify", "reports"}),
     (["verify", "example-star", "--xi", "0", "--N", "6"], set()),
-], ids=["ord", "schreier", "avg", "avg-nibcc", "norm", "quantity-large", "verify"])
+], ids=["ord", "schreier", "avg", "avg-nibcc", "avg-apply", "avg-validate",
+        "norm", "quantity-large", "verify"])
 def test_a_command_loads_only_its_layers(argv, unloaded):
     # A fresh interpreter, so no other test has imported the layers.
     probe = ("import json, sys\n"

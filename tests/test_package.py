@@ -1,6 +1,7 @@
 """The package namespace: lazy exports with the same contract as eager ones."""
 
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -61,3 +62,16 @@ def test_importing_the_package_loads_no_layer():
                           text=True, timeout=60, check=True,
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.stdout.splitlines() == ["[]", "['schreier_lab.budget']"]
+
+
+def test_the_benchmark_workloads_import(monkeypatch):
+    # The benchmark imports names from several layers, so one moved or
+    # renamed away fails here first.  The module is loaded, writing nothing.
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    assert all(callable(getattr(module, f"{name}_ops"))
+               for name in module.WORKLOADS)

@@ -14,8 +14,7 @@ import pytest
 from schreier_lab.budget import BudgetExceededError
 from schreier_lab.ordinal import parse
 from schreier_lab.quantities import (
-    CanonicalBasis, DeltaFamily, ExplicitSequence, HorizonEstimate,
-    Subsequence, WeightedBasis, ca_window, cca_window, cca_xi_tilde,
+    DeltaFamily, HorizonEstimate, ca_window, cca_window, cca_xi_tilde,
     cca_xi_tilde_sup, cca_xi_window, compose_refinements, f_delta,
     large_check, prop_formula, sm_constant)
 from schreier_lab.schreier import FinSet, enumerate_family
@@ -23,7 +22,8 @@ from schreier_lab.spaces import (
     CertificationRefusedError, Functional, NormSpec,
     coordinate_sum_functional, norm)
 from schreier_lab.streams import IndexStream
-from schreier_lab.vectors import RatVec, format_fraction
+from schreier_lab.vectors import (CanonicalBasis, ExplicitSequence, RatVec,
+                                  Subsequence, WeightedBasis, format_fraction)
 
 S1 = NormSpec.schreier(parse("1"))
 STAR1 = NormSpec.star(parse("1"))
@@ -37,7 +37,7 @@ HALF = Fraction(1, 2)
 def test_sequence_specs():
     basis = CanonicalBasis(S1)
     assert basis.element(3) == RatVec.unit(3)
-    assert basis.describe() == "basis"
+    assert basis.name == "basis"
     with pytest.raises(ValueError):
         basis.element(0)
 
@@ -49,11 +49,11 @@ def test_sequence_specs():
     assert explicit.element(1) == RatVec.unit(5)
     with pytest.raises(ValueError):
         explicit.element(2)
-    assert explicit.describe() == "explicit[1]"
+    assert explicit.name == "explicit[1]"
 
     sub = Subsequence(basis, IndexStream.evens())
     assert sub.element(2) == RatVec.unit(4)
-    assert sub.describe() == "basis[evens]"
+    assert sub.name == "basis[evens]"
 
 
 # -- window statistics -------------------------------------------------------------
@@ -108,6 +108,19 @@ def test_cca_xi_surfaces_infeasible_supports():
         cca_xi_window(parse("1"), IndexStream.cubes(), CanonicalBasis(S1), 1, 4)
 
 
+# The float nearest sqrt(2), as a fraction; it lies above sqrt(2).
+ROOT2_UP = Fraction(math.sqrt(2))
+
+
+def test_window_maximum_is_exact_in_either_order():
+    # The norms of the differences are sqrt(2), irrational, and ROOT2_UP.
+    assert ROOT2_UP ** 2 > 2
+    first, second = RatVec({1: 1, 2: 1}), RatVec({1: ROOT2_UP})
+    for vectors in ([RatVec(), first, second], [RatVec(), second, first]):
+        value = ca_window(ExplicitSequence(NormSpec.l2(), vectors), 1, 3)
+        assert (type(value), value) == (Fraction, ROOT2_UP)
+
+
 # -- catalog estimates --------------------------------------------------------------
 
 
@@ -136,6 +149,23 @@ def test_cca_xi_tilde_exact_at_zero():
     assert est.value == 0
     assert est.direction == "exact"
     assert est.witness == "all"
+
+
+def test_catalog_extremes_are_exact_in_either_order():
+    # Order 0 leaves the sequence as it is, so the first two means differ by
+    # (1, 1) along all, of norm sqrt(2), and by ROOT2_UP e_3 along evens.
+    xs = ExplicitSequence(NormSpec.l2(), [
+        RatVec(), RatVec({1: 2, 2: 2}), RatVec(),
+        RatVec({1: 2, 2: 2, 3: 2 * ROOT2_UP})])
+    zero, evens = parse("0"), IndexStream.evens()
+    for catalog in ([ALL, evens], [evens, ALL]):
+        least = cca_xi_tilde(zero, xs, catalog, 1, 2)
+        assert (type(least.value), least.witness) == (float, "all")
+        most = cca_xi_tilde_sup(zero, xs, catalog, lambda M: [M], 1, 2)
+        assert (type(most.value), most.value, most.witness) == (
+            Fraction, ROOT2_UP, "evens")
+        refined = cca_xi_tilde_sup(zero, xs, catalog, lambda M: catalog, 1, 2)
+        assert type(refined.value) is float
 
 
 def test_cca_xi_tilde_needs_a_catalog():
