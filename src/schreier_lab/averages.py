@@ -40,14 +40,18 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Generator, Sequence
+from typing import TYPE_CHECKING, Generator, Sequence
 
-from .budget import Budget, BudgetExceededError, Record, WorkMeter, get_budget
+from .budget import (Budget, BudgetExceededError, Record, WorkMeter, _unwound,
+                     get_budget)
 from .ordinal import (OMEGA, FundamentalRule, Ordinal, classify,
                       default_fundamental_seq)
-from .schreier import FinSet, _unwound
 from .streams import IndexStream
 from .vectors import ProbVector, RatVec, SeqSpec
+
+# An annotation only: importing it would make every average load the families.
+if TYPE_CHECKING:
+    from .schreier import FinSet
 
 __all__ = [
     "RepeatedAverages",
@@ -116,7 +120,8 @@ class RepeatedAverages:
 
     def _expanded(self, n: int) -> ProbVector:
         """Vector n from its runs, checked; its boundaries must be grown."""
-        runs = _unwound(self._runs(n))
+        # Order 0 is the unit vector at position n, one run taken as it is.
+        runs = ((n, n, 1),) if self.kind == "zero" else _unwound(self._runs(n))
         if any(q <= 0 for _, _, q in runs):
             raise ValueError("probability vectors need strictly positive entries")
         L = math.lcm(*(q for _, _, q in runs))
@@ -127,7 +132,7 @@ class RepeatedAverages:
         element = self._M.element
         entries = {}
         for first, last, q in runs:
-            weight = Fraction(1, q)
+            weight = _ONE if q == 1 else Fraction(1, q)
             for p in range(first, last + 1):
                 entries[element(p)] = weight
         return ProbVector._canonical(entries)
@@ -238,6 +243,10 @@ class RepeatedAverages:
 
 
 _OMEGA_PLUS_ONE = OMEGA.successor()
+
+# Shared by every unit weight and every zero reweighting, as Fractions are
+# immutable.
+_ONE, _ZERO = Fraction(1), Fraction(0)
 
 
 def _descent_meter(cap: int) -> WorkMeter:
@@ -448,7 +457,11 @@ def _match_block_weights(target: RatVec, y: Sequence[RatVec], start: int):
     while True:
         if j >= len(y) or y[j].is_zero:
             return None
-        row_support, row_nums, d = y[j].scaled()
+        if len(y[j]) == 1:      # a unit vector, say, needs no lcm
+            (lead, v), = y[j].items()
+            row_support, row_nums, d = (lead,), [v.numerator], v.denominator
+        else:
+            row_support, row_nums, d = y[j].scaled()
         lead = row_support[0]
         t_lead, v_lead = remaining.get(lead, 0), row_nums[0]
         if v_lead < 0:
@@ -598,8 +611,10 @@ def cesaro_reweight(witness: NibccWitness, n: int) -> dict[int, Fraction]:
     K = witness.breakpoints[n]
     nums = [a.numerator for a in witness.weights[:K]]
     dens = [a.denominator for a in witness.weights[:K]]
-    beta = {j: Fraction((nums[j - 1] * dens[j] - nums[j] * dens[j - 1]) * j,
-                        dens[j - 1] * dens[j])
-            for j in range(1, K)}
+    beta = {}
+    for j in range(1, K):
+        drop = nums[j - 1] * dens[j] - nums[j] * dens[j - 1]
+        # Equal neighbours (the long stretches of a block) share one zero.
+        beta[j] = Fraction(drop * j, dens[j - 1] * dens[j]) if drop else _ZERO
     beta[K] = Fraction(nums[K - 1] * K, dens[K - 1])
     return beta

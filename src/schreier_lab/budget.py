@@ -7,13 +7,15 @@ instead of exhausting memory.  The generic work unit can be overridden
 through the ``SCHREIER_LAB_BUDGET`` environment variable.
 
 The module also holds :class:`Record`, the base of the budget and of every
-other small immutable record in the package, since every command loads
-this module anyway.
+other small immutable record in the package, and :func:`_unwound`, which
+runs the families' and the averages' recursions from an explicit stack,
+since every command loads this module anyway.
 """
 
 from __future__ import annotations
 
 import os
+from typing import Generator
 
 ENV_VAR = "SCHREIER_LAB_BUDGET"
 
@@ -142,3 +144,23 @@ class WorkMeter:
         if self.used > self.limit:
             raise BudgetExceededError(self.what, self.limit,
                                       needed=self.used, needed_is_lower_bound=True)
+
+
+def _unwound(call: Generator):
+    """The result of a generator call that yields its nested calls.
+
+    Each nested call goes on an explicit stack instead of the interpreter's
+    and is sent its result, so the depth of a recursion written this way is
+    bounded by memory, not by the recursion limit.
+    """
+    stack, value = [call], None
+    while stack:
+        try:
+            nested = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+        else:
+            stack.append(nested)
+            value = None
+    return value

@@ -24,7 +24,6 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .averages import _averages, apply
 from .budget import Budget, Record, get_budget
 from .ordinal import FundamentalRule, Ordinal, default_fundamental_seq
 from .schreier import FinSet, _family, enumerate_family
@@ -166,6 +165,8 @@ def _cca_xi(xi: Ordinal, M: IndexStream, xs: SeqSpec, n0: int, N: int,
             fs: FundamentalRule, budget: Budget | None
             ) -> tuple[Fraction, Fraction | float]:
     """:func:`cca_xi_window` as ``(square, value)``."""
+    # Imported here, so that no other quantity loads the averages.
+    from .averages import _averages, apply
     _check_window(n0, N)
     budget = get_budget(budget)
     method = _averages(xi, M, fs)
@@ -516,7 +517,8 @@ class PropFormulaValues(Record):
 
 
 def prop_formula(l: int, c: Fraction) -> PropFormulaValues:
-    """Evaluate the two-term ratio formula at length scale ``l`` and level ``c``.
+    """Evaluate the two-term ratio formula at length scale ``l`` and level
+    ``c``; both must be positive.
 
     ``main`` climbs to ``2c`` and ``vanishing`` falls to 0 as ``l`` grows;
     both are exact rationals.
@@ -528,6 +530,8 @@ def prop_formula(l: int, c: Fraction) -> PropFormulaValues:
     if l < 1:
         raise ValueError("the length scale must be a positive integer")
     c = Fraction(c)
+    if c <= 0:
+        raise ValueError("the level must be positive")
     cube, square = l ** 3, l ** 2
     vanishing = Fraction(cube - square, (square + l) * (cube + l))
     main = c * (vanishing * square + Fraction(cube - square, cube + l))

@@ -34,7 +34,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Generator, Iterable, Iterator
 
-from .budget import Budget, BudgetExceededError, get_budget, WorkMeter
+from .budget import (Budget, BudgetExceededError, WorkMeter, _unwound,
+                     get_budget)
 from .ordinal import (FundamentalRule, Ordinal, classify,
                       default_fundamental_seq)
 from .streams import IndexStream
@@ -132,26 +133,6 @@ class FinSet:
 
 
 # -- the membership automaton --------------------------------------------------
-
-
-def _unwound(call: Generator):
-    """The result of a generator call that yields its nested calls.
-
-    Each nested call goes on an explicit stack instead of the interpreter's
-    and is sent its result, so the depth of a recursion written this way is
-    bounded by memory, not by the recursion limit.
-    """
-    stack, value = [call], None
-    while stack:
-        try:
-            nested = stack[-1].send(value)
-        except StopIteration as done:
-            stack.pop()
-            value = done.value
-        else:
-            stack.append(nested)
-            value = None
-    return value
 
 
 class _Node:

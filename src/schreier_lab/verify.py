@@ -222,8 +222,6 @@ def verify_prop_formula(l_max: int, c: Fraction, *,
     if l_max < 1:
         raise ValueError("need l_max >= 1")
     c = Fraction(c)
-    if c <= 0:
-        raise ValueError("the level must be positive")
     budget = get_budget(budget)
     if l_max > budget.work:
         raise BudgetExceededError("prop-formula rows", budget.work, needed=l_max)

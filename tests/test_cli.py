@@ -686,6 +686,15 @@ def test_quantity_prop_formula(capsys):
     assert "vanishing = 9/1111" in lines
 
 
+@pytest.mark.parametrize("argv", [
+    ["quantity", "prop-formula", "--l", "3", "--c", "-1"],
+    ["quantity", "prop-formula", "--l", "3", "--c", "0"],
+    ["verify", "prop-formula", "--l-max", "3", "--c", "0"],
+], ids=["quantity-negative", "quantity-zero", "verify-zero"])
+def test_prop_formula_refuses_a_non_positive_level(capsys, argv):
+    assert run(capsys, *argv) == (2, "", "error: the level must be positive\n")
+
+
 # -- verify ------------------------------------------------------------------------
 
 
@@ -755,6 +764,16 @@ def test_unknown_group_is_an_argparse_error(capsys):
         main(["frobnicate"])
 
 
+def test_an_option_before_the_group_is_reported_alone(capsys):
+    # The group named after the option is still built, so only the option
+    # is left over.
+    with pytest.raises(SystemExit) as exc:
+        main(["--foo", "ord", "parse", "--text", "w"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "schreier-lab: error: unrecognized arguments: --foo\n")
+
+
 _LAYERS = {"ordinal", "streams", "schreier", "vectors", "averages", "spaces",
            "quantities", "verify", "reports"}
 
@@ -763,17 +782,19 @@ _LAYERS = {"ordinal", "streams", "schreier", "vectors", "averages", "spaces",
     (["ord", "parse", "--text", "w+1"], _LAYERS - {"ordinal"}),
     (["schreier", "member", "--xi", "w", "--set", "2,3"],
      {"vectors", "averages", "spaces", "quantities", "verify", "reports"}),
-    (["avg", "--xi", "1", "--n", "3"], {"quantities", "verify"}),
-    (["avg", "nibcc", "--xi", "0", "--count", "2"], {"quantities", "verify"}),
+    (["avg", "--xi", "1", "--n", "3"], {"schreier", "quantities", "verify"}),
+    (["avg", "nibcc", "--xi", "0", "--count", "2"],
+     {"schreier", "quantities", "verify"}),
     (["avg", "apply", "--xi", "1", "--n", "2"],
-     {"quantities", "spaces", "verify"}),
+     {"schreier", "quantities", "spaces", "verify"}),
     (["avg", "validate", "--seq", '[{"entries": {"1": "1"}}]'],
-     {"quantities", "spaces", "verify"}),
+     {"schreier", "quantities", "spaces", "verify"}),
     (["norm", "--space", "schreier", "--xi", "1",
-      "--vec", '{"entries": {"2": "1", "3": "-1"}}'], {"quantities", "verify"}),
+      "--vec", '{"entries": {"2": "1", "3": "-1"}}'],
+     {"averages", "quantities", "verify"}),
     (["quantity", "large", "--xi", "2", "--c", "9/10", "--N", "8"],
-     {"verify", "reports"}),
-    (["verify", "example-star", "--xi", "0", "--N", "6"], set()),
+     {"averages", "verify", "reports"}),
+    (["verify", "example-star", "--xi", "0", "--N", "6"], {"averages"}),
 ], ids=["ord", "schreier", "avg", "avg-nibcc", "avg-apply", "avg-validate",
         "norm", "quantity-large", "verify"])
 def test_a_command_loads_only_its_layers(argv, unloaded):
@@ -781,18 +802,31 @@ def test_a_command_loads_only_its_layers(argv, unloaded):
     probe = ("import json, sys\n"
              "from schreier_lab import cli\n"
              "code = cli.main(sys.argv[1:])\n"
-             "loaded = [m.split('.')[1] if m.startswith('schreier_lab.')\n"
-             "          else m for m in sys.modules]\n"
-             "print(json.dumps([code, loaded]), file=sys.stderr)\n")
+             "print(json.dumps([code, list(sys.modules)]), file=sys.stderr)\n")
     src = str(Path(schreier_lab.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", probe, *argv],
                           capture_output=True, text=True, timeout=60,
                           env=dict(os.environ, PYTHONPATH=src))
-    code, loaded = json.loads(proc.stderr.splitlines()[-1])
+    code, modules = json.loads(proc.stderr.splitlines()[-1])
     assert code == 0
+    loaded = {m.split(".")[1] if m.startswith("schreier_lab.") else m
+              for m in modules}
     # No command loads dataclasses, nor the inspect it imports.
     unloaded = unloaded | {"dataclasses", "inspect"}
-    assert unloaded.isdisjoint(loaded), sorted(unloaded & set(loaded))
+    assert unloaded.isdisjoint(loaded), sorted(unloaded & loaded)
+    # Of the command line, only the core and the invoked group's module.
+    groups = {m for m in modules if m.startswith("schreier_lab.cli.")}
+    assert groups == {f"schreier_lab.cli.{argv[0]}"}
+
+
+def test_the_module_entry_point_runs_main(capsys):
+    src = str(Path(schreier_lab.__file__).resolve().parents[1])
+    argv = ["ord", "parse", "--text", "w+1"]
+    proc = subprocess.run([sys.executable, "-m", "schreier_lab.cli", *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)
+    assert proc.returncode == 0 and "ordinal = w+1" in proc.stdout
 
 
 def test_text_output_sorts_keys(capsys):

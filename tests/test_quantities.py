@@ -428,6 +428,12 @@ def test_prop_formula_degenerate_and_invalid():
         prop_formula(0, HALF)
 
 
+@pytest.mark.parametrize("c", [Fraction(0), Fraction(-1)])
+def test_prop_formula_refuses_a_non_positive_level(c):
+    with pytest.raises(ValueError, match="the level must be positive"):
+        prop_formula(3, c)
+
+
 def test_prop_formula_is_linear_in_the_level():
     for l in (2, 7, 30):
         double = prop_formula(l, Fraction(4, 5))
