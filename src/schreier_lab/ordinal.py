@@ -6,14 +6,14 @@ exponents and positive integer coefficients.  The universe is the ordinals
 below ``w^w``, so every exponent is a natural number and no deeper nesting
 can be configured.
 
-Only comparison, classification, and fundamental sequences are provided.
-General ordinal arithmetic is deliberately out of scope.
+An :class:`Ordinal` is a validated tuple of its Cantor-normal-form pairs.
+Only parsing, classification, successors and fundamental sequences are
+provided; general ordinal arithmetic is deliberately out of scope.
 """
 
 from __future__ import annotations
 
 import re
-from functools import total_ordering
 from typing import Callable, NamedTuple
 
 __all__ = [
@@ -34,18 +34,15 @@ class OrdinalParseError(ValueError):
     """Raised for text that is not a well-formed ordinal expression."""
 
 
-@total_ordering
-class Ordinal:
-    """An ordinal below ``w^w``, immutable and canonical.
+class Ordinal(tuple):
+    """An ordinal below ``w^w``: a validated tuple, like the automaton's
+    states, of ``(exponent, coefficient)`` pairs with strictly decreasing
+    exponents and coefficients >= 1.  Tuple order is Cantor-normal-form
+    order.  ``+`` and ``*`` are refused: concatenation is not addition."""
 
-    Stored as a tuple of ``(exponent, coefficient)`` pairs of naturals with
-    strictly decreasing exponents and coefficients >= 1, so that order,
-    equality and hashing are those of the tuple.
-    """
+    __slots__ = ()
 
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms=()):
+    def __new__(cls, terms=()):
         terms = tuple((int(exp), int(coeff)) for exp, coeff in terms)
         prev = None
         for exp, coeff in terms:
@@ -56,13 +53,12 @@ class Ordinal:
             if prev is not None and not exp < prev:
                 raise ValueError("exponents must be strictly decreasing")
             prev = exp
-        object.__setattr__(self, "_terms", terms)
+        return super().__new__(cls, terms)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Ordinal is immutable")
+    def __add__(self, other):
+        return NotImplemented
 
-    def __reduce__(self):
-        return type(self), (self._terms,)
+    __radd__ = __mul__ = __rmul__ = __add__
 
     @property
     def terms(self):
@@ -71,7 +67,7 @@ class Ordinal:
         >>> parse("w^2*3+1").terms
         ((2, 3), (0, 1))
         """
-        return self._terms
+        return tuple(self)
 
     @classmethod
     def from_int(cls, n: int) -> "Ordinal":
@@ -89,49 +85,31 @@ class Ordinal:
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self
 
     @property
     def is_finite(self) -> bool:
-        return not self._terms or self._terms[0][0] == 0
+        return not self or self[0][0] == 0
 
     def as_int(self) -> int:
         """The integer value of a finite ordinal."""
         if not self.is_finite:
             raise ValueError(f"{self} is not finite")
-        return self._terms[0][1] if self._terms else 0
-
-    # -- order -----------------------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, Ordinal):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __lt__(self, other):
-        if not isinstance(other, Ordinal):
-            return NotImplemented
-        # Cantor normal form compares lexicographically term by term, with
-        # a missing term counting as smaller: the order of the tuples.
-        return self._terms < other._terms
-
-    def __hash__(self):
-        return hash(self._terms)
+        return self[0][1] if self else 0
 
     # -- structure -------------------------------------------------------
 
     def successor(self) -> "Ordinal":
         """x + 1."""
-        terms = self._terms
-        if terms and terms[-1][0] == 0:
-            return Ordinal(terms[:-1] + ((0, terms[-1][1] + 1),))
-        return Ordinal(terms + ((0, 1),))
+        if self and self[-1][0] == 0:
+            return Ordinal((*self[:-1], (0, self[-1][1] + 1)))
+        return Ordinal((*self, (0, 1)))
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self:
             return "0"
         parts = []
-        for exp, coeff in self._terms:
+        for exp, coeff in self:
             if exp == 0:
                 parts.append(str(coeff))
                 continue
@@ -162,13 +140,13 @@ def classify(x: Ordinal) -> Classification:
     """Classify an ordinal as zero, a successor, or a limit."""
     if x.is_zero:
         return Classification("zero")
-    last_exp, last_coeff = x.terms[-1]
+    last_exp, last_coeff = x[-1]
     if last_exp != 0:
         return Classification("limit")
     if last_coeff > 1:
-        pred = Ordinal(x.terms[:-1] + ((0, last_coeff - 1),))
+        pred = Ordinal((*x[:-1], (0, last_coeff - 1)))
     else:
-        pred = Ordinal(x.terms[:-1])
+        pred = Ordinal(x[:-1])
     return Classification("successor", pred)
 
 
@@ -244,10 +222,10 @@ def default_fundamental_seq(x: Ordinal, n: int) -> Ordinal:
     kind, _ = classify(x)
     if kind != "limit":
         raise ValueError(f"{x} is not a limit ordinal")
-    last_exp, last_coeff = x.terms[-1]
-    rho = list(x.terms[:-1])
+    last_exp, last_coeff = x[-1]
+    rho = list(x[:-1])
     if last_coeff > 1:
         rho.append((last_exp, last_coeff - 1))
     if last_exp == 1:
-        return Ordinal(tuple(rho) + ((0, n),))
-    return Ordinal(tuple(rho) + ((last_exp - 1, n), (0, 1)))
+        return Ordinal((*rho, (0, n)))
+    return Ordinal((*rho, (last_exp - 1, n), (0, 1)))

@@ -22,16 +22,18 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .budget import Budget, Record, get_budget
 from .ordinal import FundamentalRule, Ordinal, default_fundamental_seq
 from .schreier import FinSet, _family, enumerate_family
 from .spaces import (CertificationRefusedError, Functional, NormResult, NormSpec,
                      _norm_total, _sqrt_result, coordinate_sum_functional, norm)
-from .streams import IndexStream
 from .vectors import RatVec, SeqSpec, format_fraction
 from .vectors import CanonicalBasis  # noqa: F401 -- still importable from here
+
+if TYPE_CHECKING:
+    from .streams import IndexStream
 
 __all__ = [
     "DIRECTIONS",
@@ -532,7 +534,20 @@ def prop_formula(l: int, c: Fraction) -> PropFormulaValues:
     c = Fraction(c)
     if c <= 0:
         raise ValueError("the level must be positive")
+    vanishing, main_over_c, denominator = _prop_formula_terms(l)
+    return PropFormulaValues(l, c, Fraction(vanishing, denominator),
+                             c * Fraction(main_over_c, denominator))
+
+
+def _prop_formula_terms(l: int) -> tuple[int, int, int]:
+    """``(v, m, d)`` with ``vanishing = v/d`` and ``main / c = m/d`` at length
+    scale ``l``, unreduced: ``main / c`` is ``l^2`` times the remainder plus
+    ``(l^3 - l^2) / (l^3 + l)``.
+
+    >>> _prop_formula_terms(10)
+    (900, 189000, 111100)
+    """
     cube, square = l ** 3, l ** 2
-    vanishing = Fraction(cube - square, (square + l) * (cube + l))
-    main = c * (vanishing * square + Fraction(cube - square, cube + l))
-    return PropFormulaValues(l, c, vanishing, main)
+    vanishing = cube - square
+    return (vanishing, vanishing * square + vanishing * (square + l),
+            (square + l) * (cube + l))

@@ -7,6 +7,7 @@ collects the sets that belong to the n-th member of a fundamental sequence
 for some ``n <= min F``.  Every family is hereditary (closed under subsets)
 and spreading (closed under moving elements to the right), which the fast
 membership test exploits and the exhaustive oracle deliberately does not.
+A set is a :class:`FinSet`, a validated tuple of its increasing elements.
 
 Membership is decided left to right by an automaton compiled once per order
 and rule.  At a successor order a set is cut greedily into the longest
@@ -32,13 +33,15 @@ the oracles run their lower orders as nested calls on an explicit stack.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Generator, Iterable, Iterator
+from typing import TYPE_CHECKING, Generator, Iterable, Iterator
 
 from .budget import (Budget, BudgetExceededError, WorkMeter, _unwound,
                      get_budget)
 from .ordinal import (FundamentalRule, Ordinal, classify,
                       default_fundamental_seq)
-from .streams import IndexStream
+
+if TYPE_CHECKING:
+    from .streams import IndexStream
 
 __all__ = [
     "FinSet",
@@ -52,25 +55,21 @@ __all__ = [
 ]
 
 
-class FinSet:
-    """A finite set of positive integers, stored strictly increasing."""
+class FinSet(tuple):
+    """A finite set of positive integers: a validated tuple of its increasing
+    elements, like the automaton's states.  Comparisons mean inclusion, as
+    for ``frozenset``, and ``+`` and ``*`` are refused."""
 
-    __slots__ = ("_elements",)
+    __slots__ = ()
 
-    def __init__(self, elements: Iterable[int] = ()):
+    def __new__(cls, elements: Iterable[int] = ()):
         elements = tuple(int(v) for v in elements)
         for a, b in zip(elements, elements[1:]):
             if b <= a:
                 raise ValueError("elements must be strictly increasing")
         if elements and elements[0] < 1:
             raise ValueError("elements must be positive")
-        object.__setattr__(self, "_elements", elements)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FinSet is immutable")
-
-    def __reduce__(self):
-        return type(self), (self._elements,)
+        return super().__new__(cls, elements)
 
     @classmethod
     def of(cls, *values: int) -> "FinSet":
@@ -90,43 +89,37 @@ class FinSet:
 
     @property
     def elements(self) -> tuple[int, ...]:
-        return self._elements
+        return tuple(self)
 
     def min(self) -> int:
-        if not self._elements:
+        if not self:
             raise ValueError("empty set has no minimum")
-        return self._elements[0]
+        return self[0]
 
     def max(self) -> int:
-        if not self._elements:
+        if not self:
             raise ValueError("empty set has no maximum")
-        return self._elements[-1]
+        return self[-1]
 
-    def __len__(self):
-        return len(self._elements)
-
-    def __iter__(self):
-        return iter(self._elements)
-
-    def __contains__(self, value):
-        return value in self._elements
-
-    def __bool__(self):
-        return bool(self._elements)
-
-    def __eq__(self, other):
-        if not isinstance(other, FinSet):
-            return NotImplemented
-        return self._elements == other._elements
+    def __lt__(self, other):
+        return set(self) < set(other)
 
     def __le__(self, other):
-        return set(self._elements) <= set(other._elements)
+        return set(self) <= set(other)
 
-    def __hash__(self):
-        return hash(("FinSet", self._elements))
+    def __gt__(self, other):
+        return set(self) > set(other)
+
+    def __ge__(self, other):
+        return set(self) >= set(other)
+
+    def __add__(self, other):
+        return NotImplemented
+
+    __radd__ = __mul__ = __rmul__ = __add__
 
     def __str__(self):
-        return ",".join(map(str, self._elements))
+        return ",".join(map(str, self))
 
     def __repr__(self):
         return f"FinSet({self})"
@@ -193,8 +186,8 @@ def _plus_omega_power(terms: tuple, exponent: int) -> Ordinal:
     The last exponent of ``terms`` must not be smaller than ``exponent``.
     """
     if terms and terms[-1][0] == exponent:
-        return Ordinal(terms[:-1] + ((exponent, terms[-1][1] + 1),))
-    return Ordinal(terms + ((exponent, 1),))
+        return Ordinal((*terms[:-1], (exponent, terms[-1][1] + 1)))
+    return Ordinal((*terms, (exponent, 1)))
 
 
 class _Automaton:
@@ -220,7 +213,7 @@ class _Automaton:
         base, count, nested = None, 0, False
         if kind == "successor":
             # The finite tail of xi: xi = base + count with base zero or a limit.
-            base, count = self._node(Ordinal(xi.terms[:-1])), xi.terms[-1][1]
+            base, count = self._node(Ordinal(xi[:-1])), xi[-1][1]
         elif kind == "limit":
             # The default rule's approximating families grow with n, so the
             # largest allowed n decides alone.
@@ -268,7 +261,7 @@ class _Automaton:
         the descent takes the second whenever it does not pass the limit.
         """
         limit, low, floor = region
-        terms = floor.xi.terms
+        terms = floor.xi
         if terms and terms[-1][1] == low:
             carried = _plus_omega_power(terms[:-1], terms[-1][0] + 1)
             if not limit.xi < carried:
@@ -374,7 +367,7 @@ def is_member(xi: Ordinal, F: FinSet, *,
     >>> is_member(Ordinal.from_int(1), FinSet.of(2, 3))
     True
     """
-    return _automaton(xi, fs).accepts(F.elements)
+    return _automaton(xi, fs).accepts(F)
 
 
 # -- greedy membership for the norm oracles --------------------------------------
@@ -488,7 +481,7 @@ def is_member_oracle(xi: Ordinal, F: FinSet, *,
                 return True
         return False
 
-    return _unwound(member(xi, F.elements))
+    return _unwound(member(xi, F))
 
 
 # -- enumeration and counting --------------------------------------------------
@@ -616,7 +609,7 @@ def trace_member(xi: Ordinal, M: IndexStream, F: FinSet, *,
     """
     if not all(value in M for value in F):
         return False
-    return _automaton(xi, fs).accepts(F.elements)
+    return _automaton(xi, fs).accepts(F)
 
 
 # -- threshold --------------------------------------------------------------------
@@ -624,20 +617,13 @@ def trace_member(xi: Ordinal, M: IndexStream, F: FinSet, *,
 
 def threshold(zeta: Ordinal, xi: Ordinal, max_value: int, *,
               fs: FundamentalRule = default_fundamental_seq,
-              budget: Budget | None = None) -> int | None:
+              budget: Budget | None = None) -> int:
     """Smallest n such that every order-``zeta`` member of {1..max_value}
     with min >= n belongs to the order-``xi`` family.
 
-    Returns None when no n <= max_value works; since singletons belong to
-    every family that value is reachable only vacuously, but the contract
-    keeps it as a distinguished result.
+    The answer is at most ``max_value``: the only member with minimum
+    ``max_value`` is the singleton, and singletons belong to every family.
     """
     target = _automaton(xi, fs)
-    outside: list[int] = []
-    for F in _family(zeta, max_value, fs=fs, budget=budget):
-        if F and not target.accepts(F.elements):
-            outside.append(F.min())
-    if not outside:
-        return 1
-    worst = max(outside)
-    return worst + 1 if worst < max_value else None
+    return max((F[0] for F in _family(zeta, max_value, fs=fs, budget=budget)
+                if F and not target.accepts(F)), default=0) + 1

@@ -228,8 +228,8 @@ def _norm_order_one(support: tuple[int, ...],
         if total > best:
             best = total
             best_cut = (cut_pos, taken)
-    if best_cut is None:
-        return 0, FinSet(())
+    # The support is not empty and the magnitudes are positive, so the first
+    # cut already scored.
     cut_pos, taken = best_cut
     chosen: list[int] = []
     for r, take in taken:

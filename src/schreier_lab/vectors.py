@@ -89,7 +89,8 @@ class RatVec:
         for c, vec in terms:
             c = Fraction(c)
             for i, v in vec.items():
-                merged[i] = merged.get(i, 0) + c * v
+                v = c * v
+                merged[i] = merged[i] + v if i in merged else v
         return cls(merged)
 
     @classmethod
@@ -147,23 +148,19 @@ class RatVec:
 
     # -- arithmetic --------------------------------------------------------
 
+    # Each returns a RatVec, also for a ProbVector operand.
+
     def __add__(self, other: "RatVec") -> "RatVec":
-        merged = dict(self._entries)
-        for i, v in other._entries.items():
-            merged[i] = merged.get(i, Fraction(0)) + v
-        return RatVec(merged)
+        return RatVec.combination(((1, self), (1, other)))
 
     def __sub__(self, other: "RatVec") -> "RatVec":
-        return self + other.scale(-1)
+        return RatVec.combination(((1, self), (-1, other)))
 
     def __neg__(self) -> "RatVec":
-        return self.scale(-1)
+        return RatVec.combination(((-1, self),))
 
     def scale(self, c) -> "RatVec":
-        c = Fraction(c)
-        if c == 0:
-            return RatVec()
-        return RatVec({i: v * c for i, v in self._entries.items()})
+        return RatVec.combination(((c, self),))
 
     # The entries are canonical already, and these keep them so.
 

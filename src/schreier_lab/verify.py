@@ -29,8 +29,8 @@ from fractions import Fraction
 
 from .budget import Budget, BudgetExceededError, get_budget
 from .ordinal import FundamentalRule, Ordinal, default_fundamental_seq
-from .quantities import (_cesaro_prefix, _large_scan, _sm_least, _sm_patterns,
-                         prop_formula)
+from .quantities import (_cesaro_prefix, _large_scan, _prop_formula_terms,
+                         _sm_least, _sm_patterns, prop_formula)
 from .reports import Report
 from .schreier import FinSet, _family
 from .spaces import NormSpec, _member_sum_functional, norm
@@ -231,20 +231,24 @@ def verify_prop_formula(l_max: int, c: Fraction, *,
 
     envelope_bad, vanishing_bad, main_drops, vanishing_rises = [], [], [], []
     stride = max(1, l_max // 10)
+    # The checks cross-multiply each row's integer terms (row 1 refuses
+    # c <= 0, so main compares as main / c); only the shown rows, the last
+    # among them, become Fractions.
     shown, previous = [], None
     for l in range(1, l_max + 1):
-        row = prop_formula(l, c)
-        if len(envelope_bad) < 5 and abs(row.main / c - 2) > Fraction(5, l):
+        v, a, b = row = _prop_formula_terms(l)
+        if len(envelope_bad) < 5 and l * abs(a - 2 * b) > 5 * b:
             envelope_bad.append(l)
-        if len(vanishing_bad) < 5 and row.vanishing > Fraction(1, l):
+        if len(vanishing_bad) < 5 and l * v > b:
             vanishing_bad.append(l)
         if l >= 3:
-            if len(main_drops) < 5 and row.main < previous.main:
+            pv, pa, pb = previous
+            if len(main_drops) < 5 and a * pb < pa * b:
                 main_drops.append(l)
-            if len(vanishing_rises) < 5 and row.vanishing > previous.vanishing:
+            if len(vanishing_rises) < 5 and v * pb > pv * b:
                 vanishing_rises.append(l)
         if l == 1 or l == l_max or l % stride == 0:
-            shown.append(row.to_json())
+            shown.append(prop_formula(l, c).to_json())
         previous = row
 
     report.check("main-within-five-over-l", not envelope_bad,
@@ -260,7 +264,7 @@ def verify_prop_formula(l_max: int, c: Fraction, *,
                  "vanishing is non-increasing for l >= 2"
                  if not vanishing_rises else f"rises at l = {vanishing_rises}")
     report.result("table", shown)
-    report.result("final", previous.to_json())
+    report.result("final", shown[-1])
 
     report.wall_seconds = time.perf_counter() - started
     return report

@@ -781,7 +781,8 @@ _LAYERS = {"ordinal", "streams", "schreier", "vectors", "averages", "spaces",
 @pytest.mark.parametrize("argv, unloaded", [
     (["ord", "parse", "--text", "w+1"], _LAYERS - {"ordinal"}),
     (["schreier", "member", "--xi", "w", "--set", "2,3"],
-     {"vectors", "averages", "spaces", "quantities", "verify", "reports"}),
+     {"streams", "vectors", "averages", "spaces", "quantities", "verify",
+      "reports"}),
     (["avg", "--xi", "1", "--n", "3"], {"schreier", "quantities", "verify"}),
     (["avg", "nibcc", "--xi", "0", "--count", "2"],
      {"schreier", "quantities", "verify"}),
@@ -791,7 +792,7 @@ _LAYERS = {"ordinal", "streams", "schreier", "vectors", "averages", "spaces",
      {"schreier", "quantities", "spaces", "verify"}),
     (["norm", "--space", "schreier", "--xi", "1",
       "--vec", '{"entries": {"2": "1", "3": "-1"}}'],
-     {"averages", "quantities", "verify"}),
+     {"streams", "averages", "quantities", "verify"}),
     (["quantity", "large", "--xi", "2", "--c", "9/10", "--N", "8"],
      {"averages", "verify", "reports"}),
     (["verify", "example-star", "--xi", "0", "--N", "6"], {"averages"}),

@@ -54,6 +54,22 @@ def test_hash_consistency():
     assert len({parse("w"), parse("w"), parse("w+1")}) == 2
 
 
+def test_an_ordinal_is_the_tuple_of_its_terms():
+    x = parse("w^2*3+1")
+    assert x == ((2, 3), (0, 1)) and hash(x) == hash(((2, 3), (0, 1)))
+    assert len(x) == 2 and list(x) == [(2, 3), (0, 1)] and x[-1] == (0, 1)
+    assert type(x.terms) is tuple and x.terms == x
+    assert not Ordinal() and not ZERO and ONE
+
+
+def test_arithmetic_is_refused():
+    # Concatenating Cantor normal forms is not ordinal addition.
+    for attempt in (lambda: ONE + ONE, lambda: ONE + ((0, 1),),
+                    lambda: ONE * 2, lambda: 2 * ONE):
+        with pytest.raises(TypeError):
+            attempt()
+
+
 def test_successor():
     assert str(ZERO.successor()) == "1"
     assert str(parse("4").successor()) == "5"

@@ -103,6 +103,38 @@ def test_finset_rejects_non_positive():
         FinSet.parse("1,-3")
 
 
+def test_finset_is_the_tuple_of_its_elements():
+    F = FinSet.of(2, 3)
+    assert F == (2, 3) and hash(F) == hash((2, 3))
+    assert F[0] == 2 and F.elements == (2, 3)
+    assert {F: 1}[(2, 3)] == 1
+
+
+def test_finset_comparisons_mean_inclusion():
+    small, large, other = FinSet.of(2, 3), FinSet.of(1, 2, 3), FinSet.of(1, 4)
+    # Lexicographically (2, 3) > (1, 2, 3); as sets it is a proper subset.
+    assert small < large and small <= large
+    assert large > small and large >= small
+    assert not (large < small or large <= small)
+    assert not (small > large or small >= large)
+    assert small <= small and small >= small
+    assert not (small < small or small > small)
+    # Neither contains the other: every comparison is false.
+    assert not (other < large or other <= large or other > large
+                or other >= large)
+    # A plain tuple on either side is read as a set too.
+    assert (1, 2, 3) > small and small < (1, 2, 3)
+
+
+def test_finset_refuses_concatenation_and_repetition():
+    for attempt in (lambda: FinSet.of(1) + FinSet.of(2),
+                    lambda: FinSet.of(1) + (2,),
+                    lambda: FinSet.of(1) * 2,
+                    lambda: 2 * FinSet.of(1)):
+        with pytest.raises(TypeError):
+            attempt()
+
+
 # -- membership against the materialized families -------------------------------
 
 

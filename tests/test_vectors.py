@@ -168,6 +168,27 @@ def test_scaling_is_homogeneous(a, c):
     assert x.scale(c).l1() == abs(c) * x.l1()
 
 
+@given(a=_entries, b=_entries,
+       c=st.fractions(min_value=-4, max_value=4, max_denominator=6))
+def test_arithmetic_is_coordinatewise(a, b, c):
+    x, y = RatVec(a), RatVec(b)
+    support = set(a) | set(b)
+    for got, want in [(x + y, lambda i: x[i] + y[i]),
+                      (x - y, lambda i: x[i] - y[i]),
+                      (-x, lambda i: -x[i]),
+                      (x.scale(c), lambda i: c * x[i])]:
+        assert got == RatVec({i: want(i) for i in support})
+        assert type(got) is RatVec
+
+
+def test_arithmetic_on_probability_vectors_gives_plain_vectors():
+    p, q = ProbVector.unit(1), ProbVector({1: Fraction(1, 2), 2: Fraction(1, 2)})
+    for got in (p + q, p - q, -p, p.scale(1), q.scale(Fraction(1, 3))):
+        assert type(got) is RatVec
+    assert (p - q).entries == {1: Fraction(1, 2), 2: Fraction(-1, 2)}
+    assert p.scale(1) == p
+
+
 @given(a=_entries)
 def test_parts_are_what_the_checked_constructor_builds(a):
     x = RatVec(a)

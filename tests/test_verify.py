@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -11,7 +12,7 @@ from schreier_lab import quantities, schreier, spaces, verify
 from schreier_lab.budget import Budget, BudgetExceededError
 from schreier_lab.ordinal import parse
 from schreier_lab.reports import Check, Report
-from schreier_lab.quantities import _sum_functionals
+from schreier_lab.quantities import _sum_functionals, prop_formula
 from schreier_lab.spaces import NormSpec, norm
 from schreier_lab.verify import (_dual_certificate_trials,
                                  verify_example_schreier, verify_example_star,
@@ -130,6 +131,28 @@ def test_star_bundle_passes(xi_text):
     assert routes["exact"] > 0
 
 
+@pytest.mark.parametrize("xi_text", ["0", "1"])
+def test_star_bundle_certifies_distances_whose_norm_is_refused(monkeypatch,
+                                                               xi_text):
+    # The distance of the means k < l has support {1..l}; refuse every norm
+    # past 8 points, so the pairs with l > 8 take the l1 route.  There each
+    # sign part has mass 1 - k/l, the largest 11/12 at (1, 12).
+    def capped(spec, x, budget=None):
+        if len(x) > 8:
+            raise BudgetExceededError("norm support", 8, needed=len(x))
+        return norm(spec, x, budget=budget)
+
+    monkeypatch.setattr(verify, "norm", capped)
+    report = verify_example_star(parse(xi_text), 12)
+    exact = 8 * 7 // 2
+    assert report.results["mean_distance_routes"] == {
+        "exact": exact, "l1-certificate": 12 * 11 // 2 - exact}
+    check = next(c for c in report.checks
+                 if c.name == "mean-distances-capped-at-one")
+    assert check.ok and report.ok
+    assert check.detail == "max distance 11/12 (28 exact, 38 certified)"
+
+
 @pytest.mark.parametrize("bundle", [verify_example_schreier,
                                     verify_example_star])
 @pytest.mark.parametrize("N", [0, -3])
@@ -154,6 +177,40 @@ def test_prop_bundle_passes():
     assert report.results["final"]["l"] == 40
     assert report.results["table"][0]["l"] == 1
     assert report.results["table"][-1]["l"] == 40
+
+
+def test_prop_bundle_checks_a_hundred_thousand_rows_in_a_second():
+    started = time.perf_counter()
+    report = verify_prop_formula(100_000, Fraction(1, 2))
+    assert time.perf_counter() - started < 1
+    assert report.ok and report.results["final"]["l"] == 100_000
+
+
+def test_prop_bundle_lists_the_first_offending_rows(monkeypatch):
+    # Rows 4..11 get a hundred times the remainder: it rises at 4 only and
+    # stays above 1/l on all eight rows, of which the first five are listed.
+    # Row 15 gets half the main term, which drops there and leaves the 5/l
+    # envelope.  The shown rows keep the true values.
+    terms = verify._prop_formula_terms
+
+    def perturbed(l):
+        v, a, b = terms(l)
+        if 4 <= l <= 11:
+            v *= 100
+        if l == 15:
+            a //= 2
+        return v, a, b
+
+    monkeypatch.setattr(verify, "_prop_formula_terms", perturbed)
+    report = verify_prop_formula(20, Fraction(1, 2))
+    details = {c.name: (c.ok, c.detail) for c in report.checks}
+    assert details == {
+        "main-within-five-over-l": (False, "violated at l = [15]"),
+        "vanishing-below-one-over-l": (False, "violated at l = [4, 5, 6, 7, 8]"),
+        "main-climbs-from-two": (False, "drops at l = [15]"),
+        "vanishing-falls-from-two": (False, "rises at l = [4]"),
+    }
+    assert report.results["final"] == prop_formula(20, Fraction(1, 2)).to_json()
 
 
 def test_prop_bundle_validation():
