@@ -430,10 +430,6 @@ class NibccWitness(Record):
     def blocks(self) -> int:
         return len(self.breakpoints) - 1
 
-    def block_range(self, n: int) -> range:
-        """1-based indices of the y-vectors combined into z_n."""
-        return range(self.breakpoints[n - 1] + 1, self.breakpoints[n] + 1)
-
 
 def _match_block_weights(target: RatVec, y: Sequence[RatVec], start: int):
     """Weights of a block by coordinate matching on disjoint supports.

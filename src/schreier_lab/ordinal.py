@@ -58,16 +58,13 @@ class Ordinal(tuple):
     def __add__(self, other):
         return NotImplemented
 
-    __radd__ = __mul__ = __rmul__ = __add__
+    __mul__ = __rmul__ = __add__
 
-    @property
-    def terms(self):
-        """The ``(exponent, coefficient)`` pairs, highest exponent first.
-
-        >>> parse("w^2*3+1").terms
-        ((2, 3), (0, 1))
-        """
-        return tuple(self)
+    def __radd__(self, other):
+        # ``NotImplemented`` here would let a tuple on the left concatenate
+        # through ``tuple.__add__``.
+        raise TypeError("unsupported operand type(s) for +: "
+                        f"{type(other).__name__!r} and {type(self).__name__!r}")
 
     @classmethod
     def from_int(cls, n: int) -> "Ordinal":
@@ -90,12 +87,6 @@ class Ordinal(tuple):
     @property
     def is_finite(self) -> bool:
         return not self or self[0][0] == 0
-
-    def as_int(self) -> int:
-        """The integer value of a finite ordinal."""
-        if not self.is_finite:
-            raise ValueError(f"{self} is not finite")
-        return self[0][1] if self else 0
 
     # -- structure -------------------------------------------------------
 

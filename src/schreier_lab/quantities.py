@@ -6,7 +6,8 @@ streams cannot be decided by a finite computation, so those estimators
 return a :class:`HorizonEstimate` whose ``direction`` tag records how the
 computed value relates to the limit quantity (``exact``, ``upper_bound``,
 ``lower_bound``, or ``unverified``).  Plain window statistics return the
-exact rational maximum with no pretense of being the limit.
+exact rational maximum with no pretense of being the limit; a window with
+more pairs than the work budget is refused before its vectors are built.
 
 Every quantity reads its vector sequence through one
 :class:`~schreier_lab.vectors.SeqSpec`, an ambient norm with a 1-indexed
@@ -24,7 +25,7 @@ from fractions import Fraction
 from itertools import product
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-from .budget import Budget, Record, get_budget
+from .budget import Budget, BudgetExceededError, Record, get_budget
 from .ordinal import FundamentalRule, Ordinal, default_fundamental_seq
 from .schreier import FinSet, _family, enumerate_family
 from .spaces import (CertificationRefusedError, Functional, NormResult, NormSpec,
@@ -112,9 +113,15 @@ def _max_pairwise(vectors: dict, n0: int, N: int, ambient: NormSpec,
     return best.value_squared, _value(best)
 
 
-def _check_window(n0: int, N: int) -> None:
+def _check_window(n0: int, N: int, budget: Budget) -> None:
+    """Refuse a malformed window, and one with more pairs than the work
+    budget: every pair costs a norm, so the refusal comes before any vector
+    of the window is built."""
     if not 1 <= n0 <= N:
         raise ValueError(f"window needs 1 <= n0 <= N, got [{n0}, {N}]")
+    pairs = (N - n0 + 1) * (N - n0) // 2
+    if pairs > budget.work:
+        raise BudgetExceededError("window pairs", budget.work, needed=pairs)
 
 
 def ca_window(xs: SeqSpec, n0: int, N: int, *,
@@ -125,8 +132,8 @@ def ca_window(xs: SeqSpec, n0: int, N: int, *,
     ``n0``, so by itself it bounds the limit quantity from neither side; it
     is non-decreasing in ``N`` and non-increasing in ``n0``.
     """
-    _check_window(n0, N)
     budget = get_budget(budget)
+    _check_window(n0, N, budget)
     vectors = {n: xs.element(n) for n in range(n0, N + 1)}
     return _max_pairwise(vectors, n0, N, xs.ambient, budget)[1]
 
@@ -145,8 +152,8 @@ def _cesaro_prefix(element: Callable[[int], RatVec], N: int) -> dict:
 def cca_window(xs: SeqSpec, n0: int, N: int, *,
                budget: Budget | None = None):
     """Largest pairwise distance of the running means over the window."""
-    _check_window(n0, N)
     budget = get_budget(budget)
+    _check_window(n0, N, budget)
     means = _cesaro_prefix(xs.element, N)
     return _max_pairwise(means, n0, N, xs.ambient, budget)[1]
 
@@ -169,8 +176,8 @@ def _cca_xi(xi: Ordinal, M: IndexStream, xs: SeqSpec, n0: int, N: int,
     """:func:`cca_xi_window` as ``(square, value)``."""
     # Imported here, so that no other quantity loads the averages.
     from .averages import _averages, apply
-    _check_window(n0, N)
     budget = get_budget(budget)
+    _check_window(n0, N, budget)
     method = _averages(xi, M, fs)
     means = _cesaro_prefix(lambda n: apply(method, xs, n, budget=budget), N)
     return _max_pairwise(means, n0, N, xs.ambient, budget)

@@ -87,10 +87,6 @@ class FinSet(tuple):
             raise ValueError(f"bad finite set literal {text!r}") from None
         return cls(values)
 
-    @property
-    def elements(self) -> tuple[int, ...]:
-        return tuple(self)
-
     def min(self) -> int:
         if not self:
             raise ValueError("empty set has no minimum")
@@ -116,7 +112,13 @@ class FinSet(tuple):
     def __add__(self, other):
         return NotImplemented
 
-    __radd__ = __mul__ = __rmul__ = __add__
+    __mul__ = __rmul__ = __add__
+
+    def __radd__(self, other):
+        # ``NotImplemented`` here would let a tuple on the left concatenate
+        # through ``tuple.__add__``.
+        raise TypeError("unsupported operand type(s) for +: "
+                        f"{type(other).__name__!r} and {type(self).__name__!r}")
 
     def __str__(self):
         return ",".join(map(str, self))
@@ -517,7 +519,8 @@ def enumerate_family(xi: Ordinal, max_value: int, *,
             pending.append((prefix, state, k + 1))
         meter.spend()
         member = prefix + (k,)
-        yield FinSet(member)
+        # Built increasing from positive integers, so not validated again.
+        yield tuple.__new__(FinSet, member)
         if k < max_value:
             pending.append((member, after, k + 1))
 
@@ -565,14 +568,17 @@ def _family(xi: Ordinal, max_value: int, *,
     fails here, in the time of a count, not after ``budget.work`` sets.
     The refusal keeps the text of the enumeration meter (``needs >= limit +
     1``), so it reads the same whichever of the two stops first.  When the
-    count itself is refused, the enumeration's meter decides alone.  The
-    walk stays lazy, so a caller that needs one pass holds no list.
+    count itself is refused, a bare walk decides first, so the refusal
+    still comes before the caller spends anything on a member; above order
+    ``w`` the first members can be the long runs ``{2..k}``.  The walk
+    stays lazy, so a caller that needs one pass holds no list.
     """
     budget = get_budget(budget)
     try:
         count = count_family(xi, max_value, fs=fs, budget=budget)
     except BudgetExceededError:
-        pass
+        for _ in enumerate_family(xi, max_value, fs=fs, budget=budget):
+            pass
     else:
         if count > budget.work:
             raise BudgetExceededError("family enumeration", budget.work,

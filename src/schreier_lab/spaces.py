@@ -17,7 +17,8 @@ witness.  ``_scaled_norm`` turns that total into a :class:`NormResult`, and
 on the integers and calls ``_norm_total`` directly, since it compares only
 integer totals.  The star norm splits signs on the integers, and the
 kernels see only magnitudes: order 0 takes the first largest entry,
-order 1 has a polynomial scan, and everything else runs a branch-and-bound
+order 1 keeps a min-heap over one right-to-left scan in O(L log L) for L
+support points, and everything else runs a branch-and-bound
 over admissible prefixes from an explicit stack, metered by the active
 budget's ``work`` alone, so no support is too long for the interpreter.
 Each search node carries the membership automaton state of its prefix (or
@@ -191,52 +192,30 @@ def _norm_order_one(support: tuple[int, ...],
                     values: list[int]) -> tuple[int, FinSet]:
     """Exact maximum of coordinate sums over sets with size at most their minimum.
 
-    For the optimal set with least element m, the top values at indices >= m
-    (at most m of them) form an admissible set too, so scanning every support
-    index as the cutoff is exhaustive.  Runs of equal values keep each scan
-    linear in the number of distinct values.
+    An admissible set with least element ``m`` is at most ``m`` support
+    points at or after ``m``, and every such choice is admissible, so the
+    maximum is over these cuts.  One right-to-left scan keeps each cut's
+    ``m`` largest magnitudes in a min-heap, in O(L log L) for L support
+    points.  The leftmost best cut wins; its witness is its ``m`` largest
+    magnitudes, the earliest first among equal ones.
     """
     if not support or len(support) <= support[0]:
         # The whole support is admissible, so it is the unique maximizer.
         return sum(values), FinSet(support)
-    # Runs of equal value over consecutive support positions.
-    runs: list[tuple[int, int, int]] = []   # (start_pos, end_pos, value)
-    start = 0
-    for pos in range(1, len(support) + 1):
-        if pos == len(support) or values[pos] != values[start]:
-            runs.append((start, pos, values[start]))
-            start = pos
-    by_value = sorted(range(len(runs)), key=lambda r: runs[r][2], reverse=True)
+    from heapq import heappop, heappush
 
-    best = 0
-    best_cut = None
-    for cut_pos, m in enumerate(support):
-        allowance = m
-        total = 0
-        taken: list[tuple[int, int]] = []   # (run index, count) for the witness
-        for r in by_value:
-            lo, hi, value = runs[r]
-            avail = hi - max(lo, cut_pos)
-            if avail <= 0:
-                continue
-            take = min(avail, allowance)
-            total += value * take
-            taken.append((r, take))
-            allowance -= take
-            if allowance == 0:
-                break
-        if total > best:
-            best = total
-            best_cut = (cut_pos, taken)
-    # The support is not empty and the magnitudes are positive, so the first
-    # cut already scored.
-    cut_pos, taken = best_cut
-    chosen: list[int] = []
-    for r, take in taken:
-        lo, hi, _ = runs[r]
-        lo = max(lo, cut_pos)
-        chosen.extend(support[lo:lo + take])
-    return best, FinSet.of(*chosen)
+    heap: list[int] = []
+    total = best = 0
+    for cut in range(len(support) - 1, -1, -1):
+        heappush(heap, values[cut])
+        total += values[cut]
+        while len(heap) > support[cut]:
+            total -= heappop(heap)
+        if total >= best:
+            best, best_cut = total, cut
+    ranked = sorted(range(best_cut, len(support)), key=values.__getitem__,
+                    reverse=True)
+    return best, FinSet(support[p] for p in sorted(ranked[:support[best_cut]]))
 
 
 def _norm_search(support: tuple[int, ...], values: list[int], xi: Ordinal,

@@ -141,11 +141,6 @@ class RatVec:
                 [v.numerator * (D // v.denominator) for v in self._entries.values()],
                 D)
 
-    def min_support(self) -> int:
-        if not self._entries:
-            raise ValueError("the zero vector has empty support")
-        return next(iter(self._entries))
-
     # -- arithmetic --------------------------------------------------------
 
     # Each returns a RatVec, also for a ProbVector operand.

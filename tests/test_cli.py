@@ -884,3 +884,81 @@ def test_vector_flags_survive_arbitrary_json(capsys, vec, seq, z, y):
             captured = capsys.readouterr()
             assert code in (0, 1, 2), argv
             assert "Traceback" not in captured.err
+
+
+# -- a refusal probe over every op -------------------------------------------------
+
+_PROBE_ORDERS = ["0", "1", "2", "w", "w+1", "w*2", "w^2", "w^2+w+3"]
+_PROBE_STREAMS = ["all", "shift:3", "evens", "cubes"]
+_PROBE_SIZES = [1, 5, 40, 3000]
+
+
+def _probe_ops(xi: str, stream: str, size: int) -> dict:
+    """The arguments of every op of every group for one draw: ``size`` is
+    the horizon, the count, the vector length or the set ``1..size``,
+    whichever the op reads."""
+    n = str(size)
+    first = ",".join(map(str, range(1, size + 1)))
+    vec = json.dumps({"entries": {str(i): f"{(-1) ** i * (i % 5 + 1)}/3"
+                                  for i in range(1, size + 1)}})
+    units = json.dumps([{"entries": {str(i): "1"}} for i in range(1, size + 1)])
+    return {
+        "ord parse": ["--text", xi],
+        "ord classify": ["--xi", xi],
+        "ord fseq": ["--xi", xi, "--n", n],
+        "schreier member": ["--xi", xi, "--set", first],
+        "schreier oracle": ["--xi", xi, "--set", first],
+        "schreier image": ["--xi", xi, "--stream", stream, "--set", first],
+        "schreier trace": ["--xi", xi, "--stream", stream, "--set", first],
+        "schreier enum": ["--xi", xi, "--max-value", n],
+        "schreier count": ["--xi", xi, "--max-value", n],
+        "schreier threshold": ["--zeta", xi, "--xi", "1", "--max-value", n],
+        "avg vector": ["--xi", xi, "--stream", stream, "--n", n],
+        "avg size": ["--xi", xi, "--stream", stream, "--n", n],
+        "avg apply": ["--xi", xi, "--stream", stream, "--n", n],
+        "avg pair-sum": ["--vec", vec, "--set", first],
+        "avg validate": ["--seq", units, "--stream", stream, "--n", n],
+        "avg nibcc": ["--xi", xi, "--stream", stream, "--count", n],
+        "avg reweight": ["--xi", xi, "--stream", stream, "--count", n, "--n", n],
+        "norm eval": ["--space", "schreier", "--xi", xi, "--vec", vec],
+        "norm oracle": ["--space", "star", "--xi", xi, "--vec", vec],
+        "norm functional": ["--space", "star", "--xi", xi, "--set", first,
+                            "--vec", vec],
+        "quantity ca": ["--space-xi", xi, "--along", stream, "--N", n],
+        "quantity cca": ["--space", "star", "--space-xi", xi, "--along", stream,
+                         "--N", n],
+        "quantity cca-xi": ["--xi", xi, "--stream", stream, "--N", n],
+        "quantity cca-tilde": ["--xi", xi, "--catalog", f"all,{stream}",
+                               "--N", n],
+        "quantity cca-tilde-sup": ["--xi", xi, "--catalog", f"{stream},evens",
+                                   "--N", n],
+        "quantity sm": ["--xi", xi, "--N", n],
+        "quantity fdelta": ["--space-xi", xi, "--delta", "1/4", "--N", n],
+        "quantity large": ["--xi", xi, "--c", "9/10", "--N", n,
+                           "--stream", stream],
+        "quantity prop-formula": ["--l", n, "--c", "1/2"],
+        "verify example-schreier": ["--xi", xi, "--N", n],
+        "verify example-star": ["--xi", xi, "--N", n],
+        "verify prop-formula": ["--l-max", n, "--c", "1/2"],
+    }
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(op=st.sampled_from(list(_probe_ops("1", "all", 1))),
+       xi=st.sampled_from(_PROBE_ORDERS), stream=st.sampled_from(_PROBE_STREAMS),
+       size=st.sampled_from(_PROBE_SIZES))
+def test_every_op_answers_or_refuses_in_time(capsys, monkeypatch, op, xi,
+                                             stream, size):
+    monkeypatch.setenv("SCHREIER_LAB_BUDGET", "2000")
+    argv = op.split() + _probe_ops(xi, stream, size)[op]
+    started = time.perf_counter()
+    try:
+        code = main(argv)
+    except SystemExit as exc:   # a usage error from argparse
+        code = exc.code
+    elapsed = time.perf_counter() - started
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in captured.out + captured.err
+    assert elapsed < 2

@@ -29,12 +29,8 @@ def test_parse_rejects_garbage(bad):
 
 def test_integers():
     assert ZERO.is_zero
-    assert ZERO.as_int() == 0
-    assert parse("12").as_int() == 12
     assert parse("12").is_finite
     assert not OMEGA.is_finite
-    with pytest.raises(ValueError):
-        OMEGA.as_int()
     assert Ordinal.from_int(5) == parse("5")
 
 
@@ -58,13 +54,13 @@ def test_an_ordinal_is_the_tuple_of_its_terms():
     x = parse("w^2*3+1")
     assert x == ((2, 3), (0, 1)) and hash(x) == hash(((2, 3), (0, 1)))
     assert len(x) == 2 and list(x) == [(2, 3), (0, 1)] and x[-1] == (0, 1)
-    assert type(x.terms) is tuple and x.terms == x
     assert not Ordinal() and not ZERO and ONE
 
 
 def test_arithmetic_is_refused():
     # Concatenating Cantor normal forms is not ordinal addition.
     for attempt in (lambda: ONE + ONE, lambda: ONE + ((0, 1),),
+                    lambda: ((1, 1),) + ONE,
                     lambda: ONE * 2, lambda: 2 * ONE):
         with pytest.raises(TypeError):
             attempt()
@@ -163,7 +159,7 @@ def test_order_equality_and_hash_agree_with_digit_key(a, b):
     if x == y:
         assert hash(x) == hash(y)
     assert parse(str(x)) == x
-    assert x.terms == tuple(a)
+    assert x == tuple(a)
 
 
 def test_terms_are_integer_pairs():

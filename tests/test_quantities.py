@@ -7,11 +7,12 @@ element.
 
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
 
-from schreier_lab.budget import BudgetExceededError
+from schreier_lab.budget import Budget, BudgetExceededError
 from schreier_lab.ordinal import parse
 from schreier_lab.quantities import (
     DeltaFamily, HorizonEstimate, ca_window, cca_window, cca_xi_tilde,
@@ -81,6 +82,23 @@ def test_window_validation():
             cca_window(basis, n0, N)
         with pytest.raises(ValueError):
             cca_xi_window(parse("1"), ALL, basis, n0, N)
+
+
+def test_a_window_past_the_budget_is_refused_before_it_is_built():
+    # A window of 64 has 2016 pairs, one norm each.
+    basis, tight = CanonicalBasis(S1), Budget(work=2000)
+    assert ca_window(basis, 2, 64, budget=tight) == 2
+    for window in (lambda: ca_window(basis, 1, 64, budget=tight),
+                   lambda: cca_window(basis, 1, 3000, budget=tight),
+                   lambda: cca_xi_window(parse("1"), ALL, basis, 1, 64,
+                                         budget=tight)):
+        started = time.perf_counter()
+        with pytest.raises(BudgetExceededError) as info:
+            window()
+        assert time.perf_counter() - started < 0.5
+        assert str(info.value).startswith(
+            "budget exceeded for window pairs: limit 2000 (needs = ")
+    assert str(info.value).endswith("(needs = 2016)")
 
 
 def test_cca_window_frozen_values():
@@ -208,6 +226,19 @@ def test_sm_constant_sees_cancellation_in_the_star_norm():
     est = sm_constant(parse("1"), CanonicalBasis(STAR1), 6)
     assert est.value == HALF
     assert est.witness == "2,3;1,-1"
+
+
+@pytest.mark.parametrize("xi_text", ["w+1", "w^2"])
+def test_sm_constant_refuses_a_family_of_long_members_before_scanning(xi_text):
+    # The count is refused, and the first members in {1..3000} are the runs
+    # {2..k}; the walk alone refuses before the scan spends on any of them.
+    started = time.perf_counter()
+    with pytest.raises(BudgetExceededError) as info:
+        sm_constant(parse(xi_text), CanonicalBasis(S1), 3000,
+                    budget=Budget(work=2000))
+    assert time.perf_counter() - started < 1
+    assert str(info.value) == ("budget exceeded for family enumeration: "
+                               "limit 2000 (needs >= 2001)")
 
 
 def test_sm_constant_respects_the_coefficient_budget():

@@ -82,7 +82,7 @@ ORDERS = ["0", "1", "2", "3", "w", "w+1", "w*2", "w^2"]
 
 def test_finset_basics():
     F = FinSet.of(3, 1, 2, 2)
-    assert F.elements == (1, 2, 3)
+    assert tuple(F) == (1, 2, 3)
     assert F.min() == 1 and F.max() == 3
     assert len(F) == 3 and list(F) == [1, 2, 3]
     assert 2 in F and 5 not in F
@@ -106,7 +106,7 @@ def test_finset_rejects_non_positive():
 def test_finset_is_the_tuple_of_its_elements():
     F = FinSet.of(2, 3)
     assert F == (2, 3) and hash(F) == hash((2, 3))
-    assert F[0] == 2 and F.elements == (2, 3)
+    assert F[0] == 2 and tuple(F) == (2, 3)
     assert {F: 1}[(2, 3)] == 1
 
 
@@ -129,6 +129,7 @@ def test_finset_comparisons_mean_inclusion():
 def test_finset_refuses_concatenation_and_repetition():
     for attempt in (lambda: FinSet.of(1) + FinSet.of(2),
                     lambda: FinSet.of(1) + (2,),
+                    lambda: (3,) + FinSet.of(1),
                     lambda: FinSet.of(1) * 2,
                     lambda: 2 * FinSet.of(1)):
         with pytest.raises(TypeError):
@@ -230,7 +231,9 @@ def test_nesting_in_the_successor(xi, data):
 @pytest.mark.parametrize("xi_text", ["0", "1", "2", "w"])
 def test_enumeration_is_complete_and_lexicographic(xi_text):
     xi = parse(xi_text)
-    got = [F.elements for F in enumerate_family(xi, 7)]
+    family = list(enumerate_family(xi, 7))
+    assert all(type(F) is FinSet for F in family)
+    got = [tuple(F) for F in family]
     assert got[0] == ()
     assert got == sorted(got)
     assert len(got) == len(set(got))
@@ -370,7 +373,7 @@ def test_enumeration_is_the_oracle_filtered_subsets(case):
     N = 8
     expected = [F for r in range(N + 1) for F in combinations(range(1, N + 1), r)
                 if is_member_oracle(xi, FinSet(F), fs=rule)]
-    got = [F.elements for F in enumerate_family(xi, N, fs=rule)]
+    got = [tuple(F) for F in enumerate_family(xi, N, fs=rule)]
     assert got == sorted(expected)
 
 
@@ -410,8 +413,8 @@ def descent(lam: Ordinal, k: int) -> list:
         if classify(lam).kind == "limit":
             lam = default_fundamental_seq(lam, k)
             continue
-        base = Ordinal(lam.terms[:-1])
-        runs.append((base, lam.terms[-1][1]))
+        base = Ordinal(lam[:-1])
+        runs.append((base, lam[-1][1]))
         lam = base
     return runs[::-1]
 

@@ -11,12 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schreier_lab.budget import Budget, BudgetExceededError
-from schreier_lab.ordinal import Ordinal, parse
+from schreier_lab.ordinal import Ordinal, default_fundamental_seq, parse
 from schreier_lab.schreier import (FinSet, enumerate_family, is_member,
                                    is_member_oracle)
 from schreier_lab.spaces import (
     CertificationRefusedError, CertificationViolationError, Functional,
-    NormSpec, _scaled_norm, coordinate_sum_functional, norm, norm_oracle)
+    NormSpec, _norm_order_one, _norm_search, _scaled_norm,
+    coordinate_sum_functional, norm, norm_oracle)
 from schreier_lab.vectors import RatVec
 
 ONE = parse("1")
@@ -183,10 +184,10 @@ magnitudes = st.builds(
 
 
 @st.composite
-def tied_vectors(draw, max_size=8):
-    """A vector on up to ``max_size`` of the coordinates 1..10 whose
+def tied_vectors(draw, max_size=8, top=10):
+    """A vector on up to ``max_size`` of the coordinates 1..``top`` whose
     magnitudes come from a pool of at most three values."""
-    support = draw(st.lists(st.integers(1, 10), max_size=max_size,
+    support = draw(st.lists(st.integers(1, top), max_size=max_size,
                             unique=True))
     pool = draw(st.lists(magnitudes, min_size=1, max_size=3))
     return RatVec({i: draw(st.sampled_from(pool)) * draw(st.sampled_from((1, -1)))
@@ -251,6 +252,47 @@ def test_base_norm_kernels_match_the_oracle_and_the_least_witness(spec_text, x):
     assert (result.value, F) == lex_least_maximizer(part, spec.xi)
 
 
+@settings(max_examples=200, deadline=None)
+@given(support=st.lists(st.integers(1, 24), max_size=12, unique=True).map(sorted),
+       data=st.data())
+def test_order_one_scan_matches_the_search(support, data):
+    # Small magnitude pools make ties decide the witness, and supports
+    # longer than their minimum skip the whole-support answer.
+    pool = data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    values = [data.draw(st.sampled_from(pool)) for _ in support]
+    support = tuple(support)
+    assert _norm_order_one(support, values) == _norm_search(
+        support, values, ONE, default_fundamental_seq, Budget())
+
+
+@pytest.mark.parametrize("spec_text", ["schreier:1", "star:1"])
+@settings(max_examples=30, deadline=None)
+@given(x=tied_vectors(max_size=12, top=24))
+def test_order_one_norm_matches_the_oracle(spec_text, x):
+    spec = NormSpec.parse(spec_text)
+    assert norm(spec, x).value == norm_oracle(spec, x).value
+
+
+@pytest.mark.parametrize("spec_text", ["schreier:1", "star:1"])
+def test_order_one_answers_five_thousand_distinct_magnitudes(spec_text):
+    rng = random.Random(spec_text)
+    mags = list(range(1, 5001))
+    rng.shuffle(mags)
+    x = RatVec({i: Fraction(m * rng.choice((1, -1)), 7)
+                for i, m in enumerate(mags, start=1)})
+    spec = NormSpec.parse(spec_text)
+    started = time.perf_counter()
+    result = norm(spec, x)
+    assert time.perf_counter() - started < 1
+    if spec.kind == "schreier":
+        part, F = x.abs(), result.witness
+    else:
+        sign, F = result.witness
+        part = x.positive_part() if sign == "+" else x.negative_part()
+    assert F and len(F) <= F[0]
+    assert sum((part[i] for i in F), Fraction(0)) == result.value
+
+
 @pytest.mark.parametrize("xi_text", ["1", "2"])
 @settings(max_examples=30, deadline=None)
 @given(x=tied_vectors(max_size=6))
@@ -260,7 +302,7 @@ def test_chain_norm_kernel_matches_the_oracle_and_the_least_witness(xi_text, x):
     assert result.value_squared == norm_oracle(spec, x).value_squared
     mags = x.abs()
     assert all(is_member_oracle(spec.xi, block) for block in result.witness)
-    assert all(a.elements[-1] < b.elements[0]
+    assert all(a[-1] < b[0]
                for a, b in zip(result.witness, result.witness[1:]))
     assert sum(sum((mags[i] for i in block), Fraction(0)) ** 2
                for block in result.witness) == result.value_squared

@@ -35,7 +35,6 @@ def test_construction_and_access():
     assert x.support() == (1, 3, 5)
     assert x[3] == Fraction(1, 2)
     assert x[99] == 0
-    assert x.min_support() == 1
     assert len(x) == 3
     assert not x.is_zero
     assert RatVec().is_zero
