@@ -15,7 +15,9 @@ Every quantity reads its vector sequence through one
 :mod:`~schreier_lab.vectors`, and :func:`cca_xi_window` averages a sequence
 with :func:`~schreier_lab.averages.apply`.  A window statistic compares its
 norms on their exact squares, so an irrational ``l2`` or ``baernstein`` norm
-ranks exactly, and only the winner becomes a value.
+ranks exactly, and only the winner becomes a value.  The horizon scans of
+:func:`sm_constant` and :func:`f_delta` run on integers: ``_scaled_horizon``
+scales the elements ``1..N`` once, over one common denominator.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from .budget import Budget, BudgetExceededError, Record, get_budget
 from .ordinal import FundamentalRule, Ordinal, default_fundamental_seq
 from .schreier import FinSet, _family, enumerate_family
 from .spaces import (CertificationRefusedError, Functional, NormResult, NormSpec,
-                     _norm_total, _sqrt_result, coordinate_sum_functional, norm)
+                     _member_sum_functional, _norm_total, _sqrt_result,
+                     coordinate_sum_functional, norm)
 from .vectors import RatVec, SeqSpec, format_fraction
 from .vectors import CanonicalBasis  # noqa: F401 -- still importable from here
 
@@ -138,14 +141,16 @@ def ca_window(xs: SeqSpec, n0: int, N: int, *,
     return _max_pairwise(vectors, n0, N, xs.ambient, budget)[1]
 
 
-def _cesaro_prefix(element: Callable[[int], RatVec], N: int) -> dict:
-    """Running means 1..N of the 1-indexed sequence ``element``."""
+def _cesaro_prefix(element: Callable[[int], RatVec], n0: int, N: int) -> dict:
+    """Running means ``S_n / n``, ``n0 <= n <= N``, of the 1-indexed
+    sequence ``element``, from one running sum ``S_n``."""
     means = {}
-    mean = RatVec()
+    total: dict[int, Fraction] = {}
     for n in range(1, N + 1):
-        mean = RatVec.combination(((Fraction(n - 1, n), mean),
-                                   (Fraction(1, n), element(n))))
-        means[n] = mean
+        for i, v in element(n).items():
+            total[i] = total[i] + v if i in total else v
+        if n >= n0:
+            means[n] = RatVec.combination(((Fraction(1, n), total),))
     return means
 
 
@@ -154,7 +159,7 @@ def cca_window(xs: SeqSpec, n0: int, N: int, *,
     """Largest pairwise distance of the running means over the window."""
     budget = get_budget(budget)
     _check_window(n0, N, budget)
-    means = _cesaro_prefix(xs.element, N)
+    means = _cesaro_prefix(xs.element, n0, N)
     return _max_pairwise(means, n0, N, xs.ambient, budget)[1]
 
 
@@ -179,7 +184,7 @@ def _cca_xi(xi: Ordinal, M: IndexStream, xs: SeqSpec, n0: int, N: int,
     budget = get_budget(budget)
     _check_window(n0, N, budget)
     method = _averages(xi, M, fs)
-    means = _cesaro_prefix(lambda n: apply(method, xs, n, budget=budget), N)
+    means = _cesaro_prefix(lambda n: apply(method, xs, n, budget=budget), n0, N)
     return _max_pairwise(means, n0, N, xs.ambient, budget)
 
 
@@ -262,70 +267,71 @@ def sm_constant(xi: Ordinal, xs: SeqSpec, N: int, coeff_budget: int = 4, *,
     positive pattern above it.  A finite scan of an infimum over all real
     coefficients can only overshoot, hence the upper-bound tag.
 
-    The scan is exact on integers for every kind: the elements on ``F`` are
+    The scan is exact on integers for every kind: the elements ``1..N`` are
     scaled once to one common denominator ``D``, each pattern is an integer
     sum of those rows, and one memo of kernel results, keyed on the support
     and magnitudes it was asked for, serves every pattern of the scan.  The
-    ratios are compared as integers too: a pattern with kernel total ``t``
-    beats the best ``t_b`` so far exactly when
-    ``t * (D_b * |F_b|)**p < t_b * (D * |F|)**p``, with ``p = 2`` for ``l2``
-    and ``baernstein``, whose totals are squares, and ``p = 1`` otherwise.
+    ratios are compared as integers too: every total is over ``D``, so a
+    pattern with total ``t`` beats the best ``t_b`` so far exactly when
+    ``t * |F_b|**p < t_b * |F|**p``, with ``p = 2`` for ``l2`` and
+    ``baernstein``, whose totals are squares, and ``p = 1`` otherwise.
     Only the winner becomes a value.  Ties keep the first pattern met.
     """
     budget = get_budget(budget)
     members = _family(xi, N, fs=fs, budget=budget)
-    return _sm_least(xs.ambient, N, _sm_patterns(xs, coeff_budget, members,
-                                                 budget))
+    rows, D = _scaled_horizon(xs, N)
+    patterns = _sm_patterns(xs.ambient, rows, coeff_budget, members, budget)
+    return _sm_least(xs.ambient, N, D, patterns)
 
 
-def _sm_patterns(xs: SeqSpec, coeff_budget: int, members: Iterable[FinSet],
-                 budget: Budget) -> Iterator[tuple[FinSet, tuple, int, int]]:
+def _scaled_horizon(xs: SeqSpec, N: int) -> tuple[list[tuple], int]:
+    """``(rows, D)``: ``rows[n]`` holds the ``(index, numerator)`` pairs of
+    the n-th element of ``xs`` times ``D``, the lcm of the denominators of
+    the elements ``1..N`` (``rows[0]`` is empty)."""
+    scaled = [xs.element(n).scaled() for n in range(1, N + 1)]
+    D = math.lcm(*(d for _, _, d in scaled))
+    return [()] + [tuple(zip(support, [v * (D // d) for v in values]))
+                   for support, values, d in scaled], D
+
+
+def _sm_patterns(ambient: NormSpec, rows: Sequence[tuple], coeff_budget: int,
+                 members: Iterable[FinSet], budget: Budget
+                 ) -> Iterator[tuple[FinSet, tuple, int]]:
     """The sign patterns of :func:`sm_constant` over the given members, in
-    scan order, each as ``(F, signs, total, D)``: the kernel total of
-    ``sum signs[k] * x_{F[k]}`` in units of ``1/D`` (``1/D**2`` for ``l2``
-    and ``baernstein``), all patterns through one memo."""
-    ambient = xs.ambient
-    scaled: dict[int, tuple] = {}   # n -> the n-th element, scaled
+    scan order, each as ``(F, signs, total)``: the kernel total of
+    ``sum signs[k] * x_{F[k]}`` from the rows of :func:`_scaled_horizon`,
+    in units of ``1/D`` (``1/D**2`` for ``l2`` and ``baernstein``), all
+    patterns through one memo."""
     memo: dict = {}
     for F in members:
         if not F:
             continue
-        for n in F:
-            if n not in scaled:
-                scaled[n] = xs.element(n).scaled()
-        rows, D = _common_rows([scaled[n] for n in F])
-        if len(F) <= coeff_budget:
-            patterns = product((1, -1), repeat=len(F))
-        else:
-            patterns = [(1,) * len(F)]
+        patterns = (product((1, -1), repeat=len(F)) if len(F) <= coeff_budget
+                    else [(1,) * len(F)])
         for signs in patterns:
             combined: dict[int, int] = {}
-            for sign, row in zip(signs, rows):
-                for i, v in row:
+            for sign, n in zip(signs, F):
+                for i, v in rows[n]:
                     combined[i] = combined.get(i, 0) + sign * v
             support = tuple(sorted(i for i, v in combined.items() if v))
             values = [combined[i] for i in support]
             yield F, signs, _norm_total(ambient, support, values, budget,
-                                        memo)[0], D
+                                        memo)[0]
 
 
-def _sm_least(ambient: NormSpec, N: int,
-              patterns: Iterable[tuple[FinSet, tuple, int, int]]
-              ) -> HorizonEstimate:
+def _sm_least(ambient: NormSpec, N: int, D: int,
+              patterns: Iterable[tuple[FinSet, tuple, int]]) -> HorizonEstimate:
     """The first pattern of least ratio ``total / (D * |F|)`` (its root, for
     square totals), compared on integers, as the estimate of
     :func:`sm_constant`."""
     p = 2 if ambient.kind in ("l2", "baernstein") else 1
     best = None
-    best_scale = 0
-    for pattern in patterns:
-        F, _, total, D = pattern
-        scale = (D * len(F)) ** p
-        if best is None or total * best_scale < best[2] * scale:
-            best, best_scale = pattern, scale
+    for F, signs, total in patterns:
+        if best is None or total * len(best[0]) ** p < best[2] * len(F) ** p:
+            best = F, signs, total
     if best is None:
         raise ValueError("no nonempty admissible sets in the horizon")
-    F, signs, total, D = best
+    F, signs, total = best
     if p == 1:
         value = Fraction(total, D * len(F))
     else:
@@ -333,15 +339,6 @@ def _sm_least(ambient: NormSpec, N: int,
                                     None)) / len(F)
     witness = f"{F};{','.join(format_fraction(s) for s in signs)}"
     return HorizonEstimate(value, "upper_bound", N, witness)
-
-
-def _common_rows(scaled: Sequence[tuple]) -> tuple[list[list[tuple[int, int]]], int]:
-    """The ``(index, numerator)`` pairs of scaled vectors (see
-    :meth:`RatVec.scaled`) brought to one common denominator, and that
-    denominator."""
-    D = math.lcm(*(d for _, _, d in scaled))
-    return [list(zip(support, (v * (D // d) for v in values)))
-            for support, values, d in scaled], D
 
 
 # -- threshold families and largeness --------------------------------------------------
@@ -380,10 +377,14 @@ def _sum_functionals(order: Ordinal, spec: NormSpec, N: int, *,
     """Certified coordinate sums over the nonempty members inside ``1..N``.
 
     The members are counted first, so a family past the work budget is
-    refused before any functional is built.
+    refused before any functional is built.  Members walked at the order
+    and rule of a ``schreier`` or ``schreier_star`` spec skip the
+    membership test; every other walk is certified member by member.
     """
-    return [coordinate_sum_functional(F, spec)
-            for F in _family(order, N, fs=fs, budget=budget) if F]
+    own = (spec.kind in ("schreier", "schreier_star")
+           and order == spec.xi and fs == spec.fs)
+    build = _member_sum_functional if own else coordinate_sum_functional
+    return [build(F, spec) for F in _family(order, N, fs=fs, budget=budget) if F]
 
 
 def f_delta(functionals: Sequence[Functional], xs: SeqSpec, delta: Fraction,
@@ -392,26 +393,24 @@ def f_delta(functionals: Sequence[Functional], xs: SeqSpec, delta: Fraction,
 
     Every functional must carry a certification; thresholding against
     arbitrary maps says nothing about the dual ball.  The test is exact on
-    integers: elements and coefficients are scaled once each, and the
-    threshold is compared by cross-multiplying with ``delta``.  The elements
-    are indexed by coordinate, so a functional adds up totals over its own
-    coefficients only; an element it never meets has total 0, which clears
-    the threshold exactly when ``delta <= 0``.
+    integers: the elements ``1..N`` over one common denominator, the
+    coefficients once per functional, and the threshold by cross-multiplying
+    with ``delta``.  The elements are indexed by coordinate, so a functional
+    adds up totals over its own coefficients only; an element it never meets
+    has total 0, which clears the threshold exactly when ``delta <= 0``.
     """
     delta = Fraction(delta)
     uncertified = [f.label or "?" for f in functionals if f.certified_for is None]
     if uncertified:
         raise CertificationRefusedError(
             f"uncertified functionals not allowed here: {', '.join(uncertified)}")
-    # f(x) = total / (D_f * D_x), so f(x) >= p/q exactly when
-    # total * q >= p * D_f * D_x, with every term an integer.
+    # f(x_n) = total / (D_f * D), so f(x_n) >= p/q exactly when
+    # total * q >= p * D_f * D, with every term an integer.
     p, q = delta.numerator, delta.denominator
+    rows, D = _scaled_horizon(xs, N)
     users: dict[int, list[tuple[int, int]]] = {}   # i -> (n, numerator) pairs
-    denominators = [0]                             # D_x of the n-th element
-    for n in range(1, N + 1):
-        support, values, D_x = xs.element(n).scaled()
-        denominators.append(D_x)
-        for i, v in zip(support, values):
+    for n, row in enumerate(rows):
+        for i, v in row:
             users.setdefault(i, []).append((n, v))
     hit_sets = []
     for f in functionals:
@@ -420,10 +419,9 @@ def f_delta(functionals: Sequence[Functional], xs: SeqSpec, delta: Fraction,
         for i, c in zip(support, coefficients):
             for n, v in users.get(i, ()):
                 totals[n] = totals.get(n, 0) + c * v
-        bound = p * D_f
+        bound = p * D_f * D
         hit_sets.append(FinSet(sorted(
-            n for n, total in totals.items()
-            if total * q >= bound * denominators[n])))
+            n for n, total in totals.items() if total * q >= bound)))
     return DeltaFamily(tuple(hit_sets), delta, N,
                        tuple(f.label for f in functionals))
 

@@ -13,9 +13,9 @@ private entry, ``_norm_total``, on integers: the support and the signed
 numerators over a common denominator ``D``, giving an integer total and a
 witness.  ``_scaled_norm`` turns that total into a :class:`NormResult`, and
 :func:`norm` scales its vector once and calls it; the sign-pattern scan of
-``quantities.sm_constant``, which the bundles share, builds its many vectors
-on the integers and calls ``_norm_total`` directly, since it compares only
-integer totals.  The star norm splits signs on the integers, and the
+``quantities.sm_constant``, which the bundles share, scales its horizon once
+over one denominator, builds its many vectors from those integer rows and
+calls ``_norm_total`` directly, since it compares only integer totals.  The star norm splits signs on the integers, and the
 kernels see only magnitudes: order 0 takes the first largest entry,
 order 1 keeps a min-heap over one right-to-left scan in O(L log L) for L
 support points, and everything else runs a branch-and-bound

@@ -11,14 +11,13 @@ formula.  All sampling is seeded, so two runs emit identical JSON.
 The two example bundles count their admissible family once, refusing it up
 front when it is past the budget, and walk it once; the sign-pattern scans,
 the coordinate-sum functionals, the largeness scan and the dual-certificate
-pool all read that one list of members.  The walk yields members of the
+trials all read that one list of members.  The walk yields members of the
 space's own order only, so their coordinate sums are built without testing
-membership again.  Each bundle evaluates its sign patterns once, in
-``quantities``, through one memo of norm kernel results, so a support and
-magnitudes met on several members are searched once; most of those supports
-are members themselves, which the kernels recognize before any search.  The
-star bundle lists its patterns, and its half-mass check and its spreading
-constant both read that list.
+membership again.  Each bundle scales its basis once over one denominator
+``D`` and evaluates its sign patterns once, in ``quantities``, through one
+memo of norm kernel results; most supports met are members themselves,
+which the kernels recognize before any search.  The star bundle lists its
+patterns, and its half-mass check and spreading constant read that list.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from fractions import Fraction
 from .budget import Budget, BudgetExceededError, get_budget
 from .ordinal import FundamentalRule, Ordinal, default_fundamental_seq
 from .quantities import (_cesaro_prefix, _large_scan, _prop_formula_terms,
-                         _sm_least, _sm_patterns, prop_formula)
+                         _scaled_horizon, _sm_least, _sm_patterns, prop_formula)
 from .reports import Report
 from .schreier import FinSet, _family
 from .spaces import NormSpec, _member_sum_functional, norm
@@ -58,18 +57,16 @@ def _dual_certificate_trials(spec: NormSpec, members: list[FinSet], N: int, *,
                              trials: int, seed: int, budget: Budget):
     """Seeded spot check that certified sums never beat the norm.
 
-    Each sample's norm is computed once, and ``|f(x)| <= norm`` is tested
-    against it here rather than by the functional's own guard, which would
-    compute the same norm again; a budget refusal of that norm propagates.
+    Each trial draws a nonempty member ``F`` (the walk yields the empty set
+    first), sums its sample over ``F`` and tests that against the sample's
+    norm, computed once; a budget refusal of that norm propagates.
     """
     rng = random.Random(seed)
-    pool = [F for F in members if F]
     worst = Fraction(0)
     for _ in range(trials):
-        F = rng.choice(pool)
+        F = members[1 + rng.randrange(len(members) - 1)]
         x = _sample_vector(rng, N)
-        functional = _member_sum_functional(F, spec)
-        value = functional.evaluate(x, check=False)
+        value = sum((x[i] for i in F), Fraction(0))
         bound = norm(spec, x, budget=budget).value
         if abs(value) > bound:
             return False, f"|{value}| > {bound} at F={{{F}}}"
@@ -117,7 +114,9 @@ def verify_example_schreier(xi: Ordinal, N: int, coeff_budget: int = 3, *,
                      "seed": 0})
 
     members = list(_family(order, N, fs=fs, budget=budget))
-    sm = _sm_least(spec, N, _sm_patterns(basis, coeff_budget, members, budget))
+    rows, D = _scaled_horizon(basis, N)
+    sm = _sm_least(spec, N, D, _sm_patterns(spec, rows, coeff_budget, members,
+                                            budget))
     report.check("spreading-constant-is-one", sm.value == 1,
                  f"min ratio {sm.to_json()['value']} at {sm.witness}")
     report.result("sm", sm.to_json())
@@ -163,14 +162,15 @@ def verify_example_star(xi: Ordinal, N: int, coeff_budget: int = 3, *,
     # The sign patterns of the spreading-constant scan, listed once.  Every
     # sign choice is listed on the members of at most coeff_budget points,
     # and the half-mass check reads those; the spreading constant reads all.
-    patterns = list(_sm_patterns(basis, coeff_budget, members, budget))
+    rows, D = _scaled_horizon(basis, N)
+    patterns = list(_sm_patterns(spec, rows, coeff_budget, members, budget))
     below_half = [2 * total < D * len(F)
-                  for F, _, total, D in patterns if len(F) <= coeff_budget]
+                  for F, _, total in patterns if len(F) <= coeff_budget]
     violations = sum(below_half)
     report.check("half-lower-bound-holds", violations == 0,
                  f"{len(below_half)} sign patterns, {violations} below half mass")
 
-    sm = _sm_least(spec, N, patterns)
+    sm = _sm_least(spec, N, D, patterns)
     expected_witness = "2,3;1,-1"
     report.check("spreading-constant-is-half",
                  sm.value == Fraction(1, 2) and sm.witness == expected_witness,
@@ -181,7 +181,7 @@ def verify_example_star(xi: Ordinal, N: int, coeff_budget: int = 3, *,
 
     # Distances of running means: exact norms when the search is affordable,
     # otherwise the l1 mass of each sign part, which already caps the max.
-    means = _cesaro_prefix(RatVec.unit, N)
+    means = _cesaro_prefix(RatVec.unit, 1, N)
     cap_violations = 0
     largest = Fraction(0)
     routes = {"exact": 0, "l1-certificate": 0}

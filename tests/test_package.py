@@ -64,14 +64,41 @@ def test_importing_the_package_loads_no_layer():
     assert proc.stdout.splitlines() == ["[]", "['schreier_lab.budget']"]
 
 
-def test_the_benchmark_workloads_import(monkeypatch):
-    # The benchmark imports names from several layers, so one moved or
-    # renamed away fails here first.  The module is loaded, writing nothing.
+def _load_workloads(monkeypatch):
+    """``bench/workloads.py`` as a module, loaded without writing bytecode."""
     path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", path)
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.setitem(sys.modules, spec.name, module)
     spec.loader.exec_module(module)
+    return module
+
+
+def test_the_benchmark_workloads_import(monkeypatch):
+    # The benchmark imports names from several layers, so one moved or
+    # renamed away fails here first.  The module is loaded, writing nothing.
+    module = _load_workloads(monkeypatch)
     assert all(callable(getattr(module, f"{name}_ops"))
                for name in module.WORKLOADS)
+
+
+def test_the_bundle_operations_match_their_goldens(monkeypatch):
+    # Every bundle operation of the default seed, at every level, judged as
+    # the benchmark judges it against the stored outputs, in this process.
+    # A change of program output shows here before the benchmark runs.
+    module = _load_workloads(monkeypatch)
+    goldens = module.load_goldens()["bundles"]
+    ops = module.bundles_ops(module.DEFAULT_SEED, 0, every_level=True)
+    failed = []
+    for op in ops:
+        exc = value = None
+        try:
+            value = op.call()
+        except Exception as error:
+            exc = error
+        status, reason, _ = module.verdict(op, value, exc, goldens, oracle=True)
+        if status == "failed":
+            failed.append(f"{op.name}: {reason}")
+    assert ops
+    assert failed == []

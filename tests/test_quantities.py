@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from schreier_lab import quantities, schreier
 from schreier_lab.budget import Budget, BudgetExceededError
 from schreier_lab.ordinal import parse
 from schreier_lab.quantities import (
@@ -106,6 +107,34 @@ def test_cca_window_frozen_values():
     # Means of the basis: u_1 - u_4 puts 3/4 on index 1, which dominates.
     assert cca_window(basis, 1, 4) == Fraction(3, 4)
     assert cca_window(basis, 2, 4) == HALF
+
+
+def test_a_narrow_window_builds_only_its_own_means():
+    # 55 pairs at N 1000: the running means before the window are not built.
+    started = time.perf_counter()
+    value = cca_window(CanonicalBasis(S1), 990, 1000, budget=Budget(work=2000))
+    assert time.perf_counter() - started < 1
+    assert value == Fraction(37, 2475)
+
+
+def recursive_means(element, N):
+    """The running means by the recursion ``u_n = (n-1)/n u_{n-1} + x_n/n``."""
+    means, mean = {}, RatVec()
+    for n in range(1, N + 1):
+        mean = RatVec.combination(((Fraction(n - 1, n), mean),
+                                   (Fraction(1, n), element(n))))
+        means[n] = mean
+    return means
+
+
+def test_running_means_equal_the_recursion_inside_the_window():
+    xs = ExplicitSequence(S1, [RatVec({1: HALF, 3: -1}), RatVec({2: Fraction(2, 3)}),
+                               RatVec({1: -HALF, 3: 1}), RatVec({4: 5}),
+                               RatVec({2: Fraction(-1, 7), 5: 1}), RatVec()])
+    expected = recursive_means(xs.element, 6)
+    for n0 in range(1, 7):
+        assert quantities._cesaro_prefix(xs.element, n0, 6) == \
+            {n: expected[n] for n in range(n0, 7)}
 
 
 def test_cca_xi_at_order_zero_is_plain_cca():
@@ -396,6 +425,36 @@ def test_f_delta_on_an_element_no_functional_meets(delta, hit):
 def all_sum_functionals(xi, spec, N):
     return [coordinate_sum_functional(F, spec)
             for F in enumerate_family(xi, N) if F]
+
+
+@pytest.mark.parametrize("space", ["schreier:1", "schreier:2", "star:w"])
+def test_sum_functionals_of_the_space_order_skip_the_membership_test(
+        monkeypatch, space):
+    calls = []
+    is_member = schreier.is_member
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return is_member(*args, **kwargs)
+
+    monkeypatch.setattr(schreier, "is_member", counted)
+    spec = NormSpec.parse(space)
+    functionals = quantities._sum_functionals(spec.xi, spec, 8)
+    assert calls == []
+    monkeypatch.undo()
+    assert functionals == all_sum_functionals(spec.xi, spec, 8)
+
+
+def test_sum_functionals_of_another_order_are_certified():
+    spec = NormSpec.schreier(parse("2"))
+    assert quantities._sum_functionals(parse("1"), spec, 8) == \
+        all_sum_functionals(parse("1"), spec, 8)
+    with pytest.raises(CertificationRefusedError,
+                       match=r"^\{2,3,4\} is not admissible at order 1$"):
+        quantities._sum_functionals(parse("2"), S1, 6)
+    with pytest.raises(CertificationRefusedError,
+                       match="kind 'baernstein' does not certify"):
+        quantities._sum_functionals(parse("1"), NormSpec.baernstein(parse("1")), 6)
 
 
 def test_large_check_basis_is_large_at_one():

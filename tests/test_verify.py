@@ -80,6 +80,51 @@ def test_bundle_report_bytes_are_pinned(bundle, xi_text, digest):
     assert hashlib.sha256(report.json_bytes()).hexdigest() == digest
 
 
+BUNDLES = {"schreier": verify_example_schreier, "star": verify_example_star}
+
+
+@pytest.mark.parametrize("bundle, xi_text, N, digest", [
+    ("schreier", "0", 6, "d43f68ee17a8bf0d2ed4224f56c731c6b89b01cac300aa2e676a1f48da3d2b00"),
+    ("schreier", "0", 12, "a420907ae93fdbc59cc6fdd0f704f5dc4848e6e0574a1d4e6cae6564a9840a84"),
+    ("schreier", "0", 20, "c5e60ca2a1c434a92d20280e1a6e51c8ddd2fc731a56eada52cc4261228dba0b"),
+    ("schreier", "1", 6, "271176a8ebf545d51886975a344d977c2447b87acbf3b87a57d7efcf4af7489c"),
+    ("schreier", "1", 10, "a70eeaf2878a0326323dd322a44c6826a4826a3207f843dbd728ebb27e30a6b3"),
+    ("schreier", "1", 14, "2b382ddcf86595d4574d202f3eeb6d04c11ea4f5daba1696f181b21048d0709d"),
+    ("schreier", "1", 16, "7413d21f7d9bde793aa2ba21784b26d234698bb3cf7d818a56635bb6f3211dbe"),
+    ("schreier", "w", 6, "3ac7d57c0a1659b49d67658912bb2a2a6fa8bf6d3ac3acaca0bbd949dd621f08"),
+    ("schreier", "w", 10, "b4a2ba51e47e851dae91eefd0a8196752c93c48bc7abe278dd6e7e830e5c6349"),
+    ("schreier", "w", 14, "ce90a6b1e0bbefccb551e385afb2ec2ccb133f352747a55dba357b8b4533dc7e"),
+    ("schreier", "w+1", 6, "d514ec060148f65ca68758482e9307f6d193120b5452029b5a49022360bb5740"),
+    ("schreier", "w+1", 10, "470bd523089a6e73cc359aabb16a7bae2fea56cea7538879335c29632353800e"),
+    ("schreier", "w+1", 14, "02e345199e115c44f535718dec2ed918af09572cfafa940c0fcf6a128e8f04b6"),
+    ("schreier", "w^2", 6, "900b716a264c90c40fce9baea6c91ae169a90194d645de24c419ca1b7b1d356d"),
+    ("schreier", "w^2", 10, "fc0a38f116de08a18a1c52b6f77cb27888eb9dadf4b9f3a820228235c6540f0b"),
+    ("schreier", "w^2", 14, "72671c3887ad70191d0922def6dba9f631c7355325b8065acba93ef3dc656df2"),
+    ("star", "0", 6, "af227ea7b4d9ac769e90b72172d427527e990272a8d065420171df6c3fbdaba4"),
+    ("star", "0", 12, "acbfae3b3d2a9362307702af6292a79002c2a5caea660865e17a920b94afbd06"),
+    ("star", "0", 20, "6689ffbe779cc648210eb42abc6d19cef865db20941e46e5e86077f7672f8525"),
+    ("star", "1", 6, "3040d1190eb682a463c35778b2ca22a27ba83461ec152f267abec27b71655449"),
+    ("star", "1", 10, "06b844131c06ced3a466db385a1c95628e6c36b1e6f87e2bb68bbba981fc304e"),
+    ("star", "1", 14, "e163ac235ba150e723c9fca72600b7795413bd9b7cb36a78d46172b19af17f32"),
+    ("star", "1", 16, "bf8a5e51b41707583224f0cb864f49e7822eaba61fcf48de1f312cf2b408226a"),
+    ("star", "w", 6, "cf39a08d6ebf671d349cc934da81da455f1b2aedfca1302b568ff72f84f8e4dd"),
+    ("star", "w", 10, "5c9bc77570e944117cc94d2d82928a21fd1fa713b6ea6e8864c1592244a88164"),
+    ("star", "w", 14, "20a024101ecc0ae3f87cb6f649686c989519ee035f91c9af200947f2b3b9a5b3"),
+    ("star", "w+1", 6, "f598d9703eb5f23691e4dcb5e262dadc28915d5a9f6fdcdcda3ccbfbfc5f610e"),
+    ("star", "w+1", 10, "c8af6313c30d390eb95df3240547deaf4af59e4b42404cdebff69912a4cf6a80"),
+    ("star", "w+1", 14, "0deaf5e37bf8d4fab84d09532909e5c9602738b8004f1da6f80692f678086aa8"),
+    ("star", "w^2", 6, "4a63caceeadab83b1feabeaf992922b73731c406536307b344597e12519bac9f"),
+    ("star", "w^2", 10, "467c9c8ba58656b5bf0f19244b8d128e7adc276254dbb7ae43154bb3f0568028"),
+    ("star", "w^2", 14, "58a6382a33a03bfdee67bd4c84c07b15850814c96a6ab35efd36779294a67538"),
+])
+def test_bundle_report_bytes_are_pinned_on_a_grid(bundle, xi_text, N, digest):
+    # Recorded from the bundles when the sign-pattern scan brought each
+    # member's rows to a denominator of their own.  The largest N of each
+    # order takes up to about a second.
+    report = BUNDLES[bundle](parse(xi_text), N)
+    assert hashlib.sha256(report.json_bytes()).hexdigest() == digest
+
+
 def _members(order, N):
     return list(schreier.enumerate_family(order, N))
 
