@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import product
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-from .budget import Budget, BudgetExceededError, Record, get_budget
+from .budget import Budget, BudgetExceededError, Record, WorkMeter, get_budget
 from .ordinal import FundamentalRule, Ordinal, default_fundamental_seq
 from .schreier import FinSet, _family, enumerate_family
 from .spaces import (CertificationRefusedError, Functional, NormResult, NormSpec,
@@ -420,7 +420,8 @@ def f_delta(functionals: Sequence[Functional], xs: SeqSpec, delta: Fraction,
             for n, v in users.get(i, ()):
                 totals[n] = totals.get(n, 0) + c * v
         bound = p * D_f * D
-        hit_sets.append(FinSet(sorted(
+        # Distinct positive keys, so sorted they need no validation.
+        hit_sets.append(tuple.__new__(FinSet, sorted(
             n for n, total in totals.items() if total * q >= bound)))
     return DeltaFamily(tuple(hit_sets), delta, N,
                        tuple(f.label for f in functionals))
@@ -462,7 +463,10 @@ def large_check(xi: Ordinal, c: Fraction, xs: SeqSpec, M: IndexStream,
     family.  The first failing set in lexicographic order is the
     certificate.  The verdict is certified on this window only.  The walk
     over the positions is metered as it goes, so a failure met early is
-    reported even when the whole family is past the budget.
+    reported even when the whole family is past the budget.  A set that is
+    not itself a hit set is tested against the distinct hit sets in turn,
+    one unit of ``budget.work`` per hit set tested (``largeness subset
+    tests``).
     """
     return _large_scan(xi, c, xs, M, functionals, N, weak_limit, None,
                        fs=fs, budget=get_budget(budget))
@@ -478,7 +482,8 @@ def _large_scan(xi: Ordinal, c: Fraction, xs: SeqSpec, M: IndexStream,
     weak_limit = RatVec() if weak_limit is None else weak_limit
     shifted = SeqSpec(xs.ambient, lambda n: xs.element(n) - weak_limit, xs.name)
     family = f_delta(functionals, shifted, c, N)
-    exact_hits = frozenset(family.hit_sets)
+    hit_sets = dict.fromkeys(family.hit_sets)   # distinct, in first-seen order
+    subset_tests = WorkMeter("largeness subset tests", budget.work)
     values = []
     position = 1
     while True:
@@ -493,9 +498,16 @@ def _large_scan(xi: Ordinal, c: Fraction, xs: SeqSpec, M: IndexStream,
     identity = all(v == k for k, v in enumerate(values, 1))
     checked = 0
     for G in members:
-        F = G if identity else FinSet.of(*(values[g - 1] for g in G))
+        # An increasing stream keeps the increasing positions increasing.
+        F = G if identity else tuple.__new__(FinSet, [values[g - 1] for g in G])
         checked += 1
-        if F not in exact_hits and not family.contains(F):
+        if F in hit_sets:
+            continue
+        for hits in hit_sets:
+            subset_tests.spend()
+            if all(n in hits for n in F):
+                break
+        else:
             return LargeCheckResult(False, checked, F, str(xi), M.name, N)
     return LargeCheckResult(True, checked, None, str(xi), M.name, N)
 

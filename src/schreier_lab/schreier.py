@@ -533,7 +533,9 @@ def count_family(xi: Ordinal, max_value: int, *,
     This is the number of sets :func:`enumerate_family` yields, found by
     counting the members per automaton state as each value is appended, so
     the cost follows the number of distinct states rather than of sets.
-    Each automaton step is one unit of work.
+    Each state that takes a value is one unit of work.  Each such state and
+    value give distinct members, so the units never exceed the nonempty
+    members, and the automaton steps never exceed twice the units plus one.
 
     >>> count_family(Ordinal.from_int(1), 15)
     1597
@@ -544,8 +546,8 @@ def count_family(xi: Ordinal, max_value: int, *,
     final = 0
     live = {(): 1}   # state -> members with that state, all below k
     for k in range(1, max_value + 1):
-        meter.spend(len(live))
         grown: dict[tuple, int] = {}
+        taken = 0
         for state, count in live.items():
             after = step(state, k)
             if after is None:
@@ -553,8 +555,10 @@ def count_family(xi: Ordinal, max_value: int, *,
                 # value, so these members take no larger one either.
                 final += count
                 continue
+            taken += 1
             grown[state] = grown.get(state, 0) + count
             grown[after] = grown.get(after, 0) + count
+        meter.spend(taken)
         live = grown
     return final + sum(live.values())
 
@@ -565,25 +569,20 @@ def _family(xi: Ordinal, max_value: int, *,
     """The walk of :func:`enumerate_family`, counted first.
 
     For callers that need the whole family: a family the walk would refuse
-    fails here, in the time of a count, not after ``budget.work`` sets.
-    The refusal keeps the text of the enumeration meter (``needs >= limit +
-    1``), so it reads the same whichever of the two stops first.  When the
-    count itself is refused, a bare walk decides first, so the refusal
-    still comes before the caller spends anything on a member; above order
-    ``w`` the first members can be the long runs ``{2..k}``.  The walk
-    stays lazy, so a caller that needs one pass holds no list.
+    fails here, in the time of a count, not after ``budget.work`` sets.  A
+    refused count and an over-large one both refuse with the text of the
+    enumeration meter (``needs >= limit + 1``).  The walk stays lazy, so a
+    caller that needs one pass holds no list.
     """
     budget = get_budget(budget)
     try:
-        count = count_family(xi, max_value, fs=fs, budget=budget)
+        fits = count_family(xi, max_value, fs=fs, budget=budget) <= budget.work
     except BudgetExceededError:
-        for _ in enumerate_family(xi, max_value, fs=fs, budget=budget):
-            pass
-    else:
-        if count > budget.work:
-            raise BudgetExceededError("family enumeration", budget.work,
-                                      needed=budget.work + 1,
-                                      needed_is_lower_bound=True)
+        fits = False
+    if not fits:
+        raise BudgetExceededError("family enumeration", budget.work,
+                                  needed=budget.work + 1,
+                                  needed_is_lower_bound=True)
     return enumerate_family(xi, max_value, fs=fs, budget=budget)
 
 

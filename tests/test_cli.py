@@ -660,6 +660,20 @@ def test_quantity_large_refuses_past_the_budget(capsys, monkeypatch):
     assert time.perf_counter() - started < 1
 
 
+def test_quantity_large_meters_its_subset_tests(capsys, monkeypatch, tmp_path):
+    # x_n = e_n + e_{n+1}: the sets that are no hit set are tested against
+    # the hit sets, about 970,000 tests when they were not metered.
+    seq = write_vecs(tmp_path, "seq.json",
+                     *({str(n): "1", str(n + 1): "1"} for n in range(1, 15)))
+    monkeypatch.setenv("SCHREIER_LAB_BUDGET", "7000")
+    code, out, err = run(capsys, "quantity", "large", "--xi", "2", "--c", "1",
+                         "--space", "schreier", "--space-xi", "2",
+                         "--seq", seq, "--N", "14")
+    assert (code, out) == (2, "")
+    assert err == ("budget exceeded: budget exceeded for largeness subset "
+                   "tests: limit 7000 (needs >= 7001)\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("quantity", "sm", "--xi", "2", "--space", "schreier", "--N", "22"),
     ("schreier", "enum", "--xi", "w", "--max-value", "40"),

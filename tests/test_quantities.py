@@ -259,8 +259,8 @@ def test_sm_constant_sees_cancellation_in_the_star_norm():
 
 @pytest.mark.parametrize("xi_text", ["w+1", "w^2"])
 def test_sm_constant_refuses_a_family_of_long_members_before_scanning(xi_text):
-    # The count is refused, and the first members in {1..3000} are the runs
-    # {2..k}; the walk alone refuses before the scan spends on any of them.
+    # The count is refused, so no member is walked: the first members in
+    # {1..3000} are the runs {2..k}, and the scan would spend on each.
     started = time.perf_counter()
     with pytest.raises(BudgetExceededError) as info:
         sm_constant(parse(xi_text), CanonicalBasis(S1), 3000,
@@ -498,6 +498,22 @@ def test_large_check_recenters_by_the_weak_limit():
                            weak_limit=drift)
     assert not centered.ok
     assert centered.certificate == FinSet.of(2, 3)
+
+
+def test_large_check_meters_its_subset_tests():
+    # x_n = e_n + e_{n+1}: the sets that are no hit set are tested against
+    # the hit sets, about 970,000 tests when they were not metered.
+    started = time.perf_counter()
+    order = parse("2")
+    space = NormSpec.schreier(order)
+    xs = ExplicitSequence(space, [RatVec({n: 1, n + 1: 1}) for n in range(1, 15)])
+    budget = Budget(work=7000)
+    functionals = quantities._sum_functionals(order, space, 14, budget=budget)
+    with pytest.raises(BudgetExceededError) as info:
+        large_check(order, Fraction(1), xs, ALL, functionals, 14, budget=budget)
+    assert time.perf_counter() - started < 1
+    assert str(info.value) == ("budget exceeded for largeness subset tests: "
+                               "limit 7000 (needs >= 7001)")
 
 
 # -- the two-term ratio formula ----------------------------------------------------

@@ -269,6 +269,29 @@ def test_count_family_past_the_enumeration_budget():
         assert info.value.needed > 50 and info.value.needed_is_lower_bound
 
 
+@pytest.mark.parametrize("xi_text", ["0", "1", "2", "3", "w", "w+1", "w*2",
+                                     "w^2", "w^2+w+3"])
+def test_a_refused_count_means_more_than_one_past_the_budget(xi_text):
+    # The count charges each state that takes a value, and each such state
+    # gives distinct members, so a count refused under W work units leaves
+    # more than W + 1 sets; a count that fits is the enumeration's length.
+    xi = parse(xi_text)
+    for N in range(15):
+        size = sum(1 for _ in enumerate_family(xi, N))
+        for work in (1, 3, 10, 30, 100, 300, 1000):
+            try:
+                count = count_family(xi, N, budget=Budget(work=work))
+            except BudgetExceededError:
+                assert size > work + 1
+            else:
+                assert count == size
+
+
+def test_count_family_charges_the_members_it_makes():
+    # 30 singletons and the empty set: 30 units, no longer about 60 steps.
+    assert count_family(parse("0"), 30, budget=Budget(work=40)) == 31
+
+
 def test_oracle_support_gate():
     wide = FinSet(range(2, 20))
     with pytest.raises(BudgetExceededError):

@@ -14,6 +14,7 @@ from schreier_lab.ordinal import parse
 from schreier_lab.reports import Check, Report
 from schreier_lab.quantities import _sum_functionals, prop_formula
 from schreier_lab.spaces import NormSpec, norm
+from schreier_lab.vectors import CanonicalBasis
 from schreier_lab.verify import (_dual_certificate_trials,
                                  verify_example_schreier, verify_example_star,
                                  verify_prop_formula)
@@ -39,8 +40,8 @@ def test_sum_functionals_count_the_family_first():
                          budget=Budget(work=2000))
     assert str(info.value).endswith(
         "family enumeration: limit 2000 (needs >= 2001)")
-    # Counting 31 members of order 0 takes about 60 steps; when the count
-    # is refused, the metered enumeration decides alone.
+    # The count charges only the states that take a value, never more
+    # than the 30 nonempty members of order 0, so it fits in 40.
     order = parse("0")
     functionals = _sum_functionals(order, NormSpec.schreier(order), 30,
                                    budget=Budget(work=40))
@@ -65,6 +66,36 @@ def test_bundles_count_and_walk_their_family_once(monkeypatch, bundle):
         monkeypatch.setattr(module, "enumerate_family", walking)
     assert bundle(parse("1"), 10).ok
     assert calls == {"count": 1, "walk": 1}
+
+
+@pytest.mark.parametrize("refused", [
+    lambda: verify_example_schreier(parse("w"), 14, budget=Budget(work=300)),
+    lambda: quantities.sm_constant(
+        parse("w+1"), CanonicalBasis(NormSpec.schreier(parse("1"))), 3000,
+        budget=Budget(work=2000)),
+], ids=["example-schreier", "sm_constant"])
+def test_a_refused_count_walks_no_member(monkeypatch, refused):
+    calls = {"refused count": 0, "walk": 0}
+    count_family, enumerate_family = schreier.count_family, schreier.enumerate_family
+
+    def counting(*args, **kwargs):
+        try:
+            return count_family(*args, **kwargs)
+        except BudgetExceededError:
+            calls["refused count"] += 1
+            raise
+
+    def walking(*args, **kwargs):
+        calls["walk"] += 1
+        return enumerate_family(*args, **kwargs)
+
+    monkeypatch.setattr(schreier, "count_family", counting)
+    for module in (schreier, quantities):
+        monkeypatch.setattr(module, "enumerate_family", walking)
+    with pytest.raises(BudgetExceededError) as info:
+        refused()
+    assert info.value.what == "family enumeration"
+    assert calls == {"refused count": 1, "walk": 0}
 
 
 @pytest.mark.parametrize("bundle, xi_text, digest", [
