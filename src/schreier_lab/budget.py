@@ -17,6 +17,8 @@ from __future__ import annotations
 import os
 from typing import Generator
 
+__all__ = ["Budget", "BudgetExceededError", "WorkMeter", "get_budget"]
+
 ENV_VAR = "SCHREIER_LAB_BUDGET"
 
 _DEFAULT_WORK = 200_000

@@ -34,7 +34,25 @@ class OrdinalParseError(ValueError):
     """Raised for text that is not a well-formed ordinal expression."""
 
 
-class Ordinal(tuple):
+class _ClosedTuple(tuple):
+    """A validated tuple that refuses ``+`` and ``*``: concatenation and
+    repetition would build a value its validation never saw."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return NotImplemented
+
+    __mul__ = __rmul__ = __add__
+
+    def __radd__(self, other):
+        # ``NotImplemented`` here would let a tuple on the left concatenate
+        # through ``tuple.__add__``.
+        raise TypeError("unsupported operand type(s) for +: "
+                        f"{type(other).__name__!r} and {type(self).__name__!r}")
+
+
+class Ordinal(_ClosedTuple):
     """An ordinal below ``w^w``: a validated tuple, like the automaton's
     states, of ``(exponent, coefficient)`` pairs with strictly decreasing
     exponents and coefficients >= 1.  Tuple order is Cantor-normal-form
@@ -54,17 +72,6 @@ class Ordinal(tuple):
                 raise ValueError("exponents must be strictly decreasing")
             prev = exp
         return super().__new__(cls, terms)
-
-    def __add__(self, other):
-        return NotImplemented
-
-    __mul__ = __rmul__ = __add__
-
-    def __radd__(self, other):
-        # ``NotImplemented`` here would let a tuple on the left concatenate
-        # through ``tuple.__add__``.
-        raise TypeError("unsupported operand type(s) for +: "
-                        f"{type(other).__name__!r} and {type(self).__name__!r}")
 
     @classmethod
     def from_int(cls, n: int) -> "Ordinal":

@@ -40,7 +40,6 @@ if TYPE_CHECKING:
     from .streams import IndexStream
 
 __all__ = [
-    "DIRECTIONS",
     "HorizonEstimate",
     "ca_window",
     "cca_window",

@@ -14,7 +14,7 @@ from .budget import Record
 
 SCHEMA_VERSION = 1
 
-__all__ = ["SCHEMA_VERSION", "Check", "Report"]
+__all__ = ["SCHEMA_VERSION", "Report"]
 
 
 class Check(Record):

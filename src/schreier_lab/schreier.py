@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Generator, Iterable, Iterator
 
 from .budget import (Budget, BudgetExceededError, WorkMeter, _unwound,
                      get_budget)
-from .ordinal import (FundamentalRule, Ordinal, classify,
+from .ordinal import (FundamentalRule, Ordinal, _ClosedTuple, classify,
                       default_fundamental_seq)
 
 if TYPE_CHECKING:
@@ -55,7 +55,7 @@ __all__ = [
 ]
 
 
-class FinSet(tuple):
+class FinSet(_ClosedTuple):
     """A finite set of positive integers: a validated tuple of its increasing
     elements, like the automaton's states.  Comparisons mean inclusion, as
     for ``frozenset``, and ``+`` and ``*`` are refused."""
@@ -108,17 +108,6 @@ class FinSet(tuple):
 
     def __ge__(self, other):
         return set(self) >= set(other)
-
-    def __add__(self, other):
-        return NotImplemented
-
-    __mul__ = __rmul__ = __add__
-
-    def __radd__(self, other):
-        # ``NotImplemented`` here would let a tuple on the left concatenate
-        # through ``tuple.__add__``.
-        raise TypeError("unsupported operand type(s) for +: "
-                        f"{type(other).__name__!r} and {type(self).__name__!r}")
 
     def __str__(self):
         return ",".join(map(str, self))

@@ -1,9 +1,10 @@
 """Strictly increasing index streams (infinite subsets of the positive integers).
 
 A stream stands for an infinite set ``M = {m_1 < m_2 < ...}`` given by its
-increasing enumeration.  Streams are immutable value objects: dropping a
-prefix or composing with another stream yields a new stream, and equal
-descriptions hash equally so they can key memoization caches.
+increasing enumeration.  Dropping a prefix or composing yields a new stream,
+and equal descriptions hash equally so they can key memoization caches.  Only
+a custom stream memoizes, checking its values as they are drawn, and its drops
+share that memo; a composition of increasing streams needs no check.
 """
 
 from __future__ import annotations
@@ -20,16 +21,14 @@ class IndexStream:
     :meth:`cubes`, :meth:`evens`, :meth:`explicit`, :meth:`custom`.
     """
 
-    __slots__ = ("_kind", "_params", "_drop", "_inner", "_fn", "_cache", "_name")
+    __slots__ = ("_kind", "_params", "_drop", "_fn", "_name")
 
-    def __init__(self, kind, params, fn, name, drop=0, inner=None):
+    def __init__(self, kind, params, fn, name, drop=0):
         self._kind = kind
         self._params = params
         self._fn = fn
         self._name = name
         self._drop = drop
-        self._inner = inner
-        self._cache: list[int] = []
 
     # -- constructors ------------------------------------------------------
 
@@ -83,7 +82,20 @@ class IndexStream:
         the same name; the key holds the callable itself, so it can never
         collide with a later function reusing a freed id.
         """
-        return cls("custom", (name, fn), fn, f"custom:{name}")
+        memo: list[int] = []
+
+        def checked(n):
+            while len(memo) < n:
+                value = fn(len(memo) + 1)
+                if memo and value <= memo[-1]:
+                    raise ValueError(f"stream custom:{name} is not strictly "
+                                     f"increasing at position {len(memo) + 1}")
+                if value < 1:
+                    raise ValueError("stream values must be positive")
+                memo.append(value)
+            return memo[n - 1]
+
+        return cls("custom", (name, fn), checked, f"custom:{name}")
 
     # -- derived streams ---------------------------------------------------
 
@@ -93,18 +105,20 @@ class IndexStream:
             raise ValueError("drop count must be non-negative")
         if count == 0:
             return self
-        out = IndexStream(self._kind, self._params, self._fn, self._name,
-                          drop=self._drop + count, inner=self._inner)
-        return out
+        return IndexStream(self._kind, self._params, self._fn, self._name,
+                           self._drop + count)
 
     def compose(self, inner: "IndexStream") -> "IndexStream":
-        """The subsequence of self along ``inner``: n -> self(inner(n))."""
-        def fn(n, _outer=self, _inner=inner):
-            return _outer.element(_inner.element(n))
+        """The subsequence of self along ``inner``: n -> self(inner(n)).
 
-        out = IndexStream("compose", (), fn, f"{self.name}({inner.name})",
-                          inner=(self, inner))
-        return out
+        It stores nothing: increasing streams compose to an increasing one,
+        and a custom part checks its own values.
+        """
+        def fn(n, _outer=self.element, _inner=inner.element):
+            return _outer(_inner(n))
+
+        return IndexStream("compose", (self._key(), inner._key()), fn,
+                           f"{self.name}({inner.name})")
 
     # -- access ------------------------------------------------------------
 
@@ -118,20 +132,8 @@ class IndexStream:
         """The n-th value, 1-indexed."""
         if n < 1:
             raise IndexError("streams are 1-indexed")
-        n = n + self._drop
-        if self._kind in ("all", "shift", "cubes", "evens", "explicit"):
-            return self._fn(n)
-        # Custom and composed streams are memoized and monotonicity-checked.
-        while len(self._cache) < n:
-            value = self._fn(len(self._cache) + 1)
-            if self._cache and value <= self._cache[-1]:
-                raise ValueError(
-                    f"stream {self._name} is not strictly increasing at "
-                    f"position {len(self._cache) + 1}")
-            if not self._cache and value < 1:
-                raise ValueError("stream values must be positive")
-            self._cache.append(value)
-        return self._cache[n - 1]
+        # A drop reads its base, and a custom stream's memo, past the prefix.
+        return self._fn(n + self._drop)
 
     def index_of(self, value: int) -> int | None:
         """The 1-based position of ``value``, or None if absent.
@@ -162,10 +164,7 @@ class IndexStream:
     # -- value identity ------------------------------------------------------
 
     def _key(self):
-        inner = self._inner
-        if inner is not None:
-            inner = tuple(s._key() for s in inner)
-        return (self._kind, self._params, self._drop, inner)
+        return (self._kind, self._params, self._drop)
 
     def __eq__(self, other):
         if not isinstance(other, IndexStream):

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -477,6 +478,59 @@ def test_quantity_catalog_estimates(capsys):
     code, payload = run_json(capsys, "quantity", "cca-tilde-sup", "--xi", "1",
                              "--catalog", "all,evens", "--N", "2")
     assert payload["direction"] == "unverified"
+
+
+def test_quantity_cca_tilde_sup_refusal_stores_no_composed_values(
+        capsys, monkeypatch):
+    # Each refinement composes the base stream with a catalog stream, and its
+    # averages read that composition far out before they refuse; it keeps no
+    # memo, so the peak does not grow with the budget.
+    monkeypatch.setenv("SCHREIER_LAB_BUDGET", "2000000")
+    monkeypatch.setattr(averages, "_AVERAGES_CACHE", {})
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "quantity", "cca-tilde-sup", "--xi", "w",
+                             "--catalog", "shift:1,shift:2", "--N", "4",
+                             "--space-xi", "1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == ("budget exceeded: budget exceeded for repeated-average "
+                   "support entries: limit 2000000 (needs >= 3145725)\n")
+    assert peak < 10_000_000
+
+
+def test_quantity_ca_in_a_classical_space(capsys):
+    code, out, err = run(capsys, "quantity", "ca", "--space", "l1", "--N", "4")
+    assert (code, err) == (0, "")
+    assert "space = l1\n" in out and "value = 2\n" in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("quantity", "ca", "--N", "4"), "--space schreier needs --space-xi"),
+    (("quantity", "fdelta", "--space", "l1", "--delta", "1/2", "--N", "4"),
+     "--space l1 needs an explicit --gamma-xi"),
+    (("quantity", "ca", "--space-xi", "1", "--seq", "foo", "--N", "4"),
+     "unknown sequence 'foo'; use basis or @file"),
+])
+def test_quantity_flag_errors_exit_two(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("raw, message", [
+    ("abc", "must be an integer, got 'abc'"),
+    ("0", "must be positive, got 0"),
+    ("-3", "must be positive, got -3"),
+])
+def test_a_malformed_budget_variable_exits_two(capsys, monkeypatch, raw,
+                                               message):
+    monkeypatch.setenv("SCHREIER_LAB_BUDGET", raw)
+    code, out, err = run(capsys, "schreier", "count", "--xi", "1",
+                         "--max-value", "5")
+    assert (code, out) == (2, "")
+    assert err == f"error: SCHREIER_LAB_BUDGET {message}\n"
 
 
 def test_quantity_sm_verbatim_shape(capsys):

@@ -31,6 +31,14 @@ def test_every_export_is_its_layers_own_object():
         assert getattr(layer, attr) is value, name
 
 
+def test_every_layers_all_is_its_export_table_entry():
+    for module, names in schreier_lab._LAYERS.items():
+        layer = importlib.import_module(f"schreier_lab.{module}")
+        exported = {schreier_lab._RENAMED.get(name, name) for name in names}
+        assert set(layer.__all__) == exported, module
+        assert len(layer.__all__) == len(names), module
+
+
 def test_star_import_binds_every_export():
     namespace: dict = {}
     exec("from schreier_lab import *", namespace)

@@ -126,6 +126,15 @@ def test_finset_comparisons_mean_inclusion():
     assert (1, 2, 3) > small and small < (1, 2, 3)
 
 
+def test_finset_refuses_bad_literals_and_empty_extremes():
+    with pytest.raises(ValueError, match="bad finite set literal '1,x'"):
+        FinSet.parse("1,x")
+    with pytest.raises(ValueError, match="no minimum"):
+        FinSet().min()
+    with pytest.raises(ValueError, match="no maximum"):
+        FinSet().max()
+
+
 def test_finset_refuses_concatenation_and_repetition():
     for attempt in (lambda: FinSet.of(1) + FinSet.of(2),
                     lambda: FinSet.of(1) + (2,),

@@ -1,6 +1,7 @@
 """Strictly increasing index streams and their wire names."""
 
 import gc
+import tracemalloc
 import weakref
 
 import pytest
@@ -115,6 +116,51 @@ def test_value_equality():
     assert parse_stream("shift:2") != parse_stream("shift:3")
     assert len({parse_stream("cubes"), parse_stream("cubes")}) == 1
     assert IndexStream.all_indices().drop(2) == IndexStream.all_indices().drop(2)
+    a, b = IndexStream.shift(2), IndexStream.evens()
+    assert a.compose(b).drop(2).drop(3) == a.compose(b).drop(5)
+    assert hash(a.compose(b).drop(2).drop(3)) == hash(a.compose(b).drop(5))
+    assert a.compose(b) != a.compose(IndexStream.cubes())
+    assert a.compose(b) != b.compose(a)
+
+
+def test_drop_names_and_refusals():
+    assert IndexStream.shift(2).drop(3).name == "shift:2|drop:3"
+    assert IndexStream.shift(2).compose(IndexStream.evens()).drop(3).name == (
+        "shift:2(evens)|drop:3")
+    with pytest.raises(ValueError, match="non-negative"):
+        IndexStream.shift(2).drop(-1)
+    with pytest.raises(ValueError, match="positive"):
+        IndexStream.explicit((), -1)
+
+
+def test_a_composition_stores_no_values():
+    M = IndexStream.all_indices().compose(IndexStream.evens()).drop(5)
+    tracemalloc.start()
+    try:
+        assert M.element(10 ** 6) == 2 * (10 ** 6 + 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_the_drops_of_a_custom_stream_share_its_memo():
+    calls = []
+
+    def squares(n):
+        calls.append(n)
+        return n * n
+
+    M = IndexStream.custom(squares, "squares")
+    assert M.element(100) == 100 ** 2
+    assert M.drop(50).element(50) == 100 ** 2
+    assert M.drop(50).drop(10).element(40) == 100 ** 2
+    assert len(calls) == 100
+    # A check still counts positions in the base stream.
+    late = IndexStream.custom(lambda n: n if n < 7 else 1, "late").drop(4)
+    with pytest.raises(ValueError, match="custom:late is not strictly "
+                                         "increasing at position 7"):
+        late.element(3)
 
 
 _STREAMS = st.sampled_from([IndexStream.all_indices(), IndexStream.shift(2),

@@ -189,6 +189,18 @@ def test_dual_certificates_fail_on_a_violation(monkeypatch):
     assert not ok and detail.startswith("|")
 
 
+def test_star_bundle_fails_a_mean_distance_past_one(monkeypatch):
+    # A norm that reads every vector at 3/2 puts each distance of running
+    # means past one.
+    monkeypatch.setattr(verify, "norm", lambda spec, x, budget: SimpleNamespace(
+        value=Fraction(3, 2)))
+    report = verify_example_star(parse("1"), 4)
+    check = next(c for c in report.checks
+                 if c.name == "mean-distances-capped-at-one")
+    assert check == Check("mean-distances-capped-at-one", False,
+                          "max distance 0 (6 exact, 0 certified)")
+
+
 def test_dual_certificates_pass_norm_refusals_on():
     order = parse("2")
     with pytest.raises(BudgetExceededError):
