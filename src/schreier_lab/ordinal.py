@@ -91,10 +91,6 @@ class Ordinal(_ClosedTuple):
     def is_zero(self) -> bool:
         return not self
 
-    @property
-    def is_finite(self) -> bool:
-        return not self or self[0][0] == 0
-
     # -- structure -------------------------------------------------------
 
     def successor(self) -> "Ordinal":

@@ -17,7 +17,9 @@ with :func:`~schreier_lab.averages.apply`.  A window statistic compares its
 norms on their exact squares, so an irrational ``l2`` or ``baernstein`` norm
 ranks exactly, and only the winner becomes a value.  The horizon scans of
 :func:`sm_constant` and :func:`f_delta` run on integers: ``_scaled_horizon``
-scales the elements ``1..N`` once, over one common denominator.
+scales the elements ``1..N`` once, over one common denominator.  The
+largeness scan reads hit sets only; ``_hit_sets`` builds them on those rows,
+from functionals here and from bare members in the ``verify`` bundles.
 """
 
 from __future__ import annotations
@@ -403,18 +405,26 @@ def f_delta(functionals: Sequence[Functional], xs: SeqSpec, delta: Fraction,
     if uncertified:
         raise CertificationRefusedError(
             f"uncertified functionals not allowed here: {', '.join(uncertified)}")
+    rows, D = _scaled_horizon(xs, N)
+    hit_sets = _hit_sets((f.coefficients.scaled() for f in functionals),
+                         rows, D, delta)
+    return DeltaFamily(hit_sets, delta, N, tuple(f.label for f in functionals))
+
+
+def _hit_sets(scaled_coefficients: Iterable[tuple], rows: Sequence[tuple],
+              D: int, delta: Fraction) -> tuple[FinSet, ...]:
+    """The hit sets of :func:`f_delta`, one per scaled ``(support,
+    coefficients, D_f)``, on the ``rows`` of :func:`_scaled_horizon`."""
     # f(x_n) = total / (D_f * D), so f(x_n) >= p/q exactly when
     # total * q >= p * D_f * D, with every term an integer.
     p, q = delta.numerator, delta.denominator
-    rows, D = _scaled_horizon(xs, N)
     users: dict[int, list[tuple[int, int]]] = {}   # i -> (n, numerator) pairs
     for n, row in enumerate(rows):
         for i, v in row:
             users.setdefault(i, []).append((n, v))
     hit_sets = []
-    for f in functionals:
-        support, coefficients, D_f = f.coefficients.scaled()
-        totals = dict.fromkeys(range(1, N + 1), 0) if p <= 0 else {}
+    for support, coefficients, D_f in scaled_coefficients:
+        totals = dict.fromkeys(range(1, len(rows)), 0) if p <= 0 else {}
         for i, c in zip(support, coefficients):
             for n, v in users.get(i, ()):
                 totals[n] = totals.get(n, 0) + c * v
@@ -422,8 +432,7 @@ def f_delta(functionals: Sequence[Functional], xs: SeqSpec, delta: Fraction,
         # Distinct positive keys, so sorted they need no validation.
         hit_sets.append(tuple.__new__(FinSet, sorted(
             n for n, total in totals.items() if total * q >= bound)))
-    return DeltaFamily(tuple(hit_sets), delta, N,
-                       tuple(f.label for f in functionals))
+    return tuple(hit_sets)
 
 
 class LargeCheckResult(Record):
@@ -467,21 +476,20 @@ def large_check(xi: Ordinal, c: Fraction, xs: SeqSpec, M: IndexStream,
     one unit of ``budget.work`` per hit set tested (``largeness subset
     tests``).
     """
-    return _large_scan(xi, c, xs, M, functionals, N, weak_limit, None,
-                       fs=fs, budget=get_budget(budget))
-
-
-def _large_scan(xi: Ordinal, c: Fraction, xs: SeqSpec, M: IndexStream,
-                functionals: Sequence[Functional], N: int,
-                weak_limit: RatVec | None, members: Iterable[FinSet] | None, *,
-                fs: FundamentalRule, budget: Budget) -> LargeCheckResult:
-    """The scan of :func:`large_check`; ``members`` is the order-``xi``
-    family over the positions ``M`` carries below ``N``, walked here when
-    None."""
     weak_limit = RatVec() if weak_limit is None else weak_limit
     shifted = SeqSpec(xs.ambient, lambda n: xs.element(n) - weak_limit, xs.name)
     family = f_delta(functionals, shifted, c, N)
-    hit_sets = dict.fromkeys(family.hit_sets)   # distinct, in first-seen order
+    return _large_scan(xi, family.hit_sets, M, N, None, fs=fs,
+                       budget=get_budget(budget))
+
+
+def _large_scan(xi: Ordinal, hit_sets: Iterable[FinSet], M: IndexStream, N: int,
+                members: Iterable[FinSet] | None, *,
+                fs: FundamentalRule, budget: Budget) -> LargeCheckResult:
+    """The scan of :func:`large_check` over the given hit sets; ``members``
+    is the order-``xi`` family over the positions ``M`` carries below ``N``,
+    walked here when None."""
+    hit_sets = dict.fromkeys(hit_sets)   # distinct, in first-seen order
     subset_tests = WorkMeter("largeness subset tests", budget.work)
     values = []
     position = 1

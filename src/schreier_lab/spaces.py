@@ -548,6 +548,6 @@ def coordinate_sum_functional(F: FinSet, spec: NormSpec) -> Functional:
 def _member_sum_functional(F: FinSet, spec: NormSpec) -> Functional:
     """:func:`coordinate_sum_functional` without its checks, for a set known
     to be a member at the order of a ``schreier`` or ``schreier_star`` spec,
-    such as one walked from that family."""
+    such as one walked from that family by ``quantities._sum_functionals``."""
     ones = RatVec._canonical(dict.fromkeys(F, Fraction(1)))
     return Functional(ones, spec, label=f"sum[{F}]")

@@ -29,8 +29,6 @@ def test_parse_rejects_garbage(bad):
 
 def test_integers():
     assert ZERO.is_zero
-    assert parse("12").is_finite
-    assert not OMEGA.is_finite
     assert Ordinal.from_int(5) == parse("5")
 
 

@@ -419,6 +419,25 @@ def test_f_delta_on_an_element_no_functional_meets(delta, hit):
     assert all((3 in hits) == hit for hits in family.hit_sets)
 
 
+@pytest.mark.parametrize("delta", [-HALF, Fraction(0), Fraction(2, 9), Fraction(1),
+                                   Fraction(5, 4)])
+@pytest.mark.parametrize("sequence", sorted(SEQUENCES))
+def test_hit_sets_of_bare_members_match_f_delta(delta, sequence):
+    # The bundles' path, each member's sum as (F, ones, 1) on one scaling,
+    # against f_delta over the certified coordinate-sum functionals.
+    horizon = 6 if sequence == "explicit" else 9
+    for xi_text in ["0", "1", "2", "w", "w+1"]:
+        spec = NormSpec.schreier(parse(xi_text))
+        xs = SEQUENCES[sequence](spec)
+        for N in range(1, horizon + 1):
+            members = [F for F in enumerate_family(spec.xi, N) if F]
+            rows, D = quantities._scaled_horizon(xs, N)
+            bare = quantities._hit_sets(((F, [1] * len(F), 1) for F in members),
+                                        rows, D, delta)
+            functionals = [coordinate_sum_functional(F, spec) for F in members]
+            assert bare == f_delta(functionals, xs, delta, N).hit_sets, (xi_text, N)
+
+
 # -- largeness checks ----------------------------------------------------------------
 
 

@@ -68,6 +68,35 @@ def test_bundles_count_and_walk_their_family_once(monkeypatch, bundle):
     assert calls == {"count": 1, "walk": 1}
 
 
+@pytest.mark.parametrize("bundle", [verify_example_schreier, verify_example_star])
+def test_bundles_build_no_functional_and_scale_their_basis_once(monkeypatch,
+                                                                bundle):
+    # The largeness hit sets come from the members on the bundle's own
+    # scaling: no Functional, no f_delta, and one _scaled_horizon.
+    calls = {"Functional": 0, "f_delta": 0, "_scaled_horizon": 0}
+    init, f_delta = spaces.Functional.__init__, quantities.f_delta
+    scaled_horizon = quantities._scaled_horizon
+
+    def constructing(self, *args, **kwargs):
+        calls["Functional"] += 1
+        init(self, *args, **kwargs)
+
+    def thresholding(*args, **kwargs):
+        calls["f_delta"] += 1
+        return f_delta(*args, **kwargs)
+
+    def scaling(*args, **kwargs):
+        calls["_scaled_horizon"] += 1
+        return scaled_horizon(*args, **kwargs)
+
+    monkeypatch.setattr(spaces.Functional, "__init__", constructing)
+    monkeypatch.setattr(quantities, "f_delta", thresholding)
+    for module in (verify, quantities):
+        monkeypatch.setattr(module, "_scaled_horizon", scaling)
+    assert bundle(parse("1"), 10).ok
+    assert calls == {"Functional": 0, "f_delta": 0, "_scaled_horizon": 1}
+
+
 @pytest.mark.parametrize("refused", [
     lambda: verify_example_schreier(parse("w"), 14, budget=Budget(work=300)),
     lambda: quantities.sm_constant(
@@ -173,7 +202,7 @@ def test_dual_certificates_take_one_norm_per_sample(monkeypatch):
     monkeypatch.setattr(verify, "norm", counted)
     monkeypatch.setattr(spaces, "norm", counted)
     ok, detail = _dual_certificate_trials(spec, _members(order, 12), 12,
-                                          trials=30, seed=0, budget=Budget())
+                                          budget=Budget())
     assert ok and detail.startswith("30 certified evaluations")
     assert len(calls) == 30
 
@@ -185,7 +214,7 @@ def test_dual_certificates_fail_on_a_violation(monkeypatch):
     monkeypatch.setattr(verify, "norm", lambda spec, x, budget: SimpleNamespace(
         value=norm(spec, x, budget=budget).value / 2))
     ok, detail = _dual_certificate_trials(spec, _members(order, 8), 8,
-                                          trials=30, seed=0, budget=Budget())
+                                          budget=Budget())
     assert not ok and detail.startswith("|")
 
 
@@ -205,7 +234,7 @@ def test_dual_certificates_pass_norm_refusals_on():
     order = parse("2")
     with pytest.raises(BudgetExceededError):
         _dual_certificate_trials(NormSpec.schreier(order), _members(order, 12),
-                                 12, trials=30, seed=0, budget=Budget(work=1))
+                                 12, budget=Budget(work=1))
 
 
 @pytest.mark.parametrize("xi_text", ["0", "1"])
@@ -257,6 +286,25 @@ def test_schreier_bundle_fails_above_one():
     failed = {c.name for c in report.checks if not c.ok}
     assert failed == {"basis-large-below-one"}
     assert report.results["large"]["certificate"] == "1"
+
+
+@pytest.mark.parametrize("xi_text, N, c, digest", [
+    ("1", 8, Fraction(0),
+     "4e6aafdbcc9f3a9bb4608ae7107aaab22569d5d0b9a7892570ea97f410dc4d53"),
+    ("1", 8, Fraction(-1, 2),
+     "a62a021488200a4903dee567e54a0832784c35d0c3ca68218f91f8bce0c613a9"),
+    ("w", 8, Fraction(1),
+     "5a8db04e37f30d57705016064016b9538a32bc67bd5222154e9e4565314a6aee"),
+    ("0", 10, Fraction(0),
+     "fca0e50667da978726fdb31bf010a431829230d9e33639ea09b8ed4484905cdf"),
+])
+def test_schreier_bundle_level_paths_are_pinned(xi_text, N, c, digest):
+    # Recorded when the hit sets still came from one Functional per member.
+    # A level c <= 0 starts every element at total 0; at c = 1 each member
+    # sum meets its own basis vectors exactly at the level.
+    report = verify_example_schreier(parse(xi_text), N, c_override=c)
+    assert report.ok
+    assert hashlib.sha256(report.json_bytes()).hexdigest() == digest
 
 
 def test_prop_bundle_passes():
