@@ -269,9 +269,13 @@ def sm_constant(xi: Ordinal, xs: SeqSpec, N: int, coeff_budget: int = 4, *,
     coefficients can only overshoot, hence the upper-bound tag.
 
     The scan is exact on integers for every kind: the elements ``1..N`` are
-    scaled once to one common denominator ``D``, each pattern is an integer
-    sum of those rows, and one memo of kernel results, keyed on the support
-    and magnitudes it was asked for, serves every pattern of the scan.  The
+    scaled once to one common denominator ``D``, and each pattern is an
+    integer sum of those rows.  In a ``schreier`` or ``schreier_star``
+    space of order ``xi`` under ``fs`` every member walked is admissible,
+    and by heredity so is every subset of it; a pattern living inside its
+    member therefore takes its total from its integers, with no kernel.
+    Every other pattern goes to the norm kernels, through one memo of
+    kernel results keyed on the support and magnitudes asked for.  The
     ratios are compared as integers too: every total is over ``D``, so a
     pattern with total ``t`` beats the best ``t_b`` so far exactly when
     ``t * |F_b|**p < t_b * |F|**p``, with ``p = 2`` for ``l2`` and
@@ -281,7 +285,8 @@ def sm_constant(xi: Ordinal, xs: SeqSpec, N: int, coeff_budget: int = 4, *,
     budget = get_budget(budget)
     members = _family(xi, N, fs=fs, budget=budget)
     rows, D = _scaled_horizon(xs, N)
-    patterns = _sm_patterns(xs.ambient, rows, coeff_budget, members, budget)
+    patterns = _sm_patterns(xs.ambient, rows, coeff_budget, members, xi, fs,
+                            budget)
     return _sm_least(xs.ambient, N, D, patterns)
 
 
@@ -295,14 +300,35 @@ def _scaled_horizon(xs: SeqSpec, N: int) -> tuple[list[tuple], int]:
                    for support, values, d in scaled], D
 
 
+def _own_walk(order: Ordinal, fs: FundamentalRule, spec: NormSpec) -> bool:
+    """Whether the members walked at ``order`` under ``fs`` are admissible
+    sets of ``spec`` by construction: ``spec`` is a ``schreier`` or
+    ``schreier_star`` norm of that very order and rule."""
+    return (spec.kind in ("schreier", "schreier_star")
+            and order == spec.xi and fs == spec.fs)
+
+
 def _sm_patterns(ambient: NormSpec, rows: Sequence[tuple], coeff_budget: int,
-                 members: Iterable[FinSet], budget: Budget
-                 ) -> Iterator[tuple[FinSet, tuple, int]]:
-    """The sign patterns of :func:`sm_constant` over the given members, in
-    scan order, each as ``(F, signs, total)``: the kernel total of
-    ``sum signs[k] * x_{F[k]}`` from the rows of :func:`_scaled_horizon`,
-    in units of ``1/D`` (``1/D**2`` for ``l2`` and ``baernstein``), all
-    patterns through one memo."""
+                 members: Iterable[FinSet], order: Ordinal, fs: FundamentalRule,
+                 budget: Budget) -> Iterator[tuple[FinSet, tuple, int]]:
+    """The sign patterns of :func:`sm_constant` over the given members,
+    walked at ``order`` under ``fs``, in scan order, each as ``(F, signs,
+    total)``: the norm total of ``sum signs[k] * x_{F[k]}`` from the rows of
+    :func:`_scaled_horizon`, in units of ``1/D`` (``1/D**2`` for ``l2`` and
+    ``baernstein``).
+
+    On a walk of the ambient's own order and rule each member is admissible,
+    and so is each of its subsets, since every family is hereditary.  A
+    pattern whose rows all live inside its member then has admissible
+    signed parts, and magnitudes are positive, so each part's whole support
+    is its maximizer: the total is the sum of the magnitudes (the larger of
+    the two signed masses, for ``schreier_star``), with no kernel.  The
+    kernels would give the same totals and spend no work on them: the
+    members come through the family count, and a member of ``k`` points
+    brings its ``2**k`` subsets into it, so ``k`` is below the work budget.
+    The other patterns go to the kernels through one memo."""
+    own = _own_walk(order, fs, ambient)
+    star = ambient.kind == "schreier_star"
     memo: dict = {}
     for F in members:
         if not F:
@@ -314,10 +340,17 @@ def _sm_patterns(ambient: NormSpec, rows: Sequence[tuple], coeff_budget: int,
             for sign, n in zip(signs, F):
                 for i, v in rows[n]:
                     combined[i] = combined.get(i, 0) + sign * v
-            support = tuple(sorted(i for i, v in combined.items() if v))
-            values = [combined[i] for i in support]
-            yield F, signs, _norm_total(ambient, support, values, budget,
-                                        memo)[0]
+            if not (own and combined.keys() <= set(F)):
+                support = tuple(sorted(i for i, v in combined.items() if v))
+                values = [combined[i] for i in support]
+                total = _norm_total(ambient, support, values, budget, memo)[0]
+            elif star:
+                # The negative part's mass is the positive one minus the sum.
+                positive = sum(v for v in combined.values() if v > 0)
+                total = max(positive, positive - sum(combined.values()))
+            else:
+                total = sum(map(abs, combined.values()))
+            yield F, signs, total
 
 
 def _sm_least(ambient: NormSpec, N: int, D: int,
@@ -382,9 +415,8 @@ def _sum_functionals(order: Ordinal, spec: NormSpec, N: int, *,
     and rule of a ``schreier`` or ``schreier_star`` spec skip the
     membership test; every other walk is certified member by member.
     """
-    own = (spec.kind in ("schreier", "schreier_star")
-           and order == spec.xi and fs == spec.fs)
-    build = _member_sum_functional if own else coordinate_sum_functional
+    build = (_member_sum_functional if _own_walk(order, fs, spec)
+             else coordinate_sum_functional)
     return [build(F, spec) for F in _family(order, N, fs=fs, budget=budget) if F]
 
 

@@ -15,24 +15,27 @@ witness.  ``_scaled_norm`` turns that total into a :class:`NormResult`, and
 :func:`norm` scales its vector once and calls it; the sign-pattern scan of
 ``quantities.sm_constant``, which the bundles share, scales its horizon once
 over one denominator, builds its many vectors from those integer rows and
-calls ``_norm_total`` directly, since it compares only integer totals.  The star norm splits signs on the integers, and the
-kernels see only magnitudes: order 0 takes the first largest entry,
-order 1 keeps a min-heap over one right-to-left scan in O(L log L) for L
-support points, and everything else runs a branch-and-bound
-over admissible prefixes from an explicit stack, metered by the active
-budget's ``work`` alone, so no support is too long for the interpreter.
-Each search node carries the membership automaton state of its prefix (or
-of its open block, for the chain norm), so testing one more support point
-is a single automaton step.  The base and star kernels at orders 1 and up
-first test whether the whole support is admissible: magnitudes are positive, so then
-the whole support is the maximizer and the total is its sum.  That is the
-common case of the bundle scans, whose vectors live on family members.  The
-chain kernel searches in another order and has no such test.  Kernel totals
-are integers in units of ``1/D`` (``1/D**2`` for the chain norm), turned
-into one ``Fraction`` on return.  A scan may pass the entry a memo of
+calls ``_norm_total`` directly, since it compares only integer totals.  It
+calls it only for the vectors it cannot total by itself: on members walked
+at the order and rule of a ``schreier`` or ``schreier_star`` norm, a vector
+inside its member has admissible signed parts by heredity.  The star norm
+splits signs on the integers, and the kernels see only magnitudes: order 0
+takes the first largest entry, order 1 keeps a min-heap over one
+right-to-left scan in O(L log L) for L support points, and everything else
+runs a branch-and-bound over admissible prefixes from an explicit stack,
+metered by the active budget's ``work`` alone, so no support is too long
+for the interpreter.  Each search node carries the membership automaton
+state of its prefix (or of its open block, for the chain norm), so testing
+one more support point is a single automaton step.  The base and star
+kernels at orders 1 and up first test whether the whole support is
+admissible: magnitudes are positive, so then the whole support is the
+maximizer and the total is its sum.  The chain kernel searches in another
+order and has no such test.  Kernel totals are integers in units of
+``1/D`` (``1/D**2`` for the chain norm), turned into one ``Fraction`` on
+return.  A scan may pass the entry a memo of
 kernel results keyed on the support and magnitudes; one memo serves a whole
-scan (every member and pattern of ``quantities.sm_constant``), under one
-spec and one budget, and no cache outlives it.
+scan (the kernel patterns of ``quantities.sm_constant``), under one spec
+and one budget, and no cache outlives it.
 
 ``norm_oracle`` is the same quantity computed by exhaustive enumeration over
 ``Fraction``, kept deliberately free of pruning and of the automaton: it

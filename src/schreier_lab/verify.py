@@ -16,10 +16,11 @@ denominator ``D``.  The walk yields members of the space's own order only,
 so their coordinate sums are certified without testing membership again,
 and their hit sets are built from the members on that one scaling, with no
 functional per member.  The sign patterns are evaluated once, in
-``quantities``, through one memo of norm kernel results; most supports met
-are members themselves, which the kernels recognize before any search.
-The star bundle lists its patterns, and its half-mass check and spreading
-constant read that list.
+``quantities``, and none of them reaches a norm kernel: each lives inside
+its member, which is admissible, and the families are hereditary, so every
+signed part of a pattern is admissible too and its total is the sum of its
+magnitudes.  The star bundle streams its patterns once, counting the
+half-mass violations on the way to its spreading constant.
 """
 
 from __future__ import annotations
@@ -119,7 +120,7 @@ def verify_example_schreier(xi: Ordinal, N: int, coeff_budget: int = 3, *,
     members = list(_family(order, N, fs=fs, budget=budget))
     rows, D = _scaled_horizon(basis, N)
     sm = _sm_least(spec, N, D, _sm_patterns(spec, rows, coeff_budget, members,
-                                            budget))
+                                            order, fs, budget))
     report.check("spreading-constant-is-one", sm.value == 1,
                  f"min ratio {sm.to_json()['value']} at {sm.witness}")
     report.result("sm", sm.to_json())
@@ -161,18 +162,26 @@ def verify_example_star(xi: Ordinal, N: int, coeff_budget: int = 3, *,
                  f"norm {format_fraction(diff_norm)}")
 
     members = list(_family(order, N, fs=fs, budget=budget))
-    # The sign patterns of the spreading-constant scan, listed once.  Every
-    # sign choice is listed on the members of at most coeff_budget points,
-    # and the half-mass check reads those; the spreading constant reads all.
+    # One pass over the sign patterns of the spreading-constant scan.  Every
+    # sign choice is met on the members of at most coeff_budget points, and
+    # the half-mass check counts those on the way to the spreading constant.
     rows, D = _scaled_horizon(basis, N)
-    patterns = list(_sm_patterns(spec, rows, coeff_budget, members, budget))
-    below_half = [2 * total < D * len(F)
-                  for F, _, total in patterns if len(F) <= coeff_budget]
-    violations = sum(below_half)
-    report.check("half-lower-bound-holds", violations == 0,
-                 f"{len(below_half)} sign patterns, {violations} below half mass")
+    signed = [0, 0]   # sign patterns, and those below half mass
 
-    sm = _sm_least(spec, N, D, patterns)
+    def counted(patterns):
+        for pattern in patterns:
+            F, _, total = pattern
+            if len(F) <= coeff_budget:
+                signed[0] += 1
+                signed[1] += 2 * total < D * len(F)
+            yield pattern
+
+    sm = _sm_least(spec, N, D, counted(_sm_patterns(spec, rows, coeff_budget,
+                                                    members, order, fs, budget)))
+    checked, violations = signed
+    report.check("half-lower-bound-holds", violations == 0,
+                 f"{checked} sign patterns, {violations} below half mass")
+
     expected_witness = "2,3;1,-1"
     report.check("spreading-constant-is-half",
                  sm.value == Fraction(1, 2) and sm.witness == expected_witness,

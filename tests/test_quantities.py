@@ -11,17 +11,19 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schreier_lab import quantities, schreier
 from schreier_lab.budget import Budget, BudgetExceededError
-from schreier_lab.ordinal import parse
+from schreier_lab.ordinal import default_fundamental_seq, parse
 from schreier_lab.quantities import (
     DeltaFamily, HorizonEstimate, ca_window, cca_window, cca_xi_tilde,
     cca_xi_tilde_sup, cca_xi_window, compose_refinements, f_delta,
     large_check, prop_formula, sm_constant)
 from schreier_lab.schreier import FinSet, enumerate_family
 from schreier_lab.spaces import (
-    CertificationRefusedError, Functional, NormSpec,
+    CertificationRefusedError, Functional, NormSpec, _norm_total,
     coordinate_sum_functional, norm)
 from schreier_lab.streams import IndexStream
 from schreier_lab.vectors import (CanonicalBasis, ExplicitSequence, RatVec,
@@ -321,14 +323,20 @@ SEQUENCES = {
 }
 
 
-@pytest.mark.parametrize("space", ["l1", "l2", "sup", "schreier:1", "star:2",
-                                   "baernstein:1"])
+# Walked at order 1, only schreier:1 is the space's own walk; the last two
+# are own walks at order 2.
+@pytest.mark.parametrize("space, xi_text", [
+    *(pytest.param(space, "1", id=space)
+      for space in ("l1", "l2", "sup", "schreier:1", "star:2", "baernstein:1")),
+    *(pytest.param(space, "2", id=f"{space}-xi2")
+      for space in ("schreier:2", "star:2"))])
 @pytest.mark.parametrize("sequence", sorted(SEQUENCES))
-def test_sm_constant_matches_the_fraction_scan(space, sequence):
+def test_sm_constant_matches_the_fraction_scan(space, xi_text, sequence):
     xs = SEQUENCES[sequence](NormSpec.parse(space))
+    xi = parse(xi_text)
     for coeff_budget in range(5):
-        est = sm_constant(parse("1"), xs, 6, coeff_budget)
-        value, witness = sm_reference(parse("1"), xs, 6, coeff_budget)
+        est = sm_constant(xi, xs, 6, coeff_budget)
+        value, witness = sm_reference(xi, xs, 6, coeff_budget)
         assert (est.value, est.witness) == (value, witness), coeff_budget
         assert type(est.value) is type(value)
         assert est.direction == "upper_bound"
@@ -341,6 +349,68 @@ def test_sm_constant_ties_of_irrational_ratios_keep_the_first_pattern():
     est = sm_constant(parse("1"), xs, 5, coeff_budget=0)
     assert est.value == math.sqrt(2)
     assert est.witness == "1;1"
+
+
+def stingy(x, n):
+    return default_fundamental_seq(x, max(1, n - 1))
+
+
+def scan_against_the_kernels(ambient, xs, N, coeff_budget, order, fs):
+    """The totals of the sign-pattern scan over the walk at ``order`` under
+    ``fs``, each next to the kernel total of its vector, with no memo."""
+    rows, D = quantities._scaled_horizon(xs, N)
+    members = enumerate_family(order, N, fs=fs)
+    for F, signs, total in quantities._sm_patterns(
+            ambient, rows, coeff_budget, members, order, fs, Budget()):
+        x = RatVec.combination(zip(signs, (xs.element(n) for n in F)))
+        support, values, d = x.scaled()
+        expected = _norm_total(ambient, support, values, Budget())[0]
+        yield Fraction(total, D), Fraction(expected, d)
+
+
+@given(order=st.sampled_from(["0", "1", "2", "w", "w+1"]),
+       kind=st.sampled_from(["schreier", "schreier_star"]),
+       rule=st.sampled_from([default_fundamental_seq, stingy]),
+       sequence=st.sampled_from(sorted(SEQUENCES)),
+       N=st.integers(1, 9), coeff_budget=st.integers(0, 4))
+@settings(max_examples=120, deadline=None)
+def test_sm_patterns_of_an_own_walk_match_the_kernels(order, kind, rule, sequence,
+                                                       N, coeff_budget):
+    # The walk and the ambient share order and rule, so patterns inside
+    # their member take integer totals; the explicit and subsequence
+    # fixtures put supports outside it, which takes the kernels.
+    ambient = NormSpec(kind, parse(order), rule)
+    xs = SEQUENCES[sequence](ambient)
+    N = min(N, 6) if sequence == "explicit" else N
+    for total, expected in scan_against_the_kernels(
+            ambient, xs, N, coeff_budget, ambient.xi, rule):
+        assert total == expected
+
+
+@pytest.mark.parametrize("ambient_rule, walk_rule",
+                         [(stingy, default_fundamental_seq),
+                          (default_fundamental_seq, stingy)])
+def test_sm_patterns_of_a_walk_under_another_rule_take_the_kernels(
+        monkeypatch, ambient_rule, walk_rule):
+    calls = []
+    real = quantities._norm_total
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(quantities, "_norm_total", counted)
+    ambient = NormSpec.star(parse("w"), fs=ambient_rule)
+    totals = list(scan_against_the_kernels(ambient, CanonicalBasis(ambient), 8,
+                                           3, ambient.xi, walk_rule))
+    assert len(calls) == len(totals) > 0
+    assert all(total == expected for total, expected in totals)
+    calls.clear()
+    # The same walk in the space of its own rule calls no kernel.
+    ambient = NormSpec.star(parse("w"), fs=walk_rule)
+    list(scan_against_the_kernels(ambient, CanonicalBasis(ambient), 8, 3,
+                                  ambient.xi, walk_rule))
+    assert calls == []
 
 
 # -- threshold families --------------------------------------------------------------

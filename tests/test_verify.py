@@ -14,7 +14,7 @@ from schreier_lab.ordinal import parse
 from schreier_lab.reports import Check, Report
 from schreier_lab.quantities import _sum_functionals, prop_formula
 from schreier_lab.spaces import NormSpec, norm
-from schreier_lab.vectors import CanonicalBasis
+from schreier_lab.vectors import CanonicalBasis, ExplicitSequence, RatVec
 from schreier_lab.verify import (_dual_certificate_trials,
                                  verify_example_schreier, verify_example_star,
                                  verify_prop_formula)
@@ -399,7 +399,7 @@ def _sized_globals(modules) -> dict:
             if isinstance(value, (dict, list, set))}
 
 
-def test_star_bundle_evaluates_each_kernel_key_once_per_scan(monkeypatch):
+def test_sign_pattern_scans_evaluate_each_kernel_key_at_most_once(monkeypatch):
     # A kernel evaluation is a _magnitude_norm call without a memo; the
     # memo a call goes through names the scan it belongs to.
     real = spaces._magnitude_norm
@@ -421,15 +421,22 @@ def test_star_bundle_evaluates_each_kernel_key_once_per_scan(monkeypatch):
     modules = (spaces, quantities, verify)
     before = _sized_globals(modules)
     monkeypatch.setattr(spaces, "_magnitude_norm", counting)
-    report = verify_example_star(parse("1"), 8)
+    # The bundles walk their space's own order, and every sign pattern lives
+    # inside its member: all totals come from the integers, none through a
+    # memo.
+    assert verify_example_schreier(parse("1"), 8).ok
+    assert verify_example_star(parse("1"), 8).ok
+    assert not requested
+    # x_n = e_n + e_{n+1} puts supports outside the members, so the scan
+    # needs the kernels, through one memo: each key is evaluated once.
+    spec = NormSpec.star(parse("2"))
+    xs = ExplicitSequence(spec, [RatVec({n: 1, n + 1: 1}) for n in range(1, 9)])
+    quantities.sm_constant(parse("2"), xs, 8, coeff_budget=3)
     monkeypatch.undo()
-    assert report.ok
     per_scan: dict = {}
     for memo, key in evaluations:
         if memo is not None:
             per_scan.setdefault(memo, []).append(key)
-    # The half-mass check and the spreading constant read one list of
-    # sign patterns, built through one memo: each key is evaluated once.
     assert len(per_scan) == 1 and requested.keys() == per_scan.keys()
     for memo, keys in per_scan.items():
         assert sorted(keys) == sorted(requested[memo])
