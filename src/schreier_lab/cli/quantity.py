@@ -87,39 +87,59 @@ def _cmd_q_sm(args) -> int:
     return 0
 
 
-def _gamma_order(args, ambient):
-    if args.gamma_xi is not None:
-        return _ordinal(args.gamma_xi)
-    if ambient.xi is None:
+def _sum_members(args, ambient) -> list:
+    """The nonempty members inside ``1..N`` at the ``--gamma-xi`` order,
+    counted first and each certified as a coordinate sum of ``ambient``: by
+    construction on the space's own walk, one by one on any other."""
+    from ..ordinal import default_fundamental_seq
+    from ..quantities import _own_walk
+    from ..schreier import _family
+    from ..spaces import coordinate_sum_functional
+    order = ambient.xi if args.gamma_xi is None else _ordinal(args.gamma_xi)
+    if order is None:
         raise ValueError(f"--space {args.space} needs an explicit --gamma-xi")
-    return ambient.xi
+    members = [F for F in _family(order, args.N) if F]
+    if not _own_walk(order, default_fundamental_seq, ambient):
+        for F in members:
+            coordinate_sum_functional(F, ambient)
+    return members
 
 
 def _cmd_q_fdelta(args) -> int:
-    from ..quantities import _sum_functionals, f_delta
+    from ..quantities import DeltaFamily, _hit_sets, _scaled_horizon
     ambient = _ambient_spec(args)
     xs = _sequence(args, ambient)
-    functionals = _sum_functionals(_gamma_order(args, ambient), ambient, args.N)
-    family = f_delta(functionals, xs, _fraction(args.delta), args.N)
-    payload = family.to_json()
+    members = _sum_members(args, ambient)
+    delta = _fraction(args.delta)
+    rows, D = _scaled_horizon(xs, args.N)
+    hit_sets = _hit_sets(((F, [1] * len(F), 1) for F in members), rows, D, delta)
+    payload = DeltaFamily(hit_sets, delta, args.N,
+                          tuple(f"sum[{F}]" for F in members)).to_json()
     payload.update({"kind": "fdelta", "space": str(ambient),
-                    "functionals": len(functionals)})
+                    "functionals": len(members)})
     _emit(args, payload)
     return 0
 
 
 def _cmd_q_large(args) -> int:
-    from ..quantities import _sum_functionals, large_check
+    from ..budget import get_budget
+    from ..ordinal import default_fundamental_seq
+    from ..quantities import _hit_sets, _large_scan, _scaled_horizon
+    from ..vectors import SeqSpec
     ambient = _ambient_spec(args)
     xs = _sequence(args, ambient)
-    functionals = _sum_functionals(_gamma_order(args, ambient), ambient, args.N)
-    weak_limit = None if args.weak_limit is None else _load_vector(args.weak_limit)
-    result = large_check(_ordinal(args.xi), _fraction(args.c), xs,
-                         _stream(args.stream), functionals, args.N,
-                         weak_limit=weak_limit)
+    members = _sum_members(args, ambient)
+    if args.weak_limit is not None:
+        weak_limit, element = _load_vector(args.weak_limit), xs.element
+        xs = SeqSpec(ambient, lambda n: element(n) - weak_limit, xs.name)
+    xi, c, M = _ordinal(args.xi), _fraction(args.c), _stream(args.stream)
+    rows, D = _scaled_horizon(xs, args.N)
+    hit_sets = _hit_sets(((F, [1] * len(F), 1) for F in members), rows, D, c)
+    result = _large_scan(xi, hit_sets, M, args.N, None,
+                         fs=default_fundamental_seq, budget=get_budget())
     payload = result.to_json()
     payload.update({"kind": "large", "space": str(ambient),
-                    "c": args.c, "functionals": len(functionals)})
+                    "c": args.c, "functionals": len(members)})
     _emit(args, payload)
     return 0 if result.ok else 1
 

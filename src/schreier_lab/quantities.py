@@ -19,7 +19,10 @@ ranks exactly, and only the winner becomes a value.  The horizon scans of
 :func:`sm_constant` and :func:`f_delta` run on integers: ``_scaled_horizon``
 scales the elements ``1..N`` once, over one common denominator.  The
 largeness scan reads hit sets only; ``_hit_sets`` builds them on those rows,
-from functionals here and from bare members in the ``verify`` bundles.
+from the functionals given to :func:`f_delta`, and from bare members in the
+``verify`` bundles and in the CLI's ``quantity fdelta`` and ``quantity
+large``, which build no functional.  The scan tests a set that is no hit set
+on a bitset index of the hit sets, one AND per element.
 """
 
 from __future__ import annotations
@@ -33,8 +36,7 @@ from .budget import Budget, BudgetExceededError, Record, WorkMeter, get_budget
 from .ordinal import FundamentalRule, Ordinal, default_fundamental_seq
 from .schreier import FinSet, _family, enumerate_family
 from .spaces import (CertificationRefusedError, Functional, NormResult, NormSpec,
-                     _member_sum_functional, _norm_total, _sqrt_result,
-                     coordinate_sum_functional, norm)
+                     _norm_total, _sqrt_result, norm)
 from .vectors import RatVec, SeqSpec, format_fraction
 from .vectors import CanonicalBasis  # noqa: F401 -- still importable from here
 
@@ -405,21 +407,6 @@ class DeltaFamily(Record):
         }
 
 
-def _sum_functionals(order: Ordinal, spec: NormSpec, N: int, *,
-                     fs: FundamentalRule = default_fundamental_seq,
-                     budget: Budget | None = None) -> list[Functional]:
-    """Certified coordinate sums over the nonempty members inside ``1..N``.
-
-    The members are counted first, so a family past the work budget is
-    refused before any functional is built.  Members walked at the order
-    and rule of a ``schreier`` or ``schreier_star`` spec skip the
-    membership test; every other walk is certified member by member.
-    """
-    build = (_member_sum_functional if _own_walk(order, fs, spec)
-             else coordinate_sum_functional)
-    return [build(F, spec) for F in _family(order, N, fs=fs, budget=budget) if F]
-
-
 def f_delta(functionals: Sequence[Functional], xs: SeqSpec, delta: Fraction,
             N: int) -> DeltaFamily:
     """The sets in ``1..N`` that one functional pushes past ``delta``.
@@ -504,9 +491,11 @@ def large_check(xi: Ordinal, c: Fraction, xs: SeqSpec, M: IndexStream,
     certificate.  The verdict is certified on this window only.  The walk
     over the positions is metered as it goes, so a failure met early is
     reported even when the whole family is past the budget.  A set that is
-    not itself a hit set is tested against the distinct hit sets in turn,
-    one unit of ``budget.work`` per hit set tested (``largeness subset
-    tests``).
+    itself a hit set is covered at no cost.  Any other set ``F`` is covered
+    exactly when the AND over ``n`` in ``F`` of the bitmasks of the hit sets
+    holding ``n`` is nonzero; the scan stops at the first zero and charges
+    one unit of ``budget.work`` per AND (``largeness subset tests``), and
+    each bitmask, built at its first use, one unit per 64 hit sets it spans.
     """
     weak_limit = RatVec() if weak_limit is None else weak_limit
     shifted = SeqSpec(xs.ambient, lambda n: xs.element(n) - weak_limit, xs.name)
@@ -520,7 +509,10 @@ def _large_scan(xi: Ordinal, hit_sets: Iterable[FinSet], M: IndexStream, N: int,
                 fs: FundamentalRule, budget: Budget) -> LargeCheckResult:
     """The scan of :func:`large_check` over the given hit sets; ``members``
     is the order-``xi`` family over the positions ``M`` carries below ``N``,
-    walked here when None."""
+    walked here when None.  The index of the hit sets is built at the first
+    nonempty set that is no hit set: a scan whose every nonempty set is its
+    own hit set, as in the bundles, never builds it, and any hit set covers
+    the empty set."""
     hit_sets = dict.fromkeys(hit_sets)   # distinct, in first-seen order
     subset_tests = WorkMeter("largeness subset tests", budget.work)
     values = []
@@ -535,6 +527,8 @@ def _large_scan(xi: Ordinal, hit_sets: Iterable[FinSet], M: IndexStream, N: int,
         members = enumerate_family(xi, len(values), fs=fs, budget=budget)
     # Along the identity the positions are the values themselves.
     identity = all(v == k for k, v in enumerate(values, 1))
+    everyone = (1 << len(hit_sets)) - 1   # any hit set covers the empty set
+    masks = None
     checked = 0
     for G in members:
         # An increasing stream keeps the increasing positions increasing.
@@ -542,13 +536,42 @@ def _large_scan(xi: Ordinal, hit_sets: Iterable[FinSet], M: IndexStream, N: int,
         checked += 1
         if F in hit_sets:
             continue
-        for hits in hit_sets:
+        covering = everyone
+        for n in F:
+            if masks is None:
+                masks = _HitMasks(hit_sets, subset_tests)
             subset_tests.spend()
-            if all(n in hits for n in F):
+            covering &= masks[n]
+            if not covering:
                 break
-        else:
+        if not covering:
             return LargeCheckResult(False, checked, F, str(xi), M.name, N)
     return LargeCheckResult(True, checked, None, str(xi), M.name, N)
+
+
+class _HitMasks(dict):
+    """The index of the largeness scan: ``self[n]`` has bit ``j`` set when
+    ``n`` lies in the j-th hit set.  The hit sets are inverted once, and
+    each mask is built at its first read, as bytes read once, so in time
+    linear in its bits; it charges ``meter`` one unit per 64 of them, which
+    bounds the memory the index keeps."""
+
+    def __init__(self, hit_sets: Iterable[FinSet], meter: WorkMeter):
+        super().__init__()
+        self.holders: dict[int, list[int]] = {}
+        for j, hits in enumerate(hit_sets):
+            for n in hits:
+                self.holders.setdefault(n, []).append(j)
+        self.meter = meter
+
+    def __missing__(self, n: int) -> int:
+        holders = self.holders.get(n, ())
+        row = bytearray(holders[-1] // 8 + 1 if holders else 0)
+        self.meter.spend(len(row) // 8 + 1)
+        for j in holders:
+            row[j >> 3] |= 1 << (j & 7)
+        self[n] = mask = int.from_bytes(row, "little")
+        return mask
 
 
 # -- the two-term ratio formula ---------------------------------------------------------

@@ -545,12 +545,5 @@ def coordinate_sum_functional(F: FinSet, spec: NormSpec) -> Functional:
     if not is_member(spec.xi, F, fs=spec.fs):
         raise CertificationRefusedError(
             f"{{{F}}} is not admissible at order {spec.xi}")
-    return _member_sum_functional(F, spec)
-
-
-def _member_sum_functional(F: FinSet, spec: NormSpec) -> Functional:
-    """:func:`coordinate_sum_functional` without its checks, for a set known
-    to be a member at the order of a ``schreier`` or ``schreier_star`` spec,
-    such as one walked from that family by ``quantities._sum_functionals``."""
     ones = RatVec._canonical(dict.fromkeys(F, Fraction(1)))
     return Functional(ones, spec, label=f"sum[{F}]")

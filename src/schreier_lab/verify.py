@@ -15,7 +15,9 @@ that one list of members.  Each bundle scales its basis once over one
 denominator ``D``.  The walk yields members of the space's own order only,
 so their coordinate sums are certified without testing membership again,
 and their hit sets are built from the members on that one scaling, with no
-functional per member.  The sign patterns are evaluated once, in
+functional per member, as the CLI's ``quantity large`` does too.  Every
+nonempty member is its own hit set at the bundles' level, so the largeness
+scan never builds its index.  The sign patterns are evaluated once, in
 ``quantities``, and none of them reaches a norm kernel: each lives inside
 its member, which is admissible, and the families are hereditary, so every
 signed part of a pattern is admissible too and its total is the sum of its

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import schreier_lab
-from schreier_lab import averages
+from schreier_lab import averages, spaces
 from schreier_lab.cli import main
 
 
@@ -701,7 +701,7 @@ def test_quantity_large_exit_codes(capsys):
 
 
 def test_quantity_large_refuses_past_the_budget(capsys, monkeypatch):
-    # The family is counted before any functional is built, so the refusal
+    # The family is counted before any member is walked, so the refusal
     # costs no enumeration.
     monkeypatch.delenv("SCHREIER_LAB_BUDGET", raising=False)
     started = time.perf_counter()
@@ -712,11 +712,33 @@ def test_quantity_large_refuses_past_the_budget(capsys, monkeypatch):
     assert err == ("budget exceeded: budget exceeded for family enumeration: "
                    "limit 200000 (needs >= 200001)\n")
     assert time.perf_counter() - started < 1
+    # The count comes before the weak limit is read.
+    assert run(capsys, "quantity", "large", "--xi", "2", "--c", "9/10",
+               "--N", "20", "--weak-limit", "{not json") == (2, "", err)
+
+
+@pytest.mark.parametrize("op", [("fdelta", "--delta", "1/2"),
+                                ("large", "--xi", "2", "--c", "1/2")])
+def test_quantity_threshold_ops_build_no_functional(capsys, monkeypatch, op):
+    # On the space's own walk the hit sets come from the members: no
+    # Functional is built, and the output is that of the coordinate sums.
+    calls = []
+    init = spaces.Functional.__init__
+
+    def constructing(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(spaces.Functional, "__init__", constructing)
+    code, payload = run_json(capsys, "quantity", *op, "--space-xi", "2",
+                             "--N", "10")
+    assert (code, calls) == (0, [])
+    assert payload["functionals"] == 488
 
 
 def test_quantity_large_meters_its_subset_tests(capsys, monkeypatch, tmp_path):
-    # x_n = e_n + e_{n+1}: the sets that are no hit set are tested against
-    # the hit sets, about 970,000 tests when they were not metered.
+    # x_n = e_n + e_{n+1}: the sets that are no hit set are tested on the
+    # hit-set index, 35,311 ANDs, past this budget but within the default.
     seq = write_vecs(tmp_path, "seq.json",
                      *({str(n): "1", str(n + 1): "1"} for n in range(1, 15)))
     monkeypatch.setenv("SCHREIER_LAB_BUDGET", "7000")

@@ -9,12 +9,14 @@ import itertools
 import math
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schreier_lab import quantities, schreier
+from schreier_lab.cli import quantity
 from schreier_lab.budget import Budget, BudgetExceededError
 from schreier_lab.ordinal import default_fundamental_seq, parse
 from schreier_lab.quantities import (
@@ -25,7 +27,7 @@ from schreier_lab.schreier import FinSet, enumerate_family
 from schreier_lab.spaces import (
     CertificationRefusedError, Functional, NormSpec, _norm_total,
     coordinate_sum_functional, norm)
-from schreier_lab.streams import IndexStream
+from schreier_lab.streams import IndexStream, parse_stream
 from schreier_lab.vectors import (CanonicalBasis, ExplicitSequence, RatVec,
                                   Subsequence, WeightedBasis, format_fraction)
 
@@ -516,6 +518,12 @@ def all_sum_functionals(xi, spec, N):
             for F in enumerate_family(xi, N) if F]
 
 
+def sum_members(spec, N, gamma_xi=None):
+    # The certified walk behind `quantity fdelta` and `quantity large`.
+    return quantity._sum_members(
+        SimpleNamespace(space=spec.kind, gamma_xi=gamma_xi, N=N), spec)
+
+
 @pytest.mark.parametrize("space", ["schreier:1", "schreier:2", "star:w"])
 def test_sum_functionals_of_the_space_order_skip_the_membership_test(
         monkeypatch, space):
@@ -528,22 +536,24 @@ def test_sum_functionals_of_the_space_order_skip_the_membership_test(
 
     monkeypatch.setattr(schreier, "is_member", counted)
     spec = NormSpec.parse(space)
-    functionals = quantities._sum_functionals(spec.xi, spec, 8)
+    members = sum_members(spec, 8)
     assert calls == []
     monkeypatch.undo()
-    assert functionals == all_sum_functionals(spec.xi, spec, 8)
+    assert [coordinate_sum_functional(F, spec) for F in members] == \
+        all_sum_functionals(spec.xi, spec, 8)
 
 
 def test_sum_functionals_of_another_order_are_certified():
     spec = NormSpec.schreier(parse("2"))
-    assert quantities._sum_functionals(parse("1"), spec, 8) == \
+    assert [coordinate_sum_functional(F, spec)
+            for F in sum_members(spec, 8, "1")] == \
         all_sum_functionals(parse("1"), spec, 8)
     with pytest.raises(CertificationRefusedError,
                        match=r"^\{2,3,4\} is not admissible at order 1$"):
-        quantities._sum_functionals(parse("2"), S1, 6)
+        sum_members(S1, 6, "2")
     with pytest.raises(CertificationRefusedError,
                        match="kind 'baernstein' does not certify"):
-        quantities._sum_functionals(parse("1"), NormSpec.baernstein(parse("1")), 6)
+        sum_members(NormSpec.baernstein(parse("1")), 6, "1")
 
 
 def test_large_check_basis_is_large_at_one():
@@ -589,20 +599,78 @@ def test_large_check_recenters_by_the_weak_limit():
     assert centered.certificate == FinSet.of(2, 3)
 
 
+def pairs(space, N):
+    # x_n = e_n + e_{n+1}: at level 1 a member's sum hits each n with n or
+    # n + 1 in the member, so most admissible sets are covered by a hit set
+    # without being one.
+    return ExplicitSequence(space, [RatVec({n: 1, n + 1: 1})
+                                    for n in range(1, N + 1)])
+
+
+def member_sums(order, space, N):
+    return [Functional(RatVec(dict.fromkeys(F, 1)), space, label=f"sum[{F}]")
+            for F in enumerate_family(order, N) if F]
+
+
 def test_large_check_meters_its_subset_tests():
-    # x_n = e_n + e_{n+1}: the sets that are no hit set are tested against
-    # the hit sets, about 970,000 tests when they were not metered.
+    # The sets that are no hit set are tested on the hit-set index: 35,311
+    # ANDs here, where testing each against the hit sets in turn took
+    # 671,675 subset tests.
     started = time.perf_counter()
     order = parse("2")
     space = NormSpec.schreier(order)
-    xs = ExplicitSequence(space, [RatVec({n: 1, n + 1: 1}) for n in range(1, 15)])
     budget = Budget(work=7000)
-    functionals = quantities._sum_functionals(order, space, 14, budget=budget)
+    functionals = member_sums(order, space, 14)
     with pytest.raises(BudgetExceededError) as info:
-        large_check(order, Fraction(1), xs, ALL, functionals, 14, budget=budget)
+        large_check(order, Fraction(1), pairs(space, 14), ALL, functionals, 14,
+                    budget=budget)
     assert time.perf_counter() - started < 1
     assert str(info.value) == ("budget exceeded for largeness subset tests: "
                                "limit 7000 (needs >= 7001)")
+
+
+def test_large_check_answers_the_pairs_at_the_default_budget():
+    # 6,718 sets and 1,897 hit sets: 35,311 ANDs on the index, where testing
+    # each set against the hit sets in turn needed 671,675 subset tests.
+    order = parse("2")
+    space = NormSpec.schreier(order)
+    result = large_check(order, Fraction(1), pairs(space, 14), ALL,
+                         member_sums(order, space, 14), 14)
+    assert (result.ok, result.checked, result.certificate) == (True, 6718, None)
+
+
+def linear_large_scan(xi, family, M, N):
+    # The reference: each carried set tested against the family's hit sets
+    # in turn, by DeltaFamily.contains.
+    values = list(itertools.takewhile(lambda v: v <= N,
+                                      map(M.element, itertools.count(1))))
+    checked = 0
+    for G in enumerate_family(xi, len(values)):
+        F = FinSet(values[g - 1] for g in G)
+        checked += 1
+        if not family.contains(F):
+            return False, checked, F
+    return True, checked, None
+
+
+@given(order=st.sampled_from(["0", "1", "2", "w"]),
+       stream=st.sampled_from(["all", "evens", "shift:2"]),
+       data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_large_scan_matches_the_linear_scan(order, stream, data):
+    N = data.draw(st.integers(0, 9), label="N")
+    subsets = st.frozensets(st.integers(1, N)) if N else st.just(frozenset())
+    hit_sets = [FinSet(sorted(hits))
+                for hits in data.draw(st.lists(subsets, max_size=20),
+                                      label="hit_sets")]
+    if data.draw(st.booleans(), label="add the whole horizon"):
+        hit_sets.append(FinSet(range(1, N + 1)))
+    xi, M = parse(order), parse_stream(stream)
+    family = DeltaFamily(tuple(hit_sets), Fraction(1), N, ())
+    result = quantities._large_scan(xi, hit_sets, M, N, None,
+                                    fs=default_fundamental_seq, budget=Budget())
+    assert (result.ok, result.checked, result.certificate) == \
+        linear_large_scan(xi, family, M, N)
 
 
 # -- the two-term ratio formula ----------------------------------------------------

@@ -12,7 +12,8 @@ from schreier_lab import quantities, schreier, spaces, verify
 from schreier_lab.budget import Budget, BudgetExceededError
 from schreier_lab.ordinal import parse
 from schreier_lab.reports import Check, Report
-from schreier_lab.quantities import _sum_functionals, prop_formula
+from schreier_lab.cli.quantity import _sum_members
+from schreier_lab.quantities import prop_formula
 from schreier_lab.spaces import NormSpec, norm
 from schreier_lab.vectors import CanonicalBasis, ExplicitSequence, RatVec
 from schreier_lab.verify import (_dual_certificate_trials,
@@ -31,21 +32,22 @@ def test_schreier_bundle_passes(xi_text):
     assert report.results["large"]["ok"] is True
 
 
-def test_sum_functionals_count_the_family_first():
-    # 338,300 members: refused on the count, before any functional exists,
+def test_sum_functionals_count_the_family_first(monkeypatch):
+    # 338,300 members: refused on the count, before any member is walked,
     # with the enumeration meter's own text.
-    order = parse("2")
+    def sum_members(order, N):
+        args = SimpleNamespace(space="schreier", gamma_xi=None, N=N)
+        return _sum_members(args, NormSpec.schreier(parse(order)))
+
+    monkeypatch.setenv("SCHREIER_LAB_BUDGET", "2000")
     with pytest.raises(BudgetExceededError) as info:
-        _sum_functionals(order, NormSpec.schreier(order), 20,
-                         budget=Budget(work=2000))
+        sum_members("2", 20)
     assert str(info.value).endswith(
         "family enumeration: limit 2000 (needs >= 2001)")
     # The count charges only the states that take a value, never more
     # than the 30 nonempty members of order 0, so it fits in 40.
-    order = parse("0")
-    functionals = _sum_functionals(order, NormSpec.schreier(order), 30,
-                                   budget=Budget(work=40))
-    assert len(functionals) == 30
+    monkeypatch.setenv("SCHREIER_LAB_BUDGET", "40")
+    assert len(sum_members("0", 30)) == 30
 
 
 @pytest.mark.parametrize("bundle", [verify_example_schreier, verify_example_star])
@@ -72,10 +74,16 @@ def test_bundles_count_and_walk_their_family_once(monkeypatch, bundle):
 def test_bundles_build_no_functional_and_scale_their_basis_once(monkeypatch,
                                                                 bundle):
     # The largeness hit sets come from the members on the bundle's own
-    # scaling: no Functional, no f_delta, and one _scaled_horizon.
-    calls = {"Functional": 0, "f_delta": 0, "_scaled_horizon": 0}
+    # scaling: no Functional, no f_delta, and one _scaled_horizon.  Every
+    # nonempty member is its own hit set, so the scan builds no index.
+    calls = {"Functional": 0, "f_delta": 0, "_scaled_horizon": 0, "index": 0}
     init, f_delta = spaces.Functional.__init__, quantities.f_delta
     scaled_horizon = quantities._scaled_horizon
+
+    class Indexing(quantities._HitMasks):
+        def __init__(self, *args):
+            calls["index"] += 1
+            super().__init__(*args)
 
     def constructing(self, *args, **kwargs):
         calls["Functional"] += 1
@@ -91,10 +99,12 @@ def test_bundles_build_no_functional_and_scale_their_basis_once(monkeypatch,
 
     monkeypatch.setattr(spaces.Functional, "__init__", constructing)
     monkeypatch.setattr(quantities, "f_delta", thresholding)
+    monkeypatch.setattr(quantities, "_HitMasks", Indexing)
     for module in (verify, quantities):
         monkeypatch.setattr(module, "_scaled_horizon", scaling)
     assert bundle(parse("1"), 10).ok
-    assert calls == {"Functional": 0, "f_delta": 0, "_scaled_horizon": 1}
+    assert calls == {"Functional": 0, "f_delta": 0, "_scaled_horizon": 1,
+                     "index": 0}
 
 
 @pytest.mark.parametrize("refused", [
