@@ -159,14 +159,13 @@ class RepeatedAverages:
             child = self._lower()
             first, last = self._sub_counts[j - 1] + 1, self._sub_counts[j]
             if child.kind == "zero":
-                parts = [(first, last, 1)]   # unit vectors, merged
+                parts = [(first, last, 1)]   # unit vectors, one run
             else:
                 parts = []
                 for k in range(first, last + 1):
                     parts.extend((yield child._runs(k)))
-            # Merging before scaling is the same as after: one share for all.
             share = last - first + 1
-            runs = tuple((a, b, q * share) for a, b, q in _merged(parts))
+            runs = tuple((a, b, q * share) for a, b, q in parts)
         else:
             done = self._consumed[j - 1]
             runs = tuple((a + done, b + done, q)
@@ -251,17 +250,6 @@ _ONE, _ZERO = Fraction(1), Fraction(0)
 
 def _descent_meter(cap: int) -> WorkMeter:
     return WorkMeter("repeated-average orders visited", cap)
-
-
-def _merged(runs) -> list:
-    """Ascending runs with each touching pair of equal weights joined."""
-    out: list = []
-    for first, last, q in runs:
-        if out and out[-1][1] + 1 == first and out[-1][2] == q:
-            out[-1] = (out[-1][0], last, q)
-        else:
-            out.append((first, last, q))
-    return out
 
 
 def _refuse_past(total: int, cap: int) -> None:

@@ -90,18 +90,16 @@ def _cmd_q_sm(args) -> int:
 def _sum_members(args, ambient) -> list:
     """The nonempty members inside ``1..N`` at the ``--gamma-xi`` order,
     counted first and each certified as a coordinate sum of ``ambient``: by
-    construction on the space's own walk, one by one on any other."""
+    construction on the space's own walk, in one pass on any other."""
     from ..ordinal import default_fundamental_seq
-    from ..quantities import _own_walk
     from ..schreier import _family
-    from ..spaces import coordinate_sum_functional
+    from ..spaces import _certify_sums, _own_walk
     order = ambient.xi if args.gamma_xi is None else _ordinal(args.gamma_xi)
     if order is None:
         raise ValueError(f"--space {args.space} needs an explicit --gamma-xi")
     members = [F for F in _family(order, args.N) if F]
-    if not _own_walk(order, default_fundamental_seq, ambient):
-        for F in members:
-            coordinate_sum_functional(F, ambient)
+    if members and not _own_walk(order, default_fundamental_seq, ambient):
+        _certify_sums(members, ambient)
     return members
 
 

@@ -36,7 +36,7 @@ from .budget import Budget, BudgetExceededError, Record, WorkMeter, get_budget
 from .ordinal import FundamentalRule, Ordinal, default_fundamental_seq
 from .schreier import FinSet, _family, enumerate_family
 from .spaces import (CertificationRefusedError, Functional, NormResult, NormSpec,
-                     _norm_total, _sqrt_result, norm)
+                     _norm_total, _own_walk, _sqrt_result, norm)
 from .vectors import RatVec, SeqSpec, format_fraction
 from .vectors import CanonicalBasis  # noqa: F401 -- still importable from here
 
@@ -296,18 +296,12 @@ def _scaled_horizon(xs: SeqSpec, N: int) -> tuple[list[tuple], int]:
     """``(rows, D)``: ``rows[n]`` holds the ``(index, numerator)`` pairs of
     the n-th element of ``xs`` times ``D``, the lcm of the denominators of
     the elements ``1..N`` (``rows[0]`` is empty)."""
+    if N < 0:
+        raise ValueError(f"horizon must be at least 0, got {N}")
     scaled = [xs.element(n).scaled() for n in range(1, N + 1)]
     D = math.lcm(*(d for _, _, d in scaled))
     return [()] + [tuple(zip(support, [v * (D // d) for v in values]))
                    for support, values, d in scaled], D
-
-
-def _own_walk(order: Ordinal, fs: FundamentalRule, spec: NormSpec) -> bool:
-    """Whether the members walked at ``order`` under ``fs`` are admissible
-    sets of ``spec`` by construction: ``spec`` is a ``schreier`` or
-    ``schreier_star`` norm of that very order and rule."""
-    return (spec.kind in ("schreier", "schreier_star")
-            and order == spec.xi and fs == spec.fs)
 
 
 def _sm_patterns(ambient: NormSpec, rows: Sequence[tuple], coeff_budget: int,

@@ -489,6 +489,8 @@ def enumerate_family(xi: Ordinal, max_value: int, *,
     >>> [str(F) for F in enumerate_family(Ordinal.from_int(1), 3)]
     ['', '1', '2', '2,3', '3']
     """
+    if max_value < 0:
+        raise ValueError(f"horizon must be at least 0, got {max_value}")
     budget = get_budget(budget)
     meter = WorkMeter("family enumeration", budget.work)
     step = _automaton(xi, fs).step
@@ -529,6 +531,8 @@ def count_family(xi: Ordinal, max_value: int, *,
     >>> count_family(Ordinal.from_int(1), 15)
     1597
     """
+    if max_value < 0:
+        raise ValueError(f"horizon must be at least 0, got {max_value}")
     budget = get_budget(budget)
     meter = WorkMeter("family count steps", budget.work)
     step = _automaton(xi, fs).step
@@ -615,8 +619,8 @@ def threshold(zeta: Ordinal, xi: Ordinal, max_value: int, *,
     """Smallest n such that every order-``zeta`` member of {1..max_value}
     with min >= n belongs to the order-``xi`` family.
 
-    The answer is at most ``max_value``: the only member with minimum
-    ``max_value`` is the singleton, and singletons belong to every family.
+    The answer is at most ``max(max_value, 1)``: the one member with least
+    element ``max_value`` is a singleton, and singletons are in every family.
     """
     target = _automaton(xi, fs)
     return max((F[0] for F in _family(zeta, max_value, fs=fs, budget=budget)

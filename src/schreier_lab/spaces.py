@@ -37,6 +37,12 @@ kernel results keyed on the support and magnitudes; one memo serves a whole
 scan (the kernel patterns of ``quantities.sm_constant``), under one spec
 and one budget, and no cache outlives it.
 
+The coordinate sum over an admissible set has norm at most one in the base
+and star norms.  ``_certify_sums`` alone decides that, over one set or a
+whole walk, on one automaton and with no functional built;
+:func:`coordinate_sum_functional` certifies its one set there, and a walk
+at a norm's own order and rule (``_own_walk``) is admissible as walked.
+
 ``norm_oracle`` is the same quantity computed by exhaustive enumeration over
 ``Fraction``, kept deliberately free of pruning and of the automaton: it
 tests membership with the greedy cuts of ``schreier._member``.  The chain
@@ -48,6 +54,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Iterable
 
 from .budget import Budget, BudgetExceededError, Record, WorkMeter, get_budget
 from .ordinal import (ONE, FundamentalRule, Ordinal, default_fundamental_seq,
@@ -66,7 +73,8 @@ __all__ = [
     "CertificationViolationError",
 ]
 
-_FAMILY_KINDS = ("schreier", "schreier_star", "baernstein")
+_SUM_KINDS = ("schreier", "schreier_star")
+_FAMILY_KINDS = _SUM_KINDS + ("baernstein",)
 _CLASSICAL_KINDS = ("l1", "l2", "sup")
 
 
@@ -386,9 +394,9 @@ def _norm_total(spec: NormSpec, support: tuple[int, ...], values: list[int],
 
 
 def _scaled_norm(spec: NormSpec, support: tuple[int, ...], values: list[int],
-                 D: int, budget: Budget, memo: dict | None = None) -> NormResult:
+                 D: int, budget: Budget) -> NormResult:
     """:func:`_norm_total` over the positive denominator ``D``, as a result."""
-    total, witness = _norm_total(spec, support, values, budget, memo)
+    total, witness = _norm_total(spec, support, values, budget)
     if spec.kind in ("l2", "baernstein"):
         return _sqrt_result(spec, Fraction(total, D * D), witness)
     return _exact_result(spec, Fraction(total, D), witness)
@@ -530,20 +538,27 @@ class Functional(Record):
         }
 
 
-def coordinate_sum_functional(F: FinSet, spec: NormSpec) -> Functional:
-    """The functional summing the coordinates over ``F``, certified at norm one.
+def _own_walk(order: Ordinal, fs: FundamentalRule, spec: NormSpec) -> bool:
+    """Whether ``spec`` is a ``schreier`` or ``schreier_star`` norm of
+    ``order`` and ``fs``, so the members walked there are admissible."""
+    return spec.kind in _SUM_KINDS and order == spec.xi and fs == spec.fs
 
-    Certification needs ``F`` admissible at the given order and a kind whose
-    unit ball dominates single-set coordinate sums; the chain norm does not
-    qualify and is refused.
-    """
-    from .schreier import is_member
 
-    if spec.kind not in ("schreier", "schreier_star"):
+def _certify_sums(sets: Iterable[FinSet], spec: NormSpec) -> None:
+    """Refuse unless ``spec`` is a ``schreier`` or ``schreier_star`` norm
+    and each of ``sets``, in order, is admissible at its order and rule."""
+    if spec.kind not in _SUM_KINDS:
         raise CertificationRefusedError(
             f"kind {spec.kind!r} does not certify coordinate-sum functionals")
-    if not is_member(spec.xi, F, fs=spec.fs):
-        raise CertificationRefusedError(
-            f"{{{F}}} is not admissible at order {spec.xi}")
+    accepts = _automaton(spec.xi, spec.fs).accepts
+    for F in sets:
+        if not accepts(F):
+            raise CertificationRefusedError(
+                f"{{{F}}} is not admissible at order {spec.xi}")
+
+
+def coordinate_sum_functional(F: FinSet, spec: NormSpec) -> Functional:
+    """The functional summing the coordinates over ``F``, certified at norm one."""
+    _certify_sums((F,), spec)
     ones = RatVec._canonical(dict.fromkeys(F, Fraction(1)))
     return Functional(ones, spec, label=f"sum[{F}]")

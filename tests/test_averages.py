@@ -389,6 +389,10 @@ def test_cached_runs_are_integer_unit_fraction_runs(xi_text):
             top = averages._averages(xi, M, default_fundamental_seq)
             for found in _reachable(top):
                 for cached in found._run_cache.values():
+                    # Ascending and disjoint; no touching pair shares q.
+                    assert all(a[1] + 1 < b[0] or (a[1] + 1 == b[0]
+                                                   and a[2] != b[2])
+                               for a, b in zip(cached, cached[1:])), cached
                     for run in cached:
                         first, last, q = run
                         assert all(type(v) is int for v in run), run

@@ -720,8 +720,10 @@ def test_quantity_large_refuses_past_the_budget(capsys, monkeypatch):
 @pytest.mark.parametrize("op", [("fdelta", "--delta", "1/2"),
                                 ("large", "--xi", "2", "--c", "1/2")])
 def test_quantity_threshold_ops_build_no_functional(capsys, monkeypatch, op):
-    # On the space's own walk the hit sets come from the members: no
-    # Functional is built, and the output is that of the coordinate sums.
+    # The hit sets come from the members, on the space's own walk and on a
+    # walk at another order alike: no Functional is built, and the output
+    # is that of the coordinate sums.  The order-1 sums do not make the
+    # basis large at order 2 (exit 1).
     calls = []
     init = spaces.Functional.__init__
 
@@ -730,10 +732,12 @@ def test_quantity_threshold_ops_build_no_functional(capsys, monkeypatch, op):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(spaces.Functional, "__init__", constructing)
-    code, payload = run_json(capsys, "quantity", *op, "--space-xi", "2",
-                             "--N", "10")
-    assert (code, calls) == (0, [])
-    assert payload["functionals"] == 488
+    for walk, members, large_exit in (
+            (("--space-xi", "2"), 488, 0),
+            (("--space-xi", "2", "--gamma-xi", "1"), 143, 1)):
+        code, payload = run_json(capsys, "quantity", *op, *walk, "--N", "10")
+        assert (code, calls) == (large_exit if op[0] == "large" else 0, [])
+        assert payload["functionals"] == members
 
 
 def test_quantity_large_meters_its_subset_tests(capsys, monkeypatch, tmp_path):
@@ -765,6 +769,19 @@ def test_whole_family_walks_refuse_before_walking(capsys, monkeypatch, argv):
     assert err == ("budget exceeded: budget exceeded for family enumeration: "
                    "limit 200000 (needs >= 200001)\n")
     assert time.perf_counter() - started < 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("quantity", "large", "--xi", "2", "--c", "9/10", "--N", "-3"),
+    ("quantity", "fdelta", "--space-xi", "2", "--delta", "1/2", "--N", "-3"),
+    ("quantity", "sm", "--xi", "2", "--N", "-3"),
+    ("schreier", "enum", "--xi", "2", "--max-value", "-2"),
+    ("schreier", "count", "--xi", "2", "--max-value", "-2"),
+    ("schreier", "threshold", "--zeta", "2", "--xi", "1", "--max-value", "-2"),
+])
+def test_a_negative_horizon_is_bad_input(capsys, argv):
+    assert run(capsys, *argv) == (
+        2, "", f"error: horizon must be at least 0, got {argv[-1]}\n")
 
 
 def test_quantity_prop_formula(capsys):

@@ -91,13 +91,24 @@ def test_the_benchmark_workloads_import(monkeypatch):
                for name in module.WORKLOADS)
 
 
-def test_the_bundle_operations_match_their_goldens(monkeypatch):
-    # Every bundle operation of the default seed, at every level, judged as
-    # the benchmark judges it against the stored outputs, in this process.
-    # A change of program output shows here before the benchmark runs.
+@pytest.mark.parametrize("workload, pass_index", [
+    ("bundles", 0), ("norms", 0), ("norms", 1), ("norms", 2), ("averages", 0)])
+def test_the_workload_operations_match_their_goldens(monkeypatch, workload,
+                                                     pass_index):
+    # The operations of the default seed that the goldens store (every
+    # bundle level, and the norms passes ``NORM_GOLDEN_PASSES``), judged as
+    # the benchmark judges them against the stored outputs, in this process,
+    # with the oracles on the first pass.  A change of program output shows
+    # here before the benchmark runs.  The ``cli`` workload is left to the
+    # README smoke tests: its children take seconds.
     module = _load_workloads(monkeypatch)
-    goldens = module.load_goldens()["bundles"]
-    ops = module.bundles_ops(module.DEFAULT_SEED, 0, every_level=True)
+    assert module.NORM_GOLDEN_PASSES == 3
+    goldens = module.load_goldens()[workload]
+    if workload == "bundles":
+        ops = module.bundles_ops(module.DEFAULT_SEED, 0, every_level=True)
+    else:
+        ops = module.build_ops(workload, module.DEFAULT_SEED, pass_index)
+    oracle = pass_index == 0
     failed = []
     for op in ops:
         exc = value = None
@@ -105,7 +116,7 @@ def test_the_bundle_operations_match_their_goldens(monkeypatch):
             value = op.call()
         except Exception as error:
             exc = error
-        status, reason, _ = module.verdict(op, value, exc, goldens, oracle=True)
+        status, reason, _ = module.verdict(op, value, exc, goldens, oracle=oracle)
         if status == "failed":
             failed.append(f"{op.name}: {reason}")
     assert ops

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schreier_lab import quantities, schreier
+from schreier_lab import quantities, spaces
 from schreier_lab.cli import quantity
 from schreier_lab.budget import Budget, BudgetExceededError
 from schreier_lab.ordinal import default_fundamental_seq, parse
@@ -439,6 +439,8 @@ def test_f_delta_threshold_scaling():
     assert above.hit_sets == (FinSet(),)
     assert above.contains(FinSet())
     assert not above.contains(FinSet.of(2))
+    with pytest.raises(ValueError, match="^horizon must be at least 0, got -1$"):
+        f_delta(functionals, xs, HALF, -1)
 
 
 def test_f_delta_refuses_uncertified_functionals():
@@ -527,17 +529,23 @@ def sum_members(spec, N, gamma_xi=None):
 @pytest.mark.parametrize("space", ["schreier:1", "schreier:2", "star:w"])
 def test_sum_functionals_of_the_space_order_skip_the_membership_test(
         monkeypatch, space):
+    # The space's own walk is certified by construction; a walk at another
+    # order (singletons, here) is certified in one call over all members.
     calls = []
-    is_member = schreier.is_member
+    certify = spaces._certify_sums
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return is_member(*args, **kwargs)
+    def counted(sets, spec):
+        sets = list(sets)
+        calls.append((sets, spec))
+        return certify(sets, spec)
 
-    monkeypatch.setattr(schreier, "is_member", counted)
+    monkeypatch.setattr(spaces, "_certify_sums", counted)
     spec = NormSpec.parse(space)
     members = sum_members(spec, 8)
     assert calls == []
+    singletons = sum_members(spec, 8, "0")
+    assert calls == [(singletons, spec)]
+    assert singletons == [FinSet.of(n) for n in range(1, 9)]
     monkeypatch.undo()
     assert [coordinate_sum_functional(F, spec) for F in members] == \
         all_sum_functionals(spec.xi, spec, 8)

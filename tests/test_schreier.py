@@ -269,6 +269,10 @@ def test_count_family_past_the_enumeration_budget():
     # 277,510,579,805 sets: far beyond any enumeration, a few thousand states.
     assert count_family(parse("w"), 40) == 277_510_579_805
     assert count_family(parse("2"), 0) == 1
+    with pytest.raises(ValueError, match="^horizon must be at least 0, got -1$"):
+        count_family(parse("2"), -1)
+    with pytest.raises(ValueError, match="^horizon must be at least 0, got -1$"):
+        next(enumerate_family(parse("2"), -1))
     # One unit of work per automaton step, so a long horizon is refused
     # even where the states stay few.
     for xi_text, N in (("1", 200), ("0", 10 ** 9)):
