@@ -358,6 +358,8 @@ def validate_prefix(vectors: Sequence[RatVec], stream: IndexStream) -> None:
     previous_max = 0
     for j, vec in enumerate(vectors, 1):
         supp = vec.support()
+        if not supp:
+            raise ValueError(f"vector {j} is zero")
         if supp[0] <= previous_max:
             raise ValueError(f"support of vector {j} does not start after "
                              f"vector {j - 1}")

@@ -17,7 +17,9 @@ with :func:`~schreier_lab.averages.apply`.  A window statistic compares its
 norms on their exact squares, so an irrational ``l2`` or ``baernstein`` norm
 ranks exactly, and only the winner becomes a value.  The horizon scans of
 :func:`sm_constant` and :func:`f_delta` run on integers: ``_scaled_horizon``
-scales the elements ``1..N`` once, over one common denominator.  The
+scales the elements ``1..N`` once, over one common denominator.  What a
+total means is read from ``spaces`` (``_sum_total``, ``_total_power`` and
+``_total_result``), so no quantity branches on a norm kind.  The
 largeness scan reads hit sets only; ``_hit_sets`` builds them on those rows,
 from the functionals given to :func:`f_delta`, and from bare members in the
 ``verify`` bundles and in the CLI's ``quantity fdelta`` and ``quantity
@@ -36,7 +38,8 @@ from .budget import Budget, BudgetExceededError, Record, WorkMeter, get_budget
 from .ordinal import FundamentalRule, Ordinal, default_fundamental_seq
 from .schreier import FinSet, _family, enumerate_family
 from .spaces import (CertificationRefusedError, Functional, NormResult, NormSpec,
-                     _norm_total, _own_walk, _sqrt_result, norm)
+                     _norm_total, _own_walk, _sum_total, _total_power,
+                     _total_result, norm)
 from .vectors import RatVec, SeqSpec, format_fraction
 from .vectors import CanonicalBasis  # noqa: F401 -- still importable from here
 
@@ -280,16 +283,22 @@ def sm_constant(xi: Ordinal, xs: SeqSpec, N: int, coeff_budget: int = 4, *,
     kernel results keyed on the support and magnitudes asked for.  The
     ratios are compared as integers too: every total is over ``D``, so a
     pattern with total ``t`` beats the best ``t_b`` so far exactly when
-    ``t * |F_b|**p < t_b * |F|**p``, with ``p = 2`` for ``l2`` and
-    ``baernstein``, whose totals are squares, and ``p = 1`` otherwise.
-    Only the winner becomes a value.  Ties keep the first pattern met.
+    ``t * |F_b|**p < t_b * |F|**p``, with ``1/D**p`` the unit of the totals
+    (``p = 2`` where they are squares).  Only the winner becomes a value.
+    Ties keep the first pattern met.
     """
+    _check_coeff_budget(coeff_budget)
     budget = get_budget(budget)
     members = _family(xi, N, fs=fs, budget=budget)
     rows, D = _scaled_horizon(xs, N)
     patterns = _sm_patterns(xs.ambient, rows, coeff_budget, members, xi, fs,
                             budget)
     return _sm_least(xs.ambient, N, D, patterns)
+
+
+def _check_coeff_budget(coeff_budget: int) -> None:
+    if coeff_budget < 0:
+        raise ValueError(f"coefficient budget must be at least 0, got {coeff_budget}")
 
 
 def _scaled_horizon(xs: SeqSpec, N: int) -> tuple[list[tuple], int]:
@@ -309,22 +318,18 @@ def _sm_patterns(ambient: NormSpec, rows: Sequence[tuple], coeff_budget: int,
                  budget: Budget) -> Iterator[tuple[FinSet, tuple, int]]:
     """The sign patterns of :func:`sm_constant` over the given members,
     walked at ``order`` under ``fs``, in scan order, each as ``(F, signs,
-    total)``: the norm total of ``sum signs[k] * x_{F[k]}`` from the rows of
-    :func:`_scaled_horizon`, in units of ``1/D`` (``1/D**2`` for ``l2`` and
-    ``baernstein``).
+    total)``: the integer norm total of ``sum signs[k] * x_{F[k]}`` from the
+    rows of :func:`_scaled_horizon`.
 
     On a walk of the ambient's own order and rule each member is admissible,
     and so is each of its subsets, since every family is hereditary.  A
     pattern whose rows all live inside its member then has admissible
-    signed parts, and magnitudes are positive, so each part's whole support
-    is its maximizer: the total is the sum of the magnitudes (the larger of
-    the two signed masses, for ``schreier_star``), with no kernel.  The
-    kernels would give the same totals and spend no work on them: the
+    signed parts, so ``spaces._sum_total`` gives its total, with no kernel.
+    The kernels would give the same totals and spend no work on them: the
     members come through the family count, and a member of ``k`` points
     brings its ``2**k`` subsets into it, so ``k`` is below the work budget.
     The other patterns go to the kernels through one memo."""
     own = _own_walk(order, fs, ambient)
-    star = ambient.kind == "schreier_star"
     memo: dict = {}
     for F in members:
         if not F:
@@ -336,16 +341,12 @@ def _sm_patterns(ambient: NormSpec, rows: Sequence[tuple], coeff_budget: int,
             for sign, n in zip(signs, F):
                 for i, v in rows[n]:
                     combined[i] = combined.get(i, 0) + sign * v
-            if not (own and combined.keys() <= set(F)):
+            if own and combined.keys() <= set(F):
+                total = _sum_total(ambient, combined.values())
+            else:
                 support = tuple(sorted(i for i, v in combined.items() if v))
                 values = [combined[i] for i in support]
                 total = _norm_total(ambient, support, values, budget, memo)[0]
-            elif star:
-                # The negative part's mass is the positive one minus the sum.
-                positive = sum(v for v in combined.values() if v > 0)
-                total = max(positive, positive - sum(combined.values()))
-            else:
-                total = sum(map(abs, combined.values()))
             yield F, signs, total
 
 
@@ -354,7 +355,7 @@ def _sm_least(ambient: NormSpec, N: int, D: int,
     """The first pattern of least ratio ``total / (D * |F|)`` (its root, for
     square totals), compared on integers, as the estimate of
     :func:`sm_constant`."""
-    p = 2 if ambient.kind in ("l2", "baernstein") else 1
+    p = _total_power(ambient)
     best = None
     for F, signs, total in patterns:
         if best is None or total * len(best[0]) ** p < best[2] * len(F) ** p:
@@ -362,11 +363,7 @@ def _sm_least(ambient: NormSpec, N: int, D: int,
     if best is None:
         raise ValueError("no nonempty admissible sets in the horizon")
     F, signs, total = best
-    if p == 1:
-        value = Fraction(total, D * len(F))
-    else:
-        value = _value(_sqrt_result(ambient, Fraction(total, D * D),
-                                    None)) / len(F)
+    value = _value(_total_result(ambient, D, total)) / len(F)
     witness = f"{F};{','.join(format_fraction(s) for s in signs)}"
     return HorizonEstimate(value, "upper_bound", N, witness)
 
@@ -405,19 +402,26 @@ def f_delta(functionals: Sequence[Functional], xs: SeqSpec, delta: Fraction,
             N: int) -> DeltaFamily:
     """The sets in ``1..N`` that one functional pushes past ``delta``.
 
-    Every functional must carry a certification; thresholding against
-    arbitrary maps says nothing about the dual ball.  The test is exact on
-    integers: the elements ``1..N`` over one common denominator, the
-    coefficients once per functional, and the threshold by cross-multiplying
-    with ``delta``.  The elements are indexed by coordinate, so a functional
-    adds up totals over its own coefficients only; an element it never meets
-    has total 0, which clears the threshold exactly when ``delta <= 0``.
+    Every functional must be certified for the ambient norm of ``xs``;
+    thresholding against other maps says nothing about its dual ball.  The
+    test is exact on integers: the elements ``1..N`` over one common
+    denominator, the coefficients once per functional, and the threshold by
+    cross-multiplying with ``delta``.  The elements are indexed by
+    coordinate, so a functional adds up totals over its own coefficients
+    only; an element it never meets has total 0, which clears the threshold
+    exactly when ``delta <= 0``.
     """
     delta = Fraction(delta)
     uncertified = [f.label or "?" for f in functionals if f.certified_for is None]
     if uncertified:
         raise CertificationRefusedError(
             f"uncertified functionals not allowed here: {', '.join(uncertified)}")
+    foreign = [f.label or "?" for f in functionals
+               if f.certified_for != xs.ambient]
+    if foreign:
+        raise CertificationRefusedError(
+            f"functionals certified for a norm other than {xs.ambient}: "
+            f"{', '.join(foreign)}")
     rows, D = _scaled_horizon(xs, N)
     hit_sets = _hit_sets((f.coefficients.scaled() for f in functionals),
                          rows, D, delta)

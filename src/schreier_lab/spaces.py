@@ -11,31 +11,32 @@ exact square together with a floating approximation of the root.  Every
 kind, the classical ``l1``, ``l2`` and ``sup`` included, is evaluated by one
 private entry, ``_norm_total``, on integers: the support and the signed
 numerators over a common denominator ``D``, giving an integer total and a
-witness.  ``_scaled_norm`` turns that total into a :class:`NormResult`, and
-:func:`norm` scales its vector once and calls it; the sign-pattern scan of
+witness.  Totals become values here alone, in ``_total_result``: over ``D``,
+or over ``D**2`` where ``_total_power`` says they are squares; :func:`norm`
+scales its vector once, totals it and converts.  The sign-pattern scan of
 ``quantities.sm_constant``, which the bundles share, scales its horizon once
-over one denominator, builds its many vectors from those integer rows and
-calls ``_norm_total`` directly, since it compares only integer totals.  It
-calls it only for the vectors it cannot total by itself: on members walked
-at the order and rule of a ``schreier`` or ``schreier_star`` norm, a vector
-inside its member has admissible signed parts by heredity.  The star norm
-splits signs on the integers, and the kernels see only magnitudes: order 0
-takes the first largest entry, order 1 keeps a min-heap over one
-right-to-left scan in O(L log L) for L support points, and everything else
-runs a branch-and-bound over admissible prefixes from an explicit stack,
-metered by the active budget's ``work`` alone, so no support is too long
-for the interpreter.  Each search node carries the membership automaton
-state of its prefix (or of its open block, for the chain norm), so testing
-one more support point is a single automaton step.  The base and star
-kernels at orders 1 and up first test whether the whole support is
+over one denominator, builds its many vectors from those integer rows,
+compares their integer totals and converts only its winner.  On members
+walked at the order and rule of a ``schreier`` or ``schreier_star`` norm, a
+vector inside its member has admissible signed parts by heredity, so its
+total is ``_sum_total``, its l1 or larger signed mass, which bounds the
+total from above on any vector; the other vectors go to ``_norm_total``.
+The star norm splits signs on the integers, and the kernels see only
+magnitudes: order 0 takes the first largest entry, order 1 keeps a min-heap
+over one right-to-left scan in O(L log L) for L support points, and
+everything else runs a branch-and-bound over admissible prefixes from an
+explicit stack, metered by the active budget's ``work`` alone, so no support
+is too long for the interpreter.  Each search node carries the membership
+automaton state of its prefix (or of its open block, for the chain norm), so
+testing one more support point is a single automaton step.  The base and
+star kernels at orders 1 and up first test whether the whole support is
 admissible: magnitudes are positive, so then the whole support is the
 maximizer and the total is its sum.  The chain kernel searches in another
-order and has no such test.  Kernel totals are integers in units of
-``1/D`` (``1/D**2`` for the chain norm), turned into one ``Fraction`` on
-return.  A scan may pass the entry a memo of
-kernel results keyed on the support and magnitudes; one memo serves a whole
-scan (the kernel patterns of ``quantities.sm_constant``), under one spec
-and one budget, and no cache outlives it.
+order and has no such test.  Kernel totals are integers in units of ``1/D``
+(``1/D**2`` for the chain norm).  A scan may pass the entry a memo of kernel
+results keyed on the support and magnitudes; one memo serves a whole scan
+(the kernel patterns of ``quantities.sm_constant``), under one spec and one
+budget, and no cache outlives it.
 
 The coordinate sum over an admissible set has norm at most one in the base
 and star norms.  ``_certify_sums`` alone decides that, over one set or a
@@ -168,10 +169,6 @@ class NormResult(Record):
             "approx": self.approx,
             "witness": _witness_str(self.witness),
         }
-
-
-def _exact_result(spec: NormSpec, value: Fraction, witness) -> NormResult:
-    return NormResult(spec, value, value * value, float(value), witness)
 
 
 def _sqrt_result(spec: NormSpec, squared: Fraction, witness) -> NormResult:
@@ -368,11 +365,11 @@ def _norm_total(spec: NormSpec, support: tuple[int, ...], values: list[int],
     ``values[k] / D`` at ``support[k]``, for any kind and any ``D``.
 
     ``support`` ascends and ``values`` are non-zero integers.  The total is
-    in units of ``1/D``, or of ``1/D**2`` for ``l2`` and ``baernstein``, so
-    it does not depend on ``D``; on a tie between the star norm's signed
-    parts the positive part wins.  ``memo``, when given, maps magnitude
-    vectors to kernel results; a caller keeps one per scan under one spec
-    and budget, and vectors over different denominators share it.
+    in units of ``1/D**_total_power(spec)``, so it does not depend on ``D``;
+    on a tie between the star norm's signed parts the positive part wins.
+    ``memo``, when given, maps magnitude vectors to kernel results; a caller
+    keeps one per scan under one spec and budget, and vectors over different
+    denominators share it.
     """
     kind = spec.kind
     if kind == "l1":
@@ -393,13 +390,26 @@ def _norm_total(spec: NormSpec, support: tuple[int, ...], values: list[int],
     return _magnitude_norm(spec, support, [abs(v) for v in values], budget, memo)
 
 
-def _scaled_norm(spec: NormSpec, support: tuple[int, ...], values: list[int],
-                 D: int, budget: Budget) -> NormResult:
-    """:func:`_norm_total` over the positive denominator ``D``, as a result."""
-    total, witness = _norm_total(spec, support, values, budget)
-    if spec.kind in ("l2", "baernstein"):
+def _sum_total(spec: NormSpec, values) -> int:
+    """The l1 mass of the integers ``values`` (the larger signed mass, under
+    ``schreier_star``): the total if the signed parts are admissible, else above it."""
+    if spec.kind == "schreier":
+        return sum(map(abs, values))
+    positive = sum(v for v in values if v > 0)
+    return max(positive, positive - sum(values))
+
+
+def _total_power(spec: NormSpec) -> int:
+    """The power of ``D`` that totals are over: 2 where they are squares."""
+    return 2 if spec.kind in ("l2", "baernstein") else 1
+
+
+def _total_result(spec: NormSpec, D: int, total: int, witness=None) -> NormResult:
+    """The result of the integer ``total`` over ``D`` (``D**2`` for squares)."""
+    if _total_power(spec) == 2:
         return _sqrt_result(spec, Fraction(total, D * D), witness)
-    return _exact_result(spec, Fraction(total, D), witness)
+    value = Fraction(total, D)
+    return NormResult(spec, value, value * value, float(value), witness)
 
 
 def norm(spec: NormSpec, x: RatVec, *, budget: Budget | None = None) -> NormResult:
@@ -412,7 +422,8 @@ def norm(spec: NormSpec, x: RatVec, *, budget: Budget | None = None) -> NormResu
     Fraction(2, 1)
     """
     support, values, D = x.scaled()
-    return _scaled_norm(spec, support, values, D, get_budget(budget))
+    return _total_result(spec, D, *_norm_total(spec, support, values,
+                                               get_budget(budget)))
 
 
 # -- exhaustive oracle ----------------------------------------------------------
@@ -477,15 +488,15 @@ def norm_oracle(spec: NormSpec, x: RatVec, *,
                                   needed=len(x.support()))
     meter = WorkMeter("oracle norm candidates", budget.work)
     memo: dict = {}   # greedy membership answers, for this call only
-    if spec.kind == "schreier":
-        return _exact_result(spec, _oracle_base(x.abs(), spec.xi, spec.fs, meter,
+    if spec.kind == "baernstein":
+        return _sqrt_result(spec, _oracle_chain(x.abs(), spec.xi, spec.fs, meter,
                                                 memo), witness=None)
-    if spec.kind == "schreier_star":
+    if spec.kind == "schreier":
+        value = _oracle_base(x.abs(), spec.xi, spec.fs, meter, memo)
+    else:
         value = max(_oracle_base(x.positive_part(), spec.xi, spec.fs, meter, memo),
                     _oracle_base(x.negative_part(), spec.xi, spec.fs, meter, memo))
-        return _exact_result(spec, value, witness=None)
-    squared = _oracle_chain(x.abs(), spec.xi, spec.fs, meter, memo)
-    return _sqrt_result(spec, squared, witness=None)
+    return _total_result(spec, value.denominator, value.numerator)
 
 
 # -- certified coordinate functionals ---------------------------------------------

@@ -21,8 +21,10 @@ scan never builds its index.  The sign patterns are evaluated once, in
 ``quantities``, and none of them reaches a norm kernel: each lives inside
 its member, which is admissible, and the families are hereditary, so every
 signed part of a pattern is admissible too and its total is the sum of its
-magnitudes.  The star bundle streams its patterns once, counting the
-half-mass violations on the way to its spreading constant.
+magnitudes, ``spaces._sum_total``.  The star bundle streams its patterns
+once, counting the half-mass violations on the way to its spreading
+constant; a mean distance whose norm the budget refuses is certified by that
+sum, an upper bound on any vector.
 """
 
 from __future__ import annotations
@@ -33,11 +35,12 @@ from fractions import Fraction
 
 from .budget import Budget, BudgetExceededError, get_budget
 from .ordinal import FundamentalRule, Ordinal, default_fundamental_seq
-from .quantities import (_cesaro_prefix, _hit_sets, _large_scan, _prop_formula_terms,
-                         _scaled_horizon, _sm_least, _sm_patterns, prop_formula)
+from .quantities import (_cesaro_prefix, _check_coeff_budget, _hit_sets, _large_scan,
+                         _prop_formula_terms, _scaled_horizon, _sm_least,
+                         _sm_patterns, prop_formula)
 from .reports import Report
 from .schreier import FinSet, _family
-from .spaces import NormSpec, norm
+from .spaces import NormSpec, _sum_total, _total_result, norm
 from .streams import IndexStream
 from .vectors import CanonicalBasis, RatVec, format_fraction
 
@@ -108,6 +111,7 @@ def verify_example_schreier(xi: Ordinal, N: int, coeff_budget: int = 3, *,
     """
     if N < 1:
         raise ValueError("N must be at least 1")
+    _check_coeff_budget(coeff_budget)
     started = time.perf_counter()
     budget = get_budget(budget)
     order = xi.successor()
@@ -147,6 +151,7 @@ def verify_example_star(xi: Ordinal, N: int, coeff_budget: int = 3, *,
     """
     if N < 1:
         raise ValueError("N must be at least 1")
+    _check_coeff_budget(coeff_budget)
     started = time.perf_counter()
     budget = get_budget(budget)
     order = xi.successor()
@@ -193,7 +198,7 @@ def verify_example_star(xi: Ordinal, N: int, coeff_budget: int = 3, *,
     _check_large(report, order, c, members, rows, D, N, fs, budget)
 
     # Distances of running means: exact norms when the search is affordable,
-    # otherwise the l1 mass of each sign part, which already caps the max.
+    # otherwise the larger signed mass, which bounds the norm from above.
     means = _cesaro_prefix(RatVec.unit, 1, N)
     cap_violations = 0
     largest = Fraction(0)
@@ -205,7 +210,8 @@ def verify_example_star(xi: Ordinal, N: int, coeff_budget: int = 3, *,
                 value = norm(spec, diff, budget=budget).value
                 routes["exact"] += 1
             except BudgetExceededError:
-                value = max(diff.positive_part().l1(), diff.negative_part().l1())
+                _, values, D = diff.scaled()
+                value = _total_result(spec, D, _sum_total(spec, values)).value
                 routes["l1-certificate"] += 1
             if value > 1:
                 cap_violations += 1

@@ -419,6 +419,11 @@ def test_explicit_method_validation():
         validate_prefix([ProbVector.unit(2), ProbVector.unit(1)], ALL)
 
 
+def test_validate_prefix_names_a_zero_vector():
+    with pytest.raises(ValueError, match="^vector 2 is zero$"):
+        validate_prefix([RatVec({1: 1}), RatVec()], ALL)
+
+
 def test_apply_averages_a_sequence():
     method = RepeatedAverages(parse("1"), ALL)
     vectors = [RatVec.unit(10 + i) for i in range(1, 8)]

@@ -784,6 +784,16 @@ def test_a_negative_horizon_is_bad_input(capsys, argv):
         2, "", f"error: horizon must be at least 0, got {argv[-1]}\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("quantity", "sm", "--xi", "2", "--N", "6", "--coeff-budget", "-1"),
+    ("verify", "example-schreier", "--xi", "1", "--N", "6", "--coeff-budget", "-2"),
+    ("verify", "example-star", "--xi", "1", "--N", "6", "--coeff-budget", "-1"),
+], ids=["quantity-sm", "example-schreier", "example-star"])
+def test_a_negative_coefficient_budget_is_bad_input(capsys, argv):
+    assert run(capsys, *argv) == (
+        2, "", f"error: coefficient budget must be at least 0, got {argv[-1]}\n")
+
+
 def test_quantity_prop_formula(capsys):
     code, out, err = run(capsys, "quantity", "prop-formula",
                          "--l", "10", "--c", "1/2")

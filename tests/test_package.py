@@ -1,5 +1,6 @@
 """The package namespace: lazy exports with the same contract as eager ones."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -37,6 +38,17 @@ def test_every_layers_all_is_its_export_table_entry():
         exported = {schreier_lab._RENAMED.get(name, name) for name in names}
         assert set(layer.__all__) == exported, module
         assert len(layer.__all__) == len(names), module
+
+
+def test_only_spaces_reads_a_norm_kind():
+    # What a kind's integer totals mean, and how they become values, is
+    # decided in ``spaces``; the quantities and the bundles never branch on
+    # a kind themselves.
+    package = Path(schreier_lab.__file__).parent
+    reads = [f"{module}:{node.lineno}" for module in ("quantities", "verify")
+             for node in ast.walk(ast.parse((package / f"{module}.py").read_text()))
+             if isinstance(node, ast.Attribute) and node.attr == "kind"]
+    assert reads == []
 
 
 def test_star_import_binds_every_export():

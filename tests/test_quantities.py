@@ -449,6 +449,20 @@ def test_f_delta_refuses_uncertified_functionals():
         f_delta([bare], CanonicalBasis(S1), Fraction(1), 4)
 
 
+def test_f_delta_refuses_functionals_certified_for_another_norm():
+    # Certified for l1 only: the all-ones functional reads 3 on e1+e2+e3,
+    # whose schreier:1 norm is 2, so no norm-one functional of the space
+    # gives its hit set {1}.
+    ones = Functional(RatVec({1: 1, 2: 1, 3: 1}), NormSpec.l1(), "ones")
+    xs = ExplicitSequence(S1, [RatVec({1: 1, 2: 1, 3: 1})])
+    with pytest.raises(CertificationRefusedError,
+                       match="^functionals certified for a norm other than "
+                             "schreier:1: ones$"):
+        f_delta([ones], xs, Fraction(3), 1)
+    with pytest.raises(CertificationRefusedError, match="ones"):
+        large_check(parse("1"), Fraction(3), xs, ALL, [ones], 1)
+
+
 @pytest.mark.parametrize("delta", [Fraction(-3, 7), Fraction(0), Fraction(2, 9), HALF,
                                    Fraction(1), Fraction(5, 4)])
 @pytest.mark.parametrize("sequence", ["weighted", "explicit", "subsequence"])

@@ -16,8 +16,8 @@ from schreier_lab.schreier import (FinSet, enumerate_family, is_member,
                                    is_member_oracle)
 from schreier_lab.spaces import (
     CertificationRefusedError, CertificationViolationError, Functional,
-    NormSpec, _norm_order_one, _norm_search, _scaled_norm,
-    coordinate_sum_functional, norm, norm_oracle)
+    NormSpec, _norm_order_one, _norm_search, _norm_total, _sum_total,
+    _total_result, coordinate_sum_functional, norm, norm_oracle)
 from schreier_lab.vectors import RatVec
 
 ONE = parse("1")
@@ -421,11 +421,30 @@ def test_scaled_entry_ignores_a_common_factor(spec_text, x, factor):
     spec = NormSpec.parse(spec_text)
     support, values, D = x.scaled()
     expected = norm(spec, x)
-    scaled = _scaled_norm(spec, support, [v * factor for v in values],
-                          D * factor, Budget())
+    total, witness = _norm_total(spec, support, [v * factor for v in values],
+                                 Budget())
+    scaled = _total_result(spec, D * factor, total, witness)
     assert scaled.value == expected.value
     assert scaled.value_squared == expected.value_squared
     assert scaled.witness == expected.witness
+
+
+@pytest.mark.parametrize("kind", ["schreier", "schreier_star"])
+@pytest.mark.parametrize("xi_text", ["1", "2", "w", "w+1"])
+@settings(max_examples=40, deadline=None)
+@given(entries=st.dictionaries(st.integers(1, 30), st.integers(-9, 9).filter(bool),
+                               max_size=8))
+def test_sum_total_bounds_the_norm_total(kind, xi_text, entries):
+    # The whole-vector total is the l1 mass (the larger signed mass, for
+    # the star norm): never below the norm, and equal to it on an
+    # admissible support, whose signed parts are admissible by heredity.
+    spec = NormSpec(kind, parse(xi_text))
+    support = tuple(sorted(entries))
+    values = [entries[i] for i in support]
+    total = _norm_total(spec, support, values, Budget())[0]
+    assert _sum_total(spec, values) >= total
+    if is_member(spec.xi, FinSet(support)):
+        assert _sum_total(spec, values) == total
 
 
 # -- structural properties -------------------------------------------------------------
