@@ -172,22 +172,19 @@ def _group_of(argv: list[str]) -> str | None:
     return name if name in _GROUPS else None
 
 
-_DEFAULT_OPS = {
-    "avg": ("vector", {"vector", "size", "apply", "pair-sum", "nibcc",
-                       "reweight", "validate"}),
-    "norm": ("eval", {"eval", "oracle", "functional"}),
-}
+_DEFAULT_OPS = {"avg": "vector", "norm": "eval"}
 
 
 def _with_default_op(argv: list[str]) -> list[str]:
-    """Insert the implied sub-operation, so ``avg --xi 1 ...`` parses."""
+    """Insert the implied sub-operation, so ``avg --xi 1 ...`` parses: when
+    nothing follows the group, or an option other than help does.  Any other
+    word is the group's to name as an op or refuse with its list of ops."""
     if not argv or argv[0] not in _DEFAULT_OPS:
         return argv
-    default, ops = _DEFAULT_OPS[argv[0]]
     rest = argv[1:]
-    if rest and (rest[0] in ops or rest[0] in ("-h", "--help")):
+    if rest and (not rest[0].startswith("-") or rest[0] in ("-h", "--help")):
         return argv
-    return [argv[0], default, *rest]
+    return [argv[0], _DEFAULT_OPS[argv[0]], *rest]
 
 
 def _is_ambiguous(exc: BaseException) -> bool:

@@ -6,8 +6,10 @@ streams cannot be decided by a finite computation, so those estimators
 return a :class:`HorizonEstimate` whose ``direction`` tag records how the
 computed value relates to the limit quantity (``exact``, ``upper_bound``,
 ``lower_bound``, or ``unverified``).  Plain window statistics return the
-exact rational maximum with no pretense of being the limit; a window with
-more pairs than the work budget is refused before its vectors are built.
+exact rational maximum with no pretense of being the limit.  They share one
+pair scan, ``_max_pairwise``, which refuses a malformed window, or one with
+more pairs than the work budget, before it calls the builder of the
+window's vectors; so a refused averaged window looks up no averaging method.
 
 Every quantity reads its vector sequence through one
 :class:`~schreier_lab.vectors.SeqSpec`, an ambient norm with a 1-indexed
@@ -17,7 +19,8 @@ with :func:`~schreier_lab.averages.apply`.  A window statistic compares its
 norms on their exact squares, so an irrational ``l2`` or ``baernstein`` norm
 ranks exactly, and only the winner becomes a value.  The horizon scans of
 :func:`sm_constant` and :func:`f_delta` run on integers: ``_scaled_horizon``
-scales the elements ``1..N`` once, over one common denominator.  What a
+scales the elements ``1..N`` once, over one common denominator, and each
+sign pattern of :func:`sm_constant` costs one unit of work.  What a
 total means is read from ``spaces`` (``_sum_total``, ``_total_power`` and
 ``_total_result``), so no quantity branches on a norm kind.  The
 largeness scan reads hit sets only; ``_hit_sets`` builds them on those rows,
@@ -107,10 +110,19 @@ def _value(result: NormResult):
     return result.value if result.value is not None else result.approx
 
 
-def _max_pairwise(vectors: dict, n0: int, N: int, ambient: NormSpec,
+def _max_pairwise(build: Callable[[], dict], n0: int, N: int, ambient: NormSpec,
                   budget: Budget) -> tuple[Fraction, Fraction | float]:
     """The largest norm of ``vectors[k] - vectors[l]`` over the window, as
-    ``(square, value)``; the first of equal squares wins."""
+    ``(square, value)``, where ``vectors = build()``; the first of equal
+    squares wins.  A malformed window, or one with more pairs than the work
+    budget, is refused first: every pair costs a norm, so the refusal comes
+    before ``build`` makes any vector of the window."""
+    if not 1 <= n0 <= N:
+        raise ValueError(f"window needs 1 <= n0 <= N, got [{n0}, {N}]")
+    pairs = (N - n0 + 1) * (N - n0) // 2
+    if pairs > budget.work:
+        raise BudgetExceededError("window pairs", budget.work, needed=pairs)
+    vectors = build()
     best = None
     for k in range(n0, N + 1):
         for l in range(k + 1, N + 1):
@@ -122,17 +134,6 @@ def _max_pairwise(vectors: dict, n0: int, N: int, ambient: NormSpec,
     return best.value_squared, _value(best)
 
 
-def _check_window(n0: int, N: int, budget: Budget) -> None:
-    """Refuse a malformed window, and one with more pairs than the work
-    budget: every pair costs a norm, so the refusal comes before any vector
-    of the window is built."""
-    if not 1 <= n0 <= N:
-        raise ValueError(f"window needs 1 <= n0 <= N, got [{n0}, {N}]")
-    pairs = (N - n0 + 1) * (N - n0) // 2
-    if pairs > budget.work:
-        raise BudgetExceededError("window pairs", budget.work, needed=pairs)
-
-
 def ca_window(xs: SeqSpec, n0: int, N: int, *,
               budget: Budget | None = None):
     """Largest pairwise distance over the window, exactly.
@@ -141,10 +142,8 @@ def ca_window(xs: SeqSpec, n0: int, N: int, *,
     ``n0``, so by itself it bounds the limit quantity from neither side; it
     is non-decreasing in ``N`` and non-increasing in ``n0``.
     """
-    budget = get_budget(budget)
-    _check_window(n0, N, budget)
-    vectors = {n: xs.element(n) for n in range(n0, N + 1)}
-    return _max_pairwise(vectors, n0, N, xs.ambient, budget)[1]
+    return _max_pairwise(lambda: {n: xs.element(n) for n in range(n0, N + 1)},
+                         n0, N, xs.ambient, get_budget(budget))[1]
 
 
 def _cesaro_prefix(element: Callable[[int], RatVec], n0: int, N: int) -> dict:
@@ -163,10 +162,8 @@ def _cesaro_prefix(element: Callable[[int], RatVec], n0: int, N: int) -> dict:
 def cca_window(xs: SeqSpec, n0: int, N: int, *,
                budget: Budget | None = None):
     """Largest pairwise distance of the running means over the window."""
-    budget = get_budget(budget)
-    _check_window(n0, N, budget)
-    means = _cesaro_prefix(xs.element, n0, N)
-    return _max_pairwise(means, n0, N, xs.ambient, budget)[1]
+    return _max_pairwise(lambda: _cesaro_prefix(xs.element, n0, N), n0, N,
+                         xs.ambient, get_budget(budget))[1]
 
 
 def cca_xi_window(xi: Ordinal, M: IndexStream, xs: SeqSpec, n0: int, N: int, *,
@@ -188,9 +185,11 @@ def _cca_xi(xi: Ordinal, M: IndexStream, xs: SeqSpec, n0: int, N: int,
     # Imported here, so that no other quantity loads the averages.
     from .averages import _averages, apply
     budget = get_budget(budget)
-    _check_window(n0, N, budget)
-    method = _averages(xi, M, fs)
-    means = _cesaro_prefix(lambda n: apply(method, xs, n, budget=budget), n0, N)
+
+    def means():
+        method = _averages(xi, M, fs)
+        return _cesaro_prefix(lambda n: apply(method, xs, n, budget=budget), n0, N)
+
     return _max_pairwise(means, n0, N, xs.ambient, budget)
 
 
@@ -285,7 +284,8 @@ def sm_constant(xi: Ordinal, xs: SeqSpec, N: int, coeff_budget: int = 4, *,
     pattern with total ``t`` beats the best ``t_b`` so far exactly when
     ``t * |F_b|**p < t_b * |F|**p``, with ``1/D**p`` the unit of the totals
     (``p = 2`` where they are squares).  Only the winner becomes a value.
-    Ties keep the first pattern met.
+    Ties keep the first pattern met.  Each pattern costs one unit of
+    ``budget.work`` (``sign patterns``).
     """
     _check_coeff_budget(coeff_budget)
     budget = get_budget(budget)
@@ -325,18 +325,20 @@ def _sm_patterns(ambient: NormSpec, rows: Sequence[tuple], coeff_budget: int,
     and so is each of its subsets, since every family is hereditary.  A
     pattern whose rows all live inside its member then has admissible
     signed parts, so ``spaces._sum_total`` gives its total, with no kernel.
-    The kernels would give the same totals and spend no work on them: the
-    members come through the family count, and a member of ``k`` points
-    brings its ``2**k`` subsets into it, so ``k`` is below the work budget.
-    The other patterns go to the kernels through one memo."""
+    The other patterns go to the kernels through one memo.  Every pattern,
+    on either route, costs one unit of ``budget.work`` (``sign patterns``)
+    before its rows are summed, so ``coeff_budget`` cannot buy unmetered
+    work."""
     own = _own_walk(order, fs, ambient)
     memo: dict = {}
+    meter = WorkMeter("sign patterns", budget.work)
     for F in members:
         if not F:
             continue
         patterns = (product((1, -1), repeat=len(F)) if len(F) <= coeff_budget
                     else [(1,) * len(F)])
         for signs in patterns:
+            meter.spend()
             combined: dict[int, int] = {}
             for sign, n in zip(signs, F):
                 for i, v in rows[n]:

@@ -151,7 +151,7 @@ class NormResult(Record):
     """An exactly computed norm with a maximizing witness.
 
     ``value`` is None when the norm is irrational (possible only for the
-    Baernstein kind); ``value_squared`` is always exact.
+    ``l2`` and Baernstein kinds); ``value_squared`` is always exact.
     """
 
     __slots__ = ("spec", "value", "value_squared", "approx", "witness")
@@ -534,10 +534,13 @@ class Functional(Record):
                     Fraction(0))
         if check and self.certified_for is not None:
             bound = norm(self.certified_for, x, budget=budget)
-            if abs(value) > bound.value:
+            # Compared on squares, since an l2 or Baernstein norm may be irrational.
+            if value * value > bound.value_squared:
+                shown = (bound.value if bound.value is not None
+                         else f"sqrt({format_fraction(bound.value_squared)})")
                 raise CertificationViolationError(
                     f"certified functional {self.label or 'f'} exceeded the "
-                    f"norm: |{value}| > {bound.value}")
+                    f"norm: |{value}| > {shown}")
         return value
 
     def to_json(self) -> dict:

@@ -21,26 +21,30 @@ scan never builds its index.  The sign patterns are evaluated once, in
 ``quantities``, and none of them reaches a norm kernel: each lives inside
 its member, which is admissible, and the families are hereditary, so every
 signed part of a pattern is admissible too and its total is the sum of its
-magnitudes, ``spaces._sum_total``.  The star bundle streams its patterns
-once, counting the half-mass violations on the way to its spreading
-constant; a mean distance whose norm the budget refuses is certified by that
-sum, an upper bound on any vector.
+magnitudes, ``spaces._sum_total``; each pattern costs one unit of work.
+The star bundle streams its patterns once, counting the half-mass
+violations on the way to its spreading constant.  Its distances of running
+means are integers over ``L = lcm(1..N)``, totalled by
+``spaces._norm_total``; a distance the budget refuses is certified by
+``_sum_total`` on the same integers, an upper bound on any vector.  The
+totals are compared with ``L``, and only the largest becomes a Fraction.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from fractions import Fraction
 
 from .budget import Budget, BudgetExceededError, get_budget
 from .ordinal import FundamentalRule, Ordinal, default_fundamental_seq
-from .quantities import (_cesaro_prefix, _check_coeff_budget, _hit_sets, _large_scan,
+from .quantities import (_check_coeff_budget, _hit_sets, _large_scan,
                          _prop_formula_terms, _scaled_horizon, _sm_least,
                          _sm_patterns, prop_formula)
 from .reports import Report
 from .schreier import FinSet, _family
-from .spaces import NormSpec, _sum_total, _total_result, norm
+from .spaces import NormSpec, _norm_total, _sum_total, norm
 from .streams import IndexStream
 from .vectors import CanonicalBasis, RatVec, format_fraction
 
@@ -148,9 +152,12 @@ def verify_example_star(xi: Ordinal, N: int, coeff_budget: int = 3, *,
     The sign split halves the spreading constant, with the first admissible
     pair and alternating signs as the extremal witness, while largeness
     survives and the running means stay within unit distance of each other.
+    The witness lives on {2,3}, so a horizon below 3 is refused.
     """
     if N < 1:
         raise ValueError("N must be at least 1")
+    if N < 3:
+        raise ValueError(f"N must be at least 3 to reach the witness {{2,3}}, got {N}")
     _check_coeff_budget(coeff_budget)
     started = time.perf_counter()
     budget = get_budget(budget)
@@ -197,28 +204,28 @@ def verify_example_star(xi: Ordinal, N: int, coeff_budget: int = 3, *,
 
     _check_large(report, order, c, members, rows, D, N, fs, budget)
 
-    # Distances of running means: exact norms when the search is affordable,
-    # otherwise the larger signed mass, which bounds the norm from above.
-    means = _cesaro_prefix(RatVec.unit, 1, N)
-    cap_violations = 0
-    largest = Fraction(0)
+    # Distances of running means on integers over L = lcm(1..N): L * (mean_k
+    # - mean_l) is L/k - L/l on 1..k and -L/l on k+1..l.  Exact totals when
+    # the search is affordable, otherwise the larger signed mass, which
+    # bounds the total from above; only the largest becomes a Fraction.
+    L = math.lcm(*range(1, N + 1))
+    cap_violations = largest = 0
     routes = {"exact": 0, "l1-certificate": 0}
     for k in range(1, N + 1):
         for l in range(k + 1, N + 1):
-            diff = means[k] - means[l]
+            values = [L // k - L // l] * k + [-(L // l)] * (l - k)
             try:
-                value = norm(spec, diff, budget=budget).value
+                total = _norm_total(spec, tuple(range(1, l + 1)), values, budget)[0]
                 routes["exact"] += 1
             except BudgetExceededError:
-                _, values, D = diff.scaled()
-                value = _total_result(spec, D, _sum_total(spec, values)).value
+                total = _sum_total(spec, values)
                 routes["l1-certificate"] += 1
-            if value > 1:
+            if total > L:
                 cap_violations += 1
-            elif value > largest:
-                largest = value
+            elif total > largest:
+                largest = total
     report.check("mean-distances-capped-at-one", cap_violations == 0,
-                 f"max distance {format_fraction(largest)} "
+                 f"max distance {format_fraction(Fraction(largest, L))} "
                  f"({routes['exact']} exact, {routes['l1-certificate']} certified)")
     report.result("mean_distance_routes", routes)
 

@@ -542,6 +542,45 @@ def test_quantity_sm_verbatim_shape(capsys):
     assert payload["witness"] == "1;1"
 
 
+def test_quantity_sm_prints_an_irrational_value_as_its_float(capsys):
+    # In l2 the least ratio is 1/sqrt(3), at the uniform pattern on {3,4,5}.
+    argv = ("quantity", "sm", "--space", "l2", "--xi", "1", "--N", "6")
+    assert run(capsys, *argv) == (0, """approx = 0.5773502691896257
+direction = upper_bound
+horizon = 6
+kind = sm
+sequence = basis
+space = l2
+value = 0.5773502691896257
+witness = 3,4,5;1,1,1
+xi = 1
+""", "")
+    assert run(capsys, *argv, "--format", "json") == (0, """{
+  "approx": 0.5773502691896257,
+  "direction": "upper_bound",
+  "horizon": "6",
+  "kind": "sm",
+  "sequence": "basis",
+  "space": "l2",
+  "value": "0.5773502691896257",
+  "witness": "3,4,5;1,1,1",
+  "xi": "1"
+}
+""", "")
+
+
+def test_quantity_sm_charges_its_sign_patterns(capsys, monkeypatch):
+    # Every sign choice on the 24,653 members up to 12 points is 5,894,907
+    # patterns, all totalled on the space's own walk: one unit each.
+    monkeypatch.delenv("SCHREIER_LAB_BUDGET", raising=False)
+    started = time.perf_counter()
+    assert run(capsys, "quantity", "sm", "--xi", "2", "--N", "16",
+               "--coeff-budget", "12") == (
+        2, "", "budget exceeded: budget exceeded for sign patterns: "
+               "limit 200000 (needs >= 200001)\n")
+    assert time.perf_counter() - started < 2
+
+
 # -- README commands, byte for byte ---------------------------------------------------
 #
 # The JSON forms carry no wall time, so their bytes are fixed; these were
@@ -715,6 +754,38 @@ def test_quantity_large_refuses_past_the_budget(capsys, monkeypatch):
     # The count comes before the weak limit is read.
     assert run(capsys, "quantity", "large", "--xi", "2", "--c", "9/10",
                "--N", "20", "--weak-limit", "{not json") == (2, "", err)
+
+
+def test_quantity_large_recenters_by_the_weak_limit(capsys, tmp_path):
+    # The drift example of the library test, x_n = e_1 + e_{n+1}, with the
+    # coordinate sums over the order-1 members the command certifies.
+    from fractions import Fraction
+
+    from schreier_lab.ordinal import parse
+    from schreier_lab.quantities import large_check
+    from schreier_lab.schreier import enumerate_family
+    from schreier_lab.spaces import NormSpec, coordinate_sum_functional
+    from schreier_lab.streams import IndexStream
+    from schreier_lab.vectors import ExplicitSequence, RatVec
+    space, drift = NormSpec.schreier(parse("1")), RatVec.unit(1)
+    xs = ExplicitSequence(space, [drift + RatVec.unit(n + 1) for n in range(1, 5)])
+    functionals = [coordinate_sum_functional(F, space)
+                   for F in enumerate_family(parse("1"), 4) if F]
+    seq = write_vecs(tmp_path, "seq.json", *({"1": "1", str(n + 1): "1"}
+                                             for n in range(1, 5)))
+    argv = ("quantity", "large", "--xi", "1", "--c", "1", "--space-xi", "1",
+            "--seq", seq, "--N", "4")
+    centered = ("--weak-limit", '{"entries": {"1": "1"}}')
+    for weak_limit, flags in ((None, ()), (drift, centered)):
+        expected = large_check(parse("1"), Fraction(1), xs,
+                               IndexStream.all_indices(), functionals, 4,
+                               weak_limit=weak_limit)
+        code, payload = run_json(capsys, *argv, *flags)
+        assert code == (0 if expected.ok else 1)
+        assert (payload["ok"], payload["certificate"]) == (
+            expected.ok, None if expected.certificate is None
+            else str(expected.certificate))
+    assert expected.certificate is not None   # recentering loses largeness
 
 
 @pytest.mark.parametrize("op", [("fdelta", "--delta", "1/2"),

@@ -70,6 +70,17 @@ USAGE_ERRORS = {
         "--text TEXT\n"
         "schreier-lab ord parse: error: the following arguments are required: "
         "--text\n",
+    # A mistyped op under a group with a default op is named against its ops.
+    "avg bogus --xi 1 --n 2": "usage: schreier-lab avg [-h]\n"
+        "                        {vector,size,apply,pair-sum,validate,nibcc,reweight}\n"
+        "                        ...\n"
+        "schreier-lab avg: error: argument op: invalid choice: 'bogus' (choose "
+        "from 'vector', 'size', 'apply', 'pair-sum', 'validate', 'nibcc', "
+        "'reweight')\n",
+    "norm evl --space l1 --vec {}": "usage: schreier-lab norm [-h] "
+        "{eval,oracle,functional} ...\n"
+        "schreier-lab norm: error: argument op: invalid choice: 'evl' (choose "
+        "from 'eval', 'oracle', 'functional')\n",
 }
 
 

@@ -106,6 +106,22 @@ def test_a_window_past_the_budget_is_refused_before_it_is_built():
     assert str(info.value).endswith("(needs = 2016)")
 
 
+def test_a_refused_averaged_window_looks_up_no_averaging_method(monkeypatch):
+    from schreier_lab import averages
+    calls = []
+    lookup = averages._averages
+    monkeypatch.setattr(averages, "_averages",
+                        lambda *args: calls.append(args) or lookup(*args))
+    basis = CanonicalBasis(S1)
+    with pytest.raises(ValueError):
+        cca_xi_window(parse("1"), ALL, basis, 3, 2)
+    with pytest.raises(BudgetExceededError):
+        cca_xi_window(parse("1"), ALL, basis, 1, 64, budget=Budget(work=2000))
+    assert calls == []
+    assert cca_xi_window(parse("1"), ALL, basis, 1, 2) == HALF
+    assert calls   # an answered window does look its method up
+
+
 def test_cca_window_frozen_values():
     basis = CanonicalBasis(S1)
     # Means of the basis: u_1 - u_4 puts 3/4 on index 1, which dominates.

@@ -154,6 +154,17 @@ def test_norm_matches_oracle(kind, xi_text):
         assert norm(spec, x).value == norm_oracle(spec, x).value, x
 
 
+@pytest.mark.parametrize("spec, squared", [
+    (NormSpec.l1(), 20 ** 2), (NormSpec.l2(), 20), (NormSpec.sup(), 1)])
+def test_norm_oracle_answers_the_classical_kinds_past_its_support_limit(spec,
+                                                                       squared):
+    # The classical norms need no search, so the oracle is the norm itself,
+    # even on 20 points, past the oracle's support limit of 12.
+    x = units(*range(1, 21))
+    assert norm_oracle(spec, x) == norm(spec, x)
+    assert norm_oracle(spec, x).value_squared == squared
+
+
 def test_norm_oracle_at_a_deep_order():
     started = time.perf_counter()
     result = norm_oracle(NormSpec.schreier(parse("3000")), units(1, 2))
@@ -572,6 +583,15 @@ def test_violated_certificate_is_loud():
     with pytest.raises(CertificationViolationError):
         bogus.evaluate(RatVec.unit(1))
     assert bogus.evaluate(RatVec.unit(1), check=False) == 5
+
+
+def test_certified_evaluation_compares_an_irrational_norm_on_squares():
+    # e1 + e2 has the irrational l2 norm sqrt(2).
+    x = RatVec({1: 1, 2: 1})
+    assert Functional(RatVec({1: 1}), NormSpec.l2(), "x").evaluate(x) == 1
+    bogus = Functional(RatVec({1: 2, 2: 2}), NormSpec.l2(), "bogus")
+    with pytest.raises(CertificationViolationError, match=r"\|4\| > sqrt\(2\)$"):
+        bogus.evaluate(x)
 
 
 @pytest.mark.parametrize("x, expected", [

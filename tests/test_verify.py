@@ -14,7 +14,7 @@ from schreier_lab.ordinal import parse
 from schreier_lab.reports import Check, Report
 from schreier_lab.cli.quantity import _sum_members
 from schreier_lab.quantities import prop_formula
-from schreier_lab.spaces import NormSpec, norm
+from schreier_lab.spaces import NormSpec, _norm_total, norm
 from schreier_lab.vectors import CanonicalBasis, ExplicitSequence, RatVec
 from schreier_lab.verify import (_dual_certificate_trials,
                                  verify_example_schreier, verify_example_star,
@@ -229,10 +229,10 @@ def test_dual_certificates_fail_on_a_violation(monkeypatch):
 
 
 def test_star_bundle_fails_a_mean_distance_past_one(monkeypatch):
-    # A norm that reads every vector at 3/2 puts each distance of running
-    # means past one.
-    monkeypatch.setattr(verify, "norm", lambda spec, x, budget: SimpleNamespace(
-        value=Fraction(3, 2)))
+    # A total of 18 over L = lcm(1..4) = 12 reads every distance of running
+    # means at 3/2, past one.
+    monkeypatch.setattr(verify, "_norm_total",
+                        lambda spec, support, values, budget: (18, None))
     report = verify_example_star(parse("1"), 4)
     check = next(c for c in report.checks
                  if c.name == "mean-distances-capped-at-one")
@@ -264,12 +264,12 @@ def test_star_bundle_certifies_distances_whose_norm_is_refused(monkeypatch,
     # The distance of the means k < l has support {1..l}; refuse every norm
     # past 8 points, so the pairs with l > 8 take the l1 route.  There each
     # sign part has mass 1 - k/l, the largest 11/12 at (1, 12).
-    def capped(spec, x, budget=None):
-        if len(x) > 8:
-            raise BudgetExceededError("norm support", 8, needed=len(x))
-        return norm(spec, x, budget=budget)
+    def capped(spec, support, values, budget, memo=None):
+        if len(support) > 8:
+            raise BudgetExceededError("norm support", 8, needed=len(support))
+        return _norm_total(spec, support, values, budget, memo)
 
-    monkeypatch.setattr(verify, "norm", capped)
+    monkeypatch.setattr(verify, "_norm_total", capped)
     report = verify_example_star(parse(xi_text), 12)
     exact = 8 * 7 // 2
     assert report.results["mean_distance_routes"] == {
@@ -287,6 +287,14 @@ def test_bundles_need_a_positive_horizon(bundle, N):
     # N = 0 used to divide by zero in the default level 1 - 1/N.
     with pytest.raises(ValueError, match="N must be at least 1"):
         bundle(parse("1"), N)
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_star_bundle_needs_its_witness_in_the_horizon(N):
+    # The alternating witness lives on {2,3}: a shorter horizon cannot
+    # show the constant 1/2, so it is bad input, not a failed check.
+    with pytest.raises(ValueError, match=r"at least 3 to reach the witness \{2,3\}"):
+        verify_example_star(parse("1"), N)
 
 
 def test_schreier_bundle_fails_above_one():
