@@ -122,19 +122,14 @@ def _cmd_q_fdelta(args) -> int:
 def _cmd_q_large(args) -> int:
     from ..budget import get_budget
     from ..ordinal import default_fundamental_seq
-    from ..quantities import _hit_sets, _large_scan, _scaled_horizon
-    from ..vectors import SeqSpec
+    from ..quantities import _large
     ambient = _ambient_spec(args)
     xs = _sequence(args, ambient)
     members = _sum_members(args, ambient)
-    if args.weak_limit is not None:
-        weak_limit, element = _load_vector(args.weak_limit), xs.element
-        xs = SeqSpec(ambient, lambda n: element(n) - weak_limit, xs.name)
-    xi, c, M = _ordinal(args.xi), _fraction(args.c), _stream(args.stream)
-    rows, D = _scaled_horizon(xs, args.N)
-    hit_sets = _hit_sets(((F, [1] * len(F), 1) for F in members), rows, D, c)
-    result = _large_scan(xi, hit_sets, M, args.N, None,
-                         fs=default_fundamental_seq, budget=get_budget())
+    weak_limit = None if args.weak_limit is None else _load_vector(args.weak_limit)
+    result = _large(_ordinal(args.xi), _fraction(args.c), xs, _stream(args.stream),
+                    ((F, [1] * len(F), 1) for F in members), args.N, weak_limit,
+                    fs=default_fundamental_seq, budget=get_budget())
     payload = result.to_json()
     payload.update({"kind": "large", "space": str(ambient),
                     "c": args.c, "functionals": len(members)})

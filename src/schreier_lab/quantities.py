@@ -21,13 +21,15 @@ ranks exactly, and only the winner becomes a value.  The horizon scans of
 :func:`sm_constant` and :func:`f_delta` run on integers: ``_scaled_horizon``
 scales the elements ``1..N`` once, over one common denominator, and each
 sign pattern of :func:`sm_constant` costs one unit of work.  What a
-total means is read from ``spaces`` (``_sum_total``, ``_total_power`` and
-``_total_result``), so no quantity branches on a norm kind.  The
-largeness scan reads hit sets only; ``_hit_sets`` builds them on those rows,
-from the functionals given to :func:`f_delta`, and from bare members in the
-``verify`` bundles and in the CLI's ``quantity fdelta`` and ``quantity
-large``, which build no functional.  The scan tests a set that is no hit set
-on a bitset index of the hit sets, one AND per element.
+total means is read from ``spaces`` (``_sum_total``, ``_mass_total``,
+``_total_power`` and ``_total_result``), so no quantity branches on a norm
+kind.  The largeness scan reads hit sets only; ``_hit_sets`` builds them on
+those rows, from the functionals given to :func:`f_delta` and
+:func:`large_check`, and from bare members in the CLI's ``quantity fdelta``
+and ``quantity large``, which build no functional; ``_large`` is the shift,
+scaling and scan that :func:`large_check` and ``quantity large`` share.  The
+scan tests a set that is no hit set on a bitset index of the hit sets, one
+AND per element.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ from .budget import Budget, BudgetExceededError, Record, WorkMeter, get_budget
 from .ordinal import FundamentalRule, Ordinal, default_fundamental_seq
 from .schreier import FinSet, _family, enumerate_family
 from .spaces import (CertificationRefusedError, Functional, NormResult, NormSpec,
-                     _norm_total, _own_walk, _sum_total, _total_power,
-                     _total_result, norm)
+                     _mass_total, _norm_total, _own_walk, _sum_total,
+                     _total_power, _total_result, norm)
 from .vectors import RatVec, SeqSpec, format_fraction
 from .vectors import CanonicalBasis  # noqa: F401 -- still importable from here
 
@@ -324,26 +326,51 @@ def _sm_patterns(ambient: NormSpec, rows: Sequence[tuple], coeff_budget: int,
     On a walk of the ambient's own order and rule each member is admissible,
     and so is each of its subsets, since every family is hereditary.  A
     pattern whose rows all live inside its member then has admissible
-    signed parts, so ``spaces._sum_total`` gives its total, with no kernel.
-    The other patterns go to the kernels through one memo.  Every pattern,
-    on either route, costs one unit of ``budget.work`` (``sign patterns``)
-    before its rows are summed, so ``coeff_budget`` cannot buy unmetered
-    work."""
+    signed parts, so its total is its l1 or larger signed mass, as
+    ``spaces`` rules (``_mass_total``, ``_sum_total``), with no kernel.
+    Whether the rows live inside does not depend on the signs, so it is
+    tested once per member.  There are two such routes, and both totals are
+    exact.  On a diagonal horizon, where every ``rows[n]`` is ``((n,
+    a_n),)``, the pattern is ``s_k * a_{F[k]}`` at ``F[k]``: its positive
+    mass is the sum of the ``|a_n|`` its signs keep positive, and its
+    negative mass the rest of the member's mass, from per-point masses taken
+    once per scan, so no vector is built.  Any other horizon sums the
+    pattern's rows into one dict.  The patterns outside their member go to
+    the kernels through one memo.  Every pattern, on any route, costs one
+    unit of ``budget.work`` (``sign patterns``) before its total, so
+    ``coeff_budget`` cannot buy unmetered work."""
     own = _own_walk(order, fs, ambient)
+    diagonal = own and all(len(row) == 1 and row[0][0] == n
+                           for n, row in enumerate(rows) if n)
+    if diagonal:
+        # At each point, the positive mass under the sign +1 and under -1.
+        parts = [(0, 0)] + [(a, 0) if a > 0 else (0, -a) for ((_, a),) in rows[1:]]
+        kept_by_plus = [p for p, _ in parts]
+        mass_at = [p + q for p, q in parts]
     memo: dict = {}
     meter = WorkMeter("sign patterns", budget.work)
     for F in members:
         if not F:
             continue
-        patterns = (product((1, -1), repeat=len(F)) if len(F) <= coeff_budget
-                    else [(1,) * len(F)])
+        small = len(F) <= coeff_budget
+        patterns = product((1, -1), repeat=len(F)) if small else [(1,) * len(F)]
+        if diagonal:
+            mass = sum(map(mass_at.__getitem__, F))
+            kept = (product(*map(parts.__getitem__, F)) if small
+                    else [map(kept_by_plus.__getitem__, F)])
+            for signs, positives in zip(patterns, kept):
+                meter.spend()
+                positive = sum(positives)
+                yield F, signs, _mass_total(ambient, positive, mass - positive)
+            continue
+        inside = own and set(F).issuperset(i for n in F for i, _ in rows[n])
         for signs in patterns:
             meter.spend()
             combined: dict[int, int] = {}
             for sign, n in zip(signs, F):
                 for i, v in rows[n]:
                     combined[i] = combined.get(i, 0) + sign * v
-            if own and combined.keys() <= set(F):
+            if inside:
                 total = _sum_total(ambient, combined.values())
             else:
                 support = tuple(sorted(i for i, v in combined.items() if v))
@@ -414,20 +441,26 @@ def f_delta(functionals: Sequence[Functional], xs: SeqSpec, delta: Fraction,
     exactly when ``delta <= 0``.
     """
     delta = Fraction(delta)
+    coefficients = _certified_coefficients(functionals, xs.ambient)
+    rows, D = _scaled_horizon(xs, N)
+    hit_sets = _hit_sets(coefficients, rows, D, delta)
+    return DeltaFamily(hit_sets, delta, N, tuple(f.label for f in functionals))
+
+
+def _certified_coefficients(functionals: Sequence[Functional],
+                            ambient: NormSpec) -> Iterator[tuple]:
+    """The scaled coefficients of ``functionals``, once each is known to be
+    certified for ``ambient``; the refusal comes before the first."""
     uncertified = [f.label or "?" for f in functionals if f.certified_for is None]
     if uncertified:
         raise CertificationRefusedError(
             f"uncertified functionals not allowed here: {', '.join(uncertified)}")
-    foreign = [f.label or "?" for f in functionals
-               if f.certified_for != xs.ambient]
+    foreign = [f.label or "?" for f in functionals if f.certified_for != ambient]
     if foreign:
         raise CertificationRefusedError(
-            f"functionals certified for a norm other than {xs.ambient}: "
+            f"functionals certified for a norm other than {ambient}: "
             f"{', '.join(foreign)}")
-    rows, D = _scaled_horizon(xs, N)
-    hit_sets = _hit_sets((f.coefficients.scaled() for f in functionals),
-                         rows, D, delta)
-    return DeltaFamily(hit_sets, delta, N, tuple(f.label for f in functionals))
+    return (f.coefficients.scaled() for f in functionals)
 
 
 def _hit_sets(scaled_coefficients: Iterable[tuple], rows: Sequence[tuple],
@@ -497,11 +530,25 @@ def large_check(xi: Ordinal, c: Fraction, xs: SeqSpec, M: IndexStream,
     one unit of ``budget.work`` per AND (``largeness subset tests``), and
     each bitmask, built at its first use, one unit per 64 hit sets it spans.
     """
-    weak_limit = RatVec() if weak_limit is None else weak_limit
-    shifted = SeqSpec(xs.ambient, lambda n: xs.element(n) - weak_limit, xs.name)
-    family = f_delta(functionals, shifted, c, N)
-    return _large_scan(xi, family.hit_sets, M, N, None, fs=fs,
-                       budget=get_budget(budget))
+    return _large(xi, c, xs, M, _certified_coefficients(functionals, xs.ambient),
+                  N, weak_limit, fs=fs, budget=get_budget(budget))
+
+
+def _large(xi: Ordinal, c: Fraction, xs: SeqSpec, M: IndexStream,
+           scaled_coefficients: Iterable[tuple], N: int,
+           weak_limit: RatVec | None, *, fs: FundamentalRule,
+           budget: Budget) -> LargeCheckResult:
+    """:func:`large_check` of the functionals with the given scaled
+    ``(support, coefficients, D_f)``, as ``quantity large`` asks it of
+    coordinate sums with no functional built: ``xs`` is recentered by
+    ``weak_limit`` when given, and the scan reads the hit sets of the
+    coefficients at level ``c`` on its scaled rows."""
+    if weak_limit is not None:
+        element = xs.element
+        xs = SeqSpec(xs.ambient, lambda n: element(n) - weak_limit, xs.name)
+    rows, D = _scaled_horizon(xs, N)
+    return _large_scan(xi, _hit_sets(scaled_coefficients, rows, D, Fraction(c)),
+                       M, N, None, fs=fs, budget=budget)
 
 
 def _large_scan(xi: Ordinal, hit_sets: Iterable[FinSet], M: IndexStream, N: int,

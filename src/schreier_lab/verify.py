@@ -10,24 +10,27 @@ formula.  All sampling is seeded, so two runs emit identical JSON.
 
 The two example bundles count their admissible family once, refusing it up
 front when it is past the budget, and walk it once; the sign-pattern scans,
-the largeness hit sets and scan, and the dual-certificate trials all read
-that one list of members.  Each bundle scales its basis once over one
-denominator ``D``.  The walk yields members of the space's own order only,
-so their coordinate sums are certified without testing membership again,
-and their hit sets are built from the members on that one scaling, with no
-functional per member, as the CLI's ``quantity large`` does too.  Every
-nonempty member is its own hit set at the bundles' level, so the largeness
-scan never builds its index.  The sign patterns are evaluated once, in
-``quantities``, and none of them reaches a norm kernel: each lives inside
-its member, which is admissible, and the families are hereditary, so every
-signed part of a pattern is admissible too and its total is the sum of its
-magnitudes, ``spaces._sum_total``; each pattern costs one unit of work.
-The star bundle streams its patterns once, counting the half-mass
-violations on the way to its spreading constant.  Its distances of running
-means are integers over ``L = lcm(1..N)``, totalled by
-``spaces._norm_total``; a distance the budget refuses is certified by
-``_sum_total`` on the same integers, an upper bound on any vector.  The
-totals are compared with ``L``, and only the largest becomes a Fraction.
+the largeness scan and the dual-certificate trials all read that one list
+of members.  Each bundle scales its basis once over one denominator ``D``.
+The walk yields members of the space's own order only, so their coordinate
+sums are certified without testing membership again.  On the canonical
+basis each sum is 1 on the basis vectors of its member and 0 elsewhere, so
+its hit set is known by construction (``_basis_hit_sets``): every nonempty
+member is its own hit set just below level 1, no total is taken, and the
+largeness scan never builds its index.  The sign patterns are evaluated
+once, in ``quantities``, and none of them reaches a norm kernel: each lives
+inside its member, which is admissible, and the families are hereditary, so
+every signed part of a pattern is admissible too and its total is its l1 or
+larger signed mass.  The basis is diagonal, so that mass is read off the
+signs, with no vector built; each pattern costs one unit of work.  The star
+bundle streams its patterns once, counting the half-mass violations on the
+way to its spreading constant.  Its distances of running means are integers
+over ``L = lcm(1..N)``, totalled by ``spaces._norm_total``; a distance the
+budget refuses is certified by ``_sum_total`` on the same integers, an upper
+bound on any vector.  The dual-certificate samples are integers over
+``lcm(1..9)``, totalled by ``_norm_total`` too.  All these totals are
+compared as integers, and only the largest, or a violation, becomes a
+Fraction.
 """
 
 from __future__ import annotations
@@ -36,12 +39,12 @@ import math
 import random
 import time
 from fractions import Fraction
+from typing import Iterable
 
 from .budget import Budget, BudgetExceededError, get_budget
 from .ordinal import FundamentalRule, Ordinal, default_fundamental_seq
-from .quantities import (_check_coeff_budget, _hit_sets, _large_scan,
-                         _prop_formula_terms, _scaled_horizon, _sm_least,
-                         _sm_patterns, prop_formula)
+from .quantities import (_check_coeff_budget, _large_scan, _prop_formula_terms,
+                         _scaled_horizon, _sm_least, _sm_patterns, prop_formula)
 from .reports import Report
 from .schreier import FinSet, _family
 from .spaces import NormSpec, _norm_total, _sum_total, norm
@@ -55,48 +58,68 @@ __all__ = [
 ]
 
 
-def _sample_vector(rng: random.Random, N: int) -> RatVec:
-    size = rng.randint(1, min(6, N))
-    support = rng.sample(range(1, N + 1), size)
-    entries = {}
-    for index in support:
-        numerator = rng.choice([n for n in range(-9, 10) if n != 0])
-        entries[index] = Fraction(numerator, rng.randint(1, 9))
-    return RatVec(entries)
-
-
 def _dual_certificate_trials(spec: NormSpec, members: list[FinSet], N: int, *,
                              budget: Budget):
     """Seeded spot check that certified sums never beat the norm.
 
     Each of 30 trials from seed 0 draws a nonempty member ``F`` (the walk
-    yields the empty set first), sums its sample over ``F`` and tests that
-    against the sample's norm, computed once; a budget refusal propagates.
+    yields the empty set first) and a sample of at most 6 entries ``p/q``
+    with ``0 < |p|, q <= 9``, held exactly as integers over ``D =
+    lcm(1..9)``.  Its sum over ``F`` and its norm total from
+    ``spaces._norm_total`` (not a square, for the ``schreier`` and
+    ``schreier_star`` norms) are both over ``D``, so they compare as
+    integers.  A common factor of the magnitudes scales the kernel's totals
+    and keeps its node counts, so a budget refusal, which propagates, comes
+    where it would on the sample's own denominator.
     """
     rng = random.Random(0)
-    worst = Fraction(0)
+    numerators = [n for n in range(-9, 10) if n != 0]
+    D = math.lcm(*range(1, 10))
+    worst = (0, 1)   # the largest |sum| / total, as a pair
     for _ in range(30):
         F = members[1 + rng.randrange(len(members) - 1)]
-        x = _sample_vector(rng, N)
-        value = sum((x[i] for i in F), Fraction(0))
-        bound = norm(spec, x, budget=budget).value
+        size = rng.randint(1, min(6, N))
+        entries = {}
+        for index in rng.sample(range(1, N + 1), size):
+            p = rng.choice(numerators)
+            entries[index] = p * D // rng.randint(1, 9)
+        value = sum(entries[i] for i in F if i in entries)
+        support = tuple(sorted(entries))
+        bound = _norm_total(spec, support, [entries[i] for i in support],
+                            budget)[0]
         if abs(value) > bound:
-            return False, f"|{value}| > {bound} at F={{{F}}}"
-        if bound > 0 and abs(value) / bound > worst:
-            worst = abs(value) / bound
-    return True, f"30 certified evaluations, max |f(x)|/norm = {worst}"
+            return False, (f"|{Fraction(value, D)}| > {Fraction(bound, D)} "
+                           f"at F={{{F}}}")
+        if abs(value) * worst[1] > worst[0] * bound:
+            worst = abs(value), bound
+    return True, f"30 certified evaluations, max |f(x)|/norm = {Fraction(*worst)}"
+
+
+def _basis_hit_sets(members: list[FinSet], N: int,
+                    c: Fraction) -> Iterable[FinSet]:
+    """The distinct hit sets at level ``c`` of the coordinate sums over the
+    nonempty ``members`` on the canonical basis of ``1..N``, in first-seen
+    order, by construction.  The sum over ``F`` is 1 on ``x_n`` for ``n`` in
+    ``F`` and 0 on every other ``x_n``, so it hits ``F`` when ``0 < c <=
+    1``, all of ``1..N`` when ``c <= 0``, and nothing when ``c > 1``."""
+    if c <= 0:
+        return [FinSet(range(1, N + 1))]
+    if c > 1:
+        return [FinSet()]
+    return (F for F in members if F)
 
 
 def _check_large(report: Report, order: Ordinal, c: Fraction,
-                 members: list[FinSet], rows: list[tuple], D: int, N: int,
-                 fs: FundamentalRule, budget: Budget) -> None:
-    """Largeness of the basis at level ``c`` along the identity stream,
-    tested by the coordinate sums over ``members``.  Each sums over a member
-    of the space's own order, so it is certified by construction, and its
-    hit set is read off the bundle's scaled basis ``rows`` over ``D``."""
-    hit_sets = _hit_sets(((F, [1] * len(F), 1) for F in members if F), rows, D, c)
-    large = _large_scan(order, hit_sets, IndexStream.all_indices(), N, members,
-                        fs=fs, budget=budget)
+                 members: list[FinSet], N: int, fs: FundamentalRule,
+                 budget: Budget) -> None:
+    """Largeness of the canonical basis at level ``c`` along the identity
+    stream, tested by the coordinate sums over ``members``.  Each sums over
+    a member of the space's own order, so it is certified by construction,
+    and its hit set is built by construction too (``_basis_hit_sets``), with
+    no total taken; they are the hit sets ``quantities._hit_sets`` finds."""
+    large = _large_scan(order, _basis_hit_sets(members, N, c),
+                        IndexStream.all_indices(), N, members, fs=fs,
+                        budget=budget)
     report.check("basis-large-below-one", large.ok,
                  f"{large.checked} admissible sets at level {format_fraction(c)}"
                  + ("" if large.ok else f"; first failure {{{large.certificate}}}"))
@@ -135,7 +158,7 @@ def verify_example_schreier(xi: Ordinal, N: int, coeff_budget: int = 3, *,
                  f"min ratio {sm.to_json()['value']} at {sm.witness}")
     report.result("sm", sm.to_json())
 
-    _check_large(report, order, c, members, rows, D, N, fs, budget)
+    _check_large(report, order, c, members, N, fs, budget)
 
     ok, detail = _dual_certificate_trials(spec, members, N, budget=budget)
     report.check("dual-certificates-hold", ok, detail)
@@ -202,7 +225,7 @@ def verify_example_star(xi: Ordinal, N: int, coeff_budget: int = 3, *,
                  f"min ratio {sm.to_json()['value']} at {sm.witness}")
     report.result("sm", sm.to_json())
 
-    _check_large(report, order, c, members, rows, D, N, fs, budget)
+    _check_large(report, order, c, members, N, fs, budget)
 
     # Distances of running means on integers over L = lcm(1..N): L * (mean_k
     # - mean_l) is L/k - L/l on 1..k and -L/l on k+1..l.  Exact totals when

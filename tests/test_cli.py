@@ -696,6 +696,71 @@ def _readme_commands(*headings):
     return commands
 
 
+# sha256 of stdout per README command, in text and in JSON (_stdout_digest).
+README_DIGESTS = {
+    'ord parse --text w^2*3+w+4':
+        {"text": "1342736a81dc4aa72d0fcc0af0b07a51c64ddd4837ce1ab020d0c500896415e5",
+         "json": "a40ec66ed31b4a6c445a2979db846245561a2a7d9b73875d0c779d21d6e05977"},
+    'ord fseq --xi w --n 5':
+        {"text": "d5d00bc4c3143c4e2739246c8aa7b8242f0326798a09a7535fcc7c7b35eb9439",
+         "json": "20417e8a6d7428d3983b3df991c5320d0c568a6c9049208cd5f566685843221e"},
+    'schreier member --xi w --set 2,3,7':
+        {"text": "ed738bb1f986eeac3c16f366c87671032b20cc56231e3ffb4f6d15b2159def99",
+         "json": "7bb244bbf00b724451ab7ed1ffe0fea0801f31f7a1a8b2b6bb75d148cfbc1c57"},
+    'schreier enum --xi 1 --max-value 4':
+        {"text": "84ad836d65447c51ccdfa750e2de7955fa42f71a107b7bd3657e3b90ab9b224d",
+         "json": "6104773913d7726cf0604f6ddb115bf399fe60da79aa12e1cdf04e978169a66b"},
+    'schreier count --xi w --max-value 40':
+        {"text": "e7dfe8ee14d4536f63b2fca0ba33ebdf2b6fb418107e5d99aa41413f1bb1d744",
+         "json": "ceba1e4813aa5f32f374c22848544df18e6c233889400dda1f972da9eb2d9f9f"},
+    'schreier trace --xi 1 --stream evens --set 2,4':
+        {"text": "a10f3b450dc4e890cc799eaedccdd668391702d36b4ea9c4b4387a86366bb6db",
+         "json": "5c9ce98d061672e91cf9a6e9828fc61d898155d5724c8435e110e0a6880594e0"},
+    'avg --xi w --stream all --n 5 --format json':
+        {"text": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+         "json": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+    'avg nibcc --xi 0 --stream all --count 4':
+        {"text": "6b6ccd3d0e3be0b0085909e00bb4b8520901cb85d179a57a6676f7f3f34755d1",
+         "json": "10a464a65aa8418232544b4e18e92b4f606df831c101976db282b3a43889b229"},
+    'avg reweight --xi 0 --stream all --count 4 --n 2':
+        {"text": "69f212f50346058768056f8abe3451114693227623f56373f6cb31a869c4f92f",
+         "json": "0bf93c4fd1e8f8000fbc9699a03e52a497447c8761619f5ed9beba7ceafb45db"},
+    'norm --space schreier --xi 1 --vec @vec.json':
+        {"text": "5bb02b3b9c24fa6b1525aba98ebd37f268b840dc5d733bd58d33284387c2eedd",
+         "json": "7fbb15c362af355930694601a0c51158b029e225ddc3d289ebda420e8923920d"},
+    'norm eval --space star --xi 1 --vec {"entries": {"2": "1", "3": "-1"}}':
+        {"text": "484f25887d6c4b1ee77bba27e491282322737adbf825ac01344d1be8c360e56a",
+         "json": "5bb33121160120ca90152cf826d9365b9a744cb3034afc897e00298c1dd4c488"},
+    'norm functional --space schreier --xi 1 --set 2,3 --vec @vec.json':
+        {"text": "a3853a1f3691aa9a66b3595bd688e8e4cfaad19371e347238c08ef14d540c65c",
+         "json": "dbfdc9f725f4ff53a3d78b9448da8928961426aef4b5cb6f5a7279a79be9fa8e"},
+    'quantity ca --space-xi 1 --n0 1 --N 4':
+        {"text": "fcaa94e7fcfd948cd10066c6b88d142385fbc7452d98a777fec458bc360d49e0",
+         "json": "4a2d08bd57f5ec330436cc0db0e26d059bf7733b39a3f846f06167fd331eae9c"},
+    'quantity sm --xi 2 --space schreier --N 14':
+        {"text": "d902a56eb27428acf74be2efac9a7c14369057677b8dfdd019a455210d59f6e3",
+         "json": "248b5bffdd6e86ea27f8695c38c373c63410310334517a3058b80cb52f9cd878"},
+    'quantity large --xi 2 --c 9/10 --N 12':
+        {"text": "a41ee583ba47295dd84e0e2286c27f8be744339f1c28fac52a5a8cb8fefd4247",
+         "json": "85da732f5267277f5960a7f5c3622555f2d953f8c0b0933969bbf8e07375ec8a"},
+    'quantity prop-formula --l 10 --c 1/2':
+        {"text": "e0a5ae2f519c6683f5e4e1fb8fe504bd3fc89f734d447c960a62015f69d22fcd",
+         "json": "65f37b4977d65827cc4652d1b1d5d823062cc4e44a1723a270772448a68fc43e"},
+    'verify example-schreier --xi 1 --N 12':
+        {"text": "984ef79e4a44d73a9f0fae1206c1288eaca60cbeb108cc41783e392bd4acb459",
+         "json": "bd1ad5e88e9cd2550e03da8cc194552f1075487b3b900ee5e0351823cb766e1e"},
+    'verify example-star --xi 0 --N 12':
+        {"text": "be9fb182d67ef53857b7a1c7fe32f1e4e84a1e9ac4ba96e7c03f8910694957a5",
+         "json": "acbfae3b3d2a9362307702af6292a79002c2a5caea660865e17a920b94afbd06"},
+    'verify prop-formula --l-max 40 --c 1/2':
+        {"text": "9d8dde4a7867da1f053f235747cedd36aad139e3fdd82dfcf8046af0e5e546ae",
+         "json": "d2a3186ee40fa896795ba5d21b438224782b019e77e2cbb190e6301f4c387ffa"},
+    'avg --xi 1 --stream all --n 19':
+        {"text": "3feef3ce3da342c3afcd5e97c7afe6f1bdc0f00007b86e94bee0303a91e9d615",
+         "json": "9f6a528f539c5ff53fdcc391ea0c639d4fc5bd5d74058db763a69d0970d93132"},
+}
+
+
 @pytest.mark.parametrize("env, argv", _readme_commands("Command line", "Budget"))
 def test_readme_commands_run(capsys, monkeypatch, tmp_path, env, argv):
     monkeypatch.chdir(tmp_path)
@@ -709,6 +774,21 @@ def test_readme_commands_run(capsys, monkeypatch, tmp_path, env, argv):
         assert code == 2 and re.match(r"budget exceeded: .*needs", err), err
     else:
         assert code == 0 and out and err == "", err
+    # Both forms of the output, byte for byte: as written, and in the other
+    # format.
+    written = argv[argv.index("--format") + 1] if "--format" in argv else "text"
+    other = "text" if written == "json" else "json"
+    outputs = {written: out, other: run(capsys, *argv, "--format", other)[1]}
+    assert ({fmt: _stdout_digest(outputs[fmt]) for fmt in ("text", "json")}
+            == README_DIGESTS[" ".join(argv)])
+
+
+def _stdout_digest(out: str) -> str:
+    """The sha256 of ``out`` with the ``wall time:`` line of a text report
+    dropped, since only that line varies from run to run."""
+    kept = [line for line in out.splitlines(keepends=True)
+            if not line.startswith("wall time: ")]
+    return hashlib.sha256("".join(kept).encode()).hexdigest()
 
 
 def test_quantity_fdelta(capsys):

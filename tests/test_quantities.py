@@ -29,7 +29,8 @@ from schreier_lab.spaces import (
     coordinate_sum_functional, norm)
 from schreier_lab.streams import IndexStream, parse_stream
 from schreier_lab.vectors import (CanonicalBasis, ExplicitSequence, RatVec,
-                                  Subsequence, WeightedBasis, format_fraction)
+                                  SeqSpec, Subsequence, WeightedBasis,
+                                  format_fraction)
 
 S1 = NormSpec.schreier(parse("1"))
 STAR1 = NormSpec.star(parse("1"))
@@ -338,6 +339,11 @@ SEQUENCES = {
     "subsequence": lambda ambient: Subsequence(
         WeightedBasis(ambient, [Fraction(2, 3)] * 3, tail=Fraction(5, 2)),
         IndexStream.evens()),
+    # x_1 = e_1 and x_n = e_{n-1} + e_n: not diagonal, and the rows of a
+    # member stay inside it exactly when it holds n - 1 with each n > 1.
+    "adjacent": lambda ambient: SeqSpec(
+        ambient, lambda n: RatVec({n - 1: 1, n: 1} if n > 1 else {1: 1}),
+        "adjacent"),
 }
 
 
@@ -395,8 +401,10 @@ def scan_against_the_kernels(ambient, xs, N, coeff_budget, order, fs):
 def test_sm_patterns_of_an_own_walk_match_the_kernels(order, kind, rule, sequence,
                                                        N, coeff_budget):
     # The walk and the ambient share order and rule, so patterns inside
-    # their member take integer totals; the explicit and subsequence
-    # fixtures put supports outside it, which takes the kernels.
+    # their member take integer totals: on the diagonal basis and weighted
+    # fixtures, and from summed rows on the adjacent one where they stay
+    # inside; the explicit and subsequence fixtures, and the adjacent one
+    # elsewhere, put supports outside it, which takes the kernels.
     ambient = NormSpec(kind, parse(order), rule)
     xs = SEQUENCES[sequence](ambient)
     N = min(N, 6) if sequence == "explicit" else N

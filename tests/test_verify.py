@@ -7,6 +7,8 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schreier_lab import quantities, schreier, spaces, verify
 from schreier_lab.budget import Budget, BudgetExceededError
@@ -14,7 +16,7 @@ from schreier_lab.ordinal import parse
 from schreier_lab.reports import Check, Report
 from schreier_lab.cli.quantity import _sum_members
 from schreier_lab.quantities import prop_formula
-from schreier_lab.spaces import NormSpec, _norm_total, norm
+from schreier_lab.spaces import NormSpec, _norm_total
 from schreier_lab.vectors import CanonicalBasis, ExplicitSequence, RatVec
 from schreier_lab.verify import (_dual_certificate_trials,
                                  verify_example_schreier, verify_example_star,
@@ -204,13 +206,11 @@ def test_dual_certificates_take_one_norm_per_sample(monkeypatch):
     spec = NormSpec.schreier(order)
     calls = []
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         calls.append(args[1])
-        return norm(*args, **kwargs)
+        return _norm_total(*args)
 
-    # The functional's own guard calls the norm from its module.
-    monkeypatch.setattr(verify, "norm", counted)
-    monkeypatch.setattr(spaces, "norm", counted)
+    monkeypatch.setattr(verify, "_norm_total", counted)
     ok, detail = _dual_certificate_trials(spec, _members(order, 12), 12,
                                           budget=Budget())
     assert ok and detail.startswith("30 certified evaluations")
@@ -220,9 +220,11 @@ def test_dual_certificates_take_one_norm_per_sample(monkeypatch):
 def test_dual_certificates_fail_on_a_violation(monkeypatch):
     order = parse("1")
     spec = NormSpec.schreier(order)
-    # A norm that reads half the true value must be caught on some sample.
-    monkeypatch.setattr(verify, "norm", lambda spec, x, budget: SimpleNamespace(
-        value=norm(spec, x, budget=budget).value / 2))
+    # A norm that reads half the true total must be caught on some sample.
+    monkeypatch.setattr(verify, "_norm_total",
+                        lambda spec, support, values, budget: (
+                            Fraction(_norm_total(spec, support, values,
+                                                 budget)[0], 2), None))
     ok, detail = _dual_certificate_trials(spec, _members(order, 8), 8,
                                           budget=Budget())
     assert not ok and detail.startswith("|")
@@ -323,6 +325,31 @@ def test_schreier_bundle_level_paths_are_pinned(xi_text, N, c, digest):
     report = verify_example_schreier(parse(xi_text), N, c_override=c)
     assert report.ok
     assert hashlib.sha256(report.json_bytes()).hexdigest() == digest
+
+
+# Levels below, inside and above the interval (0, 1] the basis sums hit.
+LEVELS = st.one_of(
+    st.fractions(max_value=0, max_denominator=12),
+    st.fractions(min_value=0, max_value=1, max_denominator=12).filter(
+        lambda c: 0 < c < 1),
+    st.just(Fraction(1)),
+    st.fractions(min_value=1, max_value=3, max_denominator=12).filter(
+        lambda c: c > 1))
+
+
+@given(order=st.sampled_from(["0", "1", "2", "w", "w+1"]), N=st.integers(1, 10),
+       c=LEVELS)
+@settings(max_examples=150, deadline=None)
+def test_basis_hit_sets_match_the_scaled_totals(order, N, c):
+    # The bundles' hit sets by construction against the totals of every
+    # member sum on the scaled canonical basis: the same distinct sets, in
+    # the same order, which is all the largeness scan reads of them.
+    spec = NormSpec.schreier(parse(order))
+    members = _members(spec.xi, N)
+    rows, D = quantities._scaled_horizon(CanonicalBasis(spec), N)
+    totals = quantities._hit_sets(((F, [1] * len(F), 1) for F in members if F),
+                                  rows, D, c)
+    assert list(verify._basis_hit_sets(members, N, c)) == list(dict.fromkeys(totals))
 
 
 def test_prop_bundle_passes():
