@@ -19,22 +19,25 @@ with :func:`~schreier_lab.averages.apply`.  A window statistic compares its
 norms on their exact squares, so an irrational ``l2`` or ``baernstein`` norm
 ranks exactly, and only the winner becomes a value.  The horizon scans of
 :func:`sm_constant` and :func:`f_delta` run on integers: ``_scaled_horizon``
-scales the elements ``1..N`` once, over one common denominator, and each
-sign pattern of :func:`sm_constant` costs one unit of work.  What a
-total means is read from ``spaces`` (``_sum_total``, ``_mass_total``,
-``_total_power`` and ``_total_result``), so no quantity branches on a norm
-kind.  The largeness scan reads hit sets only; ``_hit_sets`` builds them on
-those rows, from the functionals given to :func:`f_delta` and
-:func:`large_check`, and from bare members in the CLI's ``quantity fdelta``
-and ``quantity large``, which build no functional; ``_large`` is the shift,
-scaling and scan that :func:`large_check` and ``quantity large`` share.  The
-scan tests a set that is no hit set on a bitset index of the hit sets, one
-AND per element.
+scales the elements ``1..N`` once, over one common denominator.  The sign
+patterns of :func:`sm_constant` are summarized per member, in one record
+of its least pattern, pattern count and histogram of totals, shared by the
+members of one shape on a diagonal horizon; each pattern still costs one
+unit of work.  What a total means is read from ``spaces`` (``_sum_total``,
+``_mass_total``, ``_total_power`` and ``_total_result``), so no quantity
+branches on a norm kind.  The largeness scan reads hit sets only;
+``_hit_sets`` builds them on those rows, from the functionals given to
+:func:`f_delta` and :func:`large_check`, and from bare members in the CLI's
+``quantity fdelta`` and ``quantity large``, which build no functional;
+``_large`` is the shift, scaling and scan that :func:`large_check` and
+``quantity large`` share.  The scan tests a set that is no hit set on a
+bitset index of the hit sets, one AND per element.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
@@ -286,16 +289,18 @@ def sm_constant(xi: Ordinal, xs: SeqSpec, N: int, coeff_budget: int = 4, *,
     pattern with total ``t`` beats the best ``t_b`` so far exactly when
     ``t * |F_b|**p < t_b * |F|**p``, with ``1/D**p`` the unit of the totals
     (``p = 2`` where they are squares).  Only the winner becomes a value.
-    Ties keep the first pattern met.  Each pattern costs one unit of
-    ``budget.work`` (``sign patterns``).
+    Ties keep the first pattern met.  The patterns are summarized per
+    member, one record each, and the family streams from its walk with no
+    member list.  Each pattern still costs one unit of ``budget.work``
+    (``sign patterns``), spent per member before its totals.
     """
     _check_coeff_budget(coeff_budget)
     budget = get_budget(budget)
     members = _family(xi, N, fs=fs, budget=budget)
     rows, D = _scaled_horizon(xs, N)
-    patterns = _sm_patterns(xs.ambient, rows, coeff_budget, members, xi, fs,
-                            budget)
-    return _sm_least(xs.ambient, N, D, patterns)
+    records = _sm_patterns(xs.ambient, rows, coeff_budget, members, xi, fs,
+                           budget)
+    return _sm_least(xs.ambient, N, D, records)
 
 
 def _check_coeff_budget(coeff_budget: int) -> None:
@@ -317,11 +322,12 @@ def _scaled_horizon(xs: SeqSpec, N: int) -> tuple[list[tuple], int]:
 
 def _sm_patterns(ambient: NormSpec, rows: Sequence[tuple], coeff_budget: int,
                  members: Iterable[FinSet], order: Ordinal, fs: FundamentalRule,
-                 budget: Budget) -> Iterator[tuple[FinSet, tuple, int]]:
+                 budget: Budget) -> Iterator[tuple[FinSet, tuple]]:
     """The sign patterns of :func:`sm_constant` over the given members,
-    walked at ``order`` under ``fs``, in scan order, each as ``(F, signs,
-    total)``: the integer norm total of ``sum signs[k] * x_{F[k]}`` from the
-    rows of :func:`_scaled_horizon`.
+    walked at ``order`` under ``fs``, summarized per member in scan order:
+    each nonempty member ``F`` comes as ``(F, record)``, the
+    :func:`_sm_record` of the integer norm totals of its patterns ``sum
+    signs[k] * x_{F[k]}``, from the rows of :func:`_scaled_horizon`.
 
     On a walk of the ambient's own order and rule each member is admissible,
     and so is each of its subsets, since every family is hereditary.  A
@@ -333,60 +339,91 @@ def _sm_patterns(ambient: NormSpec, rows: Sequence[tuple], coeff_budget: int,
     exact.  On a diagonal horizon, where every ``rows[n]`` is ``((n,
     a_n),)``, the pattern is ``s_k * a_{F[k]}`` at ``F[k]``: its positive
     mass is the sum of the ``|a_n|`` its signs keep positive, and its
-    negative mass the rest of the member's mass, from per-point masses taken
-    once per scan, so no vector is built.  Any other horizon sums the
-    pattern's rows into one dict.  The patterns outside their member go to
-    the kernels through one memo.  Every pattern, on any route, costs one
-    unit of ``budget.work`` (``sign patterns``) before its total, so
-    ``coeff_budget`` cannot buy unmetered work."""
+    negative mass the rest of the member's mass, from per-point ``(plus,
+    minus)`` masses taken once per scan, so no vector is built.  A member
+    whose points all carry one pair has a record that depends on that pair
+    and its size alone, so it is built once per scan and shared: a pair
+    carried by ``c`` points makes at most ``c`` such records, so there are
+    at most ``N``.  The pair is known to be shared at once when the points
+    between the member's ends all carry it (the canonical basis, or a
+    weighted one past its listed weights), else point by point.  Any other
+    horizon sums each pattern's rows into one dict.  The patterns outside
+    their member go to the kernels through one memo.  Every pattern, on any
+    route, costs one unit of ``budget.work`` (``sign patterns``), spent per
+    member before any of its totals, so ``coeff_budget`` cannot buy
+    unmetered work."""
     own = _own_walk(order, fs, ambient)
     diagonal = own and all(len(row) == 1 and row[0][0] == n
                            for n, row in enumerate(rows) if n)
     if diagonal:
         # At each point, the positive mass under the sign +1 and under -1.
         parts = [(0, 0)] + [(a, 0) if a > 0 else (0, -a) for ((_, a),) in rows[1:]]
-        kept_by_plus = [p for p, _ in parts]
-        mass_at = [p + q for p, q in parts]
+        # run[n]: the first point of the run of equal pairs that ends at n.
+        run = [0, 1]
+        for n in range(2, len(parts)):
+            run.append(run[-1] if parts[n] == parts[n - 1] else n)
+        shared: dict = {}   # ((plus, minus), |F|) -> record
     memo: dict = {}
     meter = WorkMeter("sign patterns", budget.work)
     for F in members:
         if not F:
             continue
-        small = len(F) <= coeff_budget
-        patterns = product((1, -1), repeat=len(F)) if small else [(1,) * len(F)]
+        size = len(F)
+        small = size <= coeff_budget
+        meter.spend(1 << size if small else 1)
         if diagonal:
-            mass = sum(map(mass_at.__getitem__, F))
-            kept = (product(*map(parts.__getitem__, F)) if small
-                    else [map(kept_by_plus.__getitem__, F)])
-            for signs, positives in zip(patterns, kept):
-                meter.spend()
-                positive = sum(positives)
-                yield F, signs, _mass_total(ambient, positive, mass - positive)
+            pair = parts[F[0]]
+            uniform = (run[F[-1]] <= F[0]
+                       or all(parts[n] == pair for n in F))
+            record = shared.get((pair, size)) if uniform else None
+            if record is None:
+                signed = [parts[n] for n in F]
+                mass = sum(map(sum, signed))
+                positives = (map(sum, product(*signed)) if small
+                             else [sum(p for p, _ in signed)])
+                record = _sm_record(size, [_mass_total(ambient, p, mass - p)
+                                           for p in positives])
+                if uniform:
+                    shared[pair, size] = record
+            yield F, record
             continue
         inside = own and set(F).issuperset(i for n in F for i, _ in rows[n])
-        for signs in patterns:
-            meter.spend()
+        totals = []
+        for signs in product((1, -1), repeat=size) if small else [(1,) * size]:
             combined: dict[int, int] = {}
             for sign, n in zip(signs, F):
                 for i, v in rows[n]:
                     combined[i] = combined.get(i, 0) + sign * v
             if inside:
-                total = _sum_total(ambient, combined.values())
+                totals.append(_sum_total(ambient, combined.values()))
             else:
                 support = tuple(sorted(i for i, v in combined.items() if v))
                 values = [combined[i] for i in support]
-                total = _norm_total(ambient, support, values, budget, memo)[0]
-            yield F, signs, total
+                totals.append(_norm_total(ambient, support, values, budget, memo)[0])
+        yield F, _sm_record(size, totals)
+
+
+def _sm_record(size: int, totals: list[int]) -> tuple[tuple, int, int, Counter]:
+    """The record of a member of ``size`` points whose sign patterns, in the
+    order of ``product((1, -1), repeat=size)``, have the integer ``totals``
+    (one total, of the uniform positive pattern, past the coefficient
+    budget): ``(signs, least, patterns, histogram)``, the first pattern of
+    least total, that total, the number of patterns and the number of
+    patterns of each total."""
+    least = min(totals)
+    first = totals.index(least)   # its bits, high first, are the minus signs
+    signs = tuple(-1 if first >> bit & 1 else 1 for bit in reversed(range(size)))
+    return signs, least, len(totals), Counter(totals)
 
 
 def _sm_least(ambient: NormSpec, N: int, D: int,
-              patterns: Iterable[tuple[FinSet, tuple, int]]) -> HorizonEstimate:
+              records: Iterable[tuple[FinSet, tuple]]) -> HorizonEstimate:
     """The first pattern of least ratio ``total / (D * |F|)`` (its root, for
     square totals), compared on integers, as the estimate of
-    :func:`sm_constant`."""
+    :func:`sm_constant`, from the member records of :func:`_sm_patterns`."""
     p = _total_power(ambient)
     best = None
-    for F, signs, total in patterns:
+    for F, (signs, total, _, _) in records:
         if best is None or total * len(best[0]) ** p < best[2] * len(F) ** p:
             best = F, signs, total
     if best is None:

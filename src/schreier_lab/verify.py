@@ -22,15 +22,18 @@ once, in ``quantities``, and none of them reaches a norm kernel: each lives
 inside its member, which is admissible, and the families are hereditary, so
 every signed part of a pattern is admissible too and its total is its l1 or
 larger signed mass.  The basis is diagonal, so that mass is read off the
-signs, with no vector built; each pattern costs one unit of work.  The star
-bundle streams its patterns once, counting the half-mass violations on the
-way to its spreading constant.  Its distances of running means are integers
-over ``L = lcm(1..N)``, totalled by ``spaces._norm_total``; a distance the
-budget refuses is certified by ``_sum_total`` on the same integers, an upper
-bound on any vector.  The dual-certificate samples are integers over
-``lcm(1..9)``, totalled by ``_norm_total`` too.  All these totals are
-compared as integers, and only the largest, or a violation, becomes a
-Fraction.
+signs, with no vector built.  The patterns are summarized per member, in a
+record of the least pattern, the pattern count and the histogram of
+totals; every point of the basis carries the same mass, so all members of
+one size share one record.  Each pattern still costs one unit of work.  The
+star bundle reads its half-mass check off the same records: the patterns
+of each member and those of its totals below half mass.  Its distances of
+running means are integers over ``L = lcm(1..N)``, totalled by
+``spaces._norm_total``; a distance the budget refuses is certified by
+``_sum_total`` on the same integers, an upper bound on any vector.  The
+dual-certificate samples are integers over ``lcm(1..9)``, totalled by
+``_norm_total`` too.  All these totals are compared as integers, and only
+the largest, or a violation, becomes a Fraction.
 """
 
 from __future__ import annotations
@@ -199,23 +202,24 @@ def verify_example_star(xi: Ordinal, N: int, coeff_budget: int = 3, *,
                  f"norm {format_fraction(diff_norm)}")
 
     members = list(_family(order, N, fs=fs, budget=budget))
-    # One pass over the sign patterns of the spreading-constant scan.  Every
-    # sign choice is met on the members of at most coeff_budget points, and
-    # the half-mass check counts those on the way to the spreading constant.
+    # The spreading-constant scan streams one record per nonempty member.
+    # Every sign choice is met on the members of at most coeff_budget
+    # points, and the half-mass check tallies their records on the way: the
+    # patterns, and the totals below half mass.
     rows, D = _scaled_horizon(basis, N)
-    signed = [0, 0]   # sign patterns, and those below half mass
+    checked = violations = 0
 
-    def counted(patterns):
-        for pattern in patterns:
-            F, _, total = pattern
+    def tallied(records):
+        nonlocal checked, violations
+        for F, record in records:
             if len(F) <= coeff_budget:
-                signed[0] += 1
-                signed[1] += 2 * total < D * len(F)
-            yield pattern
+                checked += record[2]
+                violations += sum(count for total, count in record[3].items()
+                                  if 2 * total < D * len(F))
+            yield F, record
 
-    sm = _sm_least(spec, N, D, counted(_sm_patterns(spec, rows, coeff_budget,
+    sm = _sm_least(spec, N, D, tallied(_sm_patterns(spec, rows, coeff_budget,
                                                     members, order, fs, budget)))
-    checked, violations = signed
     report.check("half-lower-bound-holds", violations == 0,
                  f"{checked} sign patterns, {violations} below half mass")
 

@@ -571,13 +571,15 @@ xi = 1
 
 def test_quantity_sm_charges_its_sign_patterns(capsys, monkeypatch):
     # Every sign choice on the 24,653 members up to 12 points is 5,894,907
-    # patterns, all totalled on the space's own walk: one unit each.
+    # patterns, all totalled on the space's own walk: one unit each, spent
+    # per member, so the refusal counts through the member that passes the
+    # limit, a lower bound.
     monkeypatch.delenv("SCHREIER_LAB_BUDGET", raising=False)
     started = time.perf_counter()
     assert run(capsys, "quantity", "sm", "--xi", "2", "--N", "16",
                "--coeff-budget", "12") == (
         2, "", "budget exceeded: budget exceeded for sign patterns: "
-               "limit 200000 (needs >= 200001)\n")
+               "limit 200000 (needs >= 200296)\n")
     assert time.perf_counter() - started < 2
 
 
@@ -1230,3 +1232,154 @@ def test_every_op_answers_or_refuses_in_time(capsys, monkeypatch, op, xi,
     assert code in (0, 1, 2)
     assert "Traceback" not in captured.out + captured.err
     assert elapsed < 2
+
+
+# One call of every probe op at one small input (order 1, along evens, size 5)
+# under a work budget of 2000: the exit code, the sha256 of stdout in text and
+# in JSON (_stdout_digest), and stderr, which a refusal fills.
+_PROBE_PINNED = ("1", "evens", 5)
+PROBE_DIGESTS = {
+    'ord parse':
+        (0, 'c95b5adee55e0466faf631e60594e3d92a16aab99af9de29c5db898afc1c8470',
+         '7506918b35e0265ff82ecd41a26fb57400ee900480237e8ee551e3d0306a44cc',
+         ''),
+    'ord classify':
+        (0, 'f11f94041c86056ff071a135a18c575a3e8a7d685f8c7034ca2f9f8704d121ae',
+         '2980eaa3340fc6c974a3c3e70206f9c1b851c5307d1caa811f9585c548249451',
+         ''),
+    'ord fseq':
+        (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+         'error: 1 is not a limit ordinal\n'),
+    'schreier member':
+        (0, '780fbfccde1f32fb8ec0c0f48c0489c68fd899c51e376f6ff66aae2d5263cd7a',
+         '203b48b4330518fb3b6a769a433ef0064cd4fac8d235b676015eae2d4266f5ae',
+         ''),
+    'schreier oracle':
+        (0, '780fbfccde1f32fb8ec0c0f48c0489c68fd899c51e376f6ff66aae2d5263cd7a',
+         '203b48b4330518fb3b6a769a433ef0064cd4fac8d235b676015eae2d4266f5ae',
+         ''),
+    'schreier image':
+        (0, 'f07c67fd1a790d02cfab72abee6c4098e8a05c284ddd82fd489c3698ed6dedf2',
+         'b3aa5892914199c9db7edc997b4bc6aaf41baa29de4c17a61c6fed8ca298c3c4',
+         ''),
+    'schreier trace':
+        (0, 'f07c67fd1a790d02cfab72abee6c4098e8a05c284ddd82fd489c3698ed6dedf2',
+         'b3aa5892914199c9db7edc997b4bc6aaf41baa29de4c17a61c6fed8ca298c3c4',
+         ''),
+    'schreier enum':
+        (0, 'c5c4736daef4cb9d74a68ea926ac9ae818479c752f491c0f59b8a8e54b2cd3e0',
+         '5fb4bbd9c359005e2504c475eae4f324fc49964f9e1182ef5e4f38ed7e477edc',
+         ''),
+    'schreier count':
+        (0, '6817a75c1e712f597e92f1040b46662748e86465e027149eb56b0d1a750796b9',
+         'e34b75e6e271300e92cd1fda22f2ab258f9d8b9f28ee0cea8de81a1d99f090c0',
+         ''),
+    'schreier threshold':
+        (0, '6fa80f1cb1a10eb4552c93ad2ce6f2fa878876917a34302a9921b67abcc23721',
+         '05154d964774659aabe6c82a98960d3e1b7f5df075daafe66d6616ba61a24600',
+         ''),
+    'avg vector':
+        (0, '5a71693f351e01e460fdf89e02dcf394809d929d89114e48e8d3ae097739543d',
+         'fe2257c263810560237d1a2c2880dc9afb25926b1b610f310d0fff3914d5f77d',
+         ''),
+    'avg size':
+        (0, '14728a247b271c639fb9a5d1f18674f01de0ec9310baf76ab000225d53623138',
+         'e08d888a31f479879dfc5e3110e14989c0f05126f20c63bae88c99a6f38801e7',
+         ''),
+    'avg apply':
+        (0, 'e09d1517b3c89a175d31c9d320ee35ab4d675661d9d52e3b00d98a47d7897807',
+         '20c38f40421c0db57945de9920d49f8b6bc69b044156229d98a0e51f94be285e',
+         ''),
+    'avg pair-sum':
+        (0, 'dce520a403c2ae617a9257752f6c095368471899887263c278d7325a60b682d9',
+         '0c5830bc4761c33e3d993e66220b7239d4e2600ba92a93f770abb051dda9a53e',
+         ''),
+    'avg validate':
+        (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+         'error: supports do not tile a prefix of the stream\n'),
+    'avg nibcc':
+        (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+         'budget exceeded: budget exceeded for repeated-average support entries: limit 2000 (needs >= 2186)\n'),
+    'avg reweight':
+        (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+         'budget exceeded: budget exceeded for repeated-average support entries: limit 2000 (needs >= 2186)\n'),
+    'norm eval':
+        (0, '6ae2b111f6625d0c310f127b834443bc3d1d9362553df45bf0b3339f12c82f0e',
+         '86f24439694d037856d3bca39c7bc869a207f64c3b4d1e9c94a86c66c936b7bf',
+         ''),
+    'norm oracle':
+        (0, '3b4d8493f74db2a4bf34f33ac2925356e0ed30e5fd6ab26b39258be9ca0b77db',
+         'f8f3c0fe89f590f887dc444e7b665225c15d6d8261cfab2f627e2b030b1ff56b',
+         ''),
+    'norm functional':
+        (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+         'error: {1,2,3,4,5} is not admissible at order 1\n'),
+    'quantity ca':
+        (0, 'a944ffefa2daad194059eb6a23bc8e22fa487c7de9891b24a452fd93243da631',
+         '337d6ad00e900cddab44c264b77cf80f835abf7fc1c40f0dbda1119cb90cd78a',
+         ''),
+    'quantity cca':
+        (0, '61fa6850df7a9f48cb5fd6fafe1af96bcf96f9d78fb1c45e404c712ec4b8a908',
+         '680ce7ec133cf9a1bd6423de7b7fcf167151c579da082db63286b8d21e7653d4',
+         ''),
+    'quantity cca-xi':
+        (0, '63bf9e761c8a3cfd729c2e00e20f47c636a50524a5e417fc17472cd887755aa9',
+         'a410b2ae5fe403e8e1966a8642e706c03968318c5e8114a920792ade4e3f8dd8',
+         ''),
+    'quantity cca-tilde':
+        (0, '5f1aea397decf30691c617c9cfd077c110a148e0153c09ed77d11378e7536cc2',
+         '91c90a9fdbd72f5710737bf545bf1a4762031d588c1889d7346a454cdabd5356',
+         ''),
+    'quantity cca-tilde-sup':
+        (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+         'budget exceeded: budget exceeded for repeated-average support entries: limit 2000 (needs >= 3124)\n'),
+    'quantity sm':
+        (0, 'e28857d258ab797b3effbc73b57a29c562dad6c53ee858d5ac51c84d4120f536',
+         '0a69f4f0b3ec163ac1b3cbe7e41852e909c6dc521364f626cf613d1761d1f8f2',
+         ''),
+    'quantity fdelta':
+        (0, '4982f92c5bb39a3bd3ca75271589ed48d17cb9182faa9bd91ede264b8378edd4',
+         'cfbe8c50ade42b392dbb3d72526eca729832655db33602004ff70a5a373d8693',
+         ''),
+    'quantity large':
+        (0, '80085700396b305097582e94c1aaac0024aaa0eafa5fa9aca00a5b9eb76fe641',
+         'fdd592b0e94f872900f89e4e305aad379bc9f614dd9e3a1772ee710418d50801',
+         ''),
+    'quantity prop-formula':
+        (0, 'c5ef091dcc00b26185be74d77572f5c2819a7b731a3ee4aa6e5315ac48bea217',
+         '45dd708e107c4a22f8b4cc744fcce18e4a02f7c36b7ea13d990085461c225e2f',
+         ''),
+    'verify example-schreier':
+        (0, '75297599578882cf24f5b9b0e62254c267c997867da5de48548ea9181acda571',
+         '845967111fb08436e2b1d9ac673ff6c6afccb18ca750bf99a91a7653cfa1578b',
+         ''),
+    'verify example-star':
+        (0, 'd9f42a7844e2ed4c92619082d105151536fc99df4e0e095548443c3607870a14',
+         'e3a113019bc2924f27e9e47e527291c63cb3b919c1fc827b333e60b73d095ea5',
+         ''),
+    'verify prop-formula':
+        (0, 'b158da49957df201888091dff1f7759b1db5195e5c0947d2f286e132acd807d9',
+         '5d0be7e42f807efcd5411b5d2bab3c0f3bfb3e404d9e49691a6e2fb1d8da2444',
+         ''),
+}
+
+
+@pytest.mark.parametrize("op", list(PROBE_DIGESTS))
+def test_every_op_keeps_its_output(capsys, monkeypatch, op):
+    monkeypatch.setenv("SCHREIER_LAB_BUDGET", "2000")
+    argv = op.split() + _probe_ops(*_PROBE_PINNED)[op]
+    (code, text, err), (json_code, json_out, json_err) = (
+        run(capsys, *argv, "--format", fmt) for fmt in ("text", "json"))
+    assert (json_code, json_err) == (code, err)
+    assert (code, _stdout_digest(text), _stdout_digest(json_out),
+            err) == PROBE_DIGESTS[op]
+
+
+def test_the_pinned_probe_covers_every_op():
+    assert list(PROBE_DIGESTS) == list(_probe_ops(*_PROBE_PINNED))

@@ -8,6 +8,7 @@ element.
 import itertools
 import math
 import time
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -379,17 +380,41 @@ def stingy(x, n):
     return default_fundamental_seq(x, max(1, n - 1))
 
 
-def scan_against_the_kernels(ambient, xs, N, coeff_budget, order, fs):
-    """The totals of the sign-pattern scan over the walk at ``order`` under
-    ``fs``, each next to the kernel total of its vector, with no memo."""
-    rows, D = quantities._scaled_horizon(xs, N)
-    members = enumerate_family(order, N, fs=fs)
-    for F, signs, total in quantities._sm_patterns(
-            ambient, rows, coeff_budget, members, order, fs, Budget()):
+def brute_record(ambient, xs, F, coeff_budget):
+    """The record of ``F`` by brute force: every sign pattern combined into
+    one vector and totalled by the kernels, with no memo, as ``(signs,
+    least, patterns, histogram)`` with the totals as Fractions."""
+    patterns = (list(itertools.product((1, -1), repeat=len(F)))
+                if len(F) <= coeff_budget else [(1,) * len(F)])
+    totals = []
+    for signs in patterns:
         x = RatVec.combination(zip(signs, (xs.element(n) for n in F)))
         support, values, d = x.scaled()
-        expected = _norm_total(ambient, support, values, Budget())[0]
-        yield Fraction(total, D), Fraction(expected, d)
+        totals.append(Fraction(_norm_total(ambient, support, values, Budget())[0], d))
+    least = min(totals)
+    return patterns[totals.index(least)], least, len(patterns), Counter(totals)
+
+
+def as_fractions(record, D):
+    signs, least, patterns, histogram = record
+    return (signs, Fraction(least, D), patterns,
+            Counter({Fraction(t, D): n for t, n in histogram.items()}))
+
+
+def scan_against_the_kernels(ambient, xs, N, coeff_budget, order, fs):
+    """Each member of the walk at ``order`` under ``fs`` with the record the
+    sign-pattern scan gives it, its totals as Fractions, and its
+    :func:`brute_record`; the scan must visit every nonempty member in walk
+    order."""
+    rows, D = quantities._scaled_horizon(xs, N)
+    members = [F for F in enumerate_family(order, N, fs=fs) if F]
+    scanned = []
+    for F, record in quantities._sm_patterns(
+            ambient, rows, coeff_budget, members, order, fs, Budget()):
+        scanned.append(F)
+        yield F, as_fractions(record, D), brute_record(ambient, xs, F,
+                                                        coeff_budget)
+    assert scanned == members
 
 
 @given(order=st.sampled_from(["0", "1", "2", "w", "w+1"]),
@@ -408,9 +433,9 @@ def test_sm_patterns_of_an_own_walk_match_the_kernels(order, kind, rule, sequenc
     ambient = NormSpec(kind, parse(order), rule)
     xs = SEQUENCES[sequence](ambient)
     N = min(N, 6) if sequence == "explicit" else N
-    for total, expected in scan_against_the_kernels(
+    for F, record, expected in scan_against_the_kernels(
             ambient, xs, N, coeff_budget, ambient.xi, rule):
-        assert total == expected
+        assert record == expected, F
 
 
 @pytest.mark.parametrize("ambient_rule, walk_rule",
@@ -427,16 +452,69 @@ def test_sm_patterns_of_a_walk_under_another_rule_take_the_kernels(
 
     monkeypatch.setattr(quantities, "_norm_total", counted)
     ambient = NormSpec.star(parse("w"), fs=ambient_rule)
-    totals = list(scan_against_the_kernels(ambient, CanonicalBasis(ambient), 8,
-                                           3, ambient.xi, walk_rule))
-    assert len(calls) == len(totals) > 0
-    assert all(total == expected for total, expected in totals)
+    records = list(scan_against_the_kernels(ambient, CanonicalBasis(ambient), 8,
+                                            3, ambient.xi, walk_rule))
+    # One kernel call per sign pattern.
+    assert len(calls) == sum(record[2] for _, record, _ in records) > 0
+    assert all(record == expected for _, record, expected in records)
     calls.clear()
     # The same walk in the space of its own rule calls no kernel.
     ambient = NormSpec.star(parse("w"), fs=walk_rule)
     list(scan_against_the_kernels(ambient, CanonicalBasis(ambient), 8, 3,
                                   ambient.xi, walk_rule))
     assert calls == []
+
+
+@pytest.mark.parametrize("kind", ["schreier", "schreier_star"])
+@pytest.mark.parametrize("order", ["1", "2"])
+def test_a_shared_record_equals_a_fresh_one(kind, order):
+    # The tail weight is listed at 2 as well, so the members inside the tail,
+    # and those of 2 and the tail, carry one mass at every point and share
+    # one record per weight and size; a scan of one member builds its record
+    # afresh, and both match brute force.
+    ambient = NormSpec(kind, parse(order))
+    tail = Fraction(-5, 2)
+    xs = WeightedBasis(ambient, [Fraction(2), tail, Fraction(-1, 3)], tail=tail)
+    rows, D = quantities._scaled_horizon(xs, 9)
+    walk = ambient.xi, default_fundamental_seq, Budget()
+    shared, across = {}, []
+    for F, record in quantities._sm_patterns(
+            ambient, rows, 3, enumerate_family(ambient.xi, 9), *walk):
+        weights = {xs.element(n)[n] for n in F}
+        if len(weights) == 1:
+            key = weights.pop(), len(F)
+            assert shared.setdefault(key, record) is record, F
+            if 2 in F and F[-1] > 3:
+                across.append(F)
+        fresh = list(quantities._sm_patterns(ambient, rows, 3, [F], *walk))
+        assert fresh == [(F, record)]
+        assert as_fractions(record, D) == brute_record(ambient, xs, F, 3)
+    # Shared past the coefficient budget too, and across the gap at 3.
+    assert {(tail, 1), (tail, 2), (tail, 3), (tail, 4)} <= set(shared)
+    assert across
+
+
+def sign_pattern_units(order, N, coeff_budget):
+    return sum(2 ** len(F) if len(F) <= coeff_budget else 1
+               for F in enumerate_family(parse(order), N) if F)
+
+
+@pytest.mark.parametrize("order, N, coeff_budget", [
+    ("0", 9, 1), ("1", 8, 2), ("1", 11, 4), ("2", 9, 3), ("w", 10, 5)])
+@pytest.mark.parametrize("space", ["schreier", "star"])
+def test_sign_patterns_cost_exactly_one_unit_each(order, N, coeff_budget, space):
+    # The scan answers at exactly the sign patterns of its members and is
+    # refused one unit below; the family count costs less than that.
+    units = sign_pattern_units(order, N, coeff_budget)
+    xs = CanonicalBasis(NormSpec.parse(f"{space}:{order}"))
+    answered = sm_constant(parse(order), xs, N, coeff_budget,
+                           budget=Budget(work=units))
+    assert answered == sm_constant(parse(order), xs, N, coeff_budget)
+    with pytest.raises(BudgetExceededError) as info:
+        sm_constant(parse(order), xs, N, coeff_budget,
+                    budget=Budget(work=units - 1))
+    assert str(info.value).startswith(
+        f"budget exceeded for sign patterns: limit {units - 1} (needs >= ")
 
 
 # -- threshold families --------------------------------------------------------------
