@@ -344,14 +344,17 @@ def _sm_patterns(ambient: NormSpec, rows: Sequence[tuple], coeff_budget: int,
     whose points all carry one pair has a record that depends on that pair
     and its size alone, so it is built once per scan and shared: a pair
     carried by ``c`` points makes at most ``c`` such records, so there are
-    at most ``N``.  The pair is known to be shared at once when the points
-    between the member's ends all carry it (the canonical basis, or a
-    weighted one past its listed weights), else point by point.  Any other
-    horizon sums each pattern's rows into one dict.  The patterns outside
-    their member go to the kernels through one memo.  Every pattern, on any
-    route, costs one unit of ``budget.work`` (``sign patterns``), spent per
-    member before any of its totals, so ``coeff_budget`` cannot buy
-    unmetered work."""
+    at most ``N``.  A member is taken to share its pair when the points
+    between its ends all carry it (the canonical basis, or a weighted one
+    past its listed weights); any other member builds its record afresh.
+    Any other horizon sums each pattern's rows into one dict.  The patterns
+    outside their member go to the kernels through one memo.  Every
+    pattern, on any route, costs one unit of ``budget.work`` (``sign
+    patterns``), spent per member before any of its totals, so
+    ``coeff_budget`` cannot buy unmetered work.  On the kernel route this
+    means a member whose patterns cross the work limit is refused as ``sign
+    patterns`` before its kernel searches run, where a per-pattern charge
+    could first have been refused as ``norm search nodes``."""
     own = _own_walk(order, fs, ambient)
     diagonal = own and all(len(row) == 1 and row[0][0] == n
                            for n, row in enumerate(rows) if n)
@@ -373,8 +376,7 @@ def _sm_patterns(ambient: NormSpec, rows: Sequence[tuple], coeff_budget: int,
         meter.spend(1 << size if small else 1)
         if diagonal:
             pair = parts[F[0]]
-            uniform = (run[F[-1]] <= F[0]
-                       or all(parts[n] == pair for n in F))
+            uniform = run[F[-1]] <= F[0]
             record = shared.get((pair, size)) if uniform else None
             if record is None:
                 signed = [parts[n] for n in F]
