@@ -27,8 +27,10 @@ its children's ``q`` by the block length, and a limit order only shifts
 runs.  Supports tile the stream, so equal weights come in long consecutive
 stretches (the third order-2 vector along all indices has 2,040 entries in
 8 runs).  Positivity and the sum to 1 are checked on the runs, the sum as
-one integer sum over ``lcm(q)``, and entries are expanded, with one
-``Fraction`` per run, only when the vector is handed out.
+one integer sum over ``lcm(q)``, and entries are expanded only when the
+vector is handed out: one ``dict.fromkeys`` per run over the stream's
+``values`` at its positions, all sharing one ``Fraction``.  A unit vector
+of order 0 is its one run, so it skips the checks.
 
 :func:`apply` pushes a vector sequence, a
 :class:`~schreier_lab.vectors.SeqSpec`, through one average, and
@@ -94,7 +96,9 @@ class RepeatedAverages:
     :meth:`vector` builds the runs of the one vector asked for from the
     boundaries (and the cached runs of its children), checks that every
     ``q`` is positive and that ``sum((last - first + 1) * (L // q)) == L``
-    for ``L = lcm(q)``, and only then expands the entries.
+    for ``L = lcm(q)``, and only then expands the entries, a run at a time
+    from :meth:`IndexStream.values`.  At order 0, vector n is
+    ``e_{m_n}``, built directly.
     """
 
     def __init__(self, xi: Ordinal, M: IndexStream,
@@ -120,8 +124,10 @@ class RepeatedAverages:
 
     def _expanded(self, n: int) -> ProbVector:
         """Vector n from its runs, checked; its boundaries must be grown."""
-        # Order 0 is the unit vector at position n, one run taken as it is.
-        runs = ((n, n, 1),) if self.kind == "zero" else _unwound(self._runs(n))
+        if self.kind == "zero":
+            # e_{m_n}: its one run (n, n, 1) passes both checks below.
+            return ProbVector._canonical({self._M.element(n): _ONE})
+        runs = _unwound(self._runs(n))
         if any(q <= 0 for _, _, q in runs):
             raise ValueError("probability vectors need strictly positive entries")
         L = math.lcm(*(q for _, _, q in runs))
@@ -129,12 +135,11 @@ class RepeatedAverages:
             raise ValueError("probability vector entries must sum to 1")
         # Runs ascend and the stream strictly increases, so the keys come
         # out ascending.
-        element = self._M.element
+        values = self._M.values
         entries = {}
         for first, last, q in runs:
-            weight = _ONE if q == 1 else Fraction(1, q)
-            for p in range(first, last + 1):
-                entries[element(p)] = weight
+            entries.update(dict.fromkeys(values(first, last),
+                                         _ONE if q == 1 else Fraction(1, q)))
         return ProbVector._canonical(entries)
 
     def _lower(self) -> "RepeatedAverages":
@@ -435,29 +440,30 @@ def _match_block_weights(target: RatVec, y: Sequence[RatVec], start: int):
     """
     support, nums, D = target.scaled()
     remaining = dict(zip(support, nums))
+    pop = remaining.pop
     weights: list[Fraction] = []
     # The weights so far sum to acc / (D * den).
     acc, den = 0, 1
     made = weight = None
-    j = start
-    while True:
-        if j >= len(y) or y[j].is_zero:
+    j, count = start, len(y)
+    while j < count:
+        row = y[j]
+        if len(row) == 1:      # a unit vector, say: its entry is its lead
+            (lead, v), = row.items()
+            t_lead, v_lead, d = pop(lead, 0), v.numerator, v.denominator
+        elif row.is_zero:
             return None
-        if len(y[j]) == 1:      # a unit vector, say, needs no lcm
-            (lead, v), = y[j].items()
-            row_support, row_nums, d = (lead,), [v.numerator], v.denominator
         else:
-            row_support, row_nums, d = y[j].scaled()
-        lead = row_support[0]
-        t_lead, v_lead = remaining.get(lead, 0), row_nums[0]
+            row_support, row_nums, d = row.scaled()
+            t_lead, v_lead = remaining.get(row_support[0], 0), row_nums[0]
+            for i, v in zip(row_support, row_nums):
+                t = pop(i, None)
+                if t is None or t * v_lead != t_lead * v:
+                    return None
         if v_lead < 0:
             t_lead, v_lead = -t_lead, -v_lead
         if t_lead <= 0:
             return None
-        for i, v in zip(row_support, row_nums):
-            t = remaining.pop(i, None)
-            if t is None or t * v_lead != t_lead * v:
-                return None
         key = (t_lead * d, D * v_lead)
         if key != made:     # equal weights come in stretches
             made, weight = key, Fraction(*key)
@@ -473,6 +479,7 @@ def _match_block_weights(target: RatVec, y: Sequence[RatVec], start: int):
             return (weights, j) if not remaining else None
         if acc > D * den:
             return None
+    return None
 
 
 def _solve_exact(columns: Sequence[RatVec], target: RatVec):

@@ -5,6 +5,10 @@ increasing enumeration.  Dropping a prefix or composing yields a new stream,
 and equal descriptions hash equally so they can key memoization caches.  Only
 a custom stream memoizes, checking its values as they are drawn, and its drops
 share that memo; a composition of increasing streams needs no check.
+
+A stream is read at one position (``element``) or over a run of consecutive
+positions (``values``), which ``all``, ``shift:k`` and ``evens`` answer with
+a ``range``; ``prefix`` is the run from position 1.
 """
 
 from __future__ import annotations
@@ -158,8 +162,21 @@ class IndexStream:
     def __contains__(self, value: int) -> bool:
         return self.index_of(value) is not None
 
+    def values(self, first: int, last: int):
+        """The values at positions ``first..last``, ascending (none when
+        ``first > last``): a ``range`` for an affine stream, else read a
+        position at a time, a custom one through its memo and checks."""
+        if first < 1:
+            raise IndexError("streams are 1-indexed")
+        first += self._drop
+        last += self._drop
+        if self._kind in ("all", "shift", "evens"):
+            step = 2 if self._kind == "evens" else 1
+            return range(self._fn(first), self._fn(last) + 1, step)
+        return map(self._fn, range(first, last + 1))
+
     def prefix(self, count: int) -> tuple[int, ...]:
-        return tuple(self.element(n) for n in range(1, count + 1))
+        return tuple(self.values(1, count))
 
     # -- value identity ------------------------------------------------------
 

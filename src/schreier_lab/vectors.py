@@ -49,6 +49,9 @@ def parse_fraction(text: str) -> Fraction:
         raise ValueError(f"bad rational literal {text!r}") from None
 
 
+_ONE = Fraction(1)
+
+
 class RatVec:
     """An immutable finitely supported vector with exact rational entries."""
 
@@ -80,7 +83,11 @@ class RatVec:
 
     @classmethod
     def unit(cls, index: int) -> "RatVec":
-        return cls({index: 1})
+        """``e_index``, also a probability vector when ``cls`` is one."""
+        index = int(index)
+        if index < 1:
+            raise ValueError("coordinates are indexed from 1")
+        return cls._canonical({index: _ONE})
 
     @classmethod
     def combination(cls, terms: Iterable[tuple]) -> "RatVec":
@@ -229,10 +236,6 @@ class ProbVector(RatVec):
             raise ValueError("probability vectors need strictly positive entries")
         if self.total() != 1:
             raise ValueError("probability vector entries must sum to 1")
-
-    @classmethod
-    def unit(cls, index: int) -> "ProbVector":
-        return cls({index: 1})
 
     @classmethod
     def average(cls, vectors: Iterable["RatVec"]) -> "ProbVector":

@@ -699,6 +699,84 @@ def test_integer_matcher_agrees_with_the_fraction_reference(case):
         assert all(type(w) is Fraction for w in got[0])
 
 
+def solved_block(target, y, start):
+    """The block of ``y`` from ``start`` that ``target`` is a convex
+    combination of, by exact solves of ever longer blocks: ``(weights,
+    end)`` or None.  With disjoint non-zero rows at most one block length
+    solves with positive weights summing to 1; a zero row makes any block
+    holding it ambiguous."""
+    for end in range(start + 1, len(y) + 1):
+        solved = averages._solve_exact(y[start:end], target)
+        if (isinstance(solved, list) and all(a > 0 for a in solved)
+                and sum(solved) == 1):
+            return solved, end
+    return None
+
+
+@st.composite
+def _unit_rows(draw):
+    """Disjoint unit rows ``c e_i`` with mixed signs and weights, at times
+    one zero row, and targets made block by block from convex weights, of
+    which one may lack a coordinate, gain one or have one negated."""
+    rows = draw(st.integers(1, 8))
+    y = [RatVec({i: draw(_ENTRY)}) for i in draw(st.permutations(range(1, rows + 1)))]
+    if draw(st.booleans()):
+        y[draw(st.integers(0, rows - 1))] = RatVec()
+    cuts = draw(st.lists(st.integers(1, rows), min_size=1, max_size=3, unique=True))
+    z, start = [], 0
+    for end in sorted(cuts):
+        parts = sorted(draw(st.lists(st.integers(1, 11), min_size=end - start - 1,
+                                     max_size=end - start - 1)))
+        bounds = [0, *parts, 12]
+        alphas = [Fraction(b - a, 12) for a, b in zip(bounds, bounds[1:])]
+        if draw(st.booleans()):
+            alphas.sort(reverse=True)   # a non-increasing block
+        z.append(dict(RatVec.combination(zip(alphas, y[start:end])).items()))
+        start = end
+    flawed = z[draw(st.integers(0, len(z) - 1))]
+    flaw = draw(st.sampled_from(["none", "lack", "gain", "gain", "negate"]))
+    if flaw in ("lack", "negate") and flawed:
+        index = draw(st.sampled_from(sorted(flawed)))
+        if flaw == "lack":
+            del flawed[index]
+        else:
+            flawed[index] = -flawed[index]
+    elif flaw == "gain":
+        # Off every row, or on a row of another block.
+        flawed[draw(st.integers(1, rows + 2))] = draw(_ENTRY)
+    return [RatVec(target) for target in z], y
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_unit_rows())
+# A zero row inside the second block, a first block whose target lacks the
+# coordinate of its negative row, and a one-row block of the wrong sign.
+@example(case=([RatVec({1: HALF, 2: Fraction(-3, 2)}), RatVec({3: 1})],
+               [RatVec({1: 2}), RatVec({2: -2}), RatVec(), RatVec({3: 1})]))
+@example(case=([RatVec({1: HALF})], [RatVec({1: 1}), RatVec({2: -2})]))
+@example(case=([RatVec({2: 2})], [RatVec({2: -2})]))
+def test_unit_row_matcher_agrees_with_exact_block_solves(case):
+    z, y = case
+    blocks, start = [], 0
+    for target in z:
+        want = solved_block(target, y, start)
+        assert averages._match_block_weights(target, y, start) == want
+        if want is None:
+            break
+        blocks.append(want)
+        start = want[1]
+    if any(vec.is_zero for vec in y):
+        return    # not support-separated: the block solves take over
+    try:
+        witness = NibccWitness(
+            (0, *(end for _, end in blocks)),
+            tuple(w for weights, _ in blocks for w in weights)
+        ) if len(blocks) == len(z) else None
+    except ValueError:
+        witness = None
+    assert check_nibcc(z, y) == witness
+
+
 def test_witness_validation():
     with pytest.raises(ValueError):
         NibccWitness((1, 2), (Fraction(1),))          # must start at 0

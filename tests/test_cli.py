@@ -1370,16 +1370,48 @@ PROBE_DIGESTS = {
 }
 
 
+def _pinned_output(capsys, argv) -> tuple:
+    """The exit code, the stdout digests in text and JSON, and stderr, which
+    both formats must share."""
+    (code, text, err), (json_code, json_out, json_err) = (
+        run(capsys, *argv, "--format", fmt) for fmt in ("text", "json"))
+    assert (json_code, json_err) == (code, err)
+    return code, _stdout_digest(text), _stdout_digest(json_out), err
+
+
 @pytest.mark.parametrize("op", list(PROBE_DIGESTS))
 def test_every_op_keeps_its_output(capsys, monkeypatch, op):
     monkeypatch.setenv("SCHREIER_LAB_BUDGET", "2000")
     argv = op.split() + _probe_ops(*_PROBE_PINNED)[op]
-    (code, text, err), (json_code, json_out, json_err) = (
-        run(capsys, *argv, "--format", fmt) for fmt in ("text", "json"))
-    assert (json_code, json_err) == (code, err)
-    assert (code, _stdout_digest(text), _stdout_digest(json_out),
-            err) == PROBE_DIGESTS[op]
+    assert _pinned_output(capsys, argv) == PROBE_DIGESTS[op]
 
 
 def test_the_pinned_probe_covers_every_op():
     assert list(PROBE_DIGESTS) == list(_probe_ops(*_PROBE_PINNED))
+
+
+# A second input, the first size at which all three sign-pattern scans pass
+# the same budget of 2000 (at size 11 both bundles still answer): each
+# refusal, pinned as above, says how far past the limit its scan got.
+_PROBE_NEAR_BUDGET = ("1", "evens", 12)
+NEAR_BUDGET_DIGESTS = {
+    'quantity sm':
+        (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+         'budget exceeded: budget exceeded for sign patterns: limit 2000 (needs >= 2003)\n'),
+    'verify example-schreier':
+        (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+         'budget exceeded: budget exceeded for sign patterns: limit 2000 (needs >= 2001)\n'),
+    'verify example-star':
+        (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+         'budget exceeded: budget exceeded for sign patterns: limit 2000 (needs >= 2001)\n'),
+}
+
+
+@pytest.mark.parametrize("op", list(NEAR_BUDGET_DIGESTS))
+def test_the_sign_pattern_scans_keep_their_refusals(capsys, monkeypatch, op):
+    monkeypatch.setenv("SCHREIER_LAB_BUDGET", "2000")
+    argv = op.split() + _probe_ops(*_PROBE_NEAR_BUDGET)[op]
+    assert _pinned_output(capsys, argv) == NEAR_BUDGET_DIGESTS[op]

@@ -177,3 +177,49 @@ def test_strictly_increasing(M, n):
        n=st.integers(min_value=1, max_value=50))
 def test_drop_is_a_shift_of_positions(M, k, n):
     assert M.drop(k).element(n) == M.element(n + k)
+
+
+def _squares(n):
+    return n * n
+
+
+# Every kind, bare and dropped.  The explicit prefix ends at position 3, so
+# runs across positions 1..8 cross from the prefix into the tail.
+_EVERY_KIND = st.sampled_from([
+    IndexStream.all_indices(), IndexStream.shift(3), IndexStream.evens(),
+    IndexStream.cubes(), IndexStream.explicit((2, 5, 9), 9),
+    IndexStream.custom(_squares, "squares"),
+    IndexStream.shift(2).compose(IndexStream.evens()),
+    IndexStream.cubes().compose(IndexStream.custom(_squares, "squares")),
+])
+
+
+@given(M=_EVERY_KIND, drop=st.integers(0, 4), first=st.integers(1, 8),
+       width=st.integers(-2, 8))
+def test_values_read_what_element_reads(M, drop, first, width):
+    M = M.drop(drop)
+    last = first + width - 1
+    assert list(M.values(first, last)) == [M.element(p)
+                                           for p in range(first, last + 1)]
+    assert M.prefix(last) == tuple(M.element(p) for p in range(1, last + 1))
+
+
+@pytest.mark.parametrize("M", [IndexStream.all_indices(), IndexStream.evens(),
+                               IndexStream.cubes(),
+                               IndexStream.custom(_squares, "squares")])
+def test_values_are_one_indexed(M):
+    assert list(M.values(3, 2)) == []
+    for first in (0, -3):
+        with pytest.raises(IndexError, match="1-indexed"):
+            M.values(first, 4)
+
+
+def test_values_keep_the_checks_of_a_custom_stream():
+    late = IndexStream.custom(lambda n: n if n < 7 else 1, "late")
+    assert list(late.values(1, 6)) == [1, 2, 3, 4, 5, 6]
+    with pytest.raises(ValueError, match="custom:late is not strictly "
+                                         "increasing at position 7"):
+        list(late.drop(2).values(3, 5))
+    negative = IndexStream.custom(lambda n: n - 3, "negative")
+    with pytest.raises(ValueError, match="positive"):
+        list(negative.values(1, 2))

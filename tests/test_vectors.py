@@ -134,6 +134,22 @@ def test_prob_vector_unit_and_average():
     assert overlapping.entries == {1: Fraction(1, 4), 2: Fraction(3, 4)}
 
 
+@pytest.mark.parametrize("cls", [RatVec, ProbVector])
+@pytest.mark.parametrize("index", [1, 2, 7, 10 ** 12])
+def test_unit_vectors_are_what_the_checked_constructor_builds(cls, index):
+    unit = cls.unit(index)
+    built = cls({index: 1})
+    assert type(unit) is type(built) is cls
+    assert unit == built and unit.entries == built.entries
+    assert all(type(v) is Fraction for v in unit.entries.values())
+    for bad in (0, -3):
+        with pytest.raises(ValueError) as refused:
+            cls.unit(bad)
+        with pytest.raises(ValueError) as checked:
+            cls({bad: 1})
+        assert str(refused.value) == str(checked.value)
+
+
 def test_combination_keeps_the_class_checks():
     x = RatVec({1: 1, 2: -2})
     y = RatVec({2: 2, 5: Fraction(1, 3)})
