@@ -533,18 +533,18 @@ def check_nibcc(z: Sequence[RatVec], y: Sequence[RatVec], *,
     """
     z = list(z)
     y = list(y)
-    # Pairwise disjoint exactly when each support misses the union of the
-    # ones before it.
+    # The weights are forced when the supports are nonempty and pairwise
+    # disjoint: each one misses the union of the ones before it.
     covered: set[int] = set()
-    disjoint = True
+    separated = True
     for vec in y:
         support = vec.support()
-        if not covered.isdisjoint(support):
-            disjoint = False
+        if not support or not covered.isdisjoint(support):
+            separated = False
             break
         covered.update(support)
 
-    if disjoint and all(not v.is_zero for v in y):
+    if separated:
         weights: list[Fraction] = []
         breakpoints = [0]
         j = 0

@@ -20,24 +20,22 @@ norms on their exact squares, so an irrational ``l2`` or ``baernstein`` norm
 ranks exactly, and only the winner becomes a value.  The horizon scans of
 :func:`sm_constant` and :func:`f_delta` run on integers: ``_scaled_horizon``
 scales the elements ``1..N`` once, over one common denominator.  The sign
-patterns of :func:`sm_constant` are summarized per member, in one record
-of its least pattern, pattern count and histogram of totals, shared by the
-members of one shape on a diagonal horizon; each pattern still costs one
-unit of work.  What a total means is read from ``spaces`` (``_sum_total``,
-``_mass_total``, ``_total_power`` and ``_total_result``), so no quantity
-branches on a norm kind.  The largeness scan reads hit sets only;
-``_hit_sets`` builds them on those rows, from the functionals given to
-:func:`f_delta` and :func:`large_check`, and from bare members in the CLI's
-``quantity fdelta`` and ``quantity large``, which build no functional;
-``_large`` is the shift, scaling and scan that :func:`large_check` and
-``quantity large`` share.  The scan tests a set that is no hit set on a
-bitset index of the hit sets, one AND per element.
+patterns of :func:`sm_constant` are summarized per member, in one record of
+its least pattern and its totals, cached per weight and size on a diagonal
+horizon; each pattern still costs one unit of work.  What a total means is
+read from ``spaces`` (``_sum_total``, ``_total_power`` and
+``_total_result``), so no quantity branches on a norm kind.  The largeness
+scan reads hit sets only; ``_hit_sets`` builds them on those rows, from the
+functionals given to :func:`f_delta` and :func:`large_check`, and from bare
+members in the CLI's ``quantity fdelta`` and ``quantity large``, which build
+no functional; ``_large`` is the shift, scaling and scan that
+:func:`large_check` and ``quantity large`` share.  The scan tests a set that
+is no hit set on a bitset index of the hit sets, one AND per element.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
 from itertools import product
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
@@ -46,8 +44,8 @@ from .budget import Budget, BudgetExceededError, Record, WorkMeter, get_budget
 from .ordinal import FundamentalRule, Ordinal, default_fundamental_seq
 from .schreier import FinSet, _family, enumerate_family
 from .spaces import (CertificationRefusedError, Functional, NormResult, NormSpec,
-                     _mass_total, _norm_total, _own_walk, _sum_total,
-                     _total_power, _total_result, norm)
+                     _norm_total, _own_walk, _sum_total, _total_power,
+                     _total_result, norm)
 from .vectors import RatVec, SeqSpec, format_fraction
 from .vectors import CanonicalBasis  # noqa: F401 -- still importable from here
 
@@ -329,27 +327,23 @@ def _sm_patterns(ambient: NormSpec, rows: Sequence[tuple], coeff_budget: int,
     :func:`_sm_record` of the integer norm totals of its patterns ``sum
     signs[k] * x_{F[k]}``, from the rows of :func:`_scaled_horizon`.
 
-    On a walk of the ambient's own order and rule each member is admissible,
-    and so is each of its subsets, since every family is hereditary.  A
-    pattern whose rows all live inside its member then has admissible
-    signed parts, so its total is its l1 or larger signed mass, as
-    ``spaces`` rules (``_mass_total``, ``_sum_total``), with no kernel.
+    A record is first looked up in a per-scan cache, and built on a miss.
+    The cache serves a diagonal horizon walked at the ambient's own order and
+    rule, where every ``rows[n]`` is ``((n, a_n),)``: a member whose points
+    all carry one weight ``a`` has a record that depends on ``a`` and its
+    size alone, kept under ``(a, |F|)``.  A weight carried by ``c`` points
+    makes at most ``c`` keys, so there are at most ``N``.  A member is taken
+    to share its weight when the points between its ends all carry it (the
+    canonical basis, or a weighted one past its listed weights).
+
+    To build a record, each pattern's rows are summed into one dict.  On a
+    walk of the ambient's own order and rule each member is admissible, and
+    by heredity so is each of its subsets; a pattern whose rows all live
+    inside its member then has admissible signed parts, so its total is its
+    l1 or larger signed mass, ``spaces._sum_total``, with no kernel.
     Whether the rows live inside does not depend on the signs, so it is
-    tested once per member.  There are two such routes, and both totals are
-    exact.  On a diagonal horizon, where every ``rows[n]`` is ``((n,
-    a_n),)``, the pattern is ``s_k * a_{F[k]}`` at ``F[k]``: its positive
-    mass is the sum of the ``|a_n|`` its signs keep positive, and its
-    negative mass the rest of the member's mass, from per-point ``(plus,
-    minus)`` masses taken once per scan, so no vector is built.  A member
-    whose points all carry one pair has a record that depends on that pair
-    and its size alone, so it is built once per scan and shared: a pair
-    carried by ``c`` points makes at most ``c`` such records, so there are
-    at most ``N``.  A member is taken to share its pair when the points
-    between its ends all carry it (the canonical basis, or a weighted one
-    past its listed weights); any other member builds its record afresh.
-    Any other horizon sums each pattern's rows into one dict.  The patterns
-    outside their member go to the kernels through one memo.  Every
-    pattern, on any route, costs one unit of ``budget.work`` (``sign
+    tested once per member.  The other patterns go to the kernels through
+    one memo.  Every pattern costs one unit of ``budget.work`` (``sign
     patterns``), spent per member before any of its totals, so
     ``coeff_budget`` cannot buy unmetered work.  On the kernel route this
     means a member whose patterns cross the work limit is refused as ``sign
@@ -359,13 +353,11 @@ def _sm_patterns(ambient: NormSpec, rows: Sequence[tuple], coeff_budget: int,
     diagonal = own and all(len(row) == 1 and row[0][0] == n
                            for n, row in enumerate(rows) if n)
     if diagonal:
-        # At each point, the positive mass under the sign +1 and under -1.
-        parts = [(0, 0)] + [(a, 0) if a > 0 else (0, -a) for ((_, a),) in rows[1:]]
-        # run[n]: the first point of the run of equal pairs that ends at n.
+        # run[n]: the first point of the run of equal weights that ends at n.
         run = [0, 1]
-        for n in range(2, len(parts)):
-            run.append(run[-1] if parts[n] == parts[n - 1] else n)
-        shared: dict = {}   # ((plus, minus), |F|) -> record
+        for n in range(2, len(rows)):
+            run.append(run[-1] if rows[n][0][1] == rows[n - 1][0][1] else n)
+    shared: dict = {}   # (a, |F|) -> record
     memo: dict = {}
     meter = WorkMeter("sign patterns", budget.work)
     for F in members:
@@ -374,48 +366,40 @@ def _sm_patterns(ambient: NormSpec, rows: Sequence[tuple], coeff_budget: int,
         size = len(F)
         small = size <= coeff_budget
         meter.spend(1 << size if small else 1)
-        if diagonal:
-            pair = parts[F[0]]
-            uniform = run[F[-1]] <= F[0]
-            record = shared.get((pair, size)) if uniform else None
-            if record is None:
-                signed = [parts[n] for n in F]
-                mass = sum(map(sum, signed))
-                positives = (map(sum, product(*signed)) if small
-                             else [sum(p for p, _ in signed)])
-                record = _sm_record(size, [_mass_total(ambient, p, mass - p)
-                                           for p in positives])
-                if uniform:
-                    shared[pair, size] = record
-            yield F, record
-            continue
-        inside = own and set(F).issuperset(i for n in F for i, _ in rows[n])
-        totals = []
-        for signs in product((1, -1), repeat=size) if small else [(1,) * size]:
-            combined: dict[int, int] = {}
-            for sign, n in zip(signs, F):
-                for i, v in rows[n]:
-                    combined[i] = combined.get(i, 0) + sign * v
-            if inside:
-                totals.append(_sum_total(ambient, combined.values()))
-            else:
-                support = tuple(sorted(i for i, v in combined.items() if v))
-                values = [combined[i] for i in support]
-                totals.append(_norm_total(ambient, support, values, budget, memo)[0])
-        yield F, _sm_record(size, totals)
+        uniform = diagonal and run[F[-1]] <= F[0]
+        key = (rows[F[0]][0][1], size) if uniform else None
+        record = shared.get(key)
+        if record is None:
+            inside = own and set(F).issuperset(i for n in F for i, _ in rows[n])
+            totals = []
+            for signs in product((1, -1), repeat=size) if small else [(1,) * size]:
+                combined: dict[int, int] = {}
+                for sign, n in zip(signs, F):
+                    for i, v in rows[n]:
+                        combined[i] = combined.get(i, 0) + sign * v
+                if inside:
+                    totals.append(_sum_total(ambient, combined.values()))
+                else:
+                    support = tuple(sorted(i for i, v in combined.items() if v))
+                    values = [combined[i] for i in support]
+                    totals.append(_norm_total(ambient, support, values, budget,
+                                              memo)[0])
+            record = _sm_record(size, totals)
+            if key is not None:
+                shared[key] = record
+        yield F, record
 
 
-def _sm_record(size: int, totals: list[int]) -> tuple[tuple, int, int, Counter]:
+def _sm_record(size: int, totals: list[int]) -> tuple[tuple, int, list[int]]:
     """The record of a member of ``size`` points whose sign patterns, in the
     order of ``product((1, -1), repeat=size)``, have the integer ``totals``
     (one total, of the uniform positive pattern, past the coefficient
-    budget): ``(signs, least, patterns, histogram)``, the first pattern of
-    least total, that total, the number of patterns and the number of
-    patterns of each total."""
+    budget): ``(signs, least, totals)``, the first pattern of least total,
+    that total and the totals themselves."""
     least = min(totals)
     first = totals.index(least)   # its bits, high first, are the minus signs
     signs = tuple(-1 if first >> bit & 1 else 1 for bit in reversed(range(size)))
-    return signs, least, len(totals), Counter(totals)
+    return signs, least, totals
 
 
 def _sm_least(ambient: NormSpec, N: int, D: int,
@@ -425,7 +409,7 @@ def _sm_least(ambient: NormSpec, N: int, D: int,
     :func:`sm_constant`, from the member records of :func:`_sm_patterns`."""
     p = _total_power(ambient)
     best = None
-    for F, (signs, total, _, _) in records:
+    for F, (signs, total, _) in records:
         if best is None or total * len(best[0]) ** p < best[2] * len(F) ** p:
             best = F, signs, total
     if best is None:

@@ -20,9 +20,7 @@ compares their integer totals and converts only its winner.  On members
 walked at the order and rule of a ``schreier`` or ``schreier_star`` norm, a
 vector inside its member has admissible signed parts by heredity, so its
 total is ``_sum_total``, its l1 or larger signed mass, which bounds the
-total from above on any vector; ``_mass_total`` gives the same from the two
-signed masses alone, for a scan that has them without the vector.  The
-other vectors go to ``_norm_total``.
+total from above on any vector.  The other vectors go to ``_norm_total``.
 The star norm splits signs on the integers, and the kernels see only
 magnitudes: order 0 takes the first largest entry, order 1 keeps a min-heap
 over one right-to-left scan in O(L log L) for L support points, and
@@ -395,17 +393,10 @@ def _norm_total(spec: NormSpec, support: tuple[int, ...], values: list[int],
 def _sum_total(spec: NormSpec, values) -> int:
     """The l1 mass of the integers ``values`` (the larger signed mass, under
     ``schreier_star``): the total if the signed parts are admissible, else above it."""
-    positive = sum(v for v in values if v > 0)
-    return _mass_total(spec, positive, positive - sum(values))
-
-
-def _mass_total(spec: NormSpec, positive: int, negative: int) -> int:
-    """:func:`_sum_total` of a vector of positive mass ``positive`` and
-    negative mass ``negative``: their sum, or under ``schreier_star`` their
-    maximum."""
     if spec.kind == "schreier":
-        return positive + negative
-    return max(positive, negative)
+        return sum(map(abs, values))
+    positive = sum(v for v in values if v > 0)
+    return max(positive, positive - sum(values))
 
 
 def _total_power(spec: NormSpec) -> int:

@@ -21,19 +21,17 @@ largeness scan never builds its index.  The sign patterns are evaluated
 once, in ``quantities``, and none of them reaches a norm kernel: each lives
 inside its member, which is admissible, and the families are hereditary, so
 every signed part of a pattern is admissible too and its total is its l1 or
-larger signed mass.  The basis is diagonal, so that mass is read off the
-signs, with no vector built.  The patterns are summarized per member, in a
-record of the least pattern, the pattern count and the histogram of
-totals; every point of the basis carries the same mass, so all members of
-one size share one record.  Each pattern still costs one unit of work.  The
-star bundle reads its half-mass check off the same records: the patterns
-of each member and those of its totals below half mass.  Its distances of
-running means are integers over ``L = lcm(1..N)``, totalled by
-``spaces._norm_total``; a distance the budget refuses is certified by
-``_sum_total`` on the same integers, an upper bound on any vector.  The
-dual-certificate samples are integers over ``lcm(1..9)``, totalled by
-``_norm_total`` too.  All these totals are compared as integers, and only
-the largest, or a violation, becomes a Fraction.
+larger signed mass.  The patterns are summarized per member, in a record of
+the least pattern and the totals; every point of the basis carries the same
+weight, so all members of one size share one record.  Each pattern still
+costs one unit of work.  The star bundle reads its half-mass check off the
+same records: the patterns of each member and its totals below half mass.
+Its distances of running means are integers over ``L = lcm(1..N)``,
+totalled by ``spaces._norm_total``; a distance the budget refuses is
+certified by ``_sum_total`` on the same integers, an upper bound on any
+vector.  The dual-certificate samples are integers over ``lcm(1..9)``,
+totalled by ``_norm_total`` too.  All these totals are compared as
+integers, and only the largest, or a violation, becomes a Fraction.
 """
 
 from __future__ import annotations
@@ -213,9 +211,9 @@ def verify_example_star(xi: Ordinal, N: int, coeff_budget: int = 3, *,
         nonlocal checked, violations
         for F, record in records:
             if len(F) <= coeff_budget:
-                checked += record[2]
-                violations += sum(count for total, count in record[3].items()
-                                  if 2 * total < D * len(F))
+                totals = record[2]
+                checked += len(totals)
+                violations += sum(2 * t < D * len(F) for t in totals)
             yield F, record
 
     sm = _sm_least(spec, N, D, tallied(_sm_patterns(spec, rows, coeff_budget,

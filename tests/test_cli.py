@@ -1415,3 +1415,29 @@ def test_the_sign_pattern_scans_keep_their_refusals(capsys, monkeypatch, op):
     monkeypatch.setenv("SCHREIER_LAB_BUDGET", "2000")
     argv = op.split() + _probe_ops(*_PROBE_NEAR_BUDGET)[op]
     assert _pinned_output(capsys, argv) == NEAR_BUDGET_DIGESTS[op]
+
+
+# `quantity sm` on a weighted basis whose listed weights differ point to point:
+# its mixed members build their records from summed rows, and its uniform
+# members past the listed weights share theirs.  Pinned as above: the exit
+# code, the stdout digests in text and JSON, and stderr.
+MIXED_WEIGHT_DIGESTS = {
+    '--space star --xi 1 --weights 4,5,6,-5,4 --weight-tail 5 --N 10':
+        (0, 'b47ffa638d74b630d12eac600233fd65eb945272339f0d7b10fee0a19a30639c',
+         'a386844862f0ae3c04a9081261df50ad54456b02c8694a513a428553fa9df046',
+         ''),
+    '--space star --xi 2 --weights 4,5,6,-5,4 --weight-tail 5 --N 9':
+        (0, 'e7cf0dece28b6db2fc8fdded990e4ae009e481ef4d5a24eeb37c9092cc032849',
+         '67f697aa9d65071f819d9b4ba1a19af29c7c7b0c4171df71bce11c04e4c69361',
+         ''),
+    '--space schreier --xi 1 --weights 4,5,6,-5,4 --weight-tail 5 --N 10':
+        (0, 'f4401e0c22ec1cfd9891799a31dbde6ec928418ebf0c6f293246424bf930e526',
+         'fa41539e8847afb6a81d4df31b94f20510ce32d050dd63453fe281f257ed1219',
+         ''),
+}
+
+
+@pytest.mark.parametrize("args", list(MIXED_WEIGHT_DIGESTS))
+def test_quantity_sm_on_mixed_listed_weights_keeps_its_output(capsys, args):
+    argv = ["quantity", "sm", *args.split()]
+    assert _pinned_output(capsys, argv) == MIXED_WEIGHT_DIGESTS[args]

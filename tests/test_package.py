@@ -133,3 +133,36 @@ def test_the_workload_operations_match_their_goldens(monkeypatch, workload,
             failed.append(f"{op.name}: {reason}")
     assert ops
     assert failed == []
+
+
+def _references(tree) -> list[str]:
+    """The names ``tree`` refers to: plain names, attributes and imports."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.append(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.extend(alias.name.rpartition(".")[2] for alias in node.names)
+    return found
+
+
+def test_every_private_helper_is_referenced_in_src():
+    # A private function or class that nothing else in the package names is
+    # dead code; a reference inside its own body does not count.
+    package = Path(schreier_lab.__file__).parent
+    trees = [ast.parse(path.read_text()) for path in sorted(package.rglob("*.py"))]
+    everywhere: dict[str, int] = {}
+    for tree in trees:
+        for name in _references(tree):
+            everywhere[name] = everywhere.get(name, 0) + 1
+    private = [node for tree in trees for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                    ast.ClassDef))
+               and node.name.startswith("_") and not node.name.endswith("__")]
+    assert len(private) > 100
+    unreferenced = [node.name for node in private
+                    if everywhere.get(node.name, 0)
+                    == _references(node).count(node.name)]
+    assert unreferenced == []

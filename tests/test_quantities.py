@@ -8,7 +8,6 @@ element.
 import itertools
 import math
 import time
-from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -383,7 +382,7 @@ def stingy(x, n):
 def brute_record(ambient, xs, F, coeff_budget):
     """The record of ``F`` by brute force: every sign pattern combined into
     one vector and totalled by the kernels, with no memo, as ``(signs,
-    least, patterns, histogram)`` with the totals as Fractions."""
+    least, totals)`` with the totals as Fractions."""
     patterns = (list(itertools.product((1, -1), repeat=len(F)))
                 if len(F) <= coeff_budget else [(1,) * len(F)])
     totals = []
@@ -392,13 +391,12 @@ def brute_record(ambient, xs, F, coeff_budget):
         support, values, d = x.scaled()
         totals.append(Fraction(_norm_total(ambient, support, values, Budget())[0], d))
     least = min(totals)
-    return patterns[totals.index(least)], least, len(patterns), Counter(totals)
+    return patterns[totals.index(least)], least, totals
 
 
 def as_fractions(record, D):
-    signs, least, patterns, histogram = record
-    return (signs, Fraction(least, D), patterns,
-            Counter({Fraction(t, D): n for t, n in histogram.items()}))
+    signs, least, totals = record
+    return signs, Fraction(least, D), [Fraction(t, D) for t in totals]
 
 
 def scan_against_the_kernels(ambient, xs, N, coeff_budget, order, fs):
@@ -455,7 +453,7 @@ def test_sm_patterns_of_a_walk_under_another_rule_take_the_kernels(
     records = list(scan_against_the_kernels(ambient, CanonicalBasis(ambient), 8,
                                             3, ambient.xi, walk_rule))
     # One kernel call per sign pattern.
-    assert len(calls) == sum(record[2] for _, record, _ in records) > 0
+    assert len(calls) == sum(len(record[2]) for _, record, _ in records) > 0
     assert all(record == expected for _, record, expected in records)
     calls.clear()
     # The same walk in the space of its own rule calls no kernel.
@@ -463,6 +461,13 @@ def test_sm_patterns_of_a_walk_under_another_rule_take_the_kernels(
     list(scan_against_the_kernels(ambient, CanonicalBasis(ambient), 8, 3,
                                   ambient.xi, walk_rule))
     assert calls == []
+    # So does a weighted basis whose listed weights differ point to point.
+    mixed = WeightedBasis(ambient, [Fraction(4), Fraction(-1, 3), Fraction(5, 2),
+                                    Fraction(-5, 2)], tail=Fraction(3))
+    records = list(scan_against_the_kernels(ambient, mixed, 8, 3, ambient.xi,
+                                            walk_rule))
+    assert calls == []
+    assert all(record == expected for _, record, expected in records)
 
 
 @pytest.mark.parametrize("kind", ["schreier", "schreier_star"])
