@@ -5,6 +5,8 @@ The bare group computes a vector.
 
 from __future__ import annotations
 
+import argparse
+
 from . import (_emit, _load_vector, _load_vector_list, _ordinal, _sequence,
                _stream)
 
@@ -109,23 +111,18 @@ def _cmd_avg_reweight(args) -> int:
 
 
 def add_ops(ops, fmt) -> None:
-    p = ops.add_parser("vector", parents=[fmt],
+    vector_flags = argparse.ArgumentParser(add_help=False)
+    vector_flags.add_argument("--xi", required=True)
+    vector_flags.add_argument("--stream", default="all")
+    vector_flags.add_argument("--n", type=int, required=True)
+    p = ops.add_parser("vector", parents=[fmt, vector_flags],
                        help="the n-th averaging vector (default op)")
-    p.add_argument("--xi", required=True)
-    p.add_argument("--stream", default="all")
-    p.add_argument("--n", type=int, required=True)
     p.set_defaults(handler=_cmd_avg_vector)
-    p = ops.add_parser("size", parents=[fmt],
+    p = ops.add_parser("size", parents=[fmt, vector_flags],
                        help="support size without materializing")
-    p.add_argument("--xi", required=True)
-    p.add_argument("--stream", default="all")
-    p.add_argument("--n", type=int, required=True)
     p.set_defaults(handler=_cmd_avg_size)
-    p = ops.add_parser("apply", parents=[fmt],
+    p = ops.add_parser("apply", parents=[fmt, vector_flags],
                        help="average a vector sequence")
-    p.add_argument("--xi", required=True)
-    p.add_argument("--stream", default="all")
-    p.add_argument("--n", type=int, required=True)
     p.add_argument("--seq", default="basis",
                    help="basis, or @file with a JSON list of vectors")
     p.set_defaults(handler=_cmd_avg_apply)

@@ -9,8 +9,9 @@ from . import (_SPACE_KINDS, _emit, _fraction, _load_vector, _ordinal,
 
 
 def _ambient_spec(args):
+    from ..spaces import _CLASSICAL_KINDS
     order = getattr(args, "space_xi", None) or getattr(args, "xi", None)
-    if args.space in ("l1", "l2", "sup"):
+    if args.space in _CLASSICAL_KINDS:
         return _space_spec(args.space, None)
     if order is None:
         raise ValueError(f"--space {args.space} needs --space-xi")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import sys
 
 from . import _fraction, _ordinal
@@ -37,19 +38,17 @@ def _cmd_verify_prop(args) -> int:
 
 
 def add_ops(ops, fmt) -> None:
-    p = ops.add_parser("example-schreier", parents=[fmt],
+    bundle_flags = argparse.ArgumentParser(add_help=False)
+    bundle_flags.add_argument("--xi", required=True)
+    bundle_flags.add_argument("--N", type=int, required=True)
+    bundle_flags.add_argument("--coeff-budget", type=int, default=3)
+    p = ops.add_parser("example-schreier", parents=[fmt, bundle_flags],
                        help="the normalized basis one order up")
-    p.add_argument("--xi", required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--coeff-budget", type=int, default=3)
     p.add_argument("--c-override", metavar="FRAC",
                    help="replace the default largeness level 1 - 1/N")
     p.set_defaults(handler=_cmd_verify_schreier)
-    p = ops.add_parser("example-star", parents=[fmt],
+    p = ops.add_parser("example-star", parents=[fmt, bundle_flags],
                        help="the sign-split renorming of the basis")
-    p.add_argument("--xi", required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--coeff-budget", type=int, default=3)
     p.set_defaults(handler=_cmd_verify_star)
     p = ops.add_parser("prop-formula", parents=[fmt],
                        help="tabulate the ratio formula envelopes")

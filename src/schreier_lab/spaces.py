@@ -28,11 +28,10 @@ everything else runs a branch-and-bound over admissible prefixes from an
 explicit stack, metered by the active budget's ``work`` alone, so no support
 is too long for the interpreter.  Each search node carries the membership
 automaton state of its prefix (or of its open block, for the chain norm), so
-testing one more support point is a single automaton step.  The base and
-star kernels at orders 1 and up first test whether the whole support is
-admissible: magnitudes are positive, so then the whole support is the
-maximizer and the total is its sum.  The chain kernel searches in another
-order and has no such test.  Kernel totals are integers in units of ``1/D``
+testing one more support point is a single automaton step.  Magnitudes
+are positive, so when the whole support is admissible the base and star
+search finds it on its first dive, one node per point, as the unique
+maximizer.  Kernel totals are integers in units of ``1/D``
 (``1/D**2`` for the chain norm).  A scan may pass the entry a memo of kernel
 results keyed on the support and magnitudes; one memo serves a whole scan
 (the kernel patterns of ``quantities.sm_constant``), under one spec and one
@@ -55,6 +54,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable
 
 from .budget import Budget, BudgetExceededError, Record, WorkMeter, get_budget
@@ -235,22 +235,10 @@ def _norm_search(support: tuple[int, ...], values: list[int], xi: Ordinal,
     remaining suffix cannot beat the incumbent.  Open frames wait on a stack
     and a prefix is a linked list of ``(point, rest)`` cells, so a node costs
     the same at any depth.
-
-    The whole support is tried first.  Magnitudes are positive, so when it
-    is admissible it is the unique maximizer; the search would find it on
-    its first dive, which spends one node per support point, so the test
-    answers only where that dive fits the meter and every refusal stays
-    the search's own.
     """
-    automaton = _automaton(xi, fs)
-    if len(support) <= budget.work and automaton.accepts(support):
-        return sum(values), FinSet(support)
     meter = WorkMeter("norm search nodes", budget.work)
-    suffix = [0] * (len(support) + 1)
-    for pos in range(len(support) - 1, -1, -1):
-        suffix[pos] = suffix[pos + 1] + values[pos]
-
-    step = automaton.step
+    suffix = _suffix_sums(values)
+    step = _automaton(xi, fs).step
     best = 0
     best_prefix = None
     # The current frame (prefix, automaton state, total, next position) and
@@ -277,6 +265,11 @@ def _norm_search(support: tuple[int, ...], values: list[int], xi: Ordinal,
     return best, FinSet(_unlinked(best_prefix))
 
 
+def _suffix_sums(values: list[int]) -> list[int]:
+    """``suffix[p]`` is the sum of ``values[p:]``, for ``p`` up to ``len(values)``."""
+    return list(accumulate(reversed(values), initial=0))[::-1]
+
+
 def _unlinked(cells) -> list:
     """The items of a linked list of ``(item, rest)`` cells, oldest first."""
     items = []
@@ -298,10 +291,7 @@ def _chain_squared_search(support: tuple[int, ...], values: list[int],
         # Singleton blocks at every support point; any subfamily only loses mass.
         return sum(v * v for v in values), tuple(FinSet.of(i) for i in support)
     meter = WorkMeter("chain norm nodes", budget.work)
-    suffix = [0] * (len(support) + 1)
-    for pos in range(len(support) - 1, -1, -1):
-        suffix[pos] = suffix[pos + 1] + values[pos]
-
+    suffix = _suffix_sums(values)
     step = _automaton(xi, fs).step
     best = 0   # in units of 1 / D**2
     best_chain = None

@@ -240,6 +240,21 @@ def test_the_averages_cache_is_bounded(monkeypatch):
     assert len(averages._AVERAGES_CACHE) <= averages._AVERAGES_CACHE_SIZE
 
 
+def test_an_approximating_order_zero_averages_unit_vectors():
+    # A rule whose w-sequence starts at 0: a vector of w whose first value is
+    # m follows order m - 1, so vector 1 is a vector of order 0 itself.
+    def rule(x, n):
+        return parse(str(n - 1)) if x == parse("w") else default_fundamental_seq(x, n)
+
+    assert repeated_avg(parse("w"), ALL, 1, fs=rule) == ProbVector({1: 1})
+    assert support_size(parse("w"), ALL, 1, fs=rule) == 1
+    assert repeated_avg(parse("w"), ALL, 2, fs=rule) == ProbVector(uniform((2, 3)))
+    assert support_size(parse("w"), ALL, 2, fs=rule) == 2
+    with pytest.raises(BudgetExceededError) as info:
+        repeated_avg(parse("w"), ALL, 3, fs=rule)
+    assert str(info.value).endswith("needs >= 262140)")
+
+
 def _evict_all():
     for k in range(averages._AVERAGES_CACHE_SIZE):
         averages._averages(parse(str(k)), IndexStream.shift(1000),

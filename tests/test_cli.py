@@ -114,6 +114,11 @@ def test_schreier_oracle_and_trace(capsys):
     code, payload = run_json(capsys, "schreier", "image", "--xi", "1",
                              "--stream", "evens", "--set", "2,4")
     assert payload["member"] is False
+    # A value past 2**63 is found at its stream position, 10**20.
+    code, out, err = run(capsys, "schreier", "image", "--xi", "1",
+                         "--stream", "evens", "--set", "200000000000000000000")
+    assert (code, err) == (0, "")
+    assert "member = true" in out.splitlines()
 
 
 def test_schreier_enum_with_limit(capsys):

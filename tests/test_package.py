@@ -135,6 +135,15 @@ def test_the_workload_operations_match_their_goldens(monkeypatch, workload,
     assert failed == []
 
 
+def test_the_benchmark_selftest_passes():
+    # The benchmark's own self-tests, run from the repository root as its
+    # usage says, so a change in ``src`` that breaks its traced pass fails here.
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "bench/selftest.py"], cwd=root,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+
+
 def _references(tree) -> list[str]:
     """The names ``tree`` refers to: plain names, attributes and imports."""
     found = []

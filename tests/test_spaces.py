@@ -326,11 +326,11 @@ def test_search_refusal_keeps_its_limit_and_count():
     assert str(info.value).endswith("limit 3000 (needs >= 3001)")
 
 
-# -- admissible supports: the whole-support test ---------------------------------------
+# -- admissible supports: found on the first dive --------------------------------------
 #
 # On a member of the family the base norm of a positive vector is its l1
-# total, with the member itself as the witness; the kernels test the whole
-# support before any search.
+# total, with the member itself as the witness; the search finds it on its
+# first dive, one node per point.
 
 WHOLE_ORDERS = ("1", "2", "w", "w+1")
 

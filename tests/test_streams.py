@@ -39,12 +39,18 @@ def test_compose():
 
 
 def test_index_of_inverts_element():
+    # Position 10**20 puts every value past 2**63: the search runs on Python
+    # integers, where a bisect over range(1, value + 1) raises OverflowError.
     for M in (IndexStream.all_indices(), IndexStream.shift(4),
-              IndexStream.cubes(), IndexStream.evens().drop(3)):
-        for n in range(1, 12):
+              IndexStream.cubes(), IndexStream.evens().drop(3),
+              IndexStream.evens(), IndexStream.shift(5)):
+        for n in (*range(1, 12), 10 ** 20):
             assert M.index_of(M.element(n)) == n
     assert IndexStream.cubes().index_of(9) is None
     assert IndexStream.evens().index_of(7) is None
+    assert IndexStream.cubes().index_of(10 ** 20) is None
+    assert IndexStream.evens().index_of(10 ** 20 + 1) is None
+    assert IndexStream.shift(5).index_of(5) is None
 
 
 def test_contains():
