@@ -30,7 +30,8 @@ stretches (the third order-2 vector along all indices has 2,040 entries in
 one integer sum over ``lcm(q)``, and entries are expanded only when the
 vector is handed out: one ``dict.fromkeys`` per run over the stream's
 ``values`` at its positions, all sharing one ``Fraction``.  A unit vector
-of order 0 is its one run, so it skips the checks.
+of order 0 is its one run, so it skips the checks.  The block-combination
+checker and the reweighting read such shared weights a stretch at a time.
 
 :func:`apply` pushes a vector sequence, a
 :class:`~schreier_lab.vectors.SeqSpec`, through one average, and
@@ -49,7 +50,7 @@ from .budget import (Budget, BudgetExceededError, Record, WorkMeter, _unwound,
 from .ordinal import (OMEGA, FundamentalRule, Ordinal, classify,
                       default_fundamental_seq)
 from .streams import IndexStream
-from .vectors import ProbVector, RatVec, SeqSpec
+from .vectors import _ONE, ProbVector, RatVec, SeqSpec, _stretches
 
 # An annotation only: importing it would make every average load the families.
 if TYPE_CHECKING:
@@ -248,9 +249,8 @@ class RepeatedAverages:
 
 _OMEGA_PLUS_ONE = OMEGA.successor()
 
-# Shared by every unit weight and every zero reweighting, as Fractions are
-# immutable.
-_ONE, _ZERO = Fraction(1), Fraction(0)
+# Shared by every zero reweighting, as Fractions are immutable.
+_ZERO = Fraction(0)
 
 
 def _descent_meter(cap: int) -> WorkMeter:
@@ -353,6 +353,8 @@ def successor_pair_prefix(xi: Ordinal, M: IndexStream, count: int, *,
     used = upper._sub_counts[count]
     base = upper._lower()
     base._checked_covered(used, budget.work)
+    if base.kind == "zero":
+        return z, [ProbVector._canonical({m: _ONE}) for m in base._M.values(1, used)]
     return z, [base._expanded(j) for j in range(1, used + 1)]
 
 
@@ -394,6 +396,7 @@ class NibccWitness(Record):
     ``breakpoints`` is ``(k_1, ..., k_{p+1})`` with ``k_1 = 0``, and
     ``weights[j-1]`` is the weight of ``y_j``; weights are positive,
     non-increasing, and sum to 1 over each block ``k_n+1 .. k_{n+1}``.
+    Each check reads one weight per stretch of one repeated object.
     """
 
     __slots__ = ("breakpoints", "weights")
@@ -407,17 +410,21 @@ class NibccWitness(Record):
             raise ValueError("breakpoints must strictly increase")
         if len(weights) != bp[-1]:
             raise ValueError("need one weight per combined vector")
-        # On numerators and denominators: denominators are positive.
-        nums = [w.numerator for w in weights]
-        dens = [w.denominator for w in weights]
+        # One weight per stretch, split at the breakpoints; denominators are > 0.
+        cuts = sorted({*bp, *_stretches(weights)})
+        at = {cut: k for k, cut in enumerate(cuts)}
+        nums = [weights[cut].numerator for cut in cuts[:-1]]
+        dens = [weights[cut].denominator for cut in cuts[:-1]]
         if any(p <= 0 for p in nums):
             raise ValueError("weights must be positive")
         if any(p * e < r * d for p, d, r, e
                in zip(nums, dens, nums[1:], dens[1:])):
             raise ValueError("weights must be non-increasing")
         for lo, hi in zip(bp, bp[1:]):
+            lo, hi = at[lo], at[hi]
             L = math.lcm(*dens[lo:hi])
-            if sum(p * (L // d) for p, d in zip(nums[lo:hi], dens[lo:hi])) != L:
+            if sum((b - a) * p * (L // d) for a, b, p, d in zip(
+                    cuts[lo:hi], cuts[lo + 1:], nums[lo:hi], dens[lo:hi])) != L:
                 raise ValueError("each block of weights must sum to 1")
         Record.__init__(self, breakpoints, weights)
 
@@ -448,10 +455,10 @@ def _match_block_weights(target: RatVec, y: Sequence[RatVec], start: int):
     j, count = start, len(y)
     while j < count:
         row = y[j]
-        if len(row) == 1:      # a unit vector, say: its entry is its lead
-            (lead, v), = row.items()
+        if len(row._entries) == 1:   # a unit vector, say: its entry is its lead
+            (lead, v), = row._entries.items()
             t_lead, v_lead, d = pop(lead, 0), v.numerator, v.denominator
-        elif row.is_zero:
+        elif not row._entries:
             return None
         else:
             row_support, row_nums, d = row.scaled()
@@ -521,30 +528,21 @@ def check_nibcc(z: Sequence[RatVec], y: Sequence[RatVec], *,
                 budget: Budget | None = None) -> NibccWitness | None:
     """Search for a non-increasing block convex combination witness.
 
-    When the ``y`` supports are pairwise disjoint the weights are forced by
-    coordinate matching, cross-multiplied on the integer
+    When the ``y`` supports are pairwise disjoint (one set union tells) the
+    weights are forced by coordinate matching, cross-multiplied on the integer
     :meth:`RatVec.scaled` rows of the vectors given; the checker reads
     nothing else, so it stays independent of how the vectors were made.
-    Otherwise each candidate block is solved exactly, and an
-    underdetermined block raises
-    :class:`AmbiguousReconstructionError` rather than guessing.  The
-    overlapping search backtracks from an explicit stack, one level per
+    Otherwise each candidate block is solved exactly, and an underdetermined
+    block raises :class:`AmbiguousReconstructionError` rather than guessing.
+    The overlapping search backtracks from an explicit stack, one level per
     ``z`` vector, and each block solve is one unit of ``budget.work``.
     """
     z = list(z)
     y = list(y)
     # The weights are forced when the supports are nonempty and pairwise
-    # disjoint: each one misses the union of the ones before it.
-    covered: set[int] = set()
-    separated = True
-    for vec in y:
-        support = vec.support()
-        if not support or not covered.isdisjoint(support):
-            separated = False
-            break
-        covered.update(support)
-
-    if separated:
+    # disjoint: their union is as large as their sizes together.
+    rows = [vec._entries for vec in y]
+    if all(rows) and len(set().union(*rows)) == sum(map(len, rows)):
         weights: list[Fraction] = []
         breakpoints = [0]
         j = 0
@@ -597,17 +595,19 @@ def cesaro_reweight(witness: NibccWitness, n: int) -> dict[int, Fraction]:
     For ``K = k_{n+1}`` the map sends ``j < K`` to ``(alpha(j) - alpha(j+1)) * j``
     and ``K`` to ``alpha(K) * K``; the weights are non-negative, sum to n, and
     satisfy ``sum_{j<=n} z_j = sum_j beta(j) u_j`` with ``u_j`` the j-th mean
-    of the original sequence.
+    of the original sequence.  A drop is computed only at the edge of a
+    stretch of one shared weight; every other ``j`` maps to one shared zero.
     """
     if not 1 <= n <= witness.blocks:
         raise ValueError(f"witness has {witness.blocks} blocks, asked for {n}")
     K = witness.breakpoints[n]
-    nums = [a.numerator for a in witness.weights[:K]]
-    dens = [a.denominator for a in witness.weights[:K]]
-    beta = {}
-    for j in range(1, K):
-        drop = nums[j - 1] * dens[j] - nums[j] * dens[j - 1]
-        # Equal neighbours (the long stretches of a block) share one zero.
-        beta[j] = Fraction(drop * j, dens[j - 1] * dens[j]) if drop else _ZERO
-    beta[K] = Fraction(nums[K - 1] * K, dens[K - 1])
+    weights = witness.weights[:K]
+    beta = dict.fromkeys(range(1, K), _ZERO)
+    for j in _stretches(weights)[1:-1]:
+        a, b = weights[j - 1], weights[j]
+        drop = a.numerator * b.denominator - b.numerator * a.denominator
+        if drop:
+            beta[j] = Fraction(drop * j, a.denominator * b.denominator)
+    last = weights[K - 1]
+    beta[K] = Fraction(last.numerator * K, last.denominator)
     return beta

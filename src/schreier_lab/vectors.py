@@ -17,6 +17,8 @@ import math
 import re
 import sys
 from fractions import Fraction
+from itertools import chain, compress, repeat
+from operator import is_not, sub
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .budget import Record
@@ -50,6 +52,13 @@ def parse_fraction(text: str) -> Fraction:
 
 
 _ONE = Fraction(1)
+
+
+def _stretches(values: Sequence) -> list[int]:
+    """Where each stretch of one repeated object in ``values`` starts, then
+    ``len(values)``: stretch k is ``values[cuts[k]:cuts[k+1]]``."""
+    return [*compress(range(len(values)), map(is_not, values, [None, *values])),
+            len(values)]
 
 
 class RatVec:
@@ -91,14 +100,19 @@ class RatVec:
 
     @classmethod
     def combination(cls, terms: Iterable[tuple]) -> "RatVec":
-        """``sum c_k v_k`` over ``(c_k, v_k)`` pairs, accumulated in one dict."""
+        """``sum c_k v_k`` over ``(c_k, v_k)`` pairs, accumulated in one dict;
+        an entry that is the shared ``1`` of :meth:`unit` becomes ``c_k``
+        itself, and only a subclass goes through its checked constructor."""
         merged: dict[int, Fraction] = {}
         for c, vec in terms:
-            c = Fraction(c)
+            if type(c) is not Fraction:
+                c = Fraction(c)
             for i, v in vec.items():
-                v = c * v
+                v = c if v is _ONE else c * v
                 merged[i] = merged[i] + v if i in merged else v
-        return cls(merged)
+        if cls is not RatVec:
+            return cls(merged)
+        return cls._canonical({i: v for i, v in sorted(merged.items()) if v})
 
     @classmethod
     def _canonical(cls, entries: dict[int, Fraction]) -> "RatVec":
@@ -138,15 +152,21 @@ class RatVec:
         """The support, the entries times ``D`` as integers, and ``D``.
 
         ``D`` is the lcm of the denominators (1 for the zero vector), so
-        exact scans can run on the integers and divide by ``D`` once.
+        exact scans can run on the integers and divide by ``D`` once.  A
+        stretch of entries that share one ``Fraction`` is scaled once.
 
         >>> RatVec({2: Fraction(1, 2), 5: Fraction(-2, 3)}).scaled()
         ((2, 5), [3, -4], 6)
         """
-        D = math.lcm(*(v.denominator for v in self._entries.values()))
-        return (tuple(self._entries),
-                [v.numerator * (D // v.denominator) for v in self._entries.values()],
-                D)
+        values = [*self._entries.values()]
+        # Below 32 entries the scan for stretches costs more than it saves.
+        cuts = _stretches(values) if len(values) >= 32 else range(len(values) + 1)
+        heads = [*map(values.__getitem__, cuts[:-1])]
+        D = math.lcm(*[v.denominator for v in heads])
+        nums = [v.numerator * (D // v.denominator) for v in heads]
+        if len(nums) < len(values):
+            nums = [*chain.from_iterable(map(repeat, nums, map(sub, cuts[1:], cuts)))]
+        return tuple(self._entries), nums, D
 
     # -- arithmetic --------------------------------------------------------
 

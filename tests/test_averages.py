@@ -8,11 +8,12 @@ stream.
 """
 
 import itertools
+import math
 import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from schreier_lab import averages
@@ -504,6 +505,35 @@ def test_successor_pair_prefix_sizes_the_base_order_once(monkeypatch):
                  for j in range(1, 3_070)]
 
 
+@pytest.mark.parametrize("M", ORACLE_STREAMS)
+def test_the_order_zero_base_prefix_is_its_expanded_vectors(M):
+    # One pass over the stream values builds what one expansion per index
+    # built, class and entries alike.
+    zero = parse("0")
+    for count in range(1, 5):
+        try:
+            z, y = successor_pair_prefix(zero, M, count)
+        except BudgetExceededError:
+            assert count > 1    # a later count covers more
+            break
+        upper = averages._averages(parse("1"), M, default_fundamental_seq)
+        base = averages._averages(zero, M, default_fundamental_seq)
+        want = [base._expanded(j) for j in range(1, upper._sub_counts[count] + 1)]
+        assert [type(vec) for vec in y] == [type(vec) for vec in want]
+        assert [list(vec.items()) for vec in y] == [list(vec.items()) for vec in want]
+        assert all(type(v) is Fraction for vec in y for _, v in vec.items())
+
+
+def test_the_order_zero_base_prefix_checks_a_custom_stream():
+    # Increasing for the first four positions only.
+    dip = IndexStream.custom(lambda n: n + 1 if n < 5 else 1, "dip")
+    z, y = successor_pair_prefix(parse("0"), dip, 1)
+    assert [vec.support() for vec in y] == [(2,), (3,)]
+    with pytest.raises(ValueError, match="stream custom:dip is not strictly "
+                                         "increasing at position 5"):
+        successor_pair_prefix(parse("0"), dip, 2)
+
+
 @pytest.mark.parametrize("xi_text, M, count, limit, needed", [
     ("1", IndexStream.shift(7), 1, 1_000, 2_040),
     ("0", IndexStream.shift(2), 10, 1_000, 1_533),
@@ -805,6 +835,118 @@ def test_witness_validation():
         NibccWitness((0, 1, 2), (HALF, HALF))         # block sums to 1/2
 
 
+def reference_witness_check(breakpoints, weights):
+    """The witness validation as it was written before it read stretches:
+    one numerator and denominator per weight.  The oracle for it."""
+    bp = breakpoints
+    if not bp or bp[0] != 0:
+        raise ValueError("breakpoints must start at 0")
+    if any(b >= c for b, c in zip(bp, bp[1:])):
+        raise ValueError("breakpoints must strictly increase")
+    if len(weights) != bp[-1]:
+        raise ValueError("need one weight per combined vector")
+    nums = [w.numerator for w in weights]
+    dens = [w.denominator for w in weights]
+    if any(p <= 0 for p in nums):
+        raise ValueError("weights must be positive")
+    if any(p * e < r * d for p, d, r, e
+           in zip(nums, dens, nums[1:], dens[1:])):
+        raise ValueError("weights must be non-increasing")
+    for lo, hi in zip(bp, bp[1:]):
+        L = math.lcm(*dens[lo:hi])
+        if sum(p * (L // d) for p, d in zip(nums[lo:hi], dens[lo:hi])) != L:
+            raise ValueError("each block of weights must sum to 1")
+
+
+def verdict(check, *args):
+    """None when ``check`` accepts, else the text of its ValueError."""
+    try:
+        check(*args)
+    except ValueError as error:
+        return str(error)
+    return None
+
+
+def stretch_starts(weights, breakpoints):
+    """Where a stretch of one object starts, split at the breakpoints."""
+    return sorted({j for j in range(len(weights))
+                   if j in breakpoints or weights[j] is not weights[j - 1]})
+
+
+@st.composite
+def _witness_weights(draw):
+    """Breakpoints and weights, block by block: ``q`` copies of ``1/q``
+    with ``q`` not decreasing, or a heavier then a lighter stretch, as one
+    object (reused by a later block of the same ``q``, so that it runs
+    across a breakpoint), as two equal but distinct objects, as one object
+    per weight, or as the plain int 1; then at times one flaw at a stretch
+    edge, or a block summing to ``1 +- 1/p``."""
+    shared = {}
+    breakpoints, weights = [0], []
+    for q in sorted(draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))):
+        form = draw(st.sampled_from(["shared", "one", "halves", "each", "two"]))
+        if q == 1 and draw(st.booleans()):
+            block = [1]
+        elif form == "shared":
+            block = [shared.setdefault(q, Fraction(1, q))] * q
+        elif form == "one":
+            block = [Fraction(1, q)] * q
+        elif form == "halves":
+            cut = draw(st.integers(0, q))
+            block = [Fraction(1, q)] * cut + [Fraction(1, q)] * (q - cut)
+        elif form == "each":
+            block = [Fraction(1, q) for _ in range(q)]
+        else:
+            # s copies of a and q + 1 - s of b = 1/(q + 1 + k), a >= b.
+            size, k = draw(st.integers(1, q)), draw(st.integers(0, 3))
+            b = Fraction(1, q + 1 + k)
+            block = [(1 - (q + 1 - size) * b) / size] * size + [b] * (q + 1 - size)
+        weights += block
+        breakpoints.append(len(weights))
+    flaw = draw(st.sampled_from(["none", "none", "raise", "zero", "negate",
+                                 "sum", "count"]))
+    starts = stretch_starts(weights, breakpoints)
+    at = draw(st.sampled_from(starts))
+    end = min([s for s in starts if s > at], default=len(weights))
+    if flaw == "raise":
+        value = weights[at] + Fraction(1, draw(st.integers(1, 6)))
+    elif flaw == "zero":
+        value = draw(st.sampled_from([0, Fraction(0)]))
+    elif flaw == "negate":
+        value = -weights[at]
+    if flaw in ("raise", "zero", "negate"):
+        weights[at:end] = [value] * (end - at)
+    elif flaw == "sum":
+        n = draw(st.integers(1, len(breakpoints) - 1))
+        lo, hi = breakpoints[n - 1], breakpoints[n]
+        off = Fraction(draw(st.sampled_from([1, -1])), draw(st.integers(2, 6)))
+        weights[lo:hi] = [(1 + off) / (hi - lo)] * (hi - lo)
+    elif flaw == "count":
+        weights.pop()
+    return tuple(breakpoints), tuple(weights)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_witness_weights())
+# One object across a breakpoint; equal distinct objects; a rise, a zero
+# and a negative weight at a stretch edge; int weights; sums of 1 +- 1/3.
+@example(case=((0, 2, 4), (HALF,) * 4))
+@example(case=((0, 2), (Fraction(1, 2), Fraction(1, 2))))
+@example(case=((0, 1, 3), (1, HALF, Fraction(2, 3))))
+@example(case=((0, 1, 3), (1, 0, 0)))
+@example(case=((0, 2), (Fraction(3, 2), Fraction(-1, 2))))
+@example(case=((0, 1, 2), (1, 1)))
+@example(case=((0, 3), (Fraction(4, 9),) * 3))
+@example(case=((0, 3), (Fraction(2, 9),) * 3))
+def test_stretch_witness_validation_agrees_with_the_per_weight_reference(case):
+    breakpoints, weights = case
+    want = verdict(reference_witness_check, breakpoints, weights)
+    assert verdict(NibccWitness, breakpoints, weights) == want
+    if want is None:
+        witness = NibccWitness(breakpoints, weights)
+        assert witness.breakpoints == breakpoints and witness.weights == weights
+
+
 def cesaro_identity_holds(witness, z, y, n) -> bool:
     beta = cesaro_reweight(witness, n)
     lhs = RatVec()
@@ -834,3 +976,31 @@ def test_cesaro_reweight_bounds():
         cesaro_reweight(witness, 2)
     with pytest.raises(ValueError):
         cesaro_reweight(witness, 0)
+
+
+def reference_cesaro_reweight(witness, n):
+    """The reweighting as it was written before it read stretches: one
+    drop per neighbouring pair of weights.  The oracle for it."""
+    K = witness.breakpoints[n]
+    nums = [a.numerator for a in witness.weights[:K]]
+    dens = [a.denominator for a in witness.weights[:K]]
+    beta = {}
+    for j in range(1, K):
+        drop = nums[j - 1] * dens[j] - nums[j] * dens[j - 1]
+        beta[j] = Fraction(drop * j, dens[j - 1] * dens[j]) if drop else Fraction(0)
+    beta[K] = Fraction(nums[K - 1] * K, dens[K - 1])
+    return beta
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_witness_weights())
+@example(case=((0, 2, 4), (HALF,) * 4))
+@example(case=((0, 1, 3, 5), (1, HALF, Fraction(1, 2), Fraction(1, 2), HALF)))
+def test_stretch_reweight_agrees_with_the_per_weight_reference(case):
+    breakpoints, weights = case
+    assume(verdict(reference_witness_check, breakpoints, weights) is None)
+    witness = NibccWitness(breakpoints, weights)
+    for n in range(1, witness.blocks + 1):
+        got, want = cesaro_reweight(witness, n), reference_cesaro_reweight(witness, n)
+        assert list(got.items()) == list(want.items())
+        assert all(type(v) is Fraction for v in got.values())

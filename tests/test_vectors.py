@@ -1,6 +1,7 @@
 """Exact rational vectors and probability vectors."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -216,3 +217,81 @@ def test_parts_are_what_the_checked_constructor_builds(a):
         assert part == checked and type(part) is RatVec
         assert list(part.entries) == sorted(part.entries)
         assert all(type(v) is Fraction and v > 0 for _, v in part.items())
+
+
+def reference_combination(cls, terms):
+    """``combination`` as it was written before it kept shared weights:
+    one ``Fraction`` product per entry, then the checked constructor.  The
+    oracle for it."""
+    merged = {}
+    for c, vec in terms:
+        c = Fraction(c)
+        for i, v in vec.items():
+            v = c * v
+            merged[i] = merged[i] + v if i in merged else v
+    return cls(merged)
+
+
+_nonzero = st.fractions(min_value=-3, max_value=3, max_denominator=6).filter(bool)
+
+
+@st.composite
+def _runs(draw):
+    """A vector made of runs of consecutive indices, each run one shared
+    ``Fraction`` object: at times the object of an earlier run again, or
+    an equal but distinct one."""
+    entries, index, used = {}, draw(st.integers(1, 5)), []
+    for _ in range(draw(st.integers(1, 4))):
+        source = draw(st.sampled_from(["new", "again", "equal"])) if used else "new"
+        value = draw(_nonzero) if source == "new" else draw(st.sampled_from(used))
+        if source == "equal":
+            value = Fraction(value.numerator, value.denominator)
+        used.append(value)
+        size = draw(st.integers(1, 20))
+        entries.update(dict.fromkeys(range(index, index + size), value))
+        index += size + draw(st.integers(0, 2))
+    return RatVec._canonical(entries)
+
+
+_vectors = st.one_of(_entries.map(RatVec), _runs(),
+                     st.integers(1, 30).map(RatVec.unit),
+                     st.integers(1, 30).map(ProbVector.unit))
+_coefficients = st.one_of(
+    st.integers(-3, 3), _nonzero,
+    _nonzero.map(lambda q: f"{q.numerator}/{q.denominator}"))
+
+
+@st.composite
+def _terms(draw):
+    """``(c, v)`` pairs, at times with a term cancelling an earlier one,
+    or convex weights on probability vectors."""
+    if draw(st.booleans()):
+        units = draw(st.lists(st.integers(1, 9), min_size=1, max_size=4))
+        return [(Fraction(1, len(units)), ProbVector.unit(i)) for i in units]
+    terms = draw(st.lists(st.tuples(_coefficients, _vectors), max_size=5))
+    if terms and draw(st.booleans()):
+        c, vec = draw(st.sampled_from(terms))
+        terms.append((-Fraction(c), vec))
+    return terms
+
+
+@given(terms=_terms(), cls=st.sampled_from([RatVec, ProbVector]))
+def test_combination_agrees_with_the_per_entry_reference(terms, cls):
+    try:
+        want = reference_combination(cls, terms)
+    except ValueError as error:
+        with pytest.raises(ValueError, match=str(error)):
+            cls.combination(terms)
+        return
+    got = cls.combination(terms)
+    assert type(got) is type(want)
+    assert list(got.items()) == list(want.items())
+    assert all(type(v) is Fraction for _, v in got.items())
+
+
+@given(vec=st.one_of(_runs(), _entries.map(RatVec)))
+def test_scaled_is_the_per_entry_formula(vec):
+    values = [v for _, v in vec.items()]
+    D = math.lcm(*(v.denominator for v in values))
+    assert vec.scaled() == (vec.support(),
+                            [v.numerator * (D // v.denominator) for v in values], D)
