@@ -28,6 +28,13 @@ one frame and the state of order 3000 is a single frame.  Nothing recurses
 in the interpreter: the alternatives of an injected rule are built and
 stepped from explicit stacks, and the greedy and exhaustive membership of
 the oracles run their lower orders as nested calls on an explicit stack.
+
+The alternatives share their sub-stacks, and each automaton interns its
+branches (hash-consing), so equal branches are one object and states hash
+and compare by value in time linear in their top-level frames.  The norm
+searches of ``spaces`` step an automaton far more often than they meet new
+moves, so each automaton keeps a transition table for them, ``moves``, which
+stops growing at ``_MOVES_BOUND`` entries.
 """
 
 from __future__ import annotations
@@ -162,13 +169,25 @@ class _Region(tuple):
 
 
 class _Branch(tuple):
-    """The live stacks of one set at the approximating orders ``n <= min``."""
+    """The live stacks of one set at the approximating orders ``n <= min``.
+
+    Interned by :meth:`_Automaton._branch`, so it compares and hashes by
+    identity."""
 
     __slots__ = ()
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
 
 
 # The state of a singleton at order 0: one frame with no free piece.
 _SINGLETON = ((None, 0, 0, 1, 1),)
+
+# The entries at which an automaton's transition table stops growing.  It
+# holds the 3,138 moves of the refused `schreier:2` search on 1,500 unit
+# coordinates; a full table kept 0.39 MB (`baernstein:1`) to 1.06 MB
+# (`baernstein:w`) on those coordinates under tracemalloc.
+_MOVES_BOUND = 4096
 
 
 def _plus_omega_power(terms: tuple, exponent: int) -> Ordinal:
@@ -185,14 +204,20 @@ class _Automaton:
     """Membership in the order-``xi`` family, one appended element at a time.
 
     A state is a stack (see :class:`_Node`), ``()`` stands for the empty set,
-    and ``None`` for a set that left the family.
+    and ``None`` for a set that left the family.  States hash and compare by
+    value, since ``_branches`` interns every branch.
     """
 
-    __slots__ = ("_rule", "_nodes", "_root", "_zero")
+    __slots__ = ("_rule", "_nodes", "_root", "_zero", "_branches", "moves",
+                 "_states")
 
     def __init__(self, xi: Ordinal, rule: FundamentalRule):
         self._rule = rule
         self._nodes: dict[Ordinal, _Node] = {}
+        self._branches: dict[tuple, _Branch] = {}
+        # (id(state), k) -> step(state, k) for the norm searches; see keep.
+        self.moves: dict[tuple[int, int], tuple | None] = {}
+        self._states: dict[tuple, tuple] = {}
         self._zero = self._node(Ordinal())
         self._root = self._node(xi)
 
@@ -211,6 +236,15 @@ class _Automaton:
             nested = self._rule is default_fundamental_seq
         node = self._nodes[xi] = _Node(xi, kind, base, count, nested)
         return node
+
+    def _branch(self, alternatives: Iterable[tuple]) -> _Branch:
+        """The one branch of the distinct ``alternatives``, in their order;
+        the key compares stacks structurally and nested branches by identity."""
+        key = tuple(dict.fromkeys(alternatives))
+        branch = self._branches.get(key)
+        if branch is None:
+            branch = self._branches[key] = _Branch(key)
+        return branch
 
     def _chains(self, node: _Node, k: int) -> tuple:
         """The stack of ``{k}`` at ``node``; the stacks a branch needs go on
@@ -235,9 +269,7 @@ class _Automaton:
                 if missing:
                     pending.extend(missing)
                     continue
-                # Equal orders share one stack object; keep each once.
-                alternatives = {id(n.chains[k]): n.chains[k] for n in targets}
-                frames.append(_Branch(alternatives.values()))
+                frames.append(self._branch(n.chains[k] for n in targets))
             top.chains[k] = tuple(frames)
             pending.pop()
         return node.chains[k]
@@ -274,6 +306,19 @@ class _Automaton:
         if type(state[-1]) is _Branch:
             return _unwound(self._branched(state, k, {}))
         return self._opened(state, k)
+
+    def keep(self, state: tuple, k: int, after: tuple | None) -> tuple | None:
+        """Store ``after = step(state, k)`` in ``moves`` and return it interned.
+
+        ``moves`` keys ``state`` by identity, so it must be ``()`` or a state
+        this method returned, which lives as long as the automaton.  Callers
+        stop storing once ``moves`` holds ``_MOVES_BOUND`` entries; the states
+        they meet after that are not interned, so they miss.
+        """
+        if after is not None:
+            after = self._states.setdefault(after, after)
+        self.moves[id(state), k] = after
+        return after
 
     def _opened(self, stack: tuple, k: int) -> tuple | None:
         """Open a piece ``{k}`` at the deepest level with a free one."""
@@ -322,15 +367,15 @@ class _Automaton:
         """
         if not stack or type(stack[-1]) is not _Branch:
             return self._opened(stack, k)
-        alive = {}
+        alive = []
         for alternative in stack[-1]:
             key = id(alternative)
             if key not in done:
                 done[key] = yield self._branched(alternative, k, done)
             if done[key] is not None:
-                alive[id(done[key])] = done[key]
+                alive.append(done[key])
         if alive:
-            return stack[:-1] + (_Branch(alive.values()),)
+            return stack[:-1] + (self._branch(alive),)
         return self._opened(stack[:-1], k)
 
     def accepts(self, elements: Iterable[int]) -> bool:

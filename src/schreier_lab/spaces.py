@@ -28,14 +28,15 @@ everything else runs a branch-and-bound over admissible prefixes from an
 explicit stack, metered by the active budget's ``work`` alone, so no support
 is too long for the interpreter.  Each search node carries the membership
 automaton state of its prefix (or of its open block, for the chain norm), so
-testing one more support point is a single automaton step.  Magnitudes
+testing one more support point is a single automaton step, read from the
+automaton's transition table once any search has made it.  Magnitudes
 are positive, so when the whole support is admissible the base and star
 search finds it on its first dive, one node per point, as the unique
 maximizer.  Kernel totals are integers in units of ``1/D``
 (``1/D**2`` for the chain norm).  A scan may pass the entry a memo of kernel
 results keyed on the support and magnitudes; one memo serves a whole scan
 (the kernel patterns of ``quantities.sm_constant``), under one spec and one
-budget, and no cache outlives it.
+budget, and no memo outlives it.
 
 The coordinate sum over an admissible set has norm at most one in the base
 and star norms.  ``_certify_sums`` alone decides that, over one set or a
@@ -60,7 +61,7 @@ from typing import Iterable
 from .budget import Budget, BudgetExceededError, Record, WorkMeter, get_budget
 from .ordinal import (ONE, FundamentalRule, Ordinal, default_fundamental_seq,
                       parse as parse_ordinal)
-from .schreier import FinSet, _automaton, _member
+from .schreier import _MOVES_BOUND, FinSet, _automaton, _member
 from .vectors import RatVec, format_fraction
 
 __all__ = [
@@ -234,11 +235,14 @@ def _norm_search(support: tuple[int, ...], values: list[int], xi: Ordinal,
     lexicographically least one; a branch is cut when even taking all of the
     remaining suffix cannot beat the incumbent.  Open frames wait on a stack
     and a prefix is a linked list of ``(point, rest)`` cells, so a node costs
-    the same at any depth.
+    the same at any depth.  A node reads its automaton step from the
+    automaton's transition table ``moves``; on a miss it steps, and stores
+    the step while the table has room.
     """
     meter = WorkMeter("norm search nodes", budget.work)
     suffix = _suffix_sums(values)
-    step = _automaton(xi, fs).step
+    automaton = _automaton(xi, fs)
+    step, keep, moves = automaton.step, automaton.keep, automaton.moves
     best = 0
     best_prefix = None
     # The current frame (prefix, automaton state, total, next position) and
@@ -253,7 +257,12 @@ def _norm_search(support: tuple[int, ...], values: list[int], xi: Ordinal,
             prefix, state, total, nxt = stack.pop()
             continue
         meter.spend(1)
-        after = step(state, support[nxt])
+        point = support[nxt]
+        after = moves.get((id(state), point), False)
+        if after is False:
+            after = step(state, point)
+            if len(moves) < _MOVES_BOUND:
+                after = keep(state, point, after)
         if after is None:
             nxt += 1
             continue
@@ -286,13 +295,18 @@ def _unlinked(cells) -> list:
 def _chain_squared_search(support: tuple[int, ...], values: list[int],
                           xi: Ordinal, fs: FundamentalRule, budget: Budget
                           ) -> tuple[int, tuple[FinSet, ...]]:
-    """The largest sum of squared block masses over chains of admissible blocks."""
+    """The largest sum of squared block masses over chains of admissible blocks.
+
+    A node reads its automaton step from the transition table, as in
+    :func:`_norm_search`.
+    """
     if xi.is_zero:
         # Singleton blocks at every support point; any subfamily only loses mass.
         return sum(v * v for v in values), tuple(FinSet.of(i) for i in support)
     meter = WorkMeter("chain norm nodes", budget.work)
     suffix = _suffix_sums(values)
-    step = _automaton(xi, fs).step
+    automaton = _automaton(xi, fs)
+    step, keep, moves = automaton.step, automaton.keep, automaton.moves
     best = 0   # in units of 1 / D**2
     best_chain = None
 
@@ -312,7 +326,12 @@ def _chain_squared_search(support: tuple[int, ...], values: list[int],
             chain, closed_sq, block, state, block_sum, nxt = stack.pop()
             continue
         meter.spend(1)
-        after = step(state, support[nxt])
+        point = support[nxt]
+        after = moves.get((id(state), point), False)
+        if after is False:
+            after = step(state, point)
+            if len(moves) < _MOVES_BOUND:
+                after = keep(state, point, after)
         if after is None:
             nxt += 1
             continue

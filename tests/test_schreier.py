@@ -383,6 +383,50 @@ def test_count_family_under_an_injected_rule():
     assert count_family(parse("w"), 10, fs=stingy) < count_family(parse("w"), 10)
 
 
+# -- interned branches under an injected rule ----------------------------------------
+
+
+def copied(x, n):
+    """The default rule under another name: the automaton cannot tell it is
+    nested, so every limit keeps one alternative per ``n <= min``."""
+    return default_fundamental_seq(x, n)
+
+
+def test_a_copied_rule_counts_like_the_default_rule():
+    # Equal branches are one object, so the count merges equal states
+    # instead of unfolding each state's shared alternatives into a tree.
+    xi = parse("w^2")
+    started = time.perf_counter()
+    assert count_family(xi, 12, fs=copied) == count_family(xi, 12)
+    assert time.perf_counter() - started < 1
+
+
+def test_equal_branches_are_one_object():
+    automaton = _automaton(parse("w^2"), copied)
+    first = automaton.step(automaton.start(5), 7)
+    again = automaton.step(automaton.start(5), 7)
+    assert first is not again and first == again and hash(first) == hash(again)
+    assert first[-1] is again[-1]
+
+
+_RULE_GRID = [(parse(t), rule) for rule in (copied, stingy)
+              for t in ("w", "w*2", "w^2", "w^3")]
+
+
+@pytest.mark.parametrize("case", _RULE_GRID,
+                         ids=lambda c: f"{c[0]}-{c[1].__name__}")
+def test_injected_rules_match_the_split_oracle(case):
+    xi, rule = case
+    N = 8
+    subsets = [FinSet(F) for r in range(N + 1)
+               for F in combinations(range(1, N + 1), r)]
+    expected = [F for F in subsets if is_member_oracle(xi, F, fs=rule)]
+    assert [is_member(xi, F, fs=rule) for F in subsets] == [
+        F in expected for F in subsets]
+    assert list(enumerate_family(xi, N, fs=rule)) == sorted(expected, key=tuple)
+    assert count_family(xi, N, fs=rule) == len(expected)
+
+
 # -- the automaton against the exhaustive oracle -------------------------------------
 
 _ORACLE_CASES = ([(parse(t), default_fundamental_seq)

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from schreier_lab.budget import Budget, BudgetExceededError
 from schreier_lab.ordinal import Ordinal, default_fundamental_seq, parse
-from schreier_lab.schreier import (FinSet, enumerate_family, is_member,
+from schreier_lab.schreier import (_MOVES_BOUND, FinSet, _automaton,
+                                   enumerate_family, is_member,
                                    is_member_oracle)
 from schreier_lab.spaces import (
     CertificationRefusedError, CertificationViolationError, Functional,
@@ -205,20 +206,22 @@ def tied_vectors(draw, max_size=8, top=10):
                    for i in support})
 
 
-def lex_least_maximizer(mags: RatVec, xi) -> tuple[Fraction, FinSet]:
+def lex_least_maximizer(mags: RatVec, xi, fs=default_fundamental_seq
+                        ) -> tuple[Fraction, FinSet]:
     """The largest coordinate sum over admissible sets, and the least such
     set in lexicographic order, by trying every subset."""
     best, best_set = Fraction(0), ()
     for size in range(1, len(mags) + 1):
         for combo in itertools.combinations(mags.support(), size):
-            if is_member(xi, FinSet(combo)):
+            if is_member(xi, FinSet(combo), fs=fs):
                 total = sum(mags[i] for i in combo)
                 if total > best or (total == best and combo < best_set):
                     best, best_set = total, combo
     return best, FinSet(best_set)
 
 
-def lex_least_chain(mags: RatVec, xi) -> tuple[Fraction, tuple]:
+def lex_least_chain(mags: RatVec, xi, fs=default_fundamental_seq
+                    ) -> tuple[Fraction, tuple]:
     """The largest sum of squared block masses over chains of admissible
     blocks, and the least such chain as a tuple of tuples."""
     support = mags.support()
@@ -232,7 +235,7 @@ def lex_least_chain(mags: RatVec, xi) -> tuple[Fraction, tuple]:
             for size in range(len(support) - start):
                 for rest in itertools.combinations(support[start + 1:], size):
                     block = (support[start],) + rest
-                    if is_member(xi, FinSet(block)):
+                    if is_member(xi, FinSet(block), fs=fs):
                         mass = sum(mags[i] for i in block)
                         extend(support.index(block[-1]) + 1, chain + (block,),
                                closed + mass * mass)
@@ -324,6 +327,88 @@ def test_search_refusal_keeps_its_limit_and_count():
     with pytest.raises(BudgetExceededError) as info:
         norm(NormSpec.schreier(TWO), units(*range(1, 25)), budget=Budget(work=3000))
     assert str(info.value).endswith("limit 3000 (needs >= 3001)")
+
+
+# -- the automaton's transition table ------------------------------------------------
+#
+# The searches read each move from the automaton's table once it is there,
+# so a warm table must answer what a cold one does, under every rule.  The
+# copied rule is the default one under another name: its limits keep one
+# alternative per n, as any injected rule's do.
+
+
+def copied(x, n):
+    return default_fundamental_seq(x, n)
+
+
+def stingy(x, n):
+    return default_fundamental_seq(x, max(1, n - 1))
+
+
+TABLE_RULES = {"default": default_fundamental_seq, "copied": copied,
+               "stingy": stingy}
+TABLE_SPECS = ([f"{kind}:{xi}" for kind in ("schreier", "star")
+                for xi in ("2", "w", "w+1", "w^2")]
+               + [f"baernstein:{xi}" for xi in ("1", "2", "w")])
+
+
+def answer_or_refusal(spec: NormSpec, x: RatVec, budget=None):
+    try:
+        return norm(spec, x, budget=budget)
+    except BudgetExceededError as error:
+        return str(error)
+
+
+@pytest.mark.parametrize("rule", TABLE_RULES)
+@pytest.mark.parametrize("spec_text", TABLE_SPECS)
+@settings(max_examples=15, deadline=None)
+@given(x=tied_vectors(max_size=6))
+def test_a_warm_table_answers_like_the_oracle_and_a_cold_one(spec_text, rule, x):
+    # The warm runs read the moves that earlier examples left in the table.
+    spec = NormSpec.parse(spec_text, fs=TABLE_RULES[rule])
+    warm = norm(spec, x)
+    warm_refusal = answer_or_refusal(spec, x, Budget(work=50))
+    _automaton.cache_clear()
+    assert norm(spec, x) == warm
+    _automaton.cache_clear()
+    assert answer_or_refusal(spec, x, Budget(work=50)) == warm_refusal
+    oracle = norm_oracle(spec, x)
+    assert (warm.value, warm.value_squared) == (oracle.value, oracle.value_squared)
+    mags = x.abs()
+    if spec.kind == "baernstein":
+        assert (warm.value_squared, warm.witness) == lex_least_chain(
+            mags, spec.xi, spec.fs)
+        assert all(is_member_oracle(spec.xi, F, fs=spec.fs) for F in warm.witness)
+        return
+    if spec.kind == "schreier":
+        F = warm.witness
+    else:
+        sign, F = warm.witness
+        mags = x.positive_part() if sign == "+" else x.negative_part()
+    assert (warm.value, F) == lex_least_maximizer(mags, spec.xi, spec.fs)
+    assert is_member_oracle(spec.xi, F, fs=spec.fs)
+
+
+def test_a_copied_rule_search_answers_in_time():
+    # A table keyed on states that unfold their shared alternatives would
+    # spend seconds hashing them here.
+    spec = NormSpec.schreier(parse("w^2"), fs=copied)
+    started = time.perf_counter()
+    result = norm(spec, units(*range(8, 18)))
+    assert time.perf_counter() - started < 1
+    assert (result.value, result.witness) == (10, FinSet(range(8, 18)))
+
+
+def test_long_refusals_keep_the_tables_in_their_bound():
+    for spec_text in ("schreier:2", "baernstein:1"):
+        with pytest.raises(BudgetExceededError):
+            norm(NormSpec.parse(spec_text), units(*range(1, 1501)))
+    # The chain search meets a new move at every node, so it fills its table.
+    assert len(_automaton(ONE, default_fundamental_seq).moves) == _MOVES_BOUND
+    for xi in (ONE, TWO):
+        automaton = _automaton(xi, default_fundamental_seq)
+        assert len(automaton.moves) <= _MOVES_BOUND
+        assert len(automaton._states) <= _MOVES_BOUND
 
 
 # -- admissible supports: found on the first dive --------------------------------------
